@@ -76,28 +76,48 @@ class PathSet:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-subcarrier channel matrices for one realization.
+    """Per-subcarrier channels for one realization.
 
-    ``h_bs_ris`` has shape (K, M, N) and every slice is rank one by
-    construction; ``h_ris_user`` stacks the K row vectors into shape (K, M).
+    The BS-to-surface hop is a single path, so its slice at subcarrier k is
+    the rank-one matrix ``bs_ris_scale[k] * outer(a_ris[k], conj(a_bs[k]))``;
+    it is stored in that factored form, with shapes (K,), (K, M) and (K, N).
+    ``h_ris_user`` stacks the K surface-to-user row vectors into shape (K, M).
     """
 
-    h_bs_ris: np.ndarray
+    bs_ris_scale: np.ndarray
+    a_ris: np.ndarray
+    a_bs: np.ndarray
     h_ris_user: np.ndarray
     grid: FrequencyGrid
     source_paths: PathSet
 
     @property
+    def h_bs_ris(self) -> np.ndarray:
+        """Dense (K, M, N) BS-to-surface tensor, built on every access."""
+        return np.einsum("k,km,kn->kmn", self.bs_ris_scale, self.a_ris, np.conj(self.a_bs))
+
+    def received_power(self, diag) -> np.ndarray:
+        """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
+
+        ``||a_bs[k]|| = 1`` reduces it to ``|scale_k|^2 |sum_m h_ru[k,m] d_m a_ris[k,m]|^2``.
+        """
+        return np.abs(self.bs_ris_scale) ** 2 * np.abs((self.h_ris_user * self.a_ris) @ diag) ** 2
+
+    def aligned_power(self) -> np.ndarray:
+        """Largest ``received_power`` any diagonal reaches: all M terms co-phased."""
+        return (np.abs(self.bs_ris_scale) * np.sum(np.abs(self.h_ris_user * self.a_ris), axis=1)) ** 2
+
+    @property
     def num_subcarriers(self) -> int:
-        return self.h_bs_ris.shape[0]
+        return self.a_ris.shape[0]
 
     @property
     def num_ris_elements(self) -> int:
-        return self.h_bs_ris.shape[1]
+        return self.a_ris.shape[1]
 
     @property
     def num_bs_antennas(self) -> int:
-        return self.h_bs_ris.shape[2]
+        return self.a_bs.shape[1]
 
     @property
     def scenario(self) -> str:
@@ -241,7 +261,6 @@ def gen_channels(
         * paths.bs_ris_gain
         * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
     )
-    h_bs_ris = np.einsum("k,mk,nk->kmn", scale, a_ris, np.conj(a_bs))
 
     if paths.scenario == LOS:
         norm = np.sqrt(m_ris)
@@ -256,7 +275,9 @@ def gen_channels(
     h_ris_user *= norm
 
     return ChannelRealization(
-        h_bs_ris=h_bs_ris,
+        bs_ris_scale=scale,
+        a_ris=a_ris.T,
+        a_bs=a_bs.T,
         h_ris_user=h_ris_user,
         grid=grid,
         source_paths=paths,

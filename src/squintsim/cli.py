@@ -1,14 +1,16 @@
 """Command-line entry point: figure reproductions, custom sweeps, selftest.
 
 Results are written as CSV for external plotting, with a short summary table
-on stdout. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+on stdout. Exit codes: 0 success, 1 usage error (a bad flag or a bad
+configuration value, caught before the first trial), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .experiments import (
     SWEEP_VARIABLES,
     ScenarioConfig,
     SweepResult,
-    run_sweep,
     schemes_for,
 )
 from .phase_design import design_central, design_ideal, design_mccm, design_random
@@ -71,7 +72,7 @@ class CliConfig:
     num_bs_antennas: int = _DEFAULTS.num_bs_antennas
     num_ris_elements: int = _DEFAULTS.num_ris_elements
     num_paths: int = _DEFAULTS.num_paths
-    snr_db: tuple[float, ...] = _DEFAULTS.snr_db
+    snr_db: float = _DEFAULTS.snr_db
     trials: int = _DEFAULTS.trials
     seed: int = _DEFAULTS.seed
     gain_mode: str = _DEFAULTS.gain_mode
@@ -148,7 +149,7 @@ def _build_parser() -> _Parser:
     swp.add_argument("--bs-antennas", type=int, default=_DEFAULTS.num_bs_antennas, help="BS antennas")
     swp.add_argument("--ris-elements", type=int, default=_DEFAULTS.num_ris_elements, help="surface elements")
     swp.add_argument("--paths", type=int, default=_DEFAULTS.num_paths, help="user-side paths (nlos only)")
-    swp.add_argument("--snr-db", default="10", help="operating SNR in dB for non-SNR sweeps")
+    swp.add_argument("--snr-db", type=float, default=_DEFAULTS.snr_db, help="SNR in dB for non-SNR sweeps")
     add_run_flags(swp)
     swp.add_argument("--out", default="sweep.csv", help="CSV output path")
 
@@ -181,26 +182,16 @@ def parse_args(argv) -> CliConfig:
         schemes = tuple(token.strip() for token in ns.schemes.split(",") if token.strip())
         if not schemes:
             raise UsageError("argument --schemes: expected at least one scheme")
-        known = schemes_for(scenario)
         for scheme in schemes:
-            if scheme not in experiments.ALL_SCHEMES:
-                raise UsageError(
-                    f"argument --schemes: unknown scheme {scheme!r} "
-                    f"(known: {', '.join(experiments.ALL_SCHEMES)})"
-                )
-            if scheme not in known:
-                raise UsageError(
-                    f"argument --schemes: scheme {scheme!r} is not available with "
-                    f"--scenario {scenario}"
-                )
+            try:
+                experiments.check_scheme(scheme, scenario)
+            except ValueError as exc:
+                raise UsageError(f"argument --schemes: {exc}") from None
     values = _split_floats(ns.values, "--values") if ns.values is not None else _default_values(ns.var)
     if ns.var == "ris_elements":
         for v in values:
-            if v != int(v) or v < 1:
+            if not v.is_integer() or v < 1:
                 raise UsageError(f"argument --values: ris_elements needs positive integers, got {v}")
-    snr_db = _split_floats(ns.snr_db, "--snr-db")
-    if ns.trials < 1:
-        raise UsageError(f"argument --trials: must be >= 1, got {ns.trials}")
     return CliConfig(
         subcommand="sweep",
         scenario=scenario,
@@ -213,7 +204,7 @@ def parse_args(argv) -> CliConfig:
         num_bs_antennas=ns.bs_antennas,
         num_ris_elements=ns.ris_elements,
         num_paths=ns.paths,
-        snr_db=snr_db,
+        snr_db=ns.snr_db,
         trials=ns.trials,
         seed=ns.seed,
         gain_mode=ns.gain_mode,
@@ -226,25 +217,24 @@ def _fmt(value: float) -> str:
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
-    """Write the sweep rows as UTF-8 CSV with 10-significant-digit numbers."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in result.rows:
-            fh.write(
-                ",".join(
-                    (
-                        row.scenario,
-                        row.scheme,
-                        row.sweep_variable,
-                        _fmt(row.sweep_value),
-                        _fmt(row.mean_rate_bits),
-                        _fmt(row.std_error_bits),
-                        str(row.trials),
-                        str(row.seed),
-                    )
-                )
-                + "\n"
-            )
+    """Write the sweep rows as UTF-8 CSV with 10-significant-digit numbers.
+
+    The rows go to a temporary file in the target directory, which then
+    replaces ``path``; a failed write leaves no file under either name.
+    """
+    directory, name = os.path.split(path)
+    tmp_path = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for row in result.rows:
+                numbers = map(_fmt, (row.sweep_value, row.mean_rate_bits, row.std_error_bits))
+                fields = (row.scenario, row.scheme, row.sweep_variable, *numbers, str(row.trials), str(row.seed))
+                fh.write(",".join(fields) + "\n")
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
 
 
 def _print_summary(result: SweepResult) -> None:
@@ -390,35 +380,31 @@ def selftest() -> int:
     return 0
 
 
+def _sweep_job(config: CliConfig) -> tuple:
+    """Arguments of ``run_sweep``; raises ValueError on any bad value before a trial runs."""
+    if config.subcommand == "figure":
+        scenario_config, schemes, variable, values = experiments.figure_sweep(
+            config.figure_id, config.trials, config.seed, config.gain_mode
+        )
+    else:
+        scenario_config = ScenarioConfig(**{f.name: getattr(config, f.name) for f in fields(ScenarioConfig)})
+        schemes, variable, values = config.schemes, config.sweep_variable, config.sweep_values
+    experiments.sweep_points(scenario_config, variable, values)
+    return scenario_config, schemes, variable, values
+
+
 def main(argv=None) -> int:
     try:
         config = parse_args(argv if argv is not None else sys.argv[1:])
-    except UsageError as exc:
+        job = None if config.subcommand == "selftest" else _sweep_job(config)
+    except (UsageError, ValueError) as exc:
         print(f"squintsim: error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        if config.subcommand == "selftest":
+        if job is None:
             return selftest()
-        if config.subcommand == "figure":
-            result = experiments.reproduce_figure(
-                config.figure_id, trials=config.trials, seed=config.seed, gain_mode=config.gain_mode
-            )
-        else:
-            scenario_config = ScenarioConfig(
-                scenario=config.scenario,
-                carrier_hz=config.carrier_hz,
-                bandwidth_hz=config.bandwidth_hz,
-                num_subcarriers=config.num_subcarriers,
-                num_bs_antennas=config.num_bs_antennas,
-                num_ris_elements=config.num_ris_elements,
-                num_paths=config.num_paths,
-                snr_db=config.snr_db,
-                trials=config.trials,
-                seed=config.seed,
-                gain_mode=config.gain_mode,
-            )
-            result = run_sweep(scenario_config, config.schemes, config.sweep_variable, config.sweep_values)
+        result = experiments.run_sweep(*job)
         emit_csv(result, config.output_path)
         _print_summary(result)
         print(f"wrote {len(result.rows)} rows to {config.output_path}")

@@ -8,6 +8,8 @@ many worker threads evaluate the trials.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -39,10 +41,13 @@ RIS_ELEMENTS_GRID = (16, 32, 64, 128, 256)
 
 THREADS_ENV_VAR = "SQUINTSIM_THREADS"
 
-_MASK64 = (1 << 64) - 1
 _CHANNEL_STREAM = 0
 _PHASE_STREAM = 1
 _INDEX_STREAM = 2
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -58,20 +63,32 @@ class ScenarioConfig:
     num_bs_antennas: int = 64
     num_ris_elements: int = 64
     num_paths: int = 5
-    snr_db: tuple[float, ...] = (10.0,)
+    snr_db: float = 10.0
     trials: int = 500
     seed: int = 0
     gain_mode: str = "random"
 
     def __post_init__(self) -> None:
-        if self.scenario not in (LOS, NLOS):
-            raise ValueError(f"scenario must be {LOS!r} or {NLOS!r}, got {self.scenario!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if len(self.snr_db) < 1:
-            raise ValueError("snr_db must contain at least one value")
-        if self.gain_mode not in ("unit", "random"):
-            raise ValueError(f"gain_mode must be 'unit' or 'random', got {self.gain_mode!r}")
+        # Comparisons with NaN are false, so NaN fails every numeric rule.
+        rules = {
+            "scenario": (self.scenario in (LOS, NLOS), f"{LOS!r} or {NLOS!r}"),
+            "carrier_hz": (0 < self.carrier_hz < math.inf, "finite and positive"),
+            "bandwidth_hz": (0 <= self.bandwidth_hz < 2 * self.carrier_hz, "in [0, 2*carrier_hz)"),
+            "num_subcarriers": (_is_count(self.num_subcarriers), "an integer >= 1"),
+            "num_bs_antennas": (_is_count(self.num_bs_antennas), "an integer >= 1"),
+            "num_ris_elements": (_is_count(self.num_ris_elements), "an integer >= 1"),
+            "num_paths": (_is_count(self.num_paths), "an integer >= 1"),
+            "snr_db": (math.isfinite(self.snr_db), "finite"),
+            "trials": (_is_count(self.trials), "an integer >= 1"),
+            "seed": (
+                isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64,
+                "an integer in [0, 2**64)",
+            ),
+            "gain_mode": (self.gain_mode in ("unit", "random"), "'unit' or 'random'"),
+        }
+        for name, (ok, expected) in rules.items():
+            if not ok:
+                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class SweepResult:
 
 
 def _substream(seed: int, trial: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng([seed & _MASK64, int(trial), int(stream)])
+    return np.random.default_rng([seed, int(trial), int(stream)])
 
 
 def thread_count() -> int:
@@ -116,7 +133,7 @@ def central_subcarrier_index(grid: FrequencyGrid) -> int:
     return int(np.argmin(np.abs(grid.frequencies - grid.carrier_hz)))
 
 
-def _check_scheme(scheme: str, scenario: str) -> None:
+def check_scheme(scheme: str, scenario: str) -> None:
     if scheme not in ALL_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; known schemes: {', '.join(ALL_SCHEMES)}")
     if scheme not in schemes_for(scenario):
@@ -129,11 +146,11 @@ def _apply_overrides(config: ScenarioConfig, overrides: dict | None) -> Scenario
     cfg = config
     for key, value in overrides.items():
         if key == "snr_db":
-            cfg = replace(cfg, snr_db=(float(value),))
+            cfg = replace(cfg, snr_db=float(value))
         elif key == "bandwidth_hz":
             cfg = replace(cfg, bandwidth_hz=float(value))
         elif key == "ris_elements":
-            if float(value) != int(value):
+            if not float(value).is_integer():
                 raise ValueError(f"ris_elements must be an integer, got {value}")
             cfg = replace(cfg, num_ris_elements=int(value))
         else:
@@ -187,9 +204,9 @@ def per_trial_rates(config: ScenarioConfig, scheme: str, overrides: dict | None 
     schemes with the same config pairs them on identical realizations.
     """
     cfg = _apply_overrides(config, overrides)
-    _check_scheme(scheme, cfg.scenario)
+    check_scheme(scheme, cfg.scenario)
     grid = build_frequency_grid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.num_subcarriers)
-    budget = LinkBudget.from_snr_db(cfg.snr_db[0])
+    budget = LinkBudget.from_snr_db(cfg.snr_db)
 
     workers = thread_count()
     trials = range(cfg.trials)
@@ -212,6 +229,13 @@ def run_point(config: ScenarioConfig, scheme: str, overrides: dict | None = None
     return mean, std_error
 
 
+def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[ScenarioConfig, ...]:
+    """The config of every sweep point; raises ValueError on any bad value."""
+    if not values:
+        raise ValueError("need at least one sweep value")
+    return tuple(_apply_overrides(config, {sweep_variable: value}) for value in values)
+
+
 def run_sweep(
     config: ScenarioConfig,
     schemes,
@@ -221,25 +245,21 @@ def run_sweep(
     """Evaluate the full cross product of schemes and sweep values.
 
     Rows are ordered value-major, scheme-minor, and every scheme at a given
-    value sees the same channel realizations.
+    value sees the same channel realizations. Every value is validated before
+    the first trial runs.
     """
     schemes = tuple(schemes)
     values = tuple(values)
     if not schemes:
         raise ValueError("need at least one scheme")
-    if not values:
-        raise ValueError("need at least one sweep value")
-    if sweep_variable not in SWEEP_VARIABLES:
-        raise ValueError(
-            f"unknown sweep variable {sweep_variable!r}; known: {', '.join(SWEEP_VARIABLES)}"
-        )
     for scheme in schemes:
-        _check_scheme(scheme, config.scenario)
+        check_scheme(scheme, config.scenario)
+    points = sweep_points(config, sweep_variable, values)
 
     rows = []
-    for value in values:
+    for value, point in zip(values, points):
         for scheme in schemes:
-            mean, std_error = run_point(config, scheme, {sweep_variable: value})
+            mean, std_error = run_point(point, scheme)
             rows.append(
                 SweepRow(
                     scenario=config.scenario,
@@ -255,23 +275,27 @@ def run_sweep(
     return SweepResult(tuple(rows))
 
 
-def reproduce_figure(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> SweepResult:
-    """Preset sweeps for the five benchmark comparisons.
+def figure_sweep(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> tuple:
+    """Arguments of :func:`run_sweep` for one of the five preset comparisons.
 
     2: single-path rate vs SNR; 3: vs bandwidth at 10 dB; 4: vs surface size
     at 10 dB; 5: multipath (5 paths) rate vs SNR; 6: multipath vs bandwidth
     at 10 dB.
     """
-    base = ScenarioConfig(trials=trials, seed=seed, gain_mode=gain_mode)
-    if fig_id == 2:
-        return run_sweep(base, LOS_SCHEMES, "snr_db", SNR_DB_GRID)
-    if fig_id == 3:
-        return run_sweep(base, LOS_SCHEMES, "bandwidth_hz", BANDWIDTH_HZ_GRID)
-    if fig_id == 4:
-        return run_sweep(base, LOS_SCHEMES, "ris_elements", RIS_ELEMENTS_GRID)
-    nlos = replace(base, scenario=NLOS)
-    if fig_id == 5:
-        return run_sweep(nlos, NLOS_SCHEMES, "snr_db", SNR_DB_GRID)
-    if fig_id == 6:
-        return run_sweep(nlos, NLOS_SCHEMES, "bandwidth_hz", BANDWIDTH_HZ_GRID)
-    raise ValueError(f"unknown figure id {fig_id}; expected 2..6")
+    los = ScenarioConfig(trials=trials, seed=seed, gain_mode=gain_mode)
+    nlos = replace(los, scenario=NLOS)
+    presets = {
+        2: (los, LOS_SCHEMES, "snr_db", SNR_DB_GRID),
+        3: (los, LOS_SCHEMES, "bandwidth_hz", BANDWIDTH_HZ_GRID),
+        4: (los, LOS_SCHEMES, "ris_elements", RIS_ELEMENTS_GRID),
+        5: (nlos, NLOS_SCHEMES, "snr_db", SNR_DB_GRID),
+        6: (nlos, NLOS_SCHEMES, "bandwidth_hz", BANDWIDTH_HZ_GRID),
+    }
+    if fig_id not in presets:
+        raise ValueError(f"unknown figure id {fig_id}; expected 2..6")
+    return presets[fig_id]
+
+
+def reproduce_figure(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> SweepResult:
+    """Run one of the preset sweeps of :func:`figure_sweep`."""
+    return run_sweep(*figure_sweep(fig_id, trials, seed, gain_mode))

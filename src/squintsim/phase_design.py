@@ -204,13 +204,6 @@ def _receive_phases(num_ris_elements: int, phi_incident: float) -> np.ndarray:
     return -2.0 * np.pi * np.arange(num_ris_elements) * phi_incident
 
 
-def _mean_rate_bits(channels: ChannelRealization, phases: np.ndarray, snr_linear: float) -> float:
-    diag = np.exp(1j * phases)
-    eff = np.einsum("km,m,kmn->kn", channels.h_ris_user, diag, channels.h_bs_ris)
-    power = np.sum(np.abs(eff) ** 2, axis=1)
-    return float(np.mean(np.log2(1.0 + snr_linear * power)))
-
-
 def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     """Covariance-based common profile for an arbitrary number of user paths.
 
@@ -230,14 +223,9 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
 
     direction = principal_direction(mean_channel_covariance(channels.h_ris_user))
     snr = 10.0 ** (CANDIDATE_SNR_DB / 10.0)
-    best_phases = None
-    best_rate = -np.inf
-    for candidate in (direction.vector, np.conj(direction.vector)):
-        phases = receive + phase_extraction(candidate).phases_rad
-        rate = _mean_rate_bits(channels, phases, snr)
-        if rate > best_rate:
-            best_rate = rate
-            best_phases = phases
+    candidates = [receive + phase_extraction(v).phases_rad for v in (direction.vector, np.conj(direction.vector))]
+    rates = [np.mean(np.log2(1.0 + snr * channels.received_power(np.exp(1j * p)))) for p in candidates]
+    best_phases = candidates[int(np.argmax(rates))]  # argmax keeps the first of tied candidates
     return PhaseProfile(best_phases, "mccm", degenerate=direction.degenerate)
 
 
@@ -246,8 +234,8 @@ def design_subcarrier_covariance(channels: ChannelRealization, k: int) -> PhaseP
 
     Uses the BS-to-surface spatial angle at subcarrier k for the receive part
     and the covariance of that subcarrier's channel alone for the forward
-    part; the conjugation ambiguity is resolved by the reflected power at
-    subcarrier k, which orders the candidates identically at every SNR.
+    part. Its principal direction ``conj(h_k)`` co-phases every reflected
+    term, so the profile reaches ``aligned_power`` at subcarrier k.
     """
     grid = channels.grid
     _check_subcarrier(grid, k)
@@ -258,15 +246,5 @@ def design_subcarrier_covariance(channels: ChannelRealization, k: int) -> PhaseP
     receive = _receive_phases(m_ris, phi_incident)
 
     direction = _rank_one_direction(channels.h_ris_user[k])
-    h_k = channels.h_ris_user[k]
-    h_bs_k = channels.h_bs_ris[k]
-    best_phases = None
-    best_power = -np.inf
-    for candidate in (direction.vector, np.conj(direction.vector)):
-        phases = receive + phase_extraction(candidate).phases_rad
-        eff = (h_k * np.exp(1j * phases)) @ h_bs_k
-        power = float(np.sum(np.abs(eff) ** 2))
-        if power > best_power:
-            best_power = power
-            best_phases = phases
-    return PhaseProfile(best_phases, f"cov-indexed(k={k})", degenerate=direction.degenerate)
+    phases = receive + phase_extraction(direction.vector).phases_rad
+    return PhaseProfile(phases, f"cov-indexed(k={k})", degenerate=direction.degenerate)

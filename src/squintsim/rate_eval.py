@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, spatial_angle
-from .phase_design import PhaseProfile, design_ideal, design_subcarrier_covariance
+# The two designers are unused here; benchmarks/child.py traces them under this module.
+from .phase_design import PhaseProfile, design_ideal, design_subcarrier_covariance  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -81,32 +82,20 @@ def subcarrier_rate(effective, budget: LinkBudget) -> float:
 
 def sum_rate(channels: ChannelRealization, profile: PhaseProfile, budget: LinkBudget) -> RateReport:
     """Mean achievable rate of a common profile across all subcarriers."""
-    diag = profile.unit_diagonal()
-    eff = np.einsum("km,m,kmn->kn", channels.h_ris_user, diag, channels.h_bs_ris)
-    power = np.sum(np.abs(eff) ** 2, axis=1)
-    per_k = np.log2(1.0 + budget.snr_linear * power)
+    per_k = np.log2(1.0 + budget.snr_linear * channels.received_power(profile.unit_diagonal()))
     return RateReport(per_k, float(np.mean(per_k)))
 
 
 def ideal_rate(channels: ChannelRealization, budget: LinkBudget) -> RateReport:
     """Benchmark rate with a separate profile optimized for every subcarrier.
 
-    Single-path links use the per-subcarrier optimal angle profile; multipath
-    links use the single-subcarrier covariance designer at each k. Either way
-    the common-phase constraint is relaxed, so this dominates every common
-    profile subcarrier by subcarrier.
+    Relaxing the common-phase constraint lets every subcarrier co-phase all M
+    reflected terms, so its power is :meth:`ChannelRealization.aligned_power`
+    and this dominates every common profile subcarrier by subcarrier. On a
+    single-path link that power is ``N * M^2 * |g_bs * g_user|^2``, the value the
+    per-subcarrier angle profile of :func:`design_ideal` reaches.
     """
-    paths = channels.source_paths
-    grid = channels.grid
-    m_ris = channels.num_ris_elements
-    per_k = np.empty(channels.num_subcarriers)
-    for k in range(channels.num_subcarriers):
-        if paths.scenario == LOS:
-            profile = design_ideal(paths, grid, m_ris, k)
-        else:
-            profile = design_subcarrier_covariance(channels, k)
-        eff = effective_channel(channels.h_ris_user[k], profile, channels.h_bs_ris[k])
-        per_k[k] = subcarrier_rate(eff, budget)
+    per_k = np.log2(1.0 + budget.snr_linear * channels.aligned_power())
     return RateReport(per_k, float(np.mean(per_k)))
 
 

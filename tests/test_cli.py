@@ -1,5 +1,6 @@
 import pytest
 
+from squintsim import cli
 from squintsim.cli import CSV_HEADER, CliConfig, UsageError, emit_csv, main, parse_args, selftest
 from squintsim.experiments import (
     LOS_SCHEMES,
@@ -59,7 +60,7 @@ class TestParseArgs:
         assert cfg.num_bs_antennas == 64
         assert cfg.num_ris_elements == 64
         assert cfg.num_paths == 5
-        assert cfg.snr_db == (10.0,)
+        assert cfg.snr_db == 10.0
         assert cfg.trials == 500
         assert cfg.seed == 0
         assert cfg.output_path == "sweep.csv"
@@ -120,6 +121,29 @@ class TestEmitCsv:
         assert fields[6] == "7"
         assert fields[7] == "3"
 
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_fmt(value):
+            calls.append(value)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return format(value, ".10g")
+
+        monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        with pytest.raises(OSError, match="disk full"):
+            emit_csv(sample_result(), str(tmp_path / "out.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("previous\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_fmt", lambda value: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            emit_csv(sample_result(), str(path))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text(encoding="utf-8") == "previous\n"
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         path = tmp_path / "twice.csv"
         emit_csv(sample_result(), str(path))
@@ -132,6 +156,39 @@ class TestMain:
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "--id", "2", "--trials", "many"]) == 1
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--snr-db", "0,20"],
+            ["--values", "nan"],
+            ["--subcarriers", "0"],
+            ["--scenario", "nlos", "--paths", "0"],
+            ["--bs-antennas", "-3"],
+            ["--var", "bandwidth_hz", "--values", "1e9,1e12"],
+            ["--var", "ris_elements", "--values", "4,inf"],
+            ["--seed", "-1"],
+            ["--seed", str(2**64)],
+        ],
+        ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
+             "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits"],
+    )
+    def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the input was rejected")
+
+        monkeypatch.setattr(cli.experiments, "per_trial_rates", no_trials)
+        out = tmp_path / "out.csv"
+        small = ["--subcarriers", "4", "--bs-antennas", "2", "--ris-elements", "2", "--trials", "1"]
+        assert main(["sweep", *small, *flags, "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_figure_seed_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "fig.csv"
+        assert main(["figure", "--id", "2", "--trials", "1", "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "no_such_dir" / "out.csv"

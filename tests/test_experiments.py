@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from squintsim import experiments
 from squintsim.channel import LOS, NLOS, build_frequency_grid
 from squintsim.experiments import (
     BANDWIDTH_HZ_GRID,
@@ -57,6 +58,32 @@ class TestScenarioConfig:
     def test_rejects_unknown_gain_mode(self):
         with pytest.raises(ValueError):
             ScenarioConfig(gain_mode="rayleigh")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("snr_db", float("nan")),
+            ("snr_db", float("inf")),
+            ("carrier_hz", 0.0),
+            ("bandwidth_hz", float("nan")),
+            ("bandwidth_hz", -1e9),
+            ("bandwidth_hz", 56e9),
+            ("num_subcarriers", 0),
+            ("num_subcarriers", 2.5),
+            ("num_bs_antennas", -3),
+            ("num_ris_elements", 0),
+            ("num_paths", 0),
+            ("seed", -1),
+            ("seed", 2**64),
+            ("seed", 1.5),
+        ],
+    )
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    def test_accepts_largest_seed(self):
+        assert ScenarioConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestRunPoint:
@@ -153,6 +180,23 @@ class TestRunSweep:
     def test_rejects_fractional_element_count(self):
         with pytest.raises(ValueError):
             run_sweep(SMALL_LOS, ("central",), "ris_elements", (8.5,))
+
+    @pytest.mark.parametrize(
+        "variable,values",
+        [
+            ("bandwidth_hz", (1e9, 1e12)),
+            ("snr_db", (0.0, float("nan"))),
+            ("ris_elements", (4, 0)),
+            ("ris_elements", (4, float("inf"))),
+        ],
+    )
+    def test_rejects_bad_value_before_first_trial(self, variable, values, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the sweep was validated")
+
+        monkeypatch.setattr(experiments, "per_trial_rates", no_trials)
+        with pytest.raises(ValueError):
+            run_sweep(SMALL_LOS, ("central",), variable, values)
 
     def test_ris_elements_sweep_changes_dimensions(self):
         result = run_sweep(SMALL_LOS, ("central",), "ris_elements", (4, 16))

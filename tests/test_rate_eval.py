@@ -148,8 +148,13 @@ class TestSumRate:
         channels = gen_channels(paths, grid, 4, 8)
         perm = np.random.default_rng(9).permutation(8)
         shuffled = dataclasses.replace(
-            channels, h_bs_ris=channels.h_bs_ris[perm], h_ris_user=channels.h_ris_user[perm]
+            channels,
+            bs_ris_scale=channels.bs_ris_scale[perm],
+            a_ris=channels.a_ris[perm],
+            a_bs=channels.a_bs[perm],
+            h_ris_user=channels.h_ris_user[perm],
         )
+        assert np.array_equal(shuffled.h_bs_ris, channels.h_bs_ris[perm])
         profile = design_random(np.random.default_rng(10), 8)
         a = sum_rate(channels, profile, BUDGET).sum_rate_bits
         b = sum_rate(shuffled, profile, BUDGET).sum_rate_bits

@@ -1,0 +1,134 @@
+"""Differential tests: the factored rate kernel against the dense reference path.
+
+``sum_rate`` and ``ideal_rate`` go through ``ChannelRealization.received_power``
+and ``aligned_power``, which never form the (K, M, N) BS-to-surface tensor.
+These properties pin both to the per-subcarrier reference built from the dense
+``h_bs_ris`` view, ``effective_channel`` and ``subcarrier_rate``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from squintsim.channel import LOS, NLOS, build_frequency_grid, gen_channels, sample_path_set, spatial_angle
+from squintsim.phase_design import (
+    PhaseProfile,
+    _rank_one_direction,
+    _receive_phases,
+    design_ideal,
+    design_random,
+    phase_extraction,
+)
+from squintsim.rate_eval import LinkBudget, effective_channel, ideal_rate, subcarrier_rate, sum_rate
+
+RTOL = 1e-9
+ATOL = 1e-12
+
+
+CASES = st.fixed_dictionaries(
+    {
+        "scenario": st.sampled_from((LOS, NLOS)),
+        "num_paths": st.integers(1, 4),
+        "bandwidth_hz": st.sampled_from((0.0, 0.5e9, 2e9, 8e9)),
+        "num_subcarriers": st.integers(1, 6),
+        "num_bs_antennas": st.integers(1, 6),
+        "num_ris_elements": st.integers(1, 6),
+        "gain_mode": st.sampled_from(("unit", "random")),
+        "seed": st.integers(0, 2**32 - 1),
+        "snr_db": st.sampled_from((-10.0, 0.0, 10.0, 20.0)),
+    }
+)
+#: K = M = N = 1 at zero bandwidth with unit gains, once per scenario.
+EDGE_CASES = [
+    dict(
+        scenario=scenario, num_paths=num_paths, bandwidth_hz=0.0, num_subcarriers=1, num_bs_antennas=1,
+        num_ris_elements=1, gain_mode="unit", seed=0, snr_db=10.0,
+    )
+    for scenario, num_paths in ((LOS, 1), (NLOS, 3))
+]
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return settings(derandomize=True, deadline=None)(given(CASES)(test))
+
+
+def realize(case):
+    """Channels, a generator for scheme randomness and the budget of one drawn case."""
+    num_paths = 1 if case["scenario"] == LOS else case["num_paths"]
+    grid = build_frequency_grid(28e9, case["bandwidth_hz"], case["num_subcarriers"])
+    rng = np.random.default_rng(case["seed"])
+    paths = sample_path_set(rng, case["scenario"], num_paths, gain_mode=case["gain_mode"])
+    channels = gen_channels(paths, grid, case["num_bs_antennas"], case["num_ris_elements"])
+    return channels, rng, LinkBudget.from_snr_db(case["snr_db"])
+
+
+def dense_rates(channels, profile, budget):
+    h_bs_ris = channels.h_bs_ris
+    return np.array(
+        [
+            subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, h_bs_ris[k]), budget)
+            for k in range(channels.num_subcarriers)
+        ]
+    )
+
+
+def covariance_profile_by_power(channels, k):
+    """The per-subcarrier covariance designer with its conjugate candidate.
+
+    Both phase-extraction candidates of the rank-one covariance are scored by
+    their dense reflected power at subcarrier k; ties keep the unconjugated one.
+    """
+    grid = channels.grid
+    phi_incident = spatial_angle(grid.frequencies[k], channels.source_paths.bs_ris_aoa_rad, grid.carrier_hz)
+    receive = _receive_phases(channels.num_ris_elements, phi_incident)
+    direction = _rank_one_direction(channels.h_ris_user[k])
+    h_bs_k = channels.h_bs_ris[k]
+    best_phases, best_power = None, -np.inf
+    for candidate in (direction.vector, np.conj(direction.vector)):
+        phases = receive + phase_extraction(candidate).phases_rad
+        eff = (channels.h_ris_user[k] * np.exp(1j * phases)) @ h_bs_k
+        power = float(np.sum(np.abs(eff) ** 2))
+        if power > best_power:
+            best_phases, best_power = phases, power
+    return PhaseProfile(best_phases, f"cov-indexed(k={k})")
+
+
+def reference_ideal_rates(channels, budget):
+    """Per-subcarrier designer loop: redesign the surface at every subcarrier."""
+    paths = channels.source_paths
+    per_k = np.empty(channels.num_subcarriers)
+    for k in range(channels.num_subcarriers):
+        if paths.scenario == LOS:
+            profile = design_ideal(paths, channels.grid, channels.num_ris_elements, k)
+        else:
+            profile = covariance_profile_by_power(channels, k)
+        eff = effective_channel(channels.h_ris_user[k], profile, channels.h_bs_ris[k])
+        per_k[k] = subcarrier_rate(eff, budget)
+    return per_k
+
+
+@with_edge_cases
+def test_sum_rate_matches_dense_reference(case):
+    channels, rng, budget = realize(case)
+    profile = design_random(rng, channels.num_ris_elements)
+    report = sum_rate(channels, profile, budget)
+    np.testing.assert_allclose(report.per_subcarrier_bits, dense_rates(channels, profile, budget), RTOL, ATOL)
+    assert report.sum_rate_bits == pytest.approx(np.mean(report.per_subcarrier_bits), rel=1e-15)
+
+
+@with_edge_cases
+def test_ideal_rate_matches_per_subcarrier_designer_loop(case):
+    channels, _, budget = realize(case)
+    report = ideal_rate(channels, budget)
+    np.testing.assert_allclose(report.per_subcarrier_bits, reference_ideal_rates(channels, budget), RTOL, ATOL)
+
+
+@with_edge_cases
+def test_received_power_never_exceeds_aligned_power(case):
+    channels, rng, _ = realize(case)
+    diag = design_random(rng, channels.num_ris_elements).unit_diagonal()
+    aligned = channels.aligned_power()
+    assert np.all(channels.received_power(diag) <= aligned * (1 + RTOL) + ATOL)
