@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,27 +55,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 (argparse hook)
         raise UsageError(message)
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    figure_id: int | None = None
-    scenario: str = LOS
-    schemes: tuple[str, ...] = ()
-    sweep_variable: str = "snr_db"
-    sweep_values: tuple[float, ...] = ()
-    carrier_hz: float = _DEFAULTS.carrier_hz
-    bandwidth_hz: float = _DEFAULTS.bandwidth_hz
-    num_subcarriers: int = _DEFAULTS.num_subcarriers
-    num_bs_antennas: int = _DEFAULTS.num_bs_antennas
-    num_ris_elements: int = _DEFAULTS.num_ris_elements
-    num_paths: int = _DEFAULTS.num_paths
-    snr_db: float = _DEFAULTS.snr_db
-    trials: int = _DEFAULTS.trials
-    seed: int = _DEFAULTS.seed
-    gain_mode: str = _DEFAULTS.gain_mode
-    output_path: str = field(default="sweep.csv")
 
 
 def _split_floats(raw: str, flag: str) -> tuple[float, ...]:
@@ -157,59 +135,54 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> CliConfig:
-    """Parse flags into a CliConfig; raises UsageError on any bad input."""
+def parse_args(argv) -> tuple:
+    """Parse flags into ``(subcommand, run_sweep arguments, output path)``.
+
+    The arguments and the path are None for ``selftest``. Raises UsageError
+    on any bad flag or configuration value, before a trial runs.
+    """
     ns = _build_parser().parse_args(argv)
 
     if ns.subcommand == "selftest":
-        return CliConfig(subcommand="selftest")
+        return "selftest", None, None
 
     if ns.subcommand == "figure":
-        out = ns.out if ns.out is not None else f"figure{ns.id}.csv"
-        return CliConfig(
-            subcommand="figure",
-            figure_id=ns.id,
-            trials=ns.trials,
-            seed=ns.seed,
-            gain_mode=ns.gain_mode,
-            output_path=out,
-        )
+        try:
+            job = experiments.figure_sweep(ns.id, ns.trials, ns.seed, ns.gain_mode)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        return "figure", job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
 
-    scenario = ns.scenario
     if ns.schemes is None:
-        schemes = schemes_for(scenario)
+        schemes = schemes_for(ns.scenario)
     else:
         schemes = tuple(token.strip() for token in ns.schemes.split(",") if token.strip())
         if not schemes:
             raise UsageError("argument --schemes: expected at least one scheme")
         for scheme in schemes:
             try:
-                experiments.check_scheme(scheme, scenario)
+                experiments.check_scheme(scheme, ns.scenario)
             except ValueError as exc:
                 raise UsageError(f"argument --schemes: {exc}") from None
     values = _split_floats(ns.values, "--values") if ns.values is not None else _default_values(ns.var)
-    if ns.var == "ris_elements":
-        for v in values:
-            if not v.is_integer() or v < 1:
-                raise UsageError(f"argument --values: ris_elements needs positive integers, got {v}")
-    return CliConfig(
-        subcommand="sweep",
-        scenario=scenario,
-        schemes=schemes,
-        sweep_variable=ns.var,
-        sweep_values=values,
-        carrier_hz=ns.carrier_hz,
-        bandwidth_hz=ns.bandwidth_hz,
-        num_subcarriers=ns.subcarriers,
-        num_bs_antennas=ns.bs_antennas,
-        num_ris_elements=ns.ris_elements,
-        num_paths=ns.paths,
-        snr_db=ns.snr_db,
-        trials=ns.trials,
-        seed=ns.seed,
-        gain_mode=ns.gain_mode,
-        output_path=ns.out,
-    )
+    try:
+        config = ScenarioConfig(
+            scenario=ns.scenario,
+            carrier_hz=ns.carrier_hz,
+            bandwidth_hz=ns.bandwidth_hz,
+            num_subcarriers=ns.subcarriers,
+            num_bs_antennas=ns.bs_antennas,
+            num_ris_elements=ns.ris_elements,
+            num_paths=ns.paths,
+            snr_db=ns.snr_db,
+            trials=ns.trials,
+            seed=ns.seed,
+            gain_mode=ns.gain_mode,
+        )
+        experiments.sweep_points(config, ns.var, values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return "sweep", (config, schemes, ns.var, values), ns.out
 
 
 def _fmt(value: float) -> str:
@@ -380,34 +353,20 @@ def selftest() -> int:
     return 0
 
 
-def _sweep_job(config: CliConfig) -> tuple:
-    """Arguments of ``run_sweep``; raises ValueError on any bad value before a trial runs."""
-    if config.subcommand == "figure":
-        scenario_config, schemes, variable, values = experiments.figure_sweep(
-            config.figure_id, config.trials, config.seed, config.gain_mode
-        )
-    else:
-        scenario_config = ScenarioConfig(**{f.name: getattr(config, f.name) for f in fields(ScenarioConfig)})
-        schemes, variable, values = config.schemes, config.sweep_variable, config.sweep_values
-    experiments.sweep_points(scenario_config, variable, values)
-    return scenario_config, schemes, variable, values
-
-
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv if argv is not None else sys.argv[1:])
-        job = None if config.subcommand == "selftest" else _sweep_job(config)
-    except (UsageError, ValueError) as exc:
+        subcommand, job, output_path = parse_args(argv if argv is not None else sys.argv[1:])
+    except UsageError as exc:
         print(f"squintsim: error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        if job is None:
+        if subcommand == "selftest":
             return selftest()
         result = experiments.run_sweep(*job)
-        emit_csv(result, config.output_path)
+        emit_csv(result, output_path)
         _print_summary(result)
-        print(f"wrote {len(result.rows)} rows to {config.output_path}")
+        print(f"wrote {len(result.rows)} rows to {output_path}")
     except Exception as exc:  # noqa: BLE001 (single CLI boundary)
         print(f"squintsim: failure: {exc}", file=sys.stderr)
         return 2

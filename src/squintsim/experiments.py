@@ -1,17 +1,17 @@
 """Seeded Monte Carlo sweeps comparing the phase-design schemes.
 
 Every trial derives its own random substream from (seed, trial index, stream
-id), so all schemes at a sweep point see identical channel realizations
-(common random numbers) and any result is bit-reproducible regardless of how
-many worker threads evaluate the trials.
+id). The sweep loop is trial-major: each trial draws its channel once, designs
+every scheme's profile on it once, and evaluates every SNR of the sweep on
+those profiles. So all schemes at a sweep point see identical channel
+realizations (common random numbers), and a result is a pure function of
+(configuration, seed).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,8 +38,6 @@ SWEEP_VARIABLES = ("snr_db", "bandwidth_hz", "ris_elements")
 SNR_DB_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 BANDWIDTH_HZ_GRID = (0.25e9, 0.5e9, 1e9, 2e9, 4e9)
 RIS_ELEMENTS_GRID = (16, 32, 64, 128, 256)
-
-THREADS_ENV_VAR = "SQUINTSIM_THREADS"
 
 _CHANNEL_STREAM = 0
 _PHASE_STREAM = 1
@@ -112,18 +110,6 @@ def _substream(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, int(trial), int(stream)])
 
 
-def thread_count() -> int:
-    """Worker threads for the trial pool, overridable via SQUINTSIM_THREADS."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 def schemes_for(scenario: str) -> tuple[str, ...]:
     return LOS_SCHEMES if scenario == LOS else NLOS_SCHEMES
 
@@ -186,47 +172,51 @@ def _common_profile(
     return design_subcarrier_covariance(channels, k)
 
 
-def _trial_rate(cfg: ScenarioConfig, grid: FrequencyGrid, budget: LinkBudget, scheme: str, trial: int) -> float:
+def _trial_rates(
+    cfg: ScenarioConfig,
+    grid: FrequencyGrid,
+    schemes: tuple[str, ...],
+    budgets: list[LinkBudget],
+    trial: int,
+) -> np.ndarray:
+    """Rates of one trial, shape (len(budgets), len(schemes)), on one channel.
+
+    A function of its own so that the channel is freed before the next
+    trial builds its own.
+    """
     rng = _substream(cfg.seed, trial, _CHANNEL_STREAM)
     num_paths = 1 if cfg.scenario == LOS else cfg.num_paths
     paths = sample_path_set(rng, cfg.scenario, num_paths, gain_mode=cfg.gain_mode)
     channels = gen_channels(paths, grid, cfg.num_bs_antennas, cfg.num_ris_elements)
-    if scheme == "ideal":
-        return ideal_rate(channels, budget).sum_rate_bits
-    profile = _common_profile(cfg, grid, channels, scheme, trial)
-    return sum_rate(channels, profile, budget).sum_rate_bits
+    rates = np.empty((len(budgets), len(schemes)))
+    for s, scheme in enumerate(schemes):
+        if scheme == "ideal":
+            rates[:, s] = [ideal_rate(channels, budget).sum_rate_bits for budget in budgets]
+        else:
+            profile = _common_profile(cfg, grid, channels, scheme, trial)
+            rates[:, s] = [sum_rate(channels, profile, budget).sum_rate_bits for budget in budgets]
+    return rates
 
 
-def per_trial_rates(config: ScenarioConfig, scheme: str, overrides: dict | None = None) -> np.ndarray:
-    """Mean rate of every trial, in ascending trial order.
+def per_trial_rates(config: ScenarioConfig, schemes, snrs_db=None) -> np.ndarray:
+    """Mean rate of every (SNR, scheme, trial), shape (len(snrs_db), len(schemes), trials).
 
-    Channel substreams depend only on (seed, trial), so calling this for two
-    schemes with the same config pairs them on identical realizations.
+    ``snrs_db`` defaults to ``(config.snr_db,)``. Trials run in ascending
+    order; each draws its channel from a substream of (seed, trial) only, so
+    every scheme and SNR is evaluated on the same realization.
     """
-    cfg = _apply_overrides(config, overrides)
-    check_scheme(scheme, cfg.scenario)
-    grid = build_frequency_grid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.num_subcarriers)
-    budget = LinkBudget.from_snr_db(cfg.snr_db)
-
-    workers = thread_count()
-    trials = range(cfg.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rates = list(pool.map(lambda t: _trial_rate(cfg, grid, budget, scheme, t), trials))
-    else:
-        rates = [_trial_rate(cfg, grid, budget, scheme, t) for t in trials]
-    return np.asarray(rates)
-
-
-def run_point(config: ScenarioConfig, scheme: str, overrides: dict | None = None) -> tuple[float, float]:
-    """Mean rate and standard error of one (scheme, sweep point) cell."""
-    rates = per_trial_rates(config, scheme, overrides)
-    mean = float(np.mean(rates))
-    if len(rates) > 1:
-        std_error = float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
-    else:
-        std_error = 0.0
-    return mean, std_error
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    for scheme in schemes:
+        check_scheme(scheme, config.scenario)
+    snrs_db = (config.snr_db,) if snrs_db is None else snrs_db
+    budgets = [LinkBudget.from_snr_db(point.snr_db) for point in sweep_points(config, "snr_db", snrs_db)]
+    grid = build_frequency_grid(config.carrier_hz, config.bandwidth_hz, config.num_subcarriers)
+    rates = np.empty((len(budgets), len(schemes), config.trials))
+    for trial in range(config.trials):
+        rates[:, :, trial] = _trial_rates(config, grid, schemes, budgets, trial)
+    return rates
 
 
 def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[ScenarioConfig, ...]:
@@ -246,20 +236,25 @@ def run_sweep(
 
     Rows are ordered value-major, scheme-minor, and every scheme at a given
     value sees the same channel realizations. Every value is validated before
-    the first trial runs.
+    the first trial runs. An SNR sweep evaluates all its values on one pass
+    over the trials; any other sweep makes one pass per value.
     """
     schemes = tuple(schemes)
     values = tuple(values)
-    if not schemes:
-        raise ValueError("need at least one scheme")
-    for scheme in schemes:
-        check_scheme(scheme, config.scenario)
-    points = sweep_points(config, sweep_variable, values)
+    if sweep_variable == "snr_db":
+        rates = per_trial_rates(config, schemes, values)
+    else:
+        points = sweep_points(config, sweep_variable, values)
+        rates = np.concatenate([per_trial_rates(point, schemes) for point in points])
 
     rows = []
-    for value, point in zip(values, points):
-        for scheme in schemes:
-            mean, std_error = run_point(point, scheme)
+    for value, point_rates in zip(values, rates):
+        for scheme, trial_rates in zip(schemes, point_rates):
+            mean = float(np.mean(trial_rates))
+            if len(trial_rates) > 1:
+                std_error = float(np.std(trial_rates, ddof=1) / np.sqrt(len(trial_rates)))
+            else:
+                std_error = 0.0
             rows.append(
                 SweepRow(
                     scenario=config.scenario,

@@ -5,6 +5,7 @@ lines and measured margins.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -151,7 +152,8 @@ def test_criterion_4_exhaustive_quantized_search():
 
 def test_criterion_5_single_path_scheme_ordering():
     cfg = ScenarioConfig(scenario=LOS, trials=200, seed=5)
-    rates = {s: per_trial_rates(cfg, s) for s in ("ideal", "central", "random", "random-index", "side-index")}
+    schemes = ("ideal", "central", "random", "random-index", "side-index")
+    rates = dict(zip(schemes, per_trial_rates(cfg, schemes)[0]))
     checks = [
         ("ideal > central", *paired_gap(rates["ideal"], rates["central"])),
         ("central > random-index", *paired_gap(rates["central"], rates["random-index"])),
@@ -166,10 +168,10 @@ def test_criterion_5_single_path_scheme_ordering():
 
 def test_criterion_6_multipath_scheme_ordering():
     cfg = ScenarioConfig(scenario=NLOS, trials=200, seed=6)
-    mccm = per_trial_rates(cfg, "mccm")
+    mccm, *others = per_trial_rates(cfg, ("mccm", "central", "random-index", "side-index"))[0]
     checks = []
-    for scheme in ("central", "random-index", "side-index"):
-        gap, s3 = paired_gap(mccm, per_trial_rates(cfg, scheme))
+    for scheme, rates in zip(("central", "random-index", "side-index"), others):
+        gap, s3 = paired_gap(mccm, rates)
         checks.append((f"mccm > {scheme}", gap, s3))
     ok = all(gap > s3 for _, gap, s3 in checks)
     detail = ", ".join(f"{name}: {gap:.3f} (3se {s3:.3f})" for name, gap, s3 in checks)
@@ -179,11 +181,12 @@ def test_criterion_6_multipath_scheme_ordering():
 def test_criterion_7_beam_squint_severity_and_trends():
     cfg = ScenarioConfig(scenario=LOS, trials=200, seed=7, gain_mode="unit")
 
-    def gap_samples(overrides):
-        return per_trial_rates(cfg, "ideal", overrides) - per_trial_rates(cfg, "central", overrides)
+    def gap_samples(point):
+        ideal, central = per_trial_rates(point, ("ideal", "central"))[0]
+        return ideal - central
 
-    bandwidth_gaps = {bw: gap_samples({"bandwidth_hz": bw}) for bw in (0.5e9, 1e9, 2e9, 4e9)}
-    element_gaps = {m: gap_samples({"ris_elements": m}) for m in (16, 64, 256)}
+    bandwidth_gaps = {bw: gap_samples(replace(cfg, bandwidth_hz=bw)) for bw in (0.5e9, 1e9, 2e9, 4e9)}
+    element_gaps = {m: gap_samples(replace(cfg, num_ris_elements=m)) for m in (16, 64, 256)}
 
     wide_band = float(bandwidth_gaps[4e9].mean())  # 4 GHz at 64 elements
     large_surface = float(element_gaps[256].mean())  # 2 GHz at 256 elements
@@ -210,10 +213,8 @@ def test_criterion_7_beam_squint_severity_and_trends():
 
 def test_criterion_8_multipath_moderate_bandwidth_deltas():
     cfg = ScenarioConfig(scenario=NLOS, trials=500, seed=8)
-    overrides = {"bandwidth_hz": 0.5e9}
-    ideal = per_trial_rates(cfg, "ideal", overrides)
-    mccm = per_trial_rates(cfg, "mccm", overrides)
-    central = per_trial_rates(cfg, "central", overrides)
+    point = replace(cfg, bandwidth_hz=0.5e9)
+    ideal, mccm, central = per_trial_rates(point, ("ideal", "mccm", "central"))[0]
     mccm_loss = float((ideal - mccm).mean())
     central_loss = float((ideal - central).mean())
     ok = 0.5 <= mccm_loss <= 1.6 and central_loss > mccm_loss

@@ -1,13 +1,14 @@
 import pytest
 
 from squintsim import cli
-from squintsim.cli import CSV_HEADER, CliConfig, UsageError, emit_csv, main, parse_args, selftest
+from squintsim.cli import CSV_HEADER, UsageError, emit_csv, main, parse_args, selftest
 from squintsim.experiments import (
     LOS_SCHEMES,
     NLOS_SCHEMES,
     SNR_DB_GRID,
     SweepResult,
     SweepRow,
+    figure_sweep,
 )
 
 
@@ -30,30 +31,31 @@ def sample_result():
 
 class TestParseArgs:
     def test_figure_subcommand(self):
-        cfg = parse_args(["figure", "--id", "2", "--trials", "200", "--seed", "7"])
-        assert cfg.subcommand == "figure"
-        assert cfg.figure_id == 2
+        subcommand, job, out = parse_args(["figure", "--id", "2", "--trials", "200", "--seed", "7"])
+        assert subcommand == "figure"
+        assert job == figure_sweep(2, 200, 7)
+        cfg = job[0]
         assert cfg.trials == 200
         assert cfg.seed == 7
         assert cfg.gain_mode == "random"
-        assert cfg.output_path == "figure2.csv"
+        assert out == "figure2.csv"
 
     def test_sweep_subcommand(self):
-        cfg = parse_args(
+        subcommand, (cfg, schemes, variable, values), _ = parse_args(
             ["sweep", "--scenario", "nlos", "--schemes", "mccm,central", "--var", "snr_db", "--values", "0,10,20"]
         )
-        assert cfg.subcommand == "sweep"
+        assert subcommand == "sweep"
         assert cfg.scenario == "nlos"
-        assert cfg.schemes == ("mccm", "central")
-        assert cfg.sweep_variable == "snr_db"
-        assert cfg.sweep_values == (0.0, 10.0, 20.0)
+        assert schemes == ("mccm", "central")
+        assert variable == "snr_db"
+        assert values == (0.0, 10.0, 20.0)
 
     def test_sweep_defaults(self):
-        cfg = parse_args(["sweep"])
+        _, (cfg, schemes, variable, values), out = parse_args(["sweep"])
         assert cfg.scenario == "los"
-        assert cfg.schemes == LOS_SCHEMES
-        assert cfg.sweep_variable == "snr_db"
-        assert cfg.sweep_values == SNR_DB_GRID
+        assert schemes == LOS_SCHEMES
+        assert variable == "snr_db"
+        assert values == SNR_DB_GRID
         assert cfg.carrier_hz == 28e9
         assert cfg.bandwidth_hz == 2e9
         assert cfg.num_subcarriers == 128
@@ -63,11 +65,12 @@ class TestParseArgs:
         assert cfg.snr_db == 10.0
         assert cfg.trials == 500
         assert cfg.seed == 0
-        assert cfg.output_path == "sweep.csv"
+        assert cfg.gain_mode == "random"
+        assert out == "sweep.csv"
 
     def test_nlos_defaults_include_covariance_scheme(self):
-        cfg = parse_args(["sweep", "--scenario", "nlos"])
-        assert cfg.schemes == NLOS_SCHEMES
+        _, (_, schemes, _, _), _ = parse_args(["sweep", "--scenario", "nlos"])
+        assert schemes == NLOS_SCHEMES
 
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
@@ -90,7 +93,7 @@ class TestParseArgs:
             parse_args(["sweep", "--values", "1,two,3"])
 
     def test_fractional_element_count(self):
-        with pytest.raises(UsageError, match="--values"):
+        with pytest.raises(UsageError, match="ris_elements must be an integer, got 8.5"):
             parse_args(["sweep", "--var", "ris_elements", "--values", "8.5"])
 
     def test_missing_figure_id(self):
@@ -98,7 +101,7 @@ class TestParseArgs:
             parse_args(["figure"])
 
     def test_selftest_subcommand(self):
-        assert parse_args(["selftest"]).subcommand == "selftest"
+        assert parse_args(["selftest"]) == ("selftest", None, None)
 
 
 class TestEmitCsv:
@@ -177,7 +180,7 @@ class TestMain:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the input was rejected")
 
-        monkeypatch.setattr(cli.experiments, "per_trial_rates", no_trials)
+        monkeypatch.setattr(cli.experiments, "sample_path_set", no_trials)
         out = tmp_path / "out.csv"
         small = ["--subcarriers", "4", "--bs-antennas", "2", "--ris-elements", "2", "--trials", "1"]
         assert main(["sweep", *small, *flags, "--out", str(out)]) == 1
@@ -244,12 +247,3 @@ class TestSelftest:
     def test_selftest_via_main(self, capsys):
         assert main(["selftest"]) == 0
         assert "selftest passed" in capsys.readouterr().out
-
-
-class TestCliConfigDefaults:
-    def test_defaults_mirror_scenario_config(self):
-        cfg = CliConfig(subcommand="sweep")
-        assert cfg.carrier_hz == 28e9
-        assert cfg.num_subcarriers == 128
-        assert cfg.trials == 500
-        assert cfg.gain_mode == "random"

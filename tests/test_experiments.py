@@ -1,8 +1,11 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from squintsim import experiments
-from squintsim.channel import LOS, NLOS, build_frequency_grid
+from squintsim.channel import LOS, NLOS, build_frequency_grid, gen_channels, sample_path_set
 from squintsim.experiments import (
     BANDWIDTH_HZ_GRID,
     LOS_SCHEMES,
@@ -12,7 +15,6 @@ from squintsim.experiments import (
     central_subcarrier_index,
     per_trial_rates,
     reproduce_figure,
-    run_point,
     run_sweep,
     schemes_for,
 )
@@ -86,13 +88,19 @@ class TestScenarioConfig:
         assert ScenarioConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
+def point_stats(config, scheme):
+    """Mean rate and standard error of one (scheme, sweep point) cell."""
+    (row,) = run_sweep(config, (scheme,), "snr_db", (config.snr_db,)).rows
+    return row.mean_rate_bits, row.std_error_bits
+
+
 class TestRunPoint:
     def test_unit_gain_ideal_is_deterministic_closed_form(self):
         cfg = ScenarioConfig(
             scenario=LOS, num_subcarriers=16, num_bs_antennas=4, num_ris_elements=8,
             trials=6, seed=1, gain_mode="unit",
         )
-        mean, std_error = run_point(cfg, "ideal")
+        mean, std_error = point_stats(cfg, "ideal")
         assert mean == pytest.approx(np.log2(1 + 10.0 * 4 * 8**2), rel=1e-9)
         assert std_error < 1e-9
 
@@ -100,47 +108,106 @@ class TestRunPoint:
         cfg = ScenarioConfig(
             scenario=LOS, num_subcarriers=8, num_bs_antennas=2, num_ris_elements=4, trials=1, seed=3
         )
-        _, std_error = run_point(cfg, "central")
+        _, std_error = point_stats(cfg, "central")
         assert std_error == 0.0
 
     def test_bit_reproducible(self):
-        a = per_trial_rates(SMALL_LOS, "central")
-        b = per_trial_rates(SMALL_LOS, "central")
+        a = per_trial_rates(SMALL_LOS, ("central",))
+        b = per_trial_rates(SMALL_LOS, ("central",))
         assert np.array_equal(a, b)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
-            run_point(SMALL_LOS, "waterfilling")
+            per_trial_rates(SMALL_LOS, ("waterfilling",))
 
     def test_rejects_mccm_on_single_path_scenario(self):
         with pytest.raises(ValueError):
-            run_point(SMALL_LOS, "mccm")
+            per_trial_rates(SMALL_LOS, ("mccm",))
 
     def test_covariance_benchmarks_run_in_multipath_scenario(self):
-        for scheme in ("central", "random-index", "side-index", "mccm"):
-            rates = per_trial_rates(SMALL_NLOS, scheme)
-            assert len(rates) == SMALL_NLOS.trials
-            assert np.all(rates > 0)
+        schemes = ("central", "random-index", "side-index", "mccm")
+        rates = per_trial_rates(SMALL_NLOS, schemes)
+        assert rates.shape == (1, len(schemes), SMALL_NLOS.trials)
+        assert np.all(rates > 0)
 
 
 class TestCommonRandomNumbers:
     def test_ideal_dominates_central_per_trial(self):
         # Shared channel substreams make the per-trial comparison exact.
-        ideal = per_trial_rates(SMALL_LOS, "ideal")
-        central = per_trial_rates(SMALL_LOS, "central")
+        ideal, central = per_trial_rates(SMALL_LOS, ("ideal", "central"))[0]
         assert np.all(ideal + 1e-9 >= central)
 
     def test_scheme_randomness_does_not_touch_channels(self):
-        before = per_trial_rates(SMALL_LOS, "central")
-        per_trial_rates(SMALL_LOS, "random")
-        per_trial_rates(SMALL_LOS, "random-index")
-        after = per_trial_rates(SMALL_LOS, "central")
+        before = per_trial_rates(SMALL_LOS, ("central",))[0, 0]
+        after = per_trial_rates(SMALL_LOS, ("random", "random-index", "central"))[0, 2]
         assert np.array_equal(before, after)
 
     def test_overrides_change_only_the_swept_variable(self):
-        base = per_trial_rates(SMALL_LOS, "central")
-        low_snr = per_trial_rates(SMALL_LOS, "central", {"snr_db": -10.0})
+        base, low_snr = per_trial_rates(SMALL_LOS, ("central",), (SMALL_LOS.snr_db, -10.0))[:, 0]
         assert np.all(base > low_snr)
+
+
+def oracle_trial_rate(cfg, scheme, trial):
+    """One (point, scheme, trial) rate the way the sweep computed it before it
+    became trial-major: a fresh channel for every scheme and sweep value."""
+    grid = build_frequency_grid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.num_subcarriers)
+    budget = experiments.LinkBudget.from_snr_db(cfg.snr_db)
+    rng = experiments._substream(cfg.seed, trial, experiments._CHANNEL_STREAM)
+    num_paths = 1 if cfg.scenario == LOS else cfg.num_paths
+    paths = sample_path_set(rng, cfg.scenario, num_paths, gain_mode=cfg.gain_mode)
+    channels = gen_channels(paths, grid, cfg.num_bs_antennas, cfg.num_ris_elements)
+    if scheme == "ideal":
+        return experiments.ideal_rate(channels, budget).sum_rate_bits
+    profile = experiments._common_profile(cfg, grid, channels, scheme, trial)
+    return experiments.sum_rate(channels, profile, budget).sum_rate_bits
+
+
+def oracle_rates(points, schemes):
+    return np.array(
+        [[[oracle_trial_rate(p, s, t) for t in range(p.trials)] for s in schemes] for p in points]
+    )
+
+
+@pytest.mark.parametrize(
+    "base",
+    [SMALL_LOS, SMALL_NLOS, replace(SMALL_LOS, trials=1), replace(SMALL_NLOS, trials=1, gain_mode="unit")],
+    ids=["los", "nlos", "los-one-trial", "nlos-one-trial-unit-gain"],
+)
+class TestTrialMajorLoop:
+    def test_snr_sweep_matches_per_point_oracle(self, base):
+        schemes = schemes_for(base.scenario)
+        snrs = (-5.0, 10.0, 20.0)
+        rates = per_trial_rates(base, schemes, snrs)
+        assert rates.shape == (len(snrs), len(schemes), base.trials)
+        expected = oracle_rates([replace(base, snr_db=snr) for snr in snrs], schemes)
+        assert np.array_equal(rates, expected)
+
+    @pytest.mark.parametrize("variable,values", [("bandwidth_hz", (0.5e9, 4e9)), ("ris_elements", (4, 16))])
+    def test_other_sweeps_match_per_point_oracle(self, base, variable, values):
+        schemes = schemes_for(base.scenario)
+        points = experiments.sweep_points(base, variable, values)
+        rates = np.concatenate([per_trial_rates(point, schemes) for point in points])
+        assert np.array_equal(rates, oracle_rates(points, schemes))
+
+
+def counting(monkeypatch, counts, name):
+    inner = getattr(experiments, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, wrapper)
+
+
+def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, counts, "gen_channels")
+    counting(monkeypatch, counts, "design_mccm")
+    snrs = (-10.0, 0.0, 10.0, 20.0)
+    result = run_sweep(SMALL_NLOS, NLOS_SCHEMES, "snr_db", snrs)
+    assert len(result.rows) == len(snrs) * len(NLOS_SCHEMES)
+    assert counts == {"gen_channels": SMALL_NLOS.trials, "design_mccm": SMALL_NLOS.trials}
 
 
 class TestRunSweep:
@@ -161,11 +228,11 @@ class TestRunSweep:
         b = run_sweep(SMALL_LOS, ("central", "side-index"), "snr_db", (0.0, 10.0))
         assert a == b
 
-    def test_matches_run_point(self):
+    def test_matches_per_trial_rates(self):
         result = run_sweep(SMALL_LOS, ("side-index",), "snr_db", (5.0,))
-        mean, std_error = run_point(SMALL_LOS, "side-index", {"snr_db": 5.0})
-        assert result.rows[0].mean_rate_bits == mean
-        assert result.rows[0].std_error_bits == std_error
+        rates = per_trial_rates(replace(SMALL_LOS, snr_db=5.0), ("side-index",))[0, 0]
+        assert result.rows[0].mean_rate_bits == float(np.mean(rates))
+        assert result.rows[0].std_error_bits == float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
@@ -194,7 +261,7 @@ class TestRunSweep:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the sweep was validated")
 
-        monkeypatch.setattr(experiments, "per_trial_rates", no_trials)
+        monkeypatch.setattr(experiments, "sample_path_set", no_trials)
         with pytest.raises(ValueError):
             run_sweep(SMALL_LOS, ("central",), variable, values)
 
@@ -242,14 +309,3 @@ class TestMisc:
         assert odd.frequencies[5] == 28e9
         even = build_frequency_grid(28e9, 2e9, 128)
         assert central_subcarrier_index(even) == 63
-
-    def test_thread_pool_does_not_change_results(self, monkeypatch):
-        sequential = per_trial_rates(SMALL_NLOS, "mccm")
-        monkeypatch.setenv("SQUINTSIM_THREADS", "3")
-        threaded = per_trial_rates(SMALL_NLOS, "mccm")
-        assert np.array_equal(sequential, threaded)
-
-    def test_invalid_thread_env(self, monkeypatch):
-        monkeypatch.setenv("SQUINTSIM_THREADS", "many")
-        with pytest.raises(ValueError):
-            per_trial_rates(SMALL_LOS, "central")
