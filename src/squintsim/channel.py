@@ -80,16 +80,24 @@ class ChannelRealization:
 
     The BS-to-surface hop is a single path, so its slice at subcarrier k is
     the rank-one matrix ``bs_ris_scale[k] * outer(a_ris[k], conj(a_bs[k]))``;
-    it is stored in that factored form, with shapes (K,), (K, M) and (K, N).
-    ``h_ris_user`` stacks the K surface-to-user row vectors into shape (K, M).
+    it is stored in that factored form, with shapes (K,) and (K, M). No rate
+    depends on the unit-norm BS steering vectors ``a_bs``, so only their
+    count N is stored. ``h_ris_user`` stacks the K surface-to-user row vectors
+    into shape (K, M).
     """
 
     bs_ris_scale: np.ndarray
     a_ris: np.ndarray
-    a_bs: np.ndarray
+    num_bs_antennas: int
     h_ris_user: np.ndarray
     grid: FrequencyGrid
     source_paths: PathSet
+
+    @property
+    def a_bs(self) -> np.ndarray:
+        """(K, N) BS steering vectors at the departure angle, built on every access."""
+        phi_out = spatial_angle(self.grid.frequencies, self.source_paths.bs_ris_aod_rad, self.grid.carrier_hz)
+        return array_response(self.num_bs_antennas, phi_out).T
 
     @property
     def h_bs_ris(self) -> np.ndarray:
@@ -114,10 +122,6 @@ class ChannelRealization:
     @property
     def num_ris_elements(self) -> int:
         return self.a_ris.shape[1]
-
-    @property
-    def num_bs_antennas(self) -> int:
-        return self.a_bs.shape[1]
 
     @property
     def scenario(self) -> str:
@@ -253,9 +257,7 @@ def gen_channels(
     n_bs = num_bs_antennas
 
     phi_in = spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    phi_out = spatial_angle(f, paths.bs_ris_aod_rad, grid.carrier_hz)
     a_ris = array_response(m_ris, phi_in)  # (M, K)
-    a_bs = array_response(n_bs, phi_out)  # (N, K)
     scale = (
         np.sqrt(m_ris * n_bs)
         * paths.bs_ris_gain
@@ -277,7 +279,7 @@ def gen_channels(
     return ChannelRealization(
         bs_ris_scale=scale,
         a_ris=a_ris.T,
-        a_bs=a_bs.T,
+        num_bs_antennas=n_bs,
         h_ris_user=h_ris_user,
         grid=grid,
         source_paths=paths,

@@ -2,10 +2,11 @@
 
 Every trial derives its own random substream from (seed, trial index, stream
 id). The sweep loop is trial-major: each trial draws its channel once, designs
-every scheme's profile on it once, and evaluates every SNR of the sweep on
-those profiles. So all schemes at a sweep point see identical channel
-realizations (common random numbers), and a result is a pure function of
-(configuration, seed).
+every scheme's profile on it once, and evaluates every SNR of the sweep from
+one per-subcarrier power vector per scheme, since neither the profiles nor the
+powers depend on the SNR. So all schemes at a sweep point see identical
+channel realizations (common random numbers), and a result is a pure function
+of (configuration, seed).
 """
 
 from __future__ import annotations
@@ -126,24 +127,6 @@ def check_scheme(scheme: str, scenario: str) -> None:
         raise ValueError(f"scheme {scheme!r} is not available in the {scenario!r} scenario")
 
 
-def _apply_overrides(config: ScenarioConfig, overrides: dict | None) -> ScenarioConfig:
-    if not overrides:
-        return config
-    cfg = config
-    for key, value in overrides.items():
-        if key == "snr_db":
-            cfg = replace(cfg, snr_db=float(value))
-        elif key == "bandwidth_hz":
-            cfg = replace(cfg, bandwidth_hz=float(value))
-        elif key == "ris_elements":
-            if not float(value).is_integer():
-                raise ValueError(f"ris_elements must be an integer, got {value}")
-            cfg = replace(cfg, num_ris_elements=int(value))
-        else:
-            raise ValueError(f"unknown sweep variable {key!r}; known: {', '.join(SWEEP_VARIABLES)}")
-    return cfg
-
-
 def _common_profile(
     cfg: ScenarioConfig,
     grid: FrequencyGrid,
@@ -176,13 +159,13 @@ def _trial_rates(
     cfg: ScenarioConfig,
     grid: FrequencyGrid,
     schemes: tuple[str, ...],
-    budgets: list[LinkBudget],
+    budgets: tuple[LinkBudget, ...],
     trial: int,
 ) -> np.ndarray:
     """Rates of one trial, shape (len(budgets), len(schemes)), on one channel.
 
-    A function of its own so that the channel is freed before the next
-    trial builds its own.
+    Every budget of a scheme is evaluated from one power vector. A function of
+    its own so that the channel is freed before the next trial builds its own.
     """
     rng = _substream(cfg.seed, trial, _CHANNEL_STREAM)
     num_paths = 1 if cfg.scenario == LOS else cfg.num_paths
@@ -191,10 +174,10 @@ def _trial_rates(
     rates = np.empty((len(budgets), len(schemes)))
     for s, scheme in enumerate(schemes):
         if scheme == "ideal":
-            rates[:, s] = [ideal_rate(channels, budget).sum_rate_bits for budget in budgets]
+            rates[:, s] = ideal_rate(channels, budgets).sum_rate_bits
         else:
             profile = _common_profile(cfg, grid, channels, scheme, trial)
-            rates[:, s] = [sum_rate(channels, profile, budget).sum_rate_bits for budget in budgets]
+            rates[:, s] = sum_rate(channels, profile, budgets).sum_rate_bits
     return rates
 
 
@@ -211,7 +194,7 @@ def per_trial_rates(config: ScenarioConfig, schemes, snrs_db=None) -> np.ndarray
     for scheme in schemes:
         check_scheme(scheme, config.scenario)
     snrs_db = (config.snr_db,) if snrs_db is None else snrs_db
-    budgets = [LinkBudget.from_snr_db(point.snr_db) for point in sweep_points(config, "snr_db", snrs_db)]
+    budgets = tuple(LinkBudget.from_snr_db(point.snr_db) for point in sweep_points(config, "snr_db", snrs_db))
     grid = build_frequency_grid(config.carrier_hz, config.bandwidth_hz, config.num_subcarriers)
     rates = np.empty((len(budgets), len(schemes), config.trials))
     for trial in range(config.trials):
@@ -223,7 +206,21 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
     """The config of every sweep point; raises ValueError on any bad value."""
     if not values:
         raise ValueError("need at least one sweep value")
-    return tuple(_apply_overrides(config, {sweep_variable: value}) for value in values)
+    points = []
+    for value in values:
+        if sweep_variable == "snr_db":
+            points.append(replace(config, snr_db=float(value)))
+        elif sweep_variable == "bandwidth_hz":
+            points.append(replace(config, bandwidth_hz=float(value)))
+        elif sweep_variable == "ris_elements":
+            if not float(value).is_integer():
+                raise ValueError(f"ris_elements must be an integer, got {value}")
+            points.append(replace(config, num_ris_elements=int(value)))
+        else:
+            raise ValueError(
+                f"unknown sweep variable {sweep_variable!r}; known: {', '.join(SWEEP_VARIABLES)}"
+            )
+    return tuple(points)
 
 
 def run_sweep(

@@ -9,6 +9,7 @@ bound on the mean rate of any common profile.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,14 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-subcarrier rates plus their mean, in bits/s/Hz."""
+    """Per-subcarrier rates plus their mean, in bits/s/Hz.
+
+    For one budget the shapes are (K,) and a float; for a sequence of V
+    budgets they are (V, K) and (V,).
+    """
 
     per_subcarrier_bits: np.ndarray
-    sum_rate_bits: float
-    upper_bound_bits: float | None = None
+    sum_rate_bits: float | np.ndarray
 
 
 def effective_channel(h_ru_k, profile: PhaseProfile, h_br_k) -> np.ndarray:
@@ -80,23 +84,40 @@ def subcarrier_rate(effective, budget: LinkBudget) -> float:
     return float(np.log2(1.0 + budget.snr_linear * np.sum(np.abs(eff) ** 2)))
 
 
-def sum_rate(channels: ChannelRealization, profile: PhaseProfile, budget: LinkBudget) -> RateReport:
-    """Mean achievable rate of a common profile across all subcarriers."""
-    per_k = np.log2(1.0 + budget.snr_linear * channels.received_power(profile.unit_diagonal()))
-    return RateReport(per_k, float(np.mean(per_k)))
+def _rate_report(power: np.ndarray, budget: LinkBudget | Sequence[LinkBudget]) -> RateReport:
+    """Rates of one per-subcarrier power vector at one budget or at each of a sequence."""
+    if isinstance(budget, LinkBudget):
+        snr = budget.snr_linear
+    else:
+        snr = np.array([b.snr_linear for b in budget])
+    per_k = np.log2(1.0 + np.multiply.outer(snr, power))
+    mean = np.mean(per_k, axis=-1)
+    return RateReport(per_k, float(mean) if per_k.ndim == 1 else mean)
 
 
-def ideal_rate(channels: ChannelRealization, budget: LinkBudget) -> RateReport:
+def sum_rate(
+    channels: ChannelRealization, profile: PhaseProfile, budget: LinkBudget | Sequence[LinkBudget]
+) -> RateReport:
+    """Mean achievable rate of a common profile across all subcarriers.
+
+    ``budget`` is one :class:`LinkBudget` or a sequence of them; the received
+    power does not depend on it, so a sequence is evaluated from one power
+    vector (see :class:`RateReport` for the shapes).
+    """
+    return _rate_report(channels.received_power(profile.unit_diagonal()), budget)
+
+
+def ideal_rate(channels: ChannelRealization, budget: LinkBudget | Sequence[LinkBudget]) -> RateReport:
     """Benchmark rate with a separate profile optimized for every subcarrier.
 
     Relaxing the common-phase constraint lets every subcarrier co-phase all M
     reflected terms, so its power is :meth:`ChannelRealization.aligned_power`
     and this dominates every common profile subcarrier by subcarrier. On a
     single-path link that power is ``N * M^2 * |g_bs * g_user|^2``, the value the
-    per-subcarrier angle profile of :func:`design_ideal` reaches.
+    per-subcarrier angle profile of :func:`design_ideal` reaches. ``budget`` is
+    one :class:`LinkBudget` or a sequence of them, as in :func:`sum_rate`.
     """
-    per_k = np.log2(1.0 + budget.snr_linear * channels.aligned_power())
-    return RateReport(per_k, float(np.mean(per_k)))
+    return _rate_report(channels.aligned_power(), budget)
 
 
 def z_factor(
@@ -143,9 +164,14 @@ def rate_upper_bound(
     """
     if paths.scenario != LOS:
         raise ValueError("rate_upper_bound is defined for the single-path (los) scenario only")
-    z_sq = [
-        abs(z_factor(paths, profile, grid, num_ris_elements, k)) ** 2
-        for k in range(grid.num_subcarriers)
-    ]
-    mean_z_sq = float(np.mean(z_sq))
+    if profile.num_elements != num_ris_elements:
+        raise ValueError(
+            f"profile has {profile.num_elements} phases, expected {num_ris_elements}"
+        )
+    # Row k holds the M terms of z_factor(..., k).
+    phi_bs = spatial_angle(grid.frequencies, paths.bs_ris_aoa_rad, grid.carrier_hz)
+    phi_user = spatial_angle(grid.frequencies, paths.ru_paths[0].angle_rad, grid.carrier_hz)
+    m = np.arange(num_ris_elements)
+    terms = np.exp(1j * (np.multiply.outer(phi_bs - phi_user, 2.0 * np.pi * m) + profile.phases_rad))
+    mean_z_sq = float(np.mean(np.abs(np.sum(terms, axis=1)) ** 2))
     return float(np.log2(1.0 + budget.snr_linear * num_bs_antennas * mean_z_sq))

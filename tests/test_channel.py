@@ -207,6 +207,20 @@ class TestGenChannels:
         assert channels.num_ris_elements == 6
         assert channels.num_bs_antennas == 4
 
+    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 4)])
+    @pytest.mark.parametrize("bandwidth", [0.0, 2e9])
+    def test_lazy_bs_views_match_eager_construction(self, scenario, num_paths, bandwidth):
+        grid = build_frequency_grid(28e9, bandwidth, 9)
+        paths = sample_path_set(np.random.default_rng(12), scenario, num_paths)
+        channels = gen_channels(paths, grid, 5, 7)
+        # The BS steering vectors and dense tensor as gen_channels once stored them.
+        f = grid.frequencies
+        a_ris = array_response(7, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
+        a_bs = array_response(5, spatial_angle(f, paths.bs_ris_aod_rad, grid.carrier_hz)).T
+        scale = np.sqrt(7 * 5) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
+        assert np.array_equal(channels.a_bs, a_bs)
+        assert np.array_equal(channels.h_bs_ris, np.einsum("k,km,kn->kmn", scale, a_ris, np.conj(a_bs)))
+
     def test_rejects_bad_dimensions(self):
         grid = build_frequency_grid(28e9, 2e9, 3)
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from squintsim import cli
@@ -10,6 +12,8 @@ from squintsim.experiments import (
     SweepRow,
     figure_sweep,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def sample_result():
@@ -221,6 +225,14 @@ class TestMain:
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 5 * len(LOS_SCHEMES)
+
+    @pytest.mark.parametrize("fig_id", [3, 6])
+    def test_bandwidth_figure_matches_golden_csv(self, fig_id, tmp_path):
+        # Recorded with `squintsim figure --id N --trials 4 --seed 1`; the reference
+        # CSVs of benchmarks/ cover only the SNR and surface-size presets.
+        out = tmp_path / f"figure{fig_id}.csv"
+        assert main(["figure", "--id", str(fig_id), "--trials", "4", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / f"figure{fig_id}-trials4-seed1.csv").read_bytes()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

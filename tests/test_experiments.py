@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from squintsim import experiments
-from squintsim.channel import LOS, NLOS, build_frequency_grid, gen_channels, sample_path_set
+from squintsim.channel import LOS, NLOS, ChannelRealization, build_frequency_grid, gen_channels, sample_path_set
 from squintsim.experiments import (
     BANDWIDTH_HZ_GRID,
     LOS_SCHEMES,
@@ -190,14 +190,14 @@ class TestTrialMajorLoop:
         assert np.array_equal(rates, oracle_rates(points, schemes))
 
 
-def counting(monkeypatch, counts, name):
-    inner = getattr(experiments, name)
+def counting(monkeypatch, counts, name, owner=experiments):
+    inner = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         counts[name] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
@@ -208,6 +208,19 @@ def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
     result = run_sweep(SMALL_NLOS, NLOS_SCHEMES, "snr_db", snrs)
     assert len(result.rows) == len(snrs) * len(NLOS_SCHEMES)
     assert counts == {"gen_channels": SMALL_NLOS.trials, "design_mccm": SMALL_NLOS.trials}
+
+
+@pytest.mark.parametrize("base,mccm_scoring", [(SMALL_LOS, 0), (SMALL_NLOS, 2)], ids=["los", "nlos"])
+def test_snr_sweep_computes_one_power_vector_per_scheme_and_trial(monkeypatch, base, mccm_scoring):
+    counts = Counter()
+    counting(monkeypatch, counts, "received_power", ChannelRealization)
+    counting(monkeypatch, counts, "aligned_power", ChannelRealization)
+    schemes = schemes_for(base.scenario)
+    rates = per_trial_rates(base, schemes, (-10.0, 0.0, 10.0, 20.0))
+    assert rates.shape == (4, len(schemes), base.trials)
+    # Every scheme but "ideal" needs one received power; design_mccm scores two candidates.
+    common = len(schemes) - 1
+    assert counts == {"received_power": (common + mccm_scoring) * base.trials, "aligned_power": base.trials}
 
 
 class TestRunSweep:

@@ -151,8 +151,8 @@ class TestSumRate:
             channels,
             bs_ris_scale=channels.bs_ris_scale[perm],
             a_ris=channels.a_ris[perm],
-            a_bs=channels.a_bs[perm],
             h_ris_user=channels.h_ris_user[perm],
+            grid=dataclasses.replace(channels.grid, frequencies=channels.grid.frequencies[perm]),
         )
         assert np.array_equal(shuffled.h_bs_ris, channels.h_bs_ris[perm])
         profile = design_random(np.random.default_rng(10), 8)
@@ -276,11 +276,29 @@ class TestRateUpperBound:
             bound = rate_upper_bound(paths, profile, grid, 8, 4, BUDGET)
             assert mean_rate <= bound + 1e-12
 
+    @pytest.mark.parametrize("k_sub,m_ris,bandwidth", [(1, 1, 2e9), (7, 5, 0.0), (129, 64, 2e9), (16, 256, 8e9)])
+    def test_matches_per_subcarrier_z_factor_loop(self, k_sub, m_ris, bandwidth):
+        grid = build_frequency_grid(28e9, bandwidth, k_sub)
+        rng = np.random.default_rng(k_sub * m_ris)
+        for _ in range(10):
+            paths = sample_path_set(rng, LOS, 1)
+            profile = design_random(rng, m_ris)
+            z_sq = [abs(z_factor(paths, profile, grid, m_ris, k)) ** 2 for k in range(k_sub)]
+            expected = np.log2(1.0 + BUDGET.snr_linear * 3 * np.mean(z_sq))
+            bound = rate_upper_bound(paths, profile, grid, m_ris, 3, BUDGET)
+            assert bound == pytest.approx(expected, rel=1e-12)
+
     def test_rejects_multipath(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(27), NLOS, 3)
         with pytest.raises(ValueError):
             rate_upper_bound(paths, zero_profile(4), grid, 4, 4, BUDGET)
+
+    def test_rejects_profile_size_mismatch(self):
+        grid = build_frequency_grid(28e9, 2e9, 4)
+        paths = sample_path_set(np.random.default_rng(27), LOS, 1)
+        with pytest.raises(ValueError, match="profile has 3 phases, expected 4"):
+            rate_upper_bound(paths, zero_profile(3), grid, 4, 4, BUDGET)
 
 
 class TestPhysicalConsistency:

@@ -3,7 +3,8 @@
 ``sum_rate`` and ``ideal_rate`` go through ``ChannelRealization.received_power``
 and ``aligned_power``, which never form the (K, M, N) BS-to-surface tensor.
 These properties pin both to the per-subcarrier reference built from the dense
-``h_bs_ris`` view, ``effective_channel`` and ``subcarrier_rate``.
+``h_bs_ris`` view, ``effective_channel`` and ``subcarrier_rate``, and pin the
+sequence-of-budgets form of both to one call per budget.
 """
 
 import numpy as np
@@ -132,3 +133,53 @@ def test_received_power_never_exceeds_aligned_power(case):
     diag = design_random(rng, channels.num_ris_elements).unit_diagonal()
     aligned = channels.aligned_power()
     assert np.all(channels.received_power(diag) <= aligned * (1 + RTOL) + ATOL)
+
+
+BUDGET_CASES = st.fixed_dictionaries(
+    {
+        "scenario": st.sampled_from((LOS, NLOS)),
+        "num_paths": st.integers(1, 4),
+        "bandwidth_hz": st.sampled_from((0.0, 2e9)),
+        "num_subcarriers": st.sampled_from((1, 2, 7, 129)),
+        "num_bs_antennas": st.integers(1, 4),
+        "num_ris_elements": st.integers(1, 8),
+        "gain_mode": st.sampled_from(("unit", "random")),
+        "seed": st.integers(0, 2**32 - 1),
+        "snrs_db": st.lists(st.floats(-30.0, 40.0), min_size=1, max_size=5),
+    }
+)
+
+
+def with_budget_edge_cases(test):
+    base = dict(
+        scenario=NLOS, num_paths=3, bandwidth_hz=2e9, num_bs_antennas=3, num_ris_elements=5,
+        gain_mode="random", seed=1,
+    )
+    for num_subcarriers in (1, 7, 129):
+        for snrs_db in ([10.0], [-10.0, 0.0, 10.0, 20.0]):
+            test = example(dict(base, num_subcarriers=num_subcarriers, snrs_db=snrs_db))(test)
+    return settings(derandomize=True, deadline=None)(given(BUDGET_CASES)(test))
+
+
+def assert_rows_match_single_budget_calls(report, rate_of):
+    """Row i of a report for V budgets equals the one-budget call on budget i, bit for bit."""
+    for i, budget_report in enumerate(rate_of):
+        assert isinstance(budget_report.sum_rate_bits, float)
+        assert np.array_equal(report.sum_rate_bits[i], budget_report.sum_rate_bits)
+        assert np.array_equal(report.per_subcarrier_bits[i], budget_report.per_subcarrier_bits)
+
+
+@with_budget_edge_cases
+def test_budget_sequence_matches_one_call_per_budget(case):
+    channels, rng, _ = realize(dict(case, snr_db=0.0))
+    budgets = tuple(LinkBudget.from_snr_db(snr) for snr in case["snrs_db"])
+    shape = (len(budgets), channels.num_subcarriers)
+    profile = design_random(rng, channels.num_ris_elements)
+
+    report = sum_rate(channels, profile, budgets)
+    assert report.per_subcarrier_bits.shape == shape and report.sum_rate_bits.shape == shape[:1]
+    assert_rows_match_single_budget_calls(report, (sum_rate(channels, profile, b) for b in budgets))
+
+    report = ideal_rate(channels, budgets)
+    assert report.per_subcarrier_bits.shape == shape and report.sum_rate_bits.shape == shape[:1]
+    assert_rows_match_single_budget_calls(report, (ideal_rate(channels, b) for b in budgets))
