@@ -79,11 +79,11 @@ class ChannelRealization:
     """Per-subcarrier channels for one realization.
 
     The BS-to-surface hop is a single path, so its slice at subcarrier k is
-    the rank-one matrix ``bs_ris_scale[k] * outer(a_ris[k], conj(a_bs[k]))``;
-    it is stored in that factored form, with shapes (K,) and (K, M). No rate
-    depends on the unit-norm BS steering vectors ``a_bs``, so only their
-    count N is stored. ``h_ris_user`` stacks the K surface-to-user row vectors
-    into shape (K, M).
+    the rank-one matrix ``bs_ris_scale[k] * outer(a_ris[k], conj(a_N[k]))``
+    with ``a_N[k]`` the BS steering vector at f_k; it is stored in that
+    factored form, with shapes (K,) and (K, M). No rate depends on the
+    unit-norm vectors ``a_N[k]``, so only their count N is stored.
+    ``h_ris_user`` stacks the K surface-to-user row vectors into shape (K, M).
     """
 
     bs_ris_scale: np.ndarray
@@ -93,21 +93,10 @@ class ChannelRealization:
     grid: FrequencyGrid
     source_paths: PathSet
 
-    @property
-    def a_bs(self) -> np.ndarray:
-        """(K, N) BS steering vectors at the departure angle, built on every access."""
-        phi_out = spatial_angle(self.grid.frequencies, self.source_paths.bs_ris_aod_rad, self.grid.carrier_hz)
-        return array_response(self.num_bs_antennas, phi_out).T
-
-    @property
-    def h_bs_ris(self) -> np.ndarray:
-        """Dense (K, M, N) BS-to-surface tensor, built on every access."""
-        return np.einsum("k,km,kn->kmn", self.bs_ris_scale, self.a_ris, np.conj(self.a_bs))
-
     def received_power(self, diag) -> np.ndarray:
         """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
 
-        ``||a_bs[k]|| = 1`` reduces it to ``|scale_k|^2 |sum_m h_ru[k,m] d_m a_ris[k,m]|^2``.
+        ``||a_N[k]|| = 1`` reduces it to ``|scale_k|^2 |sum_m h_ru[k,m] d_m a_ris[k,m]|^2``.
         """
         return np.abs(self.bs_ris_scale) ** 2 * np.abs((self.h_ris_user * self.a_ris) @ diag) ** 2
 

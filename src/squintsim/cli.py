@@ -1,4 +1,4 @@
-"""Command-line entry point: figure reproductions, custom sweeps, selftest.
+"""Command-line entry point: figure reproductions and custom sweeps.
 
 Results are written as CSV for external plotting, with a short summary table
 on stdout. Exit codes: 0 success, 1 usage error (a bad flag or a bad
@@ -11,17 +11,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import experiments
-from .channel import (
-    LOS,
-    NLOS,
-    array_response,
-    build_frequency_grid,
-    gen_channels,
-    sample_path_set,
-)
+from .channel import LOS, NLOS
 from .experiments import (
     BANDWIDTH_HZ_GRID,
     RIS_ELEMENTS_GRID,
@@ -30,17 +21,6 @@ from .experiments import (
     ScenarioConfig,
     SweepResult,
     schemes_for,
-)
-from .phase_design import design_central, design_ideal, design_mccm, design_random
-from .rate_eval import (
-    LinkBudget,
-    effective_channel,
-    ideal_rate,
-    mrt_beamformer,
-    rate_upper_bound,
-    subcarrier_rate,
-    sum_rate,
-    z_factor,
 )
 
 CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
@@ -130,21 +110,16 @@ def _build_parser() -> _Parser:
     swp.add_argument("--snr-db", type=float, default=_DEFAULTS.snr_db, help="SNR in dB for non-SNR sweeps")
     add_run_flags(swp)
     swp.add_argument("--out", default="sweep.csv", help="CSV output path")
-
-    sub.add_parser("selftest", help="run the embedded invariant checks at small sizes")
     return parser
 
 
 def parse_args(argv) -> tuple:
     """Parse flags into ``(subcommand, run_sweep arguments, output path)``.
 
-    The arguments and the path are None for ``selftest``. Raises UsageError
-    on any bad flag or configuration value, before a trial runs.
+    Raises UsageError on any bad flag or configuration value, before a trial
+    runs.
     """
     ns = _build_parser().parse_args(argv)
-
-    if ns.subcommand == "selftest":
-        return "selftest", None, None
 
     if ns.subcommand == "figure":
         try:
@@ -219,150 +194,14 @@ def _print_summary(result: SweepResult) -> None:
         )
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(4242)
-    budget = LinkBudget.from_snr_db(10.0)
-
-    def grid_symmetry():
-        grid = build_frequency_grid(28e9, 2e9, 8)
-        folded = grid.frequencies + grid.frequencies[::-1]
-        return float(np.max(np.abs(folded - 2 * grid.carrier_hz)))
-
-    def response_norm():
-        worst = 0.0
-        for n in (1, 2, 5, 8):
-            for _ in range(20):
-                vec = array_response(n, rng.uniform(-1, 1))
-                worst = max(worst, abs(np.linalg.norm(vec) - 1.0))
-        return worst
-
-    def alignment_sum():
-        worst = 0.0
-        grid = build_frequency_grid(28e9, 2e9, 8)
-        for _ in range(50):
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
-            k = int(rng.integers(8))
-            profile = design_ideal(paths, grid, 8, k)
-            z = z_factor(paths, profile, grid, 8, k)
-            worst = max(worst, abs(abs(z) - 8.0))
-        return worst
-
-    def aligned_closed_form():
-        grid = build_frequency_grid(28e9, 2e9, 8)
-        worst = 0.0
-        for _ in range(50):
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
-            k = int(rng.integers(8))
-            channels = gen_channels(paths, grid, 4, 8)
-            profile = design_ideal(paths, grid, 8, k)
-            rate = subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, channels.h_bs_ris[k]), budget)
-            expected = np.log2(1.0 + budget.snr_linear * 4 * 8**2)
-            worst = max(worst, abs(rate - expected) / expected)
-        return worst
-
-    def jensen_bound():
-        grid = build_frequency_grid(28e9, 2e9, 8)
-        worst = -np.inf
-        for _ in range(1000):
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
-            channels = gen_channels(paths, grid, 4, 8)
-            profile = design_random(rng, 8)
-            mean_rate = sum_rate(channels, profile, budget).sum_rate_bits
-            bound = rate_upper_bound(paths, profile, grid, 8, 4, budget)
-            worst = max(worst, mean_rate - bound)
-        return max(worst, 0.0)
-
-    def central_equals_ideal_single_subcarrier():
-        grid = build_frequency_grid(28e9, 2e9, 1)
-        worst = 0.0
-        for _ in range(20):
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
-            channels = gen_channels(paths, grid, 4, 8)
-            central = sum_rate(channels, design_central(paths, 8), budget).sum_rate_bits
-            ideal = ideal_rate(channels, budget).sum_rate_bits
-            worst = max(worst, abs(central - ideal) / ideal)
-        return worst
-
-    def mccm_matches_ideal_single_subcarrier():
-        grid = build_frequency_grid(28e9, 2e9, 1)
-        worst = 0.0
-        for _ in range(20):
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
-            channels = gen_channels(paths, grid, 4, 8)
-            mccm = sum_rate(channels, design_mccm(channels), budget).sum_rate_bits
-            ideal = ideal_rate(channels, budget).sum_rate_bits
-            worst = max(worst, abs(mccm - ideal) / ideal)
-        return worst
-
-    def global_phase_neutrality():
-        grid = build_frequency_grid(28e9, 2e9, 8)
-        worst = 0.0
-        for _ in range(20):
-            paths = sample_path_set(rng, LOS, 1)
-            channels = gen_channels(paths, grid, 4, 8)
-            profile = design_random(rng, 8)
-            shifted = type(profile)(profile.phases_rad + 1.2345, profile.scheme_tag)
-            a = sum_rate(channels, profile, budget).sum_rate_bits
-            b = sum_rate(channels, shifted, budget).sum_rate_bits
-            worst = max(worst, abs(a - b))
-        return worst
-
-    def mrt_consistency():
-        grid = build_frequency_grid(28e9, 2e9, 8)
-        worst = 0.0
-        for _ in range(20):
-            paths = sample_path_set(rng, NLOS, 3)
-            channels = gen_channels(paths, grid, 4, 8)
-            profile = design_random(rng, 8)
-            k = int(rng.integers(8))
-            eff = effective_channel(channels.h_ris_user[k], profile, channels.h_bs_ris[k])
-            f = mrt_beamformer(eff, budget.transmit_power)
-            received = eff @ f
-            explicit = np.log2(1.0 + np.abs(received) ** 2 / budget.noise_power)
-            closed = subcarrier_rate(eff, budget)
-            worst = max(worst, abs(explicit - closed))
-        return worst
-
-    return (
-        ("frequency-grid-symmetry", grid_symmetry, 1e-3),
-        ("array-response-norm", response_norm, 1e-12),
-        ("alignment-sum-reaches-element-count", alignment_sum, 1e-9),
-        ("single-subcarrier-closed-form-rate", aligned_closed_form, 1e-9),
-        ("jensen-upper-bound", jensen_bound, 1e-12),
-        ("central-equals-ideal-at-one-subcarrier", central_equals_ideal_single_subcarrier, 1e-9),
-        ("mccm-matches-ideal-at-one-subcarrier", mccm_matches_ideal_single_subcarrier, 1e-6),
-        ("global-phase-neutrality", global_phase_neutrality, 1e-9),
-        ("mrt-consistency", mrt_consistency, 1e-10),
-    )
-
-
-def selftest() -> int:
-    """Run the embedded invariant checks at small sizes; 0 means all passed."""
-    failures = []
-    for name, check, threshold in _selftest_checks():
-        error = check()
-        ok = error <= threshold
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name:<44} error={error:.3e}  (threshold {threshold:.0e})")
-        if not ok:
-            failures.append(name)
-    if failures:
-        print(f"selftest failed: {', '.join(failures)}")
-        return 2
-    print("selftest passed")
-    return 0
-
-
 def main(argv=None) -> int:
     try:
-        subcommand, job, output_path = parse_args(argv if argv is not None else sys.argv[1:])
+        _, job, output_path = parse_args(argv if argv is not None else sys.argv[1:])
     except UsageError as exc:
         print(f"squintsim: error: {exc}", file=sys.stderr)
         return 1
 
     try:
-        if subcommand == "selftest":
-            return selftest()
         result = experiments.run_sweep(*job)
         emit_csv(result, output_path)
         _print_summary(result)

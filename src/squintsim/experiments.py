@@ -49,6 +49,15 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and value >= 1
 
 
+def _has_linear_snr(snr_db) -> bool:
+    """Whether the sweep's own conversion, ``LinkBudget.from_snr_db``, gives a finite positive SNR."""
+    try:
+        snr = LinkBudget.from_snr_db(snr_db).snr_linear
+    except (OverflowError, ValueError):
+        return False
+    return 0 < snr < math.inf
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Simulation parameters; the defaults are the standard operating point
@@ -77,7 +86,7 @@ class ScenarioConfig:
             "num_bs_antennas": (_is_count(self.num_bs_antennas), "an integer >= 1"),
             "num_ris_elements": (_is_count(self.num_ris_elements), "an integer >= 1"),
             "num_paths": (_is_count(self.num_paths), "an integer >= 1"),
-            "snr_db": (math.isfinite(self.snr_db), "finite"),
+            "snr_db": (_has_linear_snr(self.snr_db), "a dB value with a finite positive linear SNR"),
             "trials": (_is_count(self.trials), "an integer >= 1"),
             "seed": (
                 isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64,
@@ -234,7 +243,8 @@ def run_sweep(
     Rows are ordered value-major, scheme-minor, and every scheme at a given
     value sees the same channel realizations. Every value is validated before
     the first trial runs. An SNR sweep evaluates all its values on one pass
-    over the trials; any other sweep makes one pass per value.
+    over the trials; any other sweep makes one pass per value. Raises
+    FloatingPointError if any mean or standard error is not finite.
     """
     schemes = tuple(schemes)
     values = tuple(values)
@@ -252,6 +262,11 @@ def run_sweep(
                 std_error = float(np.std(trial_rates, ddof=1) / np.sqrt(len(trial_rates)))
             else:
                 std_error = 0.0
+            if not (math.isfinite(mean) and math.isfinite(std_error)):
+                raise FloatingPointError(
+                    f"scheme {scheme!r} at {sweep_variable}={value:g} has a non-finite result: "
+                    f"mean {mean}, standard error {std_error}"
+                )
             rows.append(
                 SweepRow(
                     scenario=config.scenario,

@@ -1,10 +1,10 @@
 """Achievable-rate evaluation for a given channel realization and phase profile.
 
 The transmitter steers with a maximum ratio beamformer per subcarrier, so the
-per-subcarrier rate collapses to ``log2(1 + snr * ||h Phi H||^2)``. For
-single-path links the same quantity factors through the element alignment sum
-``z_k`` whose magnitude is capped at M, which also yields a Jensen upper
-bound on the mean rate of any common profile.
+per-subcarrier rate is ``log2(1 + snr * ||h Phi H||^2)``, read off the received
+power of :class:`ChannelRealization`. For single-path links the power factors
+through the element alignment sum ``z_k``, whose magnitude is capped at M; this
+yields a Jensen upper bound on the mean rate of any common profile.
 """
 
 from __future__ import annotations
@@ -54,36 +54,6 @@ class RateReport:
     sum_rate_bits: float | np.ndarray
 
 
-def effective_channel(h_ru_k, profile: PhaseProfile, h_br_k) -> np.ndarray:
-    """Composite row vector ``h_ru * diag(exp(j*phases)) * h_br`` of length N."""
-    h_ru = np.asarray(h_ru_k, dtype=complex)
-    h_br = np.asarray(h_br_k, dtype=complex)
-    if h_ru.shape != (profile.num_elements,) or h_br.shape[0] != profile.num_elements:
-        raise ValueError(
-            f"dimension mismatch: h_ru {h_ru.shape}, profile {profile.num_elements}, h_br {h_br.shape}"
-        )
-    return (h_ru * profile.unit_diagonal()) @ h_br
-
-
-def mrt_beamformer(effective, transmit_power: float) -> np.ndarray:
-    """Maximum ratio beamformer ``sqrt(P) * effective^H / ||effective||``.
-
-    A zero effective channel maps to the zero vector (zero rate) rather than
-    an error.
-    """
-    eff = np.asarray(effective, dtype=complex)
-    norm = np.linalg.norm(eff)
-    if norm == 0:
-        return np.zeros_like(eff)
-    return np.sqrt(transmit_power) * eff.conj() / norm
-
-
-def subcarrier_rate(effective, budget: LinkBudget) -> float:
-    """Rate of one subcarrier: ``log2(1 + snr * ||effective||^2)``."""
-    eff = np.asarray(effective, dtype=complex)
-    return float(np.log2(1.0 + budget.snr_linear * np.sum(np.abs(eff) ** 2)))
-
-
 def _rate_report(power: np.ndarray, budget: LinkBudget | Sequence[LinkBudget]) -> RateReport:
     """Rates of one per-subcarrier power vector at one budget or at each of a sequence."""
     if isinstance(budget, LinkBudget):
@@ -120,35 +90,6 @@ def ideal_rate(channels: ChannelRealization, budget: LinkBudget | Sequence[LinkB
     return _rate_report(channels.aligned_power(), budget)
 
 
-def z_factor(
-    paths: PathSet,
-    profile: PhaseProfile,
-    grid: FrequencyGrid,
-    num_ris_elements: int,
-    k: int,
-) -> complex:
-    """Element alignment sum of a single-path link at subcarrier k.
-
-    ``z_k = sum_m exp(j * (2*pi*m*(phi_bs - phi_user) + phase_m))`` whose
-    magnitude never exceeds M and reaches M exactly when the profile matches
-    the per-subcarrier optimum.
-    """
-    if paths.scenario != LOS:
-        raise ValueError("z_factor is defined for the single-path (los) scenario only")
-    if profile.num_elements != num_ris_elements:
-        raise ValueError(
-            f"profile has {profile.num_elements} phases, expected {num_ris_elements}"
-        )
-    if not 0 <= k < grid.num_subcarriers:
-        raise ValueError(f"subcarrier index {k} out of range [0, {grid.num_subcarriers})")
-    f_k = grid.frequencies[k]
-    phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    phi_user = spatial_angle(f_k, paths.ru_paths[0].angle_rad, grid.carrier_hz)
-    m = np.arange(num_ris_elements)
-    terms = np.exp(1j * (2.0 * np.pi * m * (phi_bs - phi_user) + profile.phases_rad))
-    return complex(np.sum(terms))
-
-
 def rate_upper_bound(
     paths: PathSet,
     profile: PhaseProfile,
@@ -168,7 +109,7 @@ def rate_upper_bound(
         raise ValueError(
             f"profile has {profile.num_elements} phases, expected {num_ris_elements}"
         )
-    # Row k holds the M terms of z_factor(..., k).
+    # Row k holds the M terms of the alignment sum z_k.
     phi_bs = spatial_angle(grid.frequencies, paths.bs_ris_aoa_rad, grid.carrier_hz)
     phi_user = spatial_angle(grid.frequencies, paths.ru_paths[0].angle_rad, grid.carrier_hz)
     m = np.arange(num_ris_elements)

@@ -1,0 +1,95 @@
+"""Dense reference path of the rate model, kept only as a test oracle.
+
+The package evaluates rates through ``ChannelRealization.received_power`` and
+``aligned_power``, which never form the BS steering vectors or the dense
+BS-to-surface channel. This module builds both explicitly and chains them
+through the per-subcarrier effective channel, the maximum ratio beamformer and
+the subcarrier rate, plus the single-path element alignment sum ``z_k``, so the
+tests can check the fast path against the textbook formulas.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, array_response, spatial_angle
+from squintsim.phase_design import PhaseProfile
+from squintsim.rate_eval import LinkBudget
+
+
+def a_bs(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
+    """BS steering vectors at the departure angle: (K, N), or (N,) at subcarrier k."""
+    f = channels.grid.frequencies if k is None else channels.grid.frequencies[k]
+    phi_out = spatial_angle(f, channels.source_paths.bs_ris_aod_rad, channels.grid.carrier_hz)
+    return array_response(channels.num_bs_antennas, phi_out).T
+
+
+def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
+    """Dense BS-to-surface channel: (K, M, N), or the (M, N) slice of subcarrier k.
+
+    Slice k is ``bs_ris_scale[k] * outer(a_ris[k], conj(a_bs[k]))``; a single
+    slice is built from the steering vectors of f_k alone.
+    """
+    index = slice(None) if k is None else k
+    return np.einsum(
+        "...,...m,...n->...mn", channels.bs_ris_scale[index], channels.a_ris[index], np.conj(a_bs(channels, k))
+    )
+
+
+def effective_channel(h_ru_k, profile: PhaseProfile, h_br_k) -> np.ndarray:
+    """Composite row vector ``h_ru * diag(exp(j*phases)) * h_br`` of length N."""
+    h_ru = np.asarray(h_ru_k, dtype=complex)
+    h_br = np.asarray(h_br_k, dtype=complex)
+    if h_ru.shape != (profile.num_elements,) or h_br.shape[0] != profile.num_elements:
+        raise ValueError(
+            f"dimension mismatch: h_ru {h_ru.shape}, profile {profile.num_elements}, h_br {h_br.shape}"
+        )
+    return (h_ru * profile.unit_diagonal()) @ h_br
+
+
+def mrt_beamformer(effective, transmit_power: float) -> np.ndarray:
+    """Maximum ratio beamformer ``sqrt(P) * effective^H / ||effective||``.
+
+    A zero effective channel maps to the zero vector (zero rate) rather than
+    an error.
+    """
+    eff = np.asarray(effective, dtype=complex)
+    norm = np.linalg.norm(eff)
+    if norm == 0:
+        return np.zeros_like(eff)
+    return np.sqrt(transmit_power) * eff.conj() / norm
+
+
+def subcarrier_rate(effective, budget: LinkBudget) -> float:
+    """Rate of one subcarrier: ``log2(1 + snr * ||effective||^2)``."""
+    eff = np.asarray(effective, dtype=complex)
+    return float(np.log2(1.0 + budget.snr_linear * np.sum(np.abs(eff) ** 2)))
+
+
+def z_factor(
+    paths: PathSet,
+    profile: PhaseProfile,
+    grid: FrequencyGrid,
+    num_ris_elements: int,
+    k: int,
+) -> complex:
+    """Element alignment sum of a single-path link at subcarrier k.
+
+    ``z_k = sum_m exp(j * (2*pi*m*(phi_bs - phi_user) + phase_m))`` whose
+    magnitude never exceeds M and reaches M exactly when the profile matches
+    the per-subcarrier optimum.
+    """
+    if paths.scenario != LOS:
+        raise ValueError("z_factor is defined for the single-path (los) scenario only")
+    if profile.num_elements != num_ris_elements:
+        raise ValueError(
+            f"profile has {profile.num_elements} phases, expected {num_ris_elements}"
+        )
+    if not 0 <= k < grid.num_subcarriers:
+        raise ValueError(f"subcarrier index {k} out of range [0, {grid.num_subcarriers})")
+    f_k = grid.frequencies[k]
+    phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
+    phi_user = spatial_angle(f_k, paths.ru_paths[0].angle_rad, grid.carrier_hz)
+    m = np.arange(num_ris_elements)
+    terms = np.exp(1j * (2.0 * np.pi * m * (phi_bs - phi_user) + profile.phases_rad))
+    return complex(np.sum(terms))

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import squintsim
 from squintsim import cli
-from squintsim.cli import CSV_HEADER, UsageError, emit_csv, main, parse_args, selftest
+from squintsim.cli import CSV_HEADER, UsageError, emit_csv, main, parse_args
 from squintsim.experiments import (
     LOS_SCHEMES,
     NLOS_SCHEMES,
@@ -104,9 +108,6 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["figure"])
 
-    def test_selftest_subcommand(self):
-        assert parse_args(["selftest"]) == ("selftest", None, None)
-
 
 class TestEmitCsv:
     def test_header_only_for_empty_result(self, tmp_path):
@@ -176,9 +177,13 @@ class TestMain:
             ["--var", "ris_elements", "--values", "4,inf"],
             ["--seed", "-1"],
             ["--seed", str(2**64)],
+            ["--var", "snr_db", "--values", "4000"],
+            ["--snr-db", "4000", "--var", "bandwidth_hz", "--values", "1e9"],
+            ["--var", "snr_db", "--values", "-4000"],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
-             "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits"],
+             "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
+             "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -196,6 +201,16 @@ class TestMain:
         assert main(["figure", "--id", "2", "--trials", "1", "--seed", "-1", "--out", str(out)]) == 1
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_row_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        # 3082 dB is a finite linear SNR (1.58e308), but times the aligned
+        # power N*M^2 = 8 of unit gains it overflows to an infinite rate.
+        out = tmp_path / "out.csv"
+        args = ["sweep", "--schemes", "ideal", "--gain-mode", "unit", "--var", "snr_db", "--values", "10,3082",
+                "--subcarriers", "4", "--bs-antennas", "2", "--ris-elements", "2", "--trials", "3"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert "scheme 'ideal' at snr_db=3082" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "no_such_dir" / "out.csv"
@@ -226,13 +241,27 @@ class TestMain:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 5 * len(LOS_SCHEMES)
 
-    @pytest.mark.parametrize("fig_id", [3, 6])
-    def test_bandwidth_figure_matches_golden_csv(self, fig_id, tmp_path):
-        # Recorded with `squintsim figure --id N --trials 4 --seed 1`; the reference
-        # CSVs of benchmarks/ cover only the SNR and surface-size presets.
+    @pytest.mark.parametrize("fig_id", [2, 3, 4, 5, 6])
+    def test_figure_matches_golden_csv(self, fig_id, tmp_path):
+        # Recorded with `squintsim figure --id N --trials 4 --seed 1`, one file per preset.
         out = tmp_path / f"figure{fig_id}.csv"
         assert main(["figure", "--id", str(fig_id), "--trials", "4", "--seed", "1", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA_DIR / f"figure{fig_id}-trials4-seed1.csv").read_bytes()
+
+    def test_figure_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Two child processes, so each loads its BLAS with its own thread count.
+        src = str(Path(squintsim.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"figure5-threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            argv = ["figure", "--id", "5", "--trials", "2", "--seed", "1", "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "squintsim.cli", *argv], env=env, check=True, capture_output=True, timeout=300
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -247,15 +276,3 @@ class TestMain:
         out = capsys.readouterr().out
         assert "default: 28000000000.0" in out  # carrier
         assert "default: 500" in out  # trials
-
-
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert selftest() == 0
-        out = capsys.readouterr().out
-        assert "jensen-upper-bound" in out
-        assert "FAIL" not in out
-
-    def test_selftest_via_main(self, capsys):
-        assert main(["selftest"]) == 0
-        assert "selftest passed" in capsys.readouterr().out

@@ -66,6 +66,10 @@ class TestScenarioConfig:
         [
             ("snr_db", float("nan")),
             ("snr_db", float("inf")),
+            ("snr_db", 4000.0),
+            ("snr_db", 3083.0),
+            ("snr_db", -4000.0),
+            ("snr_db", -3240.0),
             ("carrier_hz", 0.0),
             ("bandwidth_hz", float("nan")),
             ("bandwidth_hz", -1e9),
@@ -86,6 +90,12 @@ class TestScenarioConfig:
 
     def test_accepts_largest_seed(self):
         assert ScenarioConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("snr_db", [3082.0, -3233.0])
+    def test_accepts_extreme_snr_with_finite_positive_linear_value(self, snr_db):
+        # The same conversion the sweep applies to every SNR point.
+        snr = experiments.LinkBudget.from_snr_db(ScenarioConfig(snr_db=snr_db).snr_db).snr_linear
+        assert 0 < snr < float("inf")
 
 
 def point_stats(config, scheme):
@@ -277,6 +287,13 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "sample_path_set", no_trials)
         with pytest.raises(ValueError):
             run_sweep(SMALL_LOS, ("central",), variable, values)
+
+    def test_rejects_non_finite_row(self):
+        # Unit gains give the ideal scheme a power of N*M^2 = 256 on SMALL_LOS,
+        # which overflows the linear SNR of 3082 dB (1.58e308) to an infinite rate.
+        unit = replace(SMALL_LOS, gain_mode="unit")
+        with pytest.raises(FloatingPointError, match="scheme 'ideal' at snr_db=3082"):
+            run_sweep(unit, ("ideal",), "snr_db", (10.0, 3082.0))
 
     def test_ris_elements_sweep_changes_dimensions(self):
         result = run_sweep(SMALL_LOS, ("central",), "ris_elements", (4, 16))

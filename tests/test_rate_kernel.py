@@ -2,8 +2,9 @@
 
 ``sum_rate`` and ``ideal_rate`` go through ``ChannelRealization.received_power``
 and ``aligned_power``, which never form the (K, M, N) BS-to-surface tensor.
-These properties pin both to the per-subcarrier reference built from the dense
-``h_bs_ris`` view, ``effective_channel`` and ``subcarrier_rate``, and pin the
+These properties pin both to the per-subcarrier reference of the test module
+``reference`` (the dense ``h_bs_ris`` view, ``effective_channel`` and
+``subcarrier_rate``), and pin the
 sequence-of-budgets form of both to one call per budget.
 """
 
@@ -21,7 +22,9 @@ from squintsim.phase_design import (
     design_random,
     phase_extraction,
 )
-from squintsim.rate_eval import LinkBudget, effective_channel, ideal_rate, subcarrier_rate, sum_rate
+from squintsim.rate_eval import LinkBudget, ideal_rate, sum_rate
+
+from reference import effective_channel, h_bs_ris, subcarrier_rate
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -67,10 +70,10 @@ def realize(case):
 
 
 def dense_rates(channels, profile, budget):
-    h_bs_ris = channels.h_bs_ris
+    dense = h_bs_ris(channels)
     return np.array(
         [
-            subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, h_bs_ris[k]), budget)
+            subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, dense[k]), budget)
             for k in range(channels.num_subcarriers)
         ]
     )
@@ -86,7 +89,7 @@ def covariance_profile_by_power(channels, k):
     phi_incident = spatial_angle(grid.frequencies[k], channels.source_paths.bs_ris_aoa_rad, grid.carrier_hz)
     receive = _receive_phases(channels.num_ris_elements, phi_incident)
     direction = _rank_one_direction(channels.h_ris_user[k])
-    h_bs_k = channels.h_bs_ris[k]
+    h_bs_k = h_bs_ris(channels, k)
     best_phases, best_power = None, -np.inf
     for candidate in (direction.vector, np.conj(direction.vector)):
         phases = receive + phase_extraction(candidate).phases_rad
@@ -106,7 +109,7 @@ def reference_ideal_rates(channels, budget):
             profile = design_ideal(paths, channels.grid, channels.num_ris_elements, k)
         else:
             profile = covariance_profile_by_power(channels, k)
-        eff = effective_channel(channels.h_ris_user[k], profile, channels.h_bs_ris[k])
+        eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
         per_k[k] = subcarrier_rate(eff, budget)
     return per_k
 
