@@ -13,15 +13,7 @@ import sys
 
 from . import experiments
 from .channel import LOS, NLOS
-from .experiments import (
-    BANDWIDTH_HZ_GRID,
-    RIS_ELEMENTS_GRID,
-    SNR_DB_GRID,
-    SWEEP_VARIABLES,
-    ScenarioConfig,
-    SweepResult,
-    schemes_for,
-)
+from .experiments import SWEEP_GRIDS, SWEEP_VARIABLES, ScenarioConfig, SweepResult, schemes_for
 
 CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
 
@@ -50,15 +42,6 @@ def _split_floats(raw: str, flag: str) -> tuple[float, ...]:
     if not values:
         raise UsageError(f"argument {flag}: expected at least one value")
     return tuple(values)
-
-
-def _default_values(sweep_variable: str) -> tuple[float, ...]:
-    grids = {
-        "snr_db": SNR_DB_GRID,
-        "bandwidth_hz": BANDWIDTH_HZ_GRID,
-        "ris_elements": tuple(float(v) for v in RIS_ELEMENTS_GRID),
-    }
-    return grids[sweep_variable]
 
 
 def _build_parser() -> _Parser:
@@ -106,7 +89,13 @@ def _build_parser() -> _Parser:
     swp.add_argument("--subcarriers", type=int, default=_DEFAULTS.num_subcarriers, help="OFDM subcarriers")
     swp.add_argument("--bs-antennas", type=int, default=_DEFAULTS.num_bs_antennas, help="BS antennas")
     swp.add_argument("--ris-elements", type=int, default=_DEFAULTS.num_ris_elements, help="surface elements")
-    swp.add_argument("--paths", type=int, default=_DEFAULTS.num_paths, help="user-side paths (nlos only)")
+    # No stored default, so that parse_args can reject an explicit value on los.
+    swp.add_argument(
+        "--paths",
+        type=int,
+        default=argparse.SUPPRESS,
+        help=f"user-side paths, nlos only (default: {_DEFAULTS.num_paths})",
+    )
     swp.add_argument("--snr-db", type=float, default=_DEFAULTS.snr_db, help="SNR in dB for non-SNR sweeps")
     add_run_flags(swp)
     swp.add_argument("--out", default="sweep.csv", help="CSV output path")
@@ -114,7 +103,7 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv) -> tuple:
-    """Parse flags into ``(subcommand, run_sweep arguments, output path)``.
+    """Parse flags into ``(run_sweep arguments, output path)``.
 
     Raises UsageError on any bad flag or configuration value, before a trial
     runs.
@@ -126,7 +115,7 @@ def parse_args(argv) -> tuple:
             job = experiments.figure_sweep(ns.id, ns.trials, ns.seed, ns.gain_mode)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        return "figure", job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
+        return job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
 
     if ns.schemes is None:
         schemes = schemes_for(ns.scenario)
@@ -139,7 +128,10 @@ def parse_args(argv) -> tuple:
                 experiments.check_scheme(scheme, ns.scenario)
             except ValueError as exc:
                 raise UsageError(f"argument --schemes: {exc}") from None
-    values = _split_floats(ns.values, "--values") if ns.values is not None else _default_values(ns.var)
+    if hasattr(ns, "paths") and ns.scenario == LOS:
+        raise UsageError("argument --paths: the los scenario has exactly one surface-to-user path")
+    num_paths = getattr(ns, "paths", _DEFAULTS.num_paths)
+    values = _split_floats(ns.values, "--values") if ns.values is not None else SWEEP_GRIDS[ns.var]
     try:
         config = ScenarioConfig(
             scenario=ns.scenario,
@@ -148,7 +140,7 @@ def parse_args(argv) -> tuple:
             num_subcarriers=ns.subcarriers,
             num_bs_antennas=ns.bs_antennas,
             num_ris_elements=ns.ris_elements,
-            num_paths=ns.paths,
+            num_paths=num_paths,
             snr_db=ns.snr_db,
             trials=ns.trials,
             seed=ns.seed,
@@ -157,7 +149,7 @@ def parse_args(argv) -> tuple:
         experiments.sweep_points(config, ns.var, values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return "sweep", (config, schemes, ns.var, values), ns.out
+    return (config, schemes, ns.var, values), ns.out
 
 
 def _fmt(value: float) -> str:
@@ -196,7 +188,7 @@ def _print_summary(result: SweepResult) -> None:
 
 def main(argv=None) -> int:
     try:
-        _, job, output_path = parse_args(argv if argv is not None else sys.argv[1:])
+        job, output_path = parse_args(argv if argv is not None else sys.argv[1:])
     except UsageError as exc:
         print(f"squintsim: error: {exc}", file=sys.stderr)
         return 1

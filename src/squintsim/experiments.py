@@ -1,16 +1,18 @@
 """Seeded Monte Carlo sweeps comparing the phase-design schemes.
 
 Every trial derives its own random substream from (seed, trial index, stream
-id). The sweep loop is trial-major: each trial draws its channel once, designs
-every scheme's profile on it once, and evaluates every SNR of the sweep from
-one per-subcarrier power vector per scheme, since neither the profiles nor the
-powers depend on the SNR. So all schemes at a sweep point see identical
-channel realizations (common random numbers), and a result is a pure function
-of (configuration, seed).
+id). The sweep loop is trial-major: each trial draws its paths once, builds
+one channel per sweep point that needs its own (consecutive SNR points share
+one), designs every scheme's profile on it once, and evaluates every SNR of
+that point from one per-subcarrier power vector per scheme, since neither the
+profiles nor the powers depend on the SNR. So all schemes and sweep points of
+a trial see the same paths (common random numbers), and a result is a pure
+function of (configuration, seed).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -32,13 +34,15 @@ LOS_SCHEMES = ("ideal", "central", "random", "random-index", "side-index")
 NLOS_SCHEMES = ("ideal", "mccm", "central", "random", "random-index", "side-index")
 ALL_SCHEMES = NLOS_SCHEMES
 
-SWEEP_VARIABLES = ("snr_db", "bandwidth_hz", "ris_elements")
-
-#: Default sweep grids; each brackets the operating points discussed in the
-#: scheme comparisons (500 MHz and 2 GHz bandwidth, 10 dB SNR, 64 elements).
-SNR_DB_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-BANDWIDTH_HZ_GRID = (0.25e9, 0.5e9, 1e9, 2e9, 4e9)
-RIS_ELEMENTS_GRID = (16, 32, 64, 128, 256)
+#: Default grid of every sweep variable; each brackets the operating points
+#: discussed in the scheme comparisons (500 MHz and 2 GHz bandwidth, 10 dB SNR,
+#: 64 elements).
+SWEEP_GRIDS = {
+    "snr_db": (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0),
+    "bandwidth_hz": (0.25e9, 0.5e9, 1e9, 2e9, 4e9),
+    "ris_elements": (16, 32, 64, 128, 256),
+}
+SWEEP_VARIABLES = tuple(SWEEP_GRIDS)
 
 _CHANNEL_STREAM = 0
 _PHASE_STREAM = 1
@@ -164,50 +168,50 @@ def _common_profile(
     return design_subcarrier_covariance(channels, k)
 
 
-def _trial_rates(
-    cfg: ScenarioConfig,
-    grid: FrequencyGrid,
-    schemes: tuple[str, ...],
-    budgets: tuple[LinkBudget, ...],
-    trial: int,
-) -> np.ndarray:
-    """Rates of one trial, shape (len(budgets), len(schemes)), on one channel.
+def _point_rates(point: ScenarioConfig, grid: FrequencyGrid, budgets, paths, schemes, trial: int) -> np.ndarray:
+    """Rates of one trial at one channel point, shape (len(budgets), len(schemes)).
 
     Every budget of a scheme is evaluated from one power vector. A function of
-    its own so that the channel is freed before the next trial builds its own.
+    its own so that each channel is freed before the next point's is built.
     """
-    rng = _substream(cfg.seed, trial, _CHANNEL_STREAM)
-    num_paths = 1 if cfg.scenario == LOS else cfg.num_paths
-    paths = sample_path_set(rng, cfg.scenario, num_paths, gain_mode=cfg.gain_mode)
-    channels = gen_channels(paths, grid, cfg.num_bs_antennas, cfg.num_ris_elements)
+    channels = gen_channels(paths, grid, point.num_bs_antennas, point.num_ris_elements)
     rates = np.empty((len(budgets), len(schemes)))
     for s, scheme in enumerate(schemes):
         if scheme == "ideal":
             rates[:, s] = ideal_rate(channels, budgets).sum_rate_bits
         else:
-            profile = _common_profile(cfg, grid, channels, scheme, trial)
+            profile = _common_profile(point, grid, channels, scheme, trial)
             rates[:, s] = sum_rate(channels, profile, budgets).sum_rate_bits
     return rates
 
 
-def per_trial_rates(config: ScenarioConfig, schemes, snrs_db=None) -> np.ndarray:
-    """Mean rate of every (SNR, scheme, trial), shape (len(snrs_db), len(schemes), trials).
+def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_db", values=None) -> np.ndarray:
+    """Mean rate of every (sweep value, scheme, trial), shape (len(values), len(schemes), trials).
 
-    ``snrs_db`` defaults to ``(config.snr_db,)``. Trials run in ascending
-    order; each draws its channel from a substream of (seed, trial) only, so
-    every scheme and SNR is evaluated on the same realization.
+    ``values=None`` evaluates the config's own point alone. Every value is
+    validated before the first trial. Trials run in ascending order; each
+    draws its paths from a substream of (seed, trial) only, so every scheme
+    and sweep value is evaluated on the same paths.
     """
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("need at least one scheme")
     for scheme in schemes:
         check_scheme(scheme, config.scenario)
-    snrs_db = (config.snr_db,) if snrs_db is None else snrs_db
-    budgets = tuple(LinkBudget.from_snr_db(point.snr_db) for point in sweep_points(config, "snr_db", snrs_db))
-    grid = build_frequency_grid(config.carrier_hz, config.bandwidth_hz, config.num_subcarriers)
-    rates = np.empty((len(budgets), len(schemes), config.trials))
+    points = (config,) if values is None else sweep_points(config, sweep_variable, values)
+    # Consecutive points that differ only in SNR share one channel.
+    channel_points = []
+    for point, group in itertools.groupby(points, key=lambda p: replace(p, snr_db=config.snr_db)):
+        grid = build_frequency_grid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
+        channel_points.append((point, grid, tuple(LinkBudget.from_snr_db(p.snr_db) for p in group)))
+    num_paths = 1 if config.scenario == LOS else config.num_paths
+    rates = np.empty((len(points), len(schemes), config.trials))
     for trial in range(config.trials):
-        rates[:, :, trial] = _trial_rates(config, grid, schemes, budgets, trial)
+        rng = _substream(config.seed, trial, _CHANNEL_STREAM)
+        paths = sample_path_set(rng, config.scenario, num_paths, gain_mode=config.gain_mode)
+        rates[:, :, trial] = np.concatenate(
+            [_point_rates(point, grid, budgets, paths, schemes, trial) for point, grid, budgets in channel_points]
+        )
     return rates
 
 
@@ -215,23 +219,20 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
     """The config of every sweep point; raises ValueError on any bad value."""
     if not values:
         raise ValueError("need at least one sweep value")
+    if sweep_variable not in SWEEP_GRIDS:
+        raise ValueError(f"unknown sweep variable {sweep_variable!r}; known: {', '.join(SWEEP_VARIABLES)}")
     points = []
     for value in values:
-        if sweep_variable == "snr_db":
-            points.append(replace(config, snr_db=float(value)))
-        elif sweep_variable == "bandwidth_hz":
-            points.append(replace(config, bandwidth_hz=float(value)))
-        elif sweep_variable == "ris_elements":
+        if sweep_variable == "ris_elements":
             if not float(value).is_integer():
                 raise ValueError(f"ris_elements must be an integer, got {value}")
             points.append(replace(config, num_ris_elements=int(value)))
         else:
-            raise ValueError(
-                f"unknown sweep variable {sweep_variable!r}; known: {', '.join(SWEEP_VARIABLES)}"
-            )
+            points.append(replace(config, **{sweep_variable: float(value)}))
     return tuple(points)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_sweep(
     config: ScenarioConfig,
     schemes,
@@ -242,17 +243,14 @@ def run_sweep(
 
     Rows are ordered value-major, scheme-minor, and every scheme at a given
     value sees the same channel realizations. Every value is validated before
-    the first trial runs. An SNR sweep evaluates all its values on one pass
-    over the trials; any other sweep makes one pass per value. Raises
-    FloatingPointError if any mean or standard error is not finite.
+    the first trial runs, and all values are evaluated on one pass over the
+    trials. Raises FloatingPointError if any mean or standard error is not
+    finite; numpy's overflow and invalid-value warnings are silenced, since
+    that error names the scheme and value.
     """
     schemes = tuple(schemes)
     values = tuple(values)
-    if sweep_variable == "snr_db":
-        rates = per_trial_rates(config, schemes, values)
-    else:
-        points = sweep_points(config, sweep_variable, values)
-        rates = np.concatenate([per_trial_rates(point, schemes) for point in points])
+    rates = per_trial_rates(config, schemes, sweep_variable, values)
 
     rows = []
     for value, point_rates in zip(values, rates):
@@ -292,15 +290,16 @@ def figure_sweep(fig_id: int, trials: int, seed: int, gain_mode: str = "random")
     los = ScenarioConfig(trials=trials, seed=seed, gain_mode=gain_mode)
     nlos = replace(los, scenario=NLOS)
     presets = {
-        2: (los, LOS_SCHEMES, "snr_db", SNR_DB_GRID),
-        3: (los, LOS_SCHEMES, "bandwidth_hz", BANDWIDTH_HZ_GRID),
-        4: (los, LOS_SCHEMES, "ris_elements", RIS_ELEMENTS_GRID),
-        5: (nlos, NLOS_SCHEMES, "snr_db", SNR_DB_GRID),
-        6: (nlos, NLOS_SCHEMES, "bandwidth_hz", BANDWIDTH_HZ_GRID),
+        2: (los, LOS_SCHEMES, "snr_db"),
+        3: (los, LOS_SCHEMES, "bandwidth_hz"),
+        4: (los, LOS_SCHEMES, "ris_elements"),
+        5: (nlos, NLOS_SCHEMES, "snr_db"),
+        6: (nlos, NLOS_SCHEMES, "bandwidth_hz"),
     }
     if fig_id not in presets:
         raise ValueError(f"unknown figure id {fig_id}; expected 2..6")
-    return presets[fig_id]
+    config, schemes, variable = presets[fig_id]
+    return config, schemes, variable, SWEEP_GRIDS[variable]
 
 
 def reproduce_figure(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> SweepResult:

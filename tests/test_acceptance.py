@@ -175,12 +175,12 @@ def test_criterion_6_multipath_scheme_ordering():
 def test_criterion_7_beam_squint_severity_and_trends():
     cfg = ScenarioConfig(scenario=LOS, trials=200, seed=7, gain_mode="unit")
 
-    def gap_samples(point):
-        ideal, central = per_trial_rates(point, ("ideal", "central"))[0]
-        return ideal - central
+    def gap_samples(variable, values):
+        rates = per_trial_rates(cfg, ("ideal", "central"), variable, values)
+        return dict(zip(values, rates[:, 0] - rates[:, 1]))
 
-    bandwidth_gaps = {bw: gap_samples(replace(cfg, bandwidth_hz=bw)) for bw in (0.5e9, 1e9, 2e9, 4e9)}
-    element_gaps = {m: gap_samples(replace(cfg, num_ris_elements=m)) for m in (16, 64, 256)}
+    bandwidth_gaps = gap_samples("bandwidth_hz", (0.5e9, 1e9, 2e9, 4e9))
+    element_gaps = gap_samples("ris_elements", (16, 64, 256))
 
     wide_band = float(bandwidth_gaps[4e9].mean())  # 4 GHz at 64 elements
     large_surface = float(element_gaps[256].mean())  # 2 GHz at 256 elements

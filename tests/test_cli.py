@@ -11,7 +11,7 @@ from squintsim.cli import CSV_HEADER, UsageError, emit_csv, main, parse_args
 from squintsim.experiments import (
     LOS_SCHEMES,
     NLOS_SCHEMES,
-    SNR_DB_GRID,
+    SWEEP_GRIDS,
     SweepResult,
     SweepRow,
     figure_sweep,
@@ -39,8 +39,7 @@ def sample_result():
 
 class TestParseArgs:
     def test_figure_subcommand(self):
-        subcommand, job, out = parse_args(["figure", "--id", "2", "--trials", "200", "--seed", "7"])
-        assert subcommand == "figure"
+        job, out = parse_args(["figure", "--id", "2", "--trials", "200", "--seed", "7"])
         assert job == figure_sweep(2, 200, 7)
         cfg = job[0]
         assert cfg.trials == 200
@@ -49,21 +48,20 @@ class TestParseArgs:
         assert out == "figure2.csv"
 
     def test_sweep_subcommand(self):
-        subcommand, (cfg, schemes, variable, values), _ = parse_args(
+        (cfg, schemes, variable, values), _ = parse_args(
             ["sweep", "--scenario", "nlos", "--schemes", "mccm,central", "--var", "snr_db", "--values", "0,10,20"]
         )
-        assert subcommand == "sweep"
         assert cfg.scenario == "nlos"
         assert schemes == ("mccm", "central")
         assert variable == "snr_db"
         assert values == (0.0, 10.0, 20.0)
 
     def test_sweep_defaults(self):
-        _, (cfg, schemes, variable, values), out = parse_args(["sweep"])
+        (cfg, schemes, variable, values), out = parse_args(["sweep"])
         assert cfg.scenario == "los"
         assert schemes == LOS_SCHEMES
         assert variable == "snr_db"
-        assert values == SNR_DB_GRID
+        assert values == SWEEP_GRIDS["snr_db"]
         assert cfg.carrier_hz == 28e9
         assert cfg.bandwidth_hz == 2e9
         assert cfg.num_subcarriers == 128
@@ -77,7 +75,7 @@ class TestParseArgs:
         assert out == "sweep.csv"
 
     def test_nlos_defaults_include_covariance_scheme(self):
-        _, (_, schemes, _, _), _ = parse_args(["sweep", "--scenario", "nlos"])
+        (_, schemes, _, _), _ = parse_args(["sweep", "--scenario", "nlos"])
         assert schemes == NLOS_SCHEMES
 
     def test_unknown_flag(self):
@@ -180,10 +178,12 @@ class TestMain:
             ["--var", "snr_db", "--values", "4000"],
             ["--snr-db", "4000", "--var", "bandwidth_hz", "--values", "1e9"],
             ["--var", "snr_db", "--values", "-4000"],
+            ["--scenario", "los", "--paths", "9"],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
              "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
-             "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear"],
+             "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear",
+             "paths-on-single-path-scenario"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -211,6 +211,20 @@ class TestMain:
         assert main([*args, "--out", str(out)]) == 2
         assert "scheme 'ideal' at snr_db=3082" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_row_prints_only_the_failure_line(self, tmp_path):
+        # A child process, because pytest would capture numpy's warnings in-process.
+        src = str(Path(squintsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["sweep", "--schemes", "ideal", "--gain-mode", "unit", "--var", "snr_db", "--values", "3082",
+                "--subcarriers", "4", "--bs-antennas", "2", "--ris-elements", "2", "--trials", "3",
+                "--out", str(tmp_path / "out.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "squintsim.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("squintsim: failure: scheme 'ideal' at snr_db=3082")
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "no_such_dir" / "out.csv"
@@ -276,3 +290,4 @@ class TestMain:
         out = capsys.readouterr().out
         assert "default: 28000000000.0" in out  # carrier
         assert "default: 500" in out  # trials
+        assert "nlos only (default: 5)" in out  # paths

@@ -7,10 +7,9 @@ import pytest
 from squintsim import experiments
 from squintsim.channel import LOS, NLOS, ChannelRealization, build_frequency_grid, gen_channels, sample_path_set
 from squintsim.experiments import (
-    BANDWIDTH_HZ_GRID,
     LOS_SCHEMES,
     NLOS_SCHEMES,
-    SNR_DB_GRID,
+    SWEEP_GRIDS,
     ScenarioConfig,
     central_subcarrier_index,
     per_trial_rates,
@@ -153,7 +152,7 @@ class TestCommonRandomNumbers:
         assert np.array_equal(before, after)
 
     def test_overrides_change_only_the_swept_variable(self):
-        base, low_snr = per_trial_rates(SMALL_LOS, ("central",), (SMALL_LOS.snr_db, -10.0))[:, 0]
+        base, low_snr = per_trial_rates(SMALL_LOS, ("central",), "snr_db", (SMALL_LOS.snr_db, -10.0))[:, 0]
         assert np.all(base > low_snr)
 
 
@@ -187,7 +186,7 @@ class TestTrialMajorLoop:
     def test_snr_sweep_matches_per_point_oracle(self, base):
         schemes = schemes_for(base.scenario)
         snrs = (-5.0, 10.0, 20.0)
-        rates = per_trial_rates(base, schemes, snrs)
+        rates = per_trial_rates(base, schemes, "snr_db", snrs)
         assert rates.shape == (len(snrs), len(schemes), base.trials)
         expected = oracle_rates([replace(base, snr_db=snr) for snr in snrs], schemes)
         assert np.array_equal(rates, expected)
@@ -195,9 +194,9 @@ class TestTrialMajorLoop:
     @pytest.mark.parametrize("variable,values", [("bandwidth_hz", (0.5e9, 4e9)), ("ris_elements", (4, 16))])
     def test_other_sweeps_match_per_point_oracle(self, base, variable, values):
         schemes = schemes_for(base.scenario)
-        points = experiments.sweep_points(base, variable, values)
-        rates = np.concatenate([per_trial_rates(point, schemes) for point in points])
-        assert np.array_equal(rates, oracle_rates(points, schemes))
+        rates = per_trial_rates(base, schemes, variable, values)
+        assert rates.shape == (len(values), len(schemes), base.trials)
+        assert np.array_equal(rates, oracle_rates(experiments.sweep_points(base, variable, values), schemes))
 
 
 def counting(monkeypatch, counts, name, owner=experiments):
@@ -220,13 +219,24 @@ def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
     assert counts == {"gen_channels": SMALL_NLOS.trials, "design_mccm": SMALL_NLOS.trials}
 
 
+@pytest.mark.parametrize("variable,values", [("bandwidth_hz", (0.5e9, 1e9, 4e9)), ("ris_elements", (4, 8, 16))])
+def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, variable, values):
+    counts = Counter()
+    counting(monkeypatch, counts, "sample_path_set")
+    counting(monkeypatch, counts, "gen_channels")
+    result = run_sweep(SMALL_NLOS, NLOS_SCHEMES, variable, values)
+    assert len(result.rows) == len(values) * len(NLOS_SCHEMES)
+    trials = SMALL_NLOS.trials
+    assert counts == {"sample_path_set": trials, "gen_channels": trials * len(values)}
+
+
 @pytest.mark.parametrize("base,mccm_scoring", [(SMALL_LOS, 0), (SMALL_NLOS, 2)], ids=["los", "nlos"])
 def test_snr_sweep_computes_one_power_vector_per_scheme_and_trial(monkeypatch, base, mccm_scoring):
     counts = Counter()
     counting(monkeypatch, counts, "received_power", ChannelRealization)
     counting(monkeypatch, counts, "aligned_power", ChannelRealization)
     schemes = schemes_for(base.scenario)
-    rates = per_trial_rates(base, schemes, (-10.0, 0.0, 10.0, 20.0))
+    rates = per_trial_rates(base, schemes, "snr_db", (-10.0, 0.0, 10.0, 20.0))
     assert rates.shape == (4, len(schemes), base.trials)
     # Every scheme but "ideal" needs one received power; design_mccm scores two candidates.
     common = len(schemes) - 1
@@ -303,14 +313,14 @@ class TestRunSweep:
 class TestReproduceFigure:
     def test_snr_comparison_layout(self):
         result = reproduce_figure(2, trials=2, seed=9)
-        assert len(result.rows) == len(SNR_DB_GRID) * len(LOS_SCHEMES)
+        assert len(result.rows) == len(SWEEP_GRIDS["snr_db"]) * len(LOS_SCHEMES)
         assert all(r.scenario == LOS for r in result.rows)
         assert all(r.sweep_variable == "snr_db" for r in result.rows)
 
     def test_bandwidth_comparison_uses_grid(self):
         result = reproduce_figure(3, trials=1, seed=9)
         values = sorted({r.sweep_value for r in result.rows})
-        assert values == sorted(BANDWIDTH_HZ_GRID)
+        assert values == sorted(SWEEP_GRIDS["bandwidth_hz"])
 
     def test_multipath_comparison_includes_covariance_scheme(self):
         result = reproduce_figure(5, trials=1, seed=9)
