@@ -117,6 +117,17 @@ class ChannelRealization:
         return self.source_paths.scenario
 
 
+def rate_bits(snr, power) -> np.ndarray:
+    """Rate ``log2(1 + snr * power)`` in bits/s/Hz of every SNR at every power.
+
+    ``snr`` is one linear SNR (unit noise power) or an array of them; the
+    result has shape ``np.shape(snr) + np.shape(power)``.
+    """
+    if not np.all(np.asarray(snr) > 0):
+        raise ValueError(f"snr must be a positive linear value, got {snr!r}")
+    return np.log2(1.0 + np.multiply.outer(snr, power))
+
+
 def build_frequency_grid(carrier_hz: float, bandwidth_hz: float, num_subcarriers: int) -> FrequencyGrid:
     """Build the K subcarrier frequencies centered on the carrier.
 

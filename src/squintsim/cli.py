@@ -13,7 +13,7 @@ import sys
 
 from . import experiments
 from .channel import LOS, NLOS
-from .experiments import SWEEP_GRIDS, SWEEP_VARIABLES, ScenarioConfig, SweepResult, schemes_for
+from .experiments import SWEEP_GRIDS, SWEEP_VARIABLES, ScenarioConfig, SweepRow, schemes_for
 
 CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
 
@@ -156,7 +156,7 @@ def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
-def emit_csv(result: SweepResult, path: str) -> None:
+def emit_csv(rows: tuple[SweepRow, ...], path: str) -> None:
     """Write the sweep rows as UTF-8 CSV with 10-significant-digit numbers.
 
     The rows go to a temporary file in the target directory, which then
@@ -167,7 +167,7 @@ def emit_csv(result: SweepResult, path: str) -> None:
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in result.rows:
+            for row in rows:
                 numbers = map(_fmt, (row.sweep_value, row.mean_rate_bits, row.std_error_bits))
                 fields = (row.scenario, row.scheme, row.sweep_variable, *numbers, str(row.trials), str(row.seed))
                 fh.write(",".join(fields) + "\n")
@@ -177,9 +177,9 @@ def emit_csv(result: SweepResult, path: str) -> None:
             os.remove(tmp_path)
 
 
-def _print_summary(result: SweepResult) -> None:
+def _print_summary(rows: tuple[SweepRow, ...]) -> None:
     print(f"{'scenario':<9}{'scheme':<14}{'variable':<14}{'value':>14}{'mean rate':>12}{'std err':>11}")
-    for row in result.rows:
+    for row in rows:
         print(
             f"{row.scenario:<9}{row.scheme:<14}{row.sweep_variable:<14}"
             f"{row.sweep_value:>14.6g}{row.mean_rate_bits:>12.4f}{row.std_error_bits:>11.4f}"
@@ -194,10 +194,10 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        result = experiments.run_sweep(*job)
-        emit_csv(result, output_path)
-        _print_summary(result)
-        print(f"wrote {len(result.rows)} rows to {output_path}")
+        rows = experiments.run_sweep(*job)
+        emit_csv(rows, output_path)
+        _print_summary(rows)
+        print(f"wrote {len(rows)} rows to {output_path}")
     except Exception as exc:  # noqa: BLE001 (single CLI boundary)
         print(f"squintsim: failure: {exc}", file=sys.stderr)
         return 2

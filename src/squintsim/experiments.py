@@ -28,7 +28,7 @@ from .phase_design import (
     design_random,
     design_subcarrier_covariance,
 )
-from .rate_eval import LinkBudget, ideal_rate, sum_rate
+from .rate_eval import ideal_rate, sum_rate
 
 LOS_SCHEMES = ("ideal", "central", "random", "random-index", "side-index")
 NLOS_SCHEMES = ("ideal", "mccm", "central", "random", "random-index", "side-index")
@@ -44,6 +44,10 @@ SWEEP_GRIDS = {
 }
 SWEEP_VARIABLES = tuple(SWEEP_GRIDS)
 
+#: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
+#: (K, M) channel table then takes 256 MiB, and a trial holds a few of them.
+MAX_TABLE_ENTRIES = 1 << 24
+
 _CHANNEL_STREAM = 0
 _PHASE_STREAM = 1
 _INDEX_STREAM = 2
@@ -53,10 +57,15 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and value >= 1
 
 
+def _snr_linear(snr_db):
+    """Linear SNR of a dB value, with unit noise power."""
+    return 10.0 ** (snr_db / 10.0)
+
+
 def _has_linear_snr(snr_db) -> bool:
-    """Whether the sweep's own conversion, ``LinkBudget.from_snr_db``, gives a finite positive SNR."""
+    """Whether the sweep's own conversion, :func:`_snr_linear`, gives a finite positive SNR."""
     try:
-        snr = LinkBudget.from_snr_db(snr_db).snr_linear
+        snr = _snr_linear(snr_db)
     except (OverflowError, ValueError):
         return False
     return 0 < snr < math.inf
@@ -82,14 +91,23 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # Comparisons with NaN are false, so NaN fails every numeric rule.
+        default_paths = ScenarioConfig.num_paths
         rules = {
             "scenario": (self.scenario in (LOS, NLOS), f"{LOS!r} or {NLOS!r}"),
             "carrier_hz": (0 < self.carrier_hz < math.inf, "finite and positive"),
             "bandwidth_hz": (0 <= self.bandwidth_hz < 2 * self.carrier_hz, "in [0, 2*carrier_hz)"),
             "num_subcarriers": (_is_count(self.num_subcarriers), "an integer >= 1"),
             "num_bs_antennas": (_is_count(self.num_bs_antennas), "an integer >= 1"),
-            "num_ris_elements": (_is_count(self.num_ris_elements), "an integer >= 1"),
-            "num_paths": (_is_count(self.num_paths), "an integer >= 1"),
+            "num_ris_elements": (
+                _is_count(self.num_ris_elements) and _is_count(self.num_subcarriers)
+                and self.num_subcarriers * self.num_ris_elements <= MAX_TABLE_ENTRIES,
+                f"an integer >= 1 with num_subcarriers * num_ris_elements <= {MAX_TABLE_ENTRIES}",
+            ),
+            # A los link has one path; the field default passes too, as the CLI always sends it.
+            "num_paths": (
+                _is_count(self.num_paths) and (self.scenario != LOS or self.num_paths in (1, default_paths)),
+                f"an integer >= 1, and 1 or {default_paths} on los",
+            ),
             "snr_db": (_has_linear_snr(self.snr_db), "a dB value with a finite positive linear SNR"),
             "trials": (_is_count(self.trials), "an integer >= 1"),
             "seed": (
@@ -113,11 +131,6 @@ class SweepRow:
     std_error_bits: float
     trials: int
     seed: int
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
 
 
 def _substream(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -168,20 +181,20 @@ def _common_profile(
     return design_subcarrier_covariance(channels, k)
 
 
-def _point_rates(point: ScenarioConfig, grid: FrequencyGrid, budgets, paths, schemes, trial: int) -> np.ndarray:
-    """Rates of one trial at one channel point, shape (len(budgets), len(schemes)).
+def _point_rates(point: ScenarioConfig, grid: FrequencyGrid, snrs, paths, schemes, trial: int) -> np.ndarray:
+    """Rates of one trial at one channel point, shape (len(snrs), len(schemes)).
 
-    Every budget of a scheme is evaluated from one power vector. A function of
+    Every SNR of a scheme is evaluated from one power vector. A function of
     its own so that each channel is freed before the next point's is built.
     """
     channels = gen_channels(paths, grid, point.num_bs_antennas, point.num_ris_elements)
-    rates = np.empty((len(budgets), len(schemes)))
+    rates = np.empty((len(snrs), len(schemes)))
     for s, scheme in enumerate(schemes):
         if scheme == "ideal":
-            rates[:, s] = ideal_rate(channels, budgets).sum_rate_bits
+            rates[:, s] = ideal_rate(channels, snrs)
         else:
             profile = _common_profile(point, grid, channels, scheme, trial)
-            rates[:, s] = sum_rate(channels, profile, budgets).sum_rate_bits
+            rates[:, s] = sum_rate(channels, profile, snrs)
     return rates
 
 
@@ -203,21 +216,21 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     channel_points = []
     for point, group in itertools.groupby(points, key=lambda p: replace(p, snr_db=config.snr_db)):
         grid = build_frequency_grid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
-        channel_points.append((point, grid, tuple(LinkBudget.from_snr_db(p.snr_db) for p in group)))
+        channel_points.append((point, grid, np.array([_snr_linear(p.snr_db) for p in group])))
     num_paths = 1 if config.scenario == LOS else config.num_paths
     rates = np.empty((len(points), len(schemes), config.trials))
     for trial in range(config.trials):
         rng = _substream(config.seed, trial, _CHANNEL_STREAM)
         paths = sample_path_set(rng, config.scenario, num_paths, gain_mode=config.gain_mode)
         rates[:, :, trial] = np.concatenate(
-            [_point_rates(point, grid, budgets, paths, schemes, trial) for point, grid, budgets in channel_points]
+            [_point_rates(point, grid, snrs, paths, schemes, trial) for point, grid, snrs in channel_points]
         )
     return rates
 
 
 def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[ScenarioConfig, ...]:
     """The config of every sweep point; raises ValueError on any bad value."""
-    if not values:
+    if len(values) == 0:
         raise ValueError("need at least one sweep value")
     if sweep_variable not in SWEEP_GRIDS:
         raise ValueError(f"unknown sweep variable {sweep_variable!r}; known: {', '.join(SWEEP_VARIABLES)}")
@@ -233,13 +246,8 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_sweep(
-    config: ScenarioConfig,
-    schemes,
-    sweep_variable: str,
-    values,
-) -> SweepResult:
-    """Evaluate the full cross product of schemes and sweep values.
+def run_sweep(config: ScenarioConfig, schemes, sweep_variable: str, values) -> tuple[SweepRow, ...]:
+    """Evaluate the full cross product of schemes and sweep values, one row each.
 
     Rows are ordered value-major, scheme-minor, and every scheme at a given
     value sees the same channel realizations. Every value is validated before
@@ -277,7 +285,7 @@ def run_sweep(
                     seed=config.seed,
                 )
             )
-    return SweepResult(tuple(rows))
+    return tuple(rows)
 
 
 def figure_sweep(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> tuple:
@@ -300,8 +308,3 @@ def figure_sweep(fig_id: int, trials: int, seed: int, gain_mode: str = "random")
         raise ValueError(f"unknown figure id {fig_id}; expected 2..6")
     config, schemes, variable = presets[fig_id]
     return config, schemes, variable, SWEEP_GRIDS[variable]
-
-
-def reproduce_figure(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> SweepResult:
-    """Run one of the preset sweeps of :func:`figure_sweep`."""
-    return run_sweep(*figure_sweep(fig_id, trials, seed, gain_mode))

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, spatial_angle
+from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, rate_bits, spatial_angle
 
 logger = logging.getLogger(__name__)
 
-#: SNR (dB) used only to rank the two phase-extraction candidates inside
-#: design_mccm; the selection is deterministic and independent of the budget
-#: the caller later evaluates with.
-CANDIDATE_SNR_DB = 10.0
+#: Linear SNR (10 dB) used only to rank the two phase-extraction candidates
+#: inside design_mccm; the selection is deterministic and independent of the
+#: SNR the caller later evaluates with.
+CANDIDATE_SNR = 10.0
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,7 @@ class Mccm:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix)
+        object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"covariance must be square, got shape {mat.shape}")
         scale = max(1.0, float(np.abs(np.trace(mat))))
@@ -222,9 +223,8 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     receive = _receive_phases(m_ris, phi_incident)
 
     direction = principal_direction(mean_channel_covariance(channels.h_ris_user))
-    snr = 10.0 ** (CANDIDATE_SNR_DB / 10.0)
     candidates = [receive + phase_extraction(v).phases_rad for v in (direction.vector, np.conj(direction.vector))]
-    rates = [np.mean(np.log2(1.0 + snr * channels.received_power(np.exp(1j * p)))) for p in candidates]
+    rates = [np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * p)))) for p in candidates]
     best_phases = candidates[int(np.argmax(rates))]  # argmax keeps the first of tied candidates
     return PhaseProfile(best_phases, "mccm", degenerate=direction.degenerate)
 

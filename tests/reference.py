@@ -14,7 +14,6 @@ import numpy as np
 
 from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, array_response, spatial_angle
 from squintsim.phase_design import PhaseProfile
-from squintsim.rate_eval import LinkBudget
 
 
 def a_bs(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
@@ -60,10 +59,10 @@ def mrt_beamformer(effective, transmit_power: float) -> np.ndarray:
     return np.sqrt(transmit_power) * eff.conj() / norm
 
 
-def subcarrier_rate(effective, budget: LinkBudget) -> float:
-    """Rate of one subcarrier: ``log2(1 + snr * ||effective||^2)``."""
+def subcarrier_rate(effective, snr: float) -> float:
+    """Rate of one subcarrier at linear SNR ``snr`` (unit noise): ``log2(1 + snr * ||effective||^2)``."""
     eff = np.asarray(effective, dtype=complex)
-    return float(np.log2(1.0 + budget.snr_linear * np.sum(np.abs(eff) ** 2)))
+    return float(np.log2(1.0 + snr * np.sum(np.abs(eff) ** 2)))
 
 
 def z_factor(

@@ -18,11 +18,11 @@ from squintsim.phase_design import (
     design_mccm,
     design_random,
 )
-from squintsim.rate_eval import LinkBudget, ideal_rate, rate_upper_bound, sum_rate
+from squintsim.rate_eval import ideal_rate, rate_upper_bound, sum_rate
 
 from reference import effective_channel, h_bs_ris, subcarrier_rate, z_factor
 
-BUDGET_10DB = LinkBudget.from_snr_db(10.0)
+SNR_10DB = 10.0
 
 N_BS = 64
 M_RIS = 64
@@ -55,7 +55,7 @@ def test_criterion_1_per_subcarrier_optimality_is_exact():
         worst_z = max(worst_z, abs(abs(z) - M_RIS))
         channels = gen_channels(paths, DEFAULT_GRID, N_BS, M_RIS)
         eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
-        rate = subcarrier_rate(eff, BUDGET_10DB)
+        rate = subcarrier_rate(eff, SNR_10DB)
         worst_rate = max(worst_rate, abs(rate - expected) / expected)
     elapsed = time.monotonic() - started
     ok = worst_z < 1e-9 and worst_rate < 1e-9 and elapsed < 10.0
@@ -74,8 +74,8 @@ def test_criterion_2_jensen_bound_never_violated():
         paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, DEFAULT_GRID, N_BS, M_RIS)
         profile = design_random(rng, M_RIS)
-        mean_rate = sum_rate(channels, profile, BUDGET_10DB).sum_rate_bits
-        bound = rate_upper_bound(paths, profile, DEFAULT_GRID, M_RIS, N_BS, BUDGET_10DB)
+        mean_rate = sum_rate(channels, profile, SNR_10DB)
+        bound = rate_upper_bound(paths, profile, DEFAULT_GRID, M_RIS, N_BS, SNR_10DB)
         worst = max(worst, mean_rate - bound)
     ok = worst <= 1e-12
     report(2, ok, f"max (mean rate - upper bound) = {worst:.2e} over 1000 instances (<=1e-12)")
@@ -88,8 +88,8 @@ def test_criterion_3_degenerate_collapse():
         paths = sample_path_set(rng, LOS, 1)
         for grid in (build_frequency_grid(28e9, 2e9, 1), build_frequency_grid(28e9, 0.0, 16)):
             channels = gen_channels(paths, grid, 8, 16)
-            central = sum_rate(channels, design_central(paths, 16), BUDGET_10DB).sum_rate_bits
-            ideal = ideal_rate(channels, BUDGET_10DB).sum_rate_bits
+            central = sum_rate(channels, design_central(paths, 16), SNR_10DB)
+            ideal = ideal_rate(channels, SNR_10DB)
             worst_central = max(worst_central, abs(central - ideal) / ideal)
 
     worst_mccm = 0.0
@@ -98,8 +98,8 @@ def test_criterion_3_degenerate_collapse():
         rng = np.random.default_rng([30, i])
         paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, single, 8, 16)
-        mccm = sum_rate(channels, design_mccm(channels), BUDGET_10DB).sum_rate_bits
-        ideal = sum_rate(channels, design_ideal(paths, single, 16, 0), BUDGET_10DB).sum_rate_bits
+        mccm = sum_rate(channels, design_mccm(channels), SNR_10DB)
+        ideal = sum_rate(channels, design_ideal(paths, single, 16, 0), SNR_10DB)
         worst_mccm = max(worst_mccm, abs(mccm - ideal) / ideal)
 
     ok = worst_central < 1e-9 and worst_mccm < 1e-6

@@ -12,7 +12,6 @@ from squintsim.experiments import (
     LOS_SCHEMES,
     NLOS_SCHEMES,
     SWEEP_GRIDS,
-    SweepResult,
     SweepRow,
     figure_sweep,
 )
@@ -21,19 +20,17 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def sample_result():
-    return SweepResult(
-        rows=(
-            SweepRow(
-                scenario="los",
-                scheme="central",
-                sweep_variable="snr_db",
-                sweep_value=10.0,
-                mean_rate_bits=21.123456789012,
-                std_error_bits=0.012345678901234,
-                trials=7,
-                seed=3,
-            ),
-        )
+    return (
+        SweepRow(
+            scenario="los",
+            scheme="central",
+            sweep_variable="snr_db",
+            sweep_value=10.0,
+            mean_rate_bits=21.123456789012,
+            std_error_bits=0.012345678901234,
+            trials=7,
+            seed=3,
+        ),
     )
 
 
@@ -110,7 +107,7 @@ class TestParseArgs:
 class TestEmitCsv:
     def test_header_only_for_empty_result(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(SweepResult(rows=()), str(path))
+        emit_csv((), str(path))
         assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
     def test_single_row(self, tmp_path):
@@ -179,11 +176,12 @@ class TestMain:
             ["--snr-db", "4000", "--var", "bandwidth_hz", "--values", "1e9"],
             ["--var", "snr_db", "--values", "-4000"],
             ["--scenario", "los", "--paths", "9"],
+            ["--var", "ris_elements", "--values", "16,10000000"],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
              "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
              "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear",
-             "paths-on-single-path-scenario"],
+             "paths-on-single-path-scenario", "working-set-too-large"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):

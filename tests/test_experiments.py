@@ -12,8 +12,8 @@ from squintsim.experiments import (
     SWEEP_GRIDS,
     ScenarioConfig,
     central_subcarrier_index,
+    figure_sweep,
     per_trial_rates,
-    reproduce_figure,
     run_sweep,
     schemes_for,
 )
@@ -78,6 +78,10 @@ class TestScenarioConfig:
             ("num_bs_antennas", -3),
             ("num_ris_elements", 0),
             ("num_paths", 0),
+            ("num_paths", 9),
+            ("num_paths", 2),
+            ("num_ris_elements", 1 << 20),
+            ("num_subcarriers", 1 << 19),
             ("seed", -1),
             ("seed", 2**64),
             ("seed", 1.5),
@@ -93,13 +97,34 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("snr_db", [3082.0, -3233.0])
     def test_accepts_extreme_snr_with_finite_positive_linear_value(self, snr_db):
         # The same conversion the sweep applies to every SNR point.
-        snr = experiments.LinkBudget.from_snr_db(ScenarioConfig(snr_db=snr_db).snr_db).snr_linear
+        snr = experiments._snr_linear(ScenarioConfig(snr_db=snr_db).snr_db)
         assert 0 < snr < float("inf")
+
+    def test_snr_linear(self):
+        assert experiments._snr_linear(10.0) == pytest.approx(10.0, rel=1e-12)
+        assert experiments._snr_linear(0.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_los_takes_one_path_or_the_default(self):
+        assert ScenarioConfig(num_paths=1).num_paths == 1
+        assert ScenarioConfig(num_paths=5).num_paths == 5
+        assert ScenarioConfig(scenario=NLOS, num_paths=9).num_paths == 9
+        with pytest.raises(ValueError, match="num_paths must be an integer >= 1, and 1 or 5 on los, got 9"):
+            ScenarioConfig(scenario=LOS, num_paths=9)
+
+    def test_working_set_bound_is_checked_on_the_sizes_alone(self):
+        # Only K*M is compared; a config at the bound allocates nothing.
+        limit = experiments.MAX_TABLE_ENTRIES
+        assert ScenarioConfig(num_subcarriers=limit // 64, num_ris_elements=64).num_subcarriers == limit // 64
+        assert ScenarioConfig(num_subcarriers=1, num_ris_elements=limit).num_ris_elements == limit
+        with pytest.raises(ValueError, match=f"num_subcarriers \\* num_ris_elements <= {limit}, got 64"):
+            ScenarioConfig(num_subcarriers=limit // 64 + 1, num_ris_elements=64)
+        with pytest.raises(ValueError, match="num_ris_elements must be"):
+            ScenarioConfig(num_subcarriers=1, num_ris_elements=limit + 1)
 
 
 def point_stats(config, scheme):
     """Mean rate and standard error of one (scheme, sweep point) cell."""
-    (row,) = run_sweep(config, (scheme,), "snr_db", (config.snr_db,)).rows
+    (row,) = run_sweep(config, (scheme,), "snr_db", (config.snr_db,))
     return row.mean_rate_bits, row.std_error_bits
 
 
@@ -151,6 +176,12 @@ class TestCommonRandomNumbers:
         after = per_trial_rates(SMALL_LOS, ("random", "random-index", "central"))[0, 2]
         assert np.array_equal(before, after)
 
+    def test_sweep_values_may_be_an_ndarray(self):
+        rates = per_trial_rates(SMALL_LOS, ("central",), "snr_db", np.array([0.0, 10.0]))
+        assert np.array_equal(rates, per_trial_rates(SMALL_LOS, ("central",), "snr_db", (0.0, 10.0)))
+        with pytest.raises(ValueError, match="need at least one sweep value"):
+            per_trial_rates(SMALL_LOS, ("central",), "snr_db", np.array([]))
+
     def test_overrides_change_only_the_swept_variable(self):
         base, low_snr = per_trial_rates(SMALL_LOS, ("central",), "snr_db", (SMALL_LOS.snr_db, -10.0))[:, 0]
         assert np.all(base > low_snr)
@@ -160,15 +191,15 @@ def oracle_trial_rate(cfg, scheme, trial):
     """One (point, scheme, trial) rate the way the sweep computed it before it
     became trial-major: a fresh channel for every scheme and sweep value."""
     grid = build_frequency_grid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.num_subcarriers)
-    budget = experiments.LinkBudget.from_snr_db(cfg.snr_db)
+    snr = experiments._snr_linear(cfg.snr_db)
     rng = experiments._substream(cfg.seed, trial, experiments._CHANNEL_STREAM)
     num_paths = 1 if cfg.scenario == LOS else cfg.num_paths
     paths = sample_path_set(rng, cfg.scenario, num_paths, gain_mode=cfg.gain_mode)
     channels = gen_channels(paths, grid, cfg.num_bs_antennas, cfg.num_ris_elements)
     if scheme == "ideal":
-        return experiments.ideal_rate(channels, budget).sum_rate_bits
+        return experiments.ideal_rate(channels, snr)
     profile = experiments._common_profile(cfg, grid, channels, scheme, trial)
-    return experiments.sum_rate(channels, profile, budget).sum_rate_bits
+    return experiments.sum_rate(channels, profile, snr)
 
 
 def oracle_rates(points, schemes):
@@ -214,8 +245,8 @@ def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
     counting(monkeypatch, counts, "gen_channels")
     counting(monkeypatch, counts, "design_mccm")
     snrs = (-10.0, 0.0, 10.0, 20.0)
-    result = run_sweep(SMALL_NLOS, NLOS_SCHEMES, "snr_db", snrs)
-    assert len(result.rows) == len(snrs) * len(NLOS_SCHEMES)
+    rows = run_sweep(SMALL_NLOS, NLOS_SCHEMES, "snr_db", snrs)
+    assert len(rows) == len(snrs) * len(NLOS_SCHEMES)
     assert counts == {"gen_channels": SMALL_NLOS.trials, "design_mccm": SMALL_NLOS.trials}
 
 
@@ -224,8 +255,8 @@ def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, variable, values)
     counts = Counter()
     counting(monkeypatch, counts, "sample_path_set")
     counting(monkeypatch, counts, "gen_channels")
-    result = run_sweep(SMALL_NLOS, NLOS_SCHEMES, variable, values)
-    assert len(result.rows) == len(values) * len(NLOS_SCHEMES)
+    rows = run_sweep(SMALL_NLOS, NLOS_SCHEMES, variable, values)
+    assert len(rows) == len(values) * len(NLOS_SCHEMES)
     trials = SMALL_NLOS.trials
     assert counts == {"sample_path_set": trials, "gen_channels": trials * len(values)}
 
@@ -245,16 +276,16 @@ def test_snr_sweep_computes_one_power_vector_per_scheme_and_trial(monkeypatch, b
 
 class TestRunSweep:
     def test_row_layout(self):
-        result = run_sweep(SMALL_LOS, ("central", "random"), "snr_db", (0.0, 10.0, 20.0))
-        assert len(result.rows) == 6
-        assert [r.sweep_value for r in result.rows] == [0.0, 0.0, 10.0, 10.0, 20.0, 20.0]
-        assert [r.scheme for r in result.rows][:2] == ["central", "random"]
-        assert all(r.sweep_variable == "snr_db" for r in result.rows)
-        assert all(r.trials == SMALL_LOS.trials and r.seed == SMALL_LOS.seed for r in result.rows)
+        rows = run_sweep(SMALL_LOS, ("central", "random"), "snr_db", (0.0, 10.0, 20.0))
+        assert len(rows) == 6
+        assert [r.sweep_value for r in rows] == [0.0, 0.0, 10.0, 10.0, 20.0, 20.0]
+        assert [r.scheme for r in rows][:2] == ["central", "random"]
+        assert all(r.sweep_variable == "snr_db" for r in rows)
+        assert all(r.trials == SMALL_LOS.trials and r.seed == SMALL_LOS.seed for r in rows)
 
     def test_single_cell(self):
-        result = run_sweep(SMALL_LOS, ("central",), "bandwidth_hz", (1e9,))
-        assert len(result.rows) == 1
+        rows = run_sweep(SMALL_LOS, ("central",), "bandwidth_hz", (1e9,))
+        assert len(rows) == 1
 
     def test_reproducible(self):
         a = run_sweep(SMALL_LOS, ("central", "side-index"), "snr_db", (0.0, 10.0))
@@ -262,10 +293,10 @@ class TestRunSweep:
         assert a == b
 
     def test_matches_per_trial_rates(self):
-        result = run_sweep(SMALL_LOS, ("side-index",), "snr_db", (5.0,))
+        rows = run_sweep(SMALL_LOS, ("side-index",), "snr_db", (5.0,))
         rates = per_trial_rates(replace(SMALL_LOS, snr_db=5.0), ("side-index",))[0, 0]
-        assert result.rows[0].mean_rate_bits == float(np.mean(rates))
-        assert result.rows[0].std_error_bits == float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
+        assert rows[0].mean_rate_bits == float(np.mean(rates))
+        assert rows[0].std_error_bits == float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
@@ -288,6 +319,7 @@ class TestRunSweep:
             ("snr_db", (0.0, float("nan"))),
             ("ris_elements", (4, 0)),
             ("ris_elements", (4, float("inf"))),
+            ("ris_elements", (4, 1 << 21)),
         ],
     )
     def test_rejects_bad_value_before_first_trial(self, variable, values, monkeypatch):
@@ -306,34 +338,34 @@ class TestRunSweep:
             run_sweep(unit, ("ideal",), "snr_db", (10.0, 3082.0))
 
     def test_ris_elements_sweep_changes_dimensions(self):
-        result = run_sweep(SMALL_LOS, ("central",), "ris_elements", (4, 16))
-        assert result.rows[1].mean_rate_bits > result.rows[0].mean_rate_bits
+        rows = run_sweep(SMALL_LOS, ("central",), "ris_elements", (4, 16))
+        assert rows[1].mean_rate_bits > rows[0].mean_rate_bits
 
 
 class TestReproduceFigure:
     def test_snr_comparison_layout(self):
-        result = reproduce_figure(2, trials=2, seed=9)
-        assert len(result.rows) == len(SWEEP_GRIDS["snr_db"]) * len(LOS_SCHEMES)
-        assert all(r.scenario == LOS for r in result.rows)
-        assert all(r.sweep_variable == "snr_db" for r in result.rows)
+        rows = run_sweep(*figure_sweep(2, trials=2, seed=9))
+        assert len(rows) == len(SWEEP_GRIDS["snr_db"]) * len(LOS_SCHEMES)
+        assert all(r.scenario == LOS for r in rows)
+        assert all(r.sweep_variable == "snr_db" for r in rows)
 
     def test_bandwidth_comparison_uses_grid(self):
-        result = reproduce_figure(3, trials=1, seed=9)
-        values = sorted({r.sweep_value for r in result.rows})
+        rows = run_sweep(*figure_sweep(3, trials=1, seed=9))
+        values = sorted({r.sweep_value for r in rows})
         assert values == sorted(SWEEP_GRIDS["bandwidth_hz"])
 
     def test_multipath_comparison_includes_covariance_scheme(self):
-        result = reproduce_figure(5, trials=1, seed=9)
-        assert all(r.scenario == NLOS for r in result.rows)
-        assert "mccm" in {r.scheme for r in result.rows}
-        assert set(r.scheme for r in result.rows) == set(NLOS_SCHEMES)
+        rows = run_sweep(*figure_sweep(5, trials=1, seed=9))
+        assert all(r.scenario == NLOS for r in rows)
+        assert "mccm" in {r.scheme for r in rows}
+        assert set(r.scheme for r in rows) == set(NLOS_SCHEMES)
 
     def test_rejects_unknown_figure(self):
         with pytest.raises(ValueError):
-            reproduce_figure(7, trials=1, seed=0)
+            figure_sweep(7, trials=1, seed=0)
 
     def test_deterministic_table(self):
-        assert reproduce_figure(2, trials=1, seed=4) == reproduce_figure(2, trials=1, seed=4)
+        assert run_sweep(*figure_sweep(2, trials=1, seed=4)) == run_sweep(*figure_sweep(2, trials=1, seed=4))
 
 
 class TestMisc:

@@ -8,33 +8,36 @@ from squintsim.channel import (
     NLOS,
     build_frequency_grid,
     gen_channels,
+    rate_bits,
     sample_path_set,
 )
 from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random
-from squintsim.rate_eval import LinkBudget, ideal_rate, rate_upper_bound, sum_rate
+from squintsim.rate_eval import ideal_rate, rate_upper_bound, sum_rate
 
 from reference import effective_channel, h_bs_ris, mrt_beamformer, subcarrier_rate, z_factor
 
-BUDGET = LinkBudget.from_snr_db(10.0)
+SNR = 10.0
 
 
 def zero_profile(m):
     return PhaseProfile(np.zeros(m), "zeros")
 
 
-class TestLinkBudget:
-    def test_snr_ratio(self):
-        budget = LinkBudget(transmit_power=8.0, noise_power=2.0)
-        assert budget.snr_linear == 4.0
+def per_subcarrier(channels, profile):
+    return rate_bits(SNR, channels.received_power(profile.unit_diagonal()))
 
-    def test_from_snr_db(self):
-        assert LinkBudget.from_snr_db(10.0).snr_linear == pytest.approx(10.0, rel=1e-12)
-        assert LinkBudget.from_snr_db(0.0).snr_linear == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("power,noise", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_rejects_nonpositive(self, power, noise):
-        with pytest.raises(ValueError):
-            LinkBudget(power, noise)
+class TestSnrCheck:
+    @pytest.mark.parametrize("snr", [0.0, -1.0, np.nan, np.array([10.0, -2.0]), np.array([1.0, np.nan])])
+    def test_rejects_nonpositive(self, snr):
+        paths = sample_path_set(np.random.default_rng(1), LOS, 1)
+        channels = gen_channels(paths, build_frequency_grid(28e9, 2e9, 4), 2, 4)
+        with pytest.raises(ValueError, match="snr must be a positive linear value"):
+            rate_bits(snr, np.ones(4))
+        with pytest.raises(ValueError, match="snr must be a positive linear value"):
+            sum_rate(channels, zero_profile(4), snr)
+        with pytest.raises(ValueError, match="snr must be a positive linear value"):
+            ideal_rate(channels, snr)
 
 
 class TestEffectiveChannel:
@@ -92,10 +95,10 @@ class TestMrtBeamformer:
 
 class TestSubcarrierRate:
     def test_zero_channel_rate(self):
-        assert subcarrier_rate(np.zeros(3, dtype=complex), BUDGET) == 0.0
+        assert subcarrier_rate(np.zeros(3, dtype=complex), SNR) == 0.0
 
     def test_unity_point(self):
-        assert subcarrier_rate(np.array([1.0 + 0j]), LinkBudget(1.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert subcarrier_rate(np.array([1.0 + 0j]), 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_aligned_closed_form(self):
         # 64 antennas, 64 elements, unit gains, 10 dB: the fully aligned
@@ -106,7 +109,7 @@ class TestSubcarrierRate:
         k = 17
         profile = design_ideal(paths, grid, 64, k)
         eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
-        assert subcarrier_rate(eff, BUDGET) == pytest.approx(np.log2(2621441), rel=1e-9)
+        assert subcarrier_rate(eff, SNR) == pytest.approx(np.log2(2621441), rel=1e-9)
 
 
 class TestSumRate:
@@ -115,25 +118,26 @@ class TestSumRate:
         paths = sample_path_set(np.random.default_rng(4), LOS, 1)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_central(paths, 8)
-        report = sum_rate(channels, profile, BUDGET)
+        rate = sum_rate(channels, profile, SNR)
         eff = effective_channel(channels.h_ris_user[0], profile, h_bs_ris(channels, 0))
-        assert report.sum_rate_bits == pytest.approx(subcarrier_rate(eff, BUDGET), rel=1e-12)
-        assert len(report.per_subcarrier_bits) == 1
+        assert rate == pytest.approx(subcarrier_rate(eff, SNR), rel=1e-12)
+        assert len(per_subcarrier(channels, profile)) == 1
 
     def test_mean_matches_per_subcarrier(self):
         grid = build_frequency_grid(28e9, 2e9, 16)
         paths = sample_path_set(np.random.default_rng(5), NLOS, 3)
         channels = gen_channels(paths, grid, 4, 8)
-        report = sum_rate(channels, design_random(np.random.default_rng(6), 8), BUDGET)
-        assert report.sum_rate_bits == np.mean(report.per_subcarrier_bits)
-        assert np.all(report.per_subcarrier_bits >= 0)
+        profile = design_random(np.random.default_rng(6), 8)
+        per_k = per_subcarrier(channels, profile)
+        assert sum_rate(channels, profile, SNR) == np.mean(per_k)
+        assert np.all(per_k >= 0)
 
     def test_zero_bandwidth_rates_are_flat(self):
         grid = build_frequency_grid(28e9, 0.0, 8)
         paths = sample_path_set(np.random.default_rng(7), LOS, 1)
         channels = gen_channels(paths, grid, 4, 8)
-        report = sum_rate(channels, design_central(paths, 8), BUDGET)
-        assert np.all(report.per_subcarrier_bits == report.per_subcarrier_bits[0])
+        per_k = per_subcarrier(channels, design_central(paths, 8))
+        assert np.all(per_k == per_k[0])
 
     def test_subcarrier_permutation_invariance(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
@@ -149,8 +153,8 @@ class TestSumRate:
         )
         assert np.array_equal(h_bs_ris(shuffled), h_bs_ris(channels)[perm])
         profile = design_random(np.random.default_rng(10), 8)
-        a = sum_rate(channels, profile, BUDGET).sum_rate_bits
-        b = sum_rate(shuffled, profile, BUDGET).sum_rate_bits
+        a = sum_rate(channels, profile, SNR)
+        b = sum_rate(shuffled, profile, SNR)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_strictly_increasing_in_snr(self):
@@ -158,8 +162,8 @@ class TestSumRate:
         paths = sample_path_set(np.random.default_rng(11), NLOS, 3)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(12), 8)
-        low = sum_rate(channels, profile, LinkBudget.from_snr_db(5.0)).sum_rate_bits
-        high = sum_rate(channels, profile, LinkBudget.from_snr_db(10.0)).sum_rate_bits
+        low = sum_rate(channels, profile, 10.0**0.5)
+        high = sum_rate(channels, profile, 10.0)
         assert high > low
 
 
@@ -168,16 +172,16 @@ class TestIdealRate:
         grid = build_frequency_grid(28e9, 2e9, 16)
         paths = sample_path_set(np.random.default_rng(13), LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 8, 16)
-        report = ideal_rate(channels, BUDGET)
         expected = np.log2(1 + 10.0 * 8 * 16**2)
-        assert np.allclose(report.per_subcarrier_bits, expected, rtol=1e-9)
+        assert np.allclose(rate_bits(SNR, channels.aligned_power()), expected, rtol=1e-9)
+        assert ideal_rate(channels, SNR) == pytest.approx(expected, rel=1e-9)
 
     def test_single_subcarrier_equals_central(self):
         grid = build_frequency_grid(28e9, 2e9, 1)
         paths = sample_path_set(np.random.default_rng(14), LOS, 1)
         channels = gen_channels(paths, grid, 4, 8)
-        ideal = ideal_rate(channels, BUDGET).sum_rate_bits
-        central = sum_rate(channels, design_central(paths, 8), BUDGET).sum_rate_bits
+        ideal = ideal_rate(channels, SNR)
+        central = sum_rate(channels, design_central(paths, 8), SNR)
         assert ideal == pytest.approx(central, rel=1e-12)
 
     @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 5)])
@@ -187,9 +191,9 @@ class TestIdealRate:
         for _ in range(5):
             paths = sample_path_set(rng, scenario, num_paths)
             channels = gen_channels(paths, grid, 4, 8)
-            per_ideal = ideal_rate(channels, BUDGET).per_subcarrier_bits
+            per_ideal = rate_bits(SNR, channels.aligned_power())
             for profile in (design_random(rng, 8), zero_profile(8)):
-                per_common = sum_rate(channels, profile, BUDGET).per_subcarrier_bits
+                per_common = per_subcarrier(channels, profile)
                 assert np.all(per_ideal + 1e-9 >= per_common)
 
 
@@ -247,16 +251,16 @@ class TestRateUpperBound:
         paths = sample_path_set(np.random.default_rng(22), LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(23), 8)
-        bound = rate_upper_bound(paths, profile, grid, 8, 4, BUDGET)
-        assert bound == pytest.approx(sum_rate(channels, profile, BUDGET).sum_rate_bits, rel=1e-12)
+        bound = rate_upper_bound(paths, profile, grid, 8, 4, SNR)
+        assert bound == pytest.approx(sum_rate(channels, profile, SNR), rel=1e-12)
 
     def test_tight_when_rates_are_flat(self):
         grid = build_frequency_grid(28e9, 0.0, 8)
         paths = sample_path_set(np.random.default_rng(24), LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(25), 8)
-        bound = rate_upper_bound(paths, profile, grid, 8, 4, BUDGET)
-        assert bound == pytest.approx(sum_rate(channels, profile, BUDGET).sum_rate_bits, rel=1e-9)
+        bound = rate_upper_bound(paths, profile, grid, 8, 4, SNR)
+        assert bound == pytest.approx(sum_rate(channels, profile, SNR), rel=1e-9)
 
     def test_dominates_mean_rate(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
@@ -265,8 +269,8 @@ class TestRateUpperBound:
             paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
             channels = gen_channels(paths, grid, 4, 8)
             profile = design_random(rng, 8)
-            mean_rate = sum_rate(channels, profile, BUDGET).sum_rate_bits
-            bound = rate_upper_bound(paths, profile, grid, 8, 4, BUDGET)
+            mean_rate = sum_rate(channels, profile, SNR)
+            bound = rate_upper_bound(paths, profile, grid, 8, 4, SNR)
             assert mean_rate <= bound + 1e-12
 
     @pytest.mark.parametrize("k_sub,m_ris,bandwidth", [(1, 1, 2e9), (7, 5, 0.0), (129, 64, 2e9), (16, 256, 8e9)])
@@ -277,21 +281,21 @@ class TestRateUpperBound:
             paths = sample_path_set(rng, LOS, 1)
             profile = design_random(rng, m_ris)
             z_sq = [abs(z_factor(paths, profile, grid, m_ris, k)) ** 2 for k in range(k_sub)]
-            expected = np.log2(1.0 + BUDGET.snr_linear * 3 * np.mean(z_sq))
-            bound = rate_upper_bound(paths, profile, grid, m_ris, 3, BUDGET)
+            expected = np.log2(1.0 + SNR * 3 * np.mean(z_sq))
+            bound = rate_upper_bound(paths, profile, grid, m_ris, 3, SNR)
             assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_multipath(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(27), NLOS, 3)
         with pytest.raises(ValueError):
-            rate_upper_bound(paths, zero_profile(4), grid, 4, 4, BUDGET)
+            rate_upper_bound(paths, zero_profile(4), grid, 4, 4, SNR)
 
     def test_rejects_profile_size_mismatch(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(27), LOS, 1)
         with pytest.raises(ValueError, match="profile has 3 phases, expected 4"):
-            rate_upper_bound(paths, zero_profile(3), grid, 4, 4, BUDGET)
+            rate_upper_bound(paths, zero_profile(3), grid, 4, 4, SNR)
 
 
 class TestPhysicalConsistency:
@@ -304,8 +308,8 @@ class TestPhysicalConsistency:
             ru_paths=(dataclasses.replace(paths.ru_paths[0], delay_s=11e-9),),
         )
         profile = design_random(np.random.default_rng(29), 8)
-        a = sum_rate(gen_channels(paths, grid, 4, 8), profile, BUDGET).per_subcarrier_bits
-        b = sum_rate(gen_channels(moved, grid, 4, 8), profile, BUDGET).per_subcarrier_bits
+        a = per_subcarrier(gen_channels(paths, grid, 4, 8), profile)
+        b = per_subcarrier(gen_channels(moved, grid, 4, 8), profile)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_mrt_receive_chain_matches_closed_form(self):
@@ -317,9 +321,9 @@ class TestPhysicalConsistency:
             profile = design_random(rng, 8)
             k = int(rng.integers(8))
             eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
-            f = mrt_beamformer(eff, BUDGET.transmit_power)
-            explicit = np.log2(1.0 + abs(eff @ f) ** 2 / BUDGET.noise_power)
-            assert explicit == pytest.approx(subcarrier_rate(eff, BUDGET), abs=1e-10)
+            f = mrt_beamformer(eff, SNR)  # unit noise power: the transmit power is the SNR
+            explicit = np.log2(1.0 + abs(eff @ f) ** 2)
+            assert explicit == pytest.approx(subcarrier_rate(eff, SNR), abs=1e-10)
 
     def test_global_phase_neutrality(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
@@ -327,6 +331,6 @@ class TestPhysicalConsistency:
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(32), 8)
         shifted = PhaseProfile(profile.phases_rad + 2.13, "shifted")
-        a = sum_rate(channels, profile, BUDGET).per_subcarrier_bits
-        b = sum_rate(channels, shifted, BUDGET).per_subcarrier_bits
+        a = per_subcarrier(channels, profile)
+        b = per_subcarrier(channels, shifted)
         assert np.allclose(a, b, atol=1e-9)

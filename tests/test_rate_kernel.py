@@ -5,7 +5,7 @@ and ``aligned_power``, which never form the (K, M, N) BS-to-surface tensor.
 These properties pin both to the per-subcarrier reference of the test module
 ``reference`` (the dense ``h_bs_ris`` view, ``effective_channel`` and
 ``subcarrier_rate``), and pin the
-sequence-of-budgets form of both to one call per budget.
+SNR-array form of both to one call per SNR.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squintsim.channel import LOS, NLOS, build_frequency_grid, gen_channels, sample_path_set, spatial_angle
+from squintsim.channel import LOS, NLOS, build_frequency_grid, gen_channels, rate_bits, sample_path_set, spatial_angle
 from squintsim.phase_design import (
     PhaseProfile,
     _rank_one_direction,
@@ -22,7 +22,7 @@ from squintsim.phase_design import (
     design_random,
     phase_extraction,
 )
-from squintsim.rate_eval import LinkBudget, ideal_rate, sum_rate
+from squintsim.rate_eval import ideal_rate, sum_rate
 
 from reference import effective_channel, h_bs_ris, subcarrier_rate
 
@@ -60,20 +60,20 @@ def with_edge_cases(test):
 
 
 def realize(case):
-    """Channels, a generator for scheme randomness and the budget of one drawn case."""
+    """Channels, a generator for scheme randomness and the linear SNR of one drawn case."""
     num_paths = 1 if case["scenario"] == LOS else case["num_paths"]
     grid = build_frequency_grid(28e9, case["bandwidth_hz"], case["num_subcarriers"])
     rng = np.random.default_rng(case["seed"])
     paths = sample_path_set(rng, case["scenario"], num_paths, gain_mode=case["gain_mode"])
     channels = gen_channels(paths, grid, case["num_bs_antennas"], case["num_ris_elements"])
-    return channels, rng, LinkBudget.from_snr_db(case["snr_db"])
+    return channels, rng, 10.0 ** (case["snr_db"] / 10.0)
 
 
-def dense_rates(channels, profile, budget):
+def dense_rates(channels, profile, snr):
     dense = h_bs_ris(channels)
     return np.array(
         [
-            subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, dense[k]), budget)
+            subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, dense[k]), snr)
             for k in range(channels.num_subcarriers)
         ]
     )
@@ -100,7 +100,7 @@ def covariance_profile_by_power(channels, k):
     return PhaseProfile(best_phases, f"cov-indexed(k={k})")
 
 
-def reference_ideal_rates(channels, budget):
+def reference_ideal_rates(channels, snr):
     """Per-subcarrier designer loop: redesign the surface at every subcarrier."""
     paths = channels.source_paths
     per_k = np.empty(channels.num_subcarriers)
@@ -110,24 +110,25 @@ def reference_ideal_rates(channels, budget):
         else:
             profile = covariance_profile_by_power(channels, k)
         eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
-        per_k[k] = subcarrier_rate(eff, budget)
+        per_k[k] = subcarrier_rate(eff, snr)
     return per_k
 
 
 @with_edge_cases
 def test_sum_rate_matches_dense_reference(case):
-    channels, rng, budget = realize(case)
+    channels, rng, snr = realize(case)
     profile = design_random(rng, channels.num_ris_elements)
-    report = sum_rate(channels, profile, budget)
-    np.testing.assert_allclose(report.per_subcarrier_bits, dense_rates(channels, profile, budget), RTOL, ATOL)
-    assert report.sum_rate_bits == pytest.approx(np.mean(report.per_subcarrier_bits), rel=1e-15)
+    per_k = rate_bits(snr, channels.received_power(profile.unit_diagonal()))
+    np.testing.assert_allclose(per_k, dense_rates(channels, profile, snr), RTOL, ATOL)
+    assert sum_rate(channels, profile, snr) == pytest.approx(np.mean(per_k), rel=1e-15)
 
 
 @with_edge_cases
 def test_ideal_rate_matches_per_subcarrier_designer_loop(case):
-    channels, _, budget = realize(case)
-    report = ideal_rate(channels, budget)
-    np.testing.assert_allclose(report.per_subcarrier_bits, reference_ideal_rates(channels, budget), RTOL, ATOL)
+    channels, _, snr = realize(case)
+    per_k = rate_bits(snr, channels.aligned_power())
+    np.testing.assert_allclose(per_k, reference_ideal_rates(channels, snr), RTOL, ATOL)
+    assert ideal_rate(channels, snr) == pytest.approx(np.mean(per_k), rel=1e-15)
 
 
 @with_edge_cases
@@ -138,7 +139,7 @@ def test_received_power_never_exceeds_aligned_power(case):
     assert np.all(channels.received_power(diag) <= aligned * (1 + RTOL) + ATOL)
 
 
-BUDGET_CASES = st.fixed_dictionaries(
+SNR_CASES = st.fixed_dictionaries(
     {
         "scenario": st.sampled_from((LOS, NLOS)),
         "num_paths": st.integers(1, 4),
@@ -153,7 +154,7 @@ BUDGET_CASES = st.fixed_dictionaries(
 )
 
 
-def with_budget_edge_cases(test):
+def with_snr_edge_cases(test):
     base = dict(
         scenario=NLOS, num_paths=3, bandwidth_hz=2e9, num_bs_antennas=3, num_ris_elements=5,
         gain_mode="random", seed=1,
@@ -161,28 +162,25 @@ def with_budget_edge_cases(test):
     for num_subcarriers in (1, 7, 129):
         for snrs_db in ([10.0], [-10.0, 0.0, 10.0, 20.0]):
             test = example(dict(base, num_subcarriers=num_subcarriers, snrs_db=snrs_db))(test)
-    return settings(derandomize=True, deadline=None)(given(BUDGET_CASES)(test))
+    return settings(derandomize=True, deadline=None)(given(SNR_CASES)(test))
 
 
-def assert_rows_match_single_budget_calls(report, rate_of):
-    """Row i of a report for V budgets equals the one-budget call on budget i, bit for bit."""
-    for i, budget_report in enumerate(rate_of):
-        assert isinstance(budget_report.sum_rate_bits, float)
-        assert np.array_equal(report.sum_rate_bits[i], budget_report.sum_rate_bits)
-        assert np.array_equal(report.per_subcarrier_bits[i], budget_report.per_subcarrier_bits)
+def assert_rows_match_single_snr_calls(snrs, power, rate_of):
+    """Row i of the rates for V SNRs equals the one-SNR call on SNR i, bit for bit."""
+    per_k, rates = rate_bits(snrs, power), rate_of(snrs)
+    assert per_k.shape == (len(snrs), len(power)) and rates.shape == (len(snrs),)
+    for i, snr in enumerate(snrs.tolist()):
+        assert isinstance(rate_of(snr), float)
+        assert np.array_equal(rates[i], rate_of(snr))
+        assert np.array_equal(per_k[i], rate_bits(snr, power))
 
 
-@with_budget_edge_cases
-def test_budget_sequence_matches_one_call_per_budget(case):
+@with_snr_edge_cases
+def test_snr_array_matches_one_call_per_snr(case):
     channels, rng, _ = realize(dict(case, snr_db=0.0))
-    budgets = tuple(LinkBudget.from_snr_db(snr) for snr in case["snrs_db"])
-    shape = (len(budgets), channels.num_subcarriers)
+    snrs = np.array([10.0 ** (snr / 10.0) for snr in case["snrs_db"]])
     profile = design_random(rng, channels.num_ris_elements)
 
-    report = sum_rate(channels, profile, budgets)
-    assert report.per_subcarrier_bits.shape == shape and report.sum_rate_bits.shape == shape[:1]
-    assert_rows_match_single_budget_calls(report, (sum_rate(channels, profile, b) for b in budgets))
-
-    report = ideal_rate(channels, budgets)
-    assert report.per_subcarrier_bits.shape == shape and report.sum_rate_bits.shape == shape[:1]
-    assert_rows_match_single_budget_calls(report, (ideal_rate(channels, b) for b in budgets))
+    power = channels.received_power(profile.unit_diagonal())
+    assert_rows_match_single_snr_calls(snrs, power, lambda snr: sum_rate(channels, profile, snr))
+    assert_rows_match_single_snr_calls(snrs, channels.aligned_power(), lambda snr: ideal_rate(channels, snr))
