@@ -9,6 +9,7 @@ designers in :mod:`squintsim.phase_design` try to mitigate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +113,6 @@ class ChannelRealization:
     def num_ris_elements(self) -> int:
         return self.a_ris.shape[1]
 
-    @property
-    def scenario(self) -> str:
-        return self.source_paths.scenario
-
 
 def rate_bits(snr, power) -> np.ndarray:
     """Rate ``log2(1 + snr * power)`` in bits/s/Hz of every SNR at every power.
@@ -163,17 +160,31 @@ def spatial_angle(f_hz, theta_rad, carrier_hz: float):
     return (np.asarray(f_hz, dtype=float) / (2.0 * carrier_hz)) * np.sin(theta_rad)
 
 
+def _steering_table(n_elements: int, phi) -> np.ndarray:
+    """ULA responses ``exp(j*2*pi*m*phi) / sqrt(n)``, shape ``np.shape(phi) + (n,)``.
+
+    With ``m = q*B + r`` and ``B = ceil(sqrt(n))`` an entry is ``exp(j*2*pi*q*B*phi)
+    * exp(j*2*pi*r*phi)``: about 2*sqrt(n) exponentials per angle, not n.
+    """
+    phi = np.asarray(phi, dtype=float)[..., None]
+    block = math.isqrt(n_elements - 1) + 1
+    coarse = np.exp(2j * np.pi * (np.arange(0, n_elements, block) * phi)) / np.sqrt(n_elements)
+    fine = np.exp(2j * np.pi * (np.arange(block) * phi))
+    table = coarse[..., :, None] * fine[..., None, :]
+    return table.reshape(phi.shape[:-1] + (-1,))[..., :n_elements]
+
+
 def array_response(n_elements: int, phi) -> np.ndarray:
     """Unit-norm ULA response vector for spatial angle ``phi``.
 
     Entry m equals ``exp(j*2*pi*m*phi) / sqrt(n)``. A scalar ``phi`` yields a
-    vector of shape (n,), an array of angles yields shape (n, ...).
+    vector of shape (n,), an array of angles yields shape (n, ...). Entries are
+    products of two of about 2*sqrt(n) exponentials; they agree with the one-exp
+    form to about 1e-12 at n = 1024, the rounding of the phase ``2*pi*m*phi``.
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    m = np.arange(n_elements)
-    phase = 2j * np.pi * np.multiply.outer(m, np.asarray(phi, dtype=float))
-    return np.exp(phase) / np.sqrt(n_elements)
+    return np.moveaxis(_steering_table(n_elements, phi), -1, 0)
 
 
 def _open_closed_uniform(rng: np.random.Generator, high: float) -> float:
@@ -250,37 +261,17 @@ def gen_channels(
     """
     if num_bs_antennas < 1 or num_ris_elements < 1:
         raise ValueError("antenna and element counts must be >= 1")
-
     f = grid.frequencies
-    n_sub = grid.num_subcarriers
     m_ris = num_ris_elements
-    n_bs = num_bs_antennas
+    a_ris = _steering_table(m_ris, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz))
+    scale = np.sqrt(m_ris * num_bs_antennas) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
 
-    phi_in = spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    a_ris = array_response(m_ris, phi_in)  # (M, K)
-    scale = (
-        np.sqrt(m_ris * n_bs)
-        * paths.bs_ris_gain
-        * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
-    )
-
-    if paths.scenario == LOS:
-        norm = np.sqrt(m_ris)
-    else:
-        norm = np.sqrt(m_ris / paths.num_ru_paths)
-    h_ris_user = np.zeros((n_sub, m_ris), dtype=complex)
+    h_ris_user = np.zeros(a_ris.shape, dtype=complex)
     for path in paths.ru_paths:
+        # The conjugate response is the response at the negated angle.
         phi_ru = spatial_angle(f, path.angle_rad, grid.carrier_hz)
-        a_ru = array_response(m_ris, phi_ru)  # (M, K)
         delay = np.exp(-2j * np.pi * path.delay_s * f)
-        h_ris_user += (path.gain * delay)[:, None] * np.conj(a_ru).T
-    h_ris_user *= norm
+        h_ris_user += (path.gain * delay)[:, None] * _steering_table(m_ris, -phi_ru)
+    h_ris_user *= np.sqrt(m_ris / paths.num_ru_paths)
 
-    return ChannelRealization(
-        bs_ris_scale=scale,
-        a_ris=a_ris.T,
-        num_bs_antennas=n_bs,
-        h_ris_user=h_ris_user,
-        grid=grid,
-        source_paths=paths,
-    )
+    return ChannelRealization(scale, a_ris, num_bs_antennas, h_ris_user, grid, paths)

@@ -53,8 +53,13 @@ _PHASE_STREAM = 1
 _INDEX_STREAM = 2
 
 
+def _is_real(value) -> bool:
+    # bool is a numbers.Integral, but True is no count, seed or frequency.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and value >= 1
+    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 1
 
 
 def _snr_linear(snr_db):
@@ -90,12 +95,16 @@ class ScenarioConfig:
     gain_mode: str = "random"
 
     def __post_init__(self) -> None:
-        # Comparisons with NaN are false, so NaN fails every numeric rule.
+        # Comparisons with NaN are false, so NaN fails every numeric rule, and a
+        # float field that is no number is checked as NaN.
+        carrier, bandwidth, snr_db = (
+            v if _is_real(v) else math.nan for v in (self.carrier_hz, self.bandwidth_hz, self.snr_db)
+        )
         default_paths = ScenarioConfig.num_paths
         rules = {
             "scenario": (self.scenario in (LOS, NLOS), f"{LOS!r} or {NLOS!r}"),
-            "carrier_hz": (0 < self.carrier_hz < math.inf, "finite and positive"),
-            "bandwidth_hz": (0 <= self.bandwidth_hz < 2 * self.carrier_hz, "in [0, 2*carrier_hz)"),
+            "carrier_hz": (0 < carrier < math.inf, "finite and positive"),
+            "bandwidth_hz": (0 <= bandwidth < 2 * carrier, "in [0, 2*carrier_hz)"),
             "num_subcarriers": (_is_count(self.num_subcarriers), "an integer >= 1"),
             "num_bs_antennas": (_is_count(self.num_bs_antennas), "an integer >= 1"),
             "num_ris_elements": (
@@ -108,10 +117,10 @@ class ScenarioConfig:
                 _is_count(self.num_paths) and (self.scenario != LOS or self.num_paths in (1, default_paths)),
                 f"an integer >= 1, and 1 or {default_paths} on los",
             ),
-            "snr_db": (_has_linear_snr(self.snr_db), "a dB value with a finite positive linear SNR"),
+            "snr_db": (_has_linear_snr(snr_db), "a dB value with a finite positive linear SNR"),
             "trials": (_is_count(self.trials), "an integer >= 1"),
             "seed": (
-                isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64,
+                _is_real(self.seed) and isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64,
                 "an integer in [0, 2**64)",
             ),
             "gain_mode": (self.gain_mode in ("unit", "random"), "'unit' or 'random'"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, rate_bits, spatial_angle
+from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, _steering_table, rate_bits, spatial_angle
 # The two designers are unused here; benchmarks/child.py traces them under this module.
 from .phase_design import PhaseProfile, design_ideal, design_subcarrier_covariance  # noqa: F401
 
@@ -57,10 +57,9 @@ def rate_upper_bound(
         raise ValueError("rate_upper_bound is defined for the single-path (los) scenario only")
     if profile.num_elements != num_ris_elements:
         raise ValueError(f"profile has {profile.num_elements} phases, expected {num_ris_elements}")
-    # Row k holds the M terms of the alignment sum z_k.
+    # z_k is the alignment sum of subcarrier k.
     phi_bs = spatial_angle(grid.frequencies, paths.bs_ris_aoa_rad, grid.carrier_hz)
     phi_user = spatial_angle(grid.frequencies, paths.ru_paths[0].angle_rad, grid.carrier_hz)
-    m = np.arange(num_ris_elements)
-    terms = np.exp(1j * (np.multiply.outer(phi_bs - phi_user, 2.0 * np.pi * m) + profile.phases_rad))
-    mean_z_sq = float(np.mean(np.abs(np.sum(terms, axis=1)) ** 2))
+    z = np.sqrt(num_ris_elements) * (_steering_table(num_ris_elements, phi_bs - phi_user) @ profile.unit_diagonal())
+    mean_z_sq = float(np.mean(np.abs(z) ** 2))
     return float(rate_bits(snr, num_bs_antennas * mean_z_sq))

@@ -1,10 +1,12 @@
 """Dense reference path of the rate model, kept only as a test oracle.
 
-The package evaluates rates through ``ChannelRealization.received_power`` and
+The package builds steering vectors as products of two short exponential
+tables, and evaluates rates through ``ChannelRealization.received_power`` and
 ``aligned_power``, which never form the BS steering vectors or the dense
-BS-to-surface channel. This module builds both explicitly and chains them
-through the per-subcarrier effective channel, the maximum ratio beamformer and
-the subcarrier rate, plus the single-path element alignment sum ``z_k``, so the
+BS-to-surface channel. This module builds steering vectors with one exponential
+per entry, forms the dense channel explicitly, and chains them through the
+per-subcarrier effective channel, the maximum ratio beamformer and the
+subcarrier rate, plus the single-path element alignment sum ``z_k``, so the
 tests can check the fast path against the textbook formulas.
 """
 
@@ -12,15 +14,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, array_response, spatial_angle
+from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, spatial_angle
 from squintsim.phase_design import PhaseProfile
+
+
+def array_response_direct(n_elements: int, phi) -> np.ndarray:
+    """ULA response with one exponential per entry: ``exp(j*2*pi*m*phi) / sqrt(n)``, shape (n, ...)."""
+    m = np.arange(n_elements)
+    phase = 2j * np.pi * np.multiply.outer(m, np.asarray(phi, dtype=float))
+    return np.exp(phase) / np.sqrt(n_elements)
 
 
 def a_bs(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
     """BS steering vectors at the departure angle: (K, N), or (N,) at subcarrier k."""
     f = channels.grid.frequencies if k is None else channels.grid.frequencies[k]
     phi_out = spatial_angle(f, channels.source_paths.bs_ris_aod_rad, channels.grid.carrier_hz)
-    return array_response(channels.num_bs_antennas, phi_out).T
+    return array_response_direct(channels.num_bs_antennas, phi_out).T
 
 
 def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from squintsim.channel import (
     spatial_angle,
 )
 
-from reference import a_bs, h_bs_ris
+from reference import a_bs, array_response_direct, h_bs_ris
+
+ORACLE_SIZES = (1, 2, 3, 5, 16, 17, 63, 64, 255, 256, 257, 1000, 1023, 1024)
 
 
 def los_paths(aoa=0.4, aod=1.1, ru_angle=2.0, gain=1.0 + 0j, delay=5e-9, ru_delay=3e-9):
@@ -114,6 +118,23 @@ class TestArrayResponse:
         out = array_response(4, np.array([0.1, 0.2, 0.3]))
         assert out.shape == (4, 3)
         assert np.allclose(out[:, 1], array_response(4, 0.2))
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @pytest.mark.parametrize("bandwidth", [2e9, 8e9])
+    def test_matches_one_exponential_form(self, n, bandwidth):
+        # Spatial angles of a full band, and the largest one alone as a scalar.
+        grid = build_frequency_grid(28e9, bandwidth, 64)
+        phis = spatial_angle(grid.frequencies, 1.3, grid.carrier_hz)
+        for phi, shape in ((phis[-1], (n,)), (phis, (n, 64))):
+            out = array_response(n, phi)
+            assert out.shape == shape
+            assert np.max(np.abs(out - array_response_direct(n, phi))) * np.sqrt(n) <= 2e-12
+            assert np.max(np.abs(np.abs(out) * np.sqrt(n) - 1.0)) <= 2e-15
+
+    def test_single_element_is_exactly_one_for_every_angle(self):
+        phis = spatial_angle(build_frequency_grid(28e9, 8e9, 16).frequencies, 4.0, 28e9)
+        assert array_response(1, phis[0]).tolist() == [1.0 + 0j]
+        assert array_response(1, phis).tolist() == [[1.0 + 0j] * 16]
 
 
 class TestSamplePathSet:
@@ -215,17 +236,57 @@ class TestGenChannels:
         grid = build_frequency_grid(28e9, bandwidth, 9)
         paths = sample_path_set(np.random.default_rng(12), scenario, num_paths)
         channels = gen_channels(paths, grid, 5, 7)
-        # The BS steering vectors and dense tensor as gen_channels once stored them.
+        # The BS steering vectors and dense tensor as gen_channels once stored
+        # them, from one exponential per entry. The dense tensor takes the stored
+        # a_ris, which must match the one-exponential build to rounding.
         f = grid.frequencies
-        a_ris = array_response(7, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
-        eager_a_bs = array_response(5, spatial_angle(f, paths.bs_ris_aod_rad, grid.carrier_hz)).T
+        a_ris = array_response_direct(7, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
+        eager_a_bs = array_response_direct(5, spatial_angle(f, paths.bs_ris_aod_rad, grid.carrier_hz)).T
         scale = np.sqrt(7 * 5) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
-        eager_h_bs_ris = np.einsum("k,km,kn->kmn", scale, a_ris, np.conj(eager_a_bs))
+        eager_h_bs_ris = np.einsum("k,km,kn->kmn", scale, channels.a_ris, np.conj(eager_a_bs))
+        assert np.allclose(channels.a_ris, a_ris, rtol=0, atol=1e-12)
         assert np.array_equal(a_bs(channels), eager_a_bs)
         assert np.array_equal(h_bs_ris(channels), eager_h_bs_ris)
         for k in range(9):
             assert np.array_equal(a_bs(channels, k), eager_a_bs[k])
             assert np.array_equal(h_bs_ris(channels, k), eager_h_bs_ris[k])
+
+    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 5)])
+    @pytest.mark.parametrize("m", [1, 7, 64, 256])
+    def test_tables_match_one_exponential_build(self, scenario, num_paths, m):
+        grid = build_frequency_grid(28e9, 2e9, 32)
+        paths = sample_path_set(np.random.default_rng(13), scenario, num_paths)
+        channels = gen_channels(paths, grid, 4, m)
+        f = grid.frequencies
+        a_ris = array_response_direct(m, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
+        h_ris_user = np.zeros((32, m), dtype=complex)
+        for path in paths.ru_paths:
+            a_ru = array_response_direct(m, spatial_angle(f, path.angle_rad, grid.carrier_hz)).T
+            delay = np.exp(-2j * np.pi * path.delay_s * f)
+            h_ris_user += (path.gain * delay)[:, None] * np.conj(a_ru)
+        h_ris_user *= np.sqrt(m / num_paths)
+        for table, oracle in ((channels.a_ris, a_ris), (channels.h_ris_user, h_ris_user)):
+            assert table.shape == (32, m)
+            assert np.allclose(table, oracle, rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
+
+    def test_builds_each_steering_table_from_about_two_sqrt_m_exponentials(self, monkeypatch):
+        # One exponential per entry would take (1 + L) * K * (M + 1); the +2 per
+        # subcarrier covers the delay phase of each path and rounding.
+        k, m, num_paths = 128, 256, 5
+        evaluated = []
+        real_exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            out = real_exp(x, *args, **kwargs)
+            evaluated.append(np.size(out))
+            return out
+
+        paths = sample_path_set(np.random.default_rng(14), NLOS, num_paths)
+        grid = build_frequency_grid(28e9, 2e9, k)
+        monkeypatch.setattr(np, "exp", counting_exp)
+        gen_channels(paths, grid, 4, m)
+        assert evaluated
+        assert sum(evaluated) <= (1 + num_paths) * k * (2 * math.ceil(math.sqrt(m)) + 2)
 
     def test_rejects_bad_dimensions(self):
         grid = build_frequency_grid(28e9, 2e9, 3)

@@ -91,6 +91,26 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("carrier_hz", "x"),
+            ("snr_db", "x"),
+            ("bandwidth_hz", None),
+            ("trials", True),
+            ("num_ris_elements", True),
+            ("seed", True),
+        ],
+    )
+    def test_rejects_wrong_type_with_its_own_rule(self, field, value):
+        # A non-number must not reach a comparison, and bool is no integer here.
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ScenarioConfig(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        cfg = ScenarioConfig(carrier_hz=np.float64(28e9), trials=np.int64(3), seed=np.uint64(7))
+        assert (cfg.carrier_hz, cfg.trials, cfg.seed) == (28e9, 3, 7)
+
     def test_accepts_largest_seed(self):
         assert ScenarioConfig(seed=2**64 - 1).seed == 2**64 - 1
 
