@@ -10,6 +10,7 @@ designers in :mod:`squintsim.phase_design` try to mitigate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,15 @@ NLOS = "nlos"
 
 #: Path delays are sampled from (0, DELAY_MAX_S].
 DELAY_MAX_S = 20e-9
+
+
+def _is_real(value) -> bool:
+    # bool is a numbers.Integral, but True is no count, seed or frequency.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,8 @@ def build_frequency_grid(carrier_hz: float, bandwidth_hz: float, num_subcarriers
     Subcarrier k (0-based) sits at ``carrier + (bandwidth/K) * (k - (K-1)/2)``,
     so the grid is symmetric and its mean is the carrier frequency.
     """
-    if num_subcarriers < 1:
-        raise ValueError(f"num_subcarriers must be >= 1, got {num_subcarriers}")
+    if not _is_count(num_subcarriers):
+        raise ValueError(f"num_subcarriers must be an integer >= 1, got {num_subcarriers!r}")
     if carrier_hz <= 0:
         raise ValueError(f"carrier_hz must be positive, got {carrier_hz}")
     if bandwidth_hz < 0:
@@ -182,8 +192,8 @@ def array_response(n_elements: int, phi) -> np.ndarray:
     products of two of about 2*sqrt(n) exponentials; they agree with the one-exp
     form to about 1e-12 at n = 1024, the rounding of the phase ``2*pi*m*phi``.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+    if not _is_count(n_elements):
+        raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     return np.moveaxis(_steering_table(n_elements, phi), -1, 0)
 
 
@@ -215,10 +225,8 @@ def sample_path_set(
     The draw is a pure function of the generator state, so reusing a seed
     reproduces the same paths.
     """
-    if num_paths < 1:
-        raise ValueError(f"num_paths must be >= 1, got {num_paths}")
-    if scenario == LOS and num_paths != 1:
-        raise ValueError("the los scenario has exactly one surface-to-user path")
+    if not _is_count(num_paths):
+        raise ValueError(f"num_paths must be an integer >= 1, got {num_paths!r}")
 
     two_pi = 2.0 * np.pi
     aoa = _open_closed_uniform(rng, two_pi)
@@ -259,8 +267,8 @@ def gen_channels(
     sums the L paths, each normalized by ``sqrt(M)`` (los) or ``sqrt(M/L)``
     (nlos) and carrying its own delay phase. Pure function of its inputs.
     """
-    if num_bs_antennas < 1 or num_ris_elements < 1:
-        raise ValueError("antenna and element counts must be >= 1")
+    if not (_is_count(num_bs_antennas) and _is_count(num_ris_elements)):
+        raise ValueError("antenna and element counts must be integers >= 1")
     f = grid.frequencies
     m_ris = num_ris_elements
     a_ris = _steering_table(m_ris, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz))
@@ -271,7 +279,10 @@ def gen_channels(
         # The conjugate response is the response at the negated angle.
         phi_ru = spatial_angle(f, path.angle_rad, grid.carrier_hz)
         delay = np.exp(-2j * np.pi * path.delay_s * f)
-        h_ris_user += (path.gain * delay)[:, None] * _steering_table(m_ris, -phi_ru)
+        table = _steering_table(m_ris, -phi_ru)
+        # Scales the table in place, coefficient first: numpy's complex multiply
+        # is not operand-symmetric, and this order keeps every bit of coef * table.
+        h_ris_user += np.multiply((path.gain * delay)[:, None], table, out=table)
     h_ris_user *= np.sqrt(m_ris / paths.num_ru_paths)
 
     return ChannelRealization(scale, a_ris, num_bs_antennas, h_ris_user, grid, paths)

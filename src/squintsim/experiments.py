@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import LOS, NLOS, FrequencyGrid, build_frequency_grid, gen_channels, sample_path_set
+from .channel import LOS, NLOS, FrequencyGrid, _is_count, _is_real, build_frequency_grid, gen_channels, sample_path_set
 from .phase_design import (
     PhaseProfile,
     design_central,
@@ -51,15 +51,6 @@ MAX_TABLE_ENTRIES = 1 << 24
 _CHANNEL_STREAM = 0
 _PHASE_STREAM = 1
 _INDEX_STREAM = 2
-
-
-def _is_real(value) -> bool:
-    # bool is a numbers.Integral, but True is no count, seed or frequency.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 1
 
 
 def _snr_linear(snr_db):

@@ -1,21 +1,25 @@
 """Phase-shift profile designers for the reflecting surface.
 
-Every designer returns a :class:`PhaseProfile`, a real phase vector whose
-materialized diagonal has unit modulus by construction. The angle-based
+Every designer returns a :class:`PhaseProfile`: the real phase vector
+``phases_rad``, whose materialized diagonal has unit modulus by construction,
+and the ``degenerate`` flag of the covariance-based designers. The angle-based
 designers (per-subcarrier optimal, carrier-frequency, indexed) need a
 single-path surface-to-user link; the covariance-based designers work on any
 realization by splitting the profile into a receive part that aligns the
 incident wave and a forward part extracted from a channel covariance matrix.
+The steps of that extraction take and return plain arrays: the mean covariance
+(M, M), its principal direction as ``(vector, degenerate)``, and the phases of
+that vector.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, rate_bits, spatial_angle
+from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, _is_count, rate_bits, spatial_angle
 
 logger = logging.getLogger(__name__)
 
@@ -35,49 +39,11 @@ class PhaseProfile:
     """
 
     phases_rad: np.ndarray
-    scheme_tag: str
-    degenerate: bool = False
-
-    @property
-    def num_elements(self) -> int:
-        return len(self.phases_rad)
+    degenerate: bool = field(default=False, kw_only=True)
 
     def unit_diagonal(self) -> np.ndarray:
         """Diagonal of the reflection matrix; every entry has modulus one."""
         return np.exp(1j * np.asarray(self.phases_rad, dtype=float))
-
-
-@dataclass(frozen=True)
-class Mccm:
-    """Mean covariance of the surface-to-user channel across subcarriers."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"covariance must be square, got shape {mat.shape}")
-        scale = max(1.0, float(np.abs(np.trace(mat))))
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10 * scale:
-            raise ValueError("covariance matrix is not Hermitian")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-
-@dataclass(frozen=True)
-class PrincipalDirection:
-    """Top eigenvector of a covariance matrix plus a degeneracy marker."""
-
-    vector: np.ndarray
-    eigenvalue: float
-    degenerate: bool
 
 
 def _require_los(paths: PathSet, designer: str) -> None:
@@ -103,7 +69,7 @@ def design_ideal(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: 
     phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
     phi_user = spatial_angle(f_k, paths.ru_paths[0].angle_rad, grid.carrier_hz)
     phases = 2.0 * np.pi * np.arange(num_ris_elements) * (phi_user - phi_bs)
-    return PhaseProfile(phases, f"ideal(k={k})")
+    return PhaseProfile(phases)
 
 
 def design_central(paths: PathSet, num_ris_elements: int) -> PhaseProfile:
@@ -116,30 +82,28 @@ def design_central(paths: PathSet, num_ris_elements: int) -> PhaseProfile:
     _require_los(paths, "design_central")
     delta = np.sin(paths.ru_paths[0].angle_rad) - np.sin(paths.bs_ris_aoa_rad)
     phases = np.pi * np.arange(num_ris_elements) * delta
-    return PhaseProfile(phases, "central")
+    return PhaseProfile(phases)
 
 
 def design_indexed(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: int) -> PhaseProfile:
     """Profile that is optimal at subcarrier k but applied to all subcarriers."""
-    ideal = design_ideal(paths, grid, num_ris_elements, k)
-    return PhaseProfile(ideal.phases_rad, f"indexed(k={k})")
+    return design_ideal(paths, grid, num_ris_elements, k)
 
 
 def design_random(rng: np.random.Generator, num_ris_elements: int) -> PhaseProfile:
     """Independent uniform phases on [0, 2*pi); deterministic given the seed."""
-    if num_ris_elements < 1:
-        raise ValueError(f"num_ris_elements must be >= 1, got {num_ris_elements}")
+    if not _is_count(num_ris_elements):
+        raise ValueError(f"num_ris_elements must be an integer >= 1, got {num_ris_elements!r}")
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_ris_elements)
-    return PhaseProfile(phases, "random")
+    return PhaseProfile(phases)
 
 
-def mean_channel_covariance(h_ris_user) -> Mccm:
+def mean_channel_covariance(h_ris_user) -> np.ndarray:
     """Average of ``h_k^H h_k`` over the subcarriers, an M x M Hermitian PSD matrix."""
     h = np.atleast_2d(np.asarray(h_ris_user, dtype=complex))
     if h.shape[0] == 0 or h.shape[1] == 0:
         raise ValueError("need at least one nonempty channel row vector")
-    matrix = (h.conj().T @ h) / h.shape[0]
-    return Mccm(matrix)
+    return (h.conj().T @ h) / h.shape[0]
 
 
 def _canonical_phase(vector: np.ndarray) -> np.ndarray:
@@ -151,28 +115,33 @@ def _canonical_phase(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def principal_direction(mccm: Mccm) -> PrincipalDirection:
-    """Unit-norm eigenvector of the largest eigenvalue.
+def principal_direction(covariance) -> tuple[np.ndarray, bool]:
+    """Unit-norm eigenvector of the largest eigenvalue, and whether that eigenvalue is not unique.
 
-    The global phase is canonicalized so the largest-magnitude entry is real
-    and nonnegative, making the result invariant under positive rescaling of
-    the covariance. A top eigenvalue that is not unique (to 1e-9 relative) is
-    reported through the ``degenerate`` flag rather than as an error.
+    ``covariance`` must be square, Hermitian and positive semidefinite. The
+    global phase is canonicalized so the largest-magnitude entry is real and
+    nonnegative, making the result invariant under positive rescaling of the
+    covariance. A top eigenvalue that is not unique (to 1e-9 relative) is
+    reported through the returned flag rather than as an error.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(mccm.matrix)
-    trace = mccm.trace
-    if eigenvalues[0] < -1e-10 * max(trace, np.finfo(float).tiny):
+    matrix = np.asarray(covariance)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"covariance must be square, got shape {matrix.shape}")
+    trace = np.trace(matrix)
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10 * max(1.0, float(abs(trace))):
+        raise ValueError("covariance matrix is not Hermitian")
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    if eigenvalues[0] < -1e-10 * max(float(trace.real), np.finfo(float).tiny):
         raise ValueError(f"covariance is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})")
     top = float(eigenvalues[-1])
     degenerate = False
-    if mccm.size >= 2:
+    if len(matrix) >= 2:
         gap = top - float(eigenvalues[-2])
         degenerate = gap <= 1e-9 * max(abs(top), np.finfo(float).tiny)
-    vector = _canonical_phase(eigenvectors[:, -1])
-    return PrincipalDirection(vector, top, degenerate)
+    return _canonical_phase(eigenvectors[:, -1]), degenerate
 
 
-def _rank_one_direction(h_row: np.ndarray) -> PrincipalDirection:
+def _rank_one_direction(h_row: np.ndarray) -> tuple[np.ndarray, bool]:
     """Principal direction of the rank-one covariance ``h^H h`` in closed form.
 
     Equals ``principal_direction(mean_channel_covariance([h]))`` but avoids an
@@ -183,13 +152,12 @@ def _rank_one_direction(h_row: np.ndarray) -> PrincipalDirection:
     if norm == 0.0:
         basis = np.zeros(size, dtype=complex)
         basis[0] = 1.0
-        return PrincipalDirection(basis, 0.0, degenerate=size >= 2)
-    vector = _canonical_phase(np.conj(h_row) / norm)
-    return PrincipalDirection(vector, norm**2, degenerate=False)
+        return basis, size >= 2
+    return _canonical_phase(np.conj(h_row) / norm), False
 
 
-def phase_extraction(v) -> PhaseProfile:
-    """Keep only the argument of each entry, discarding magnitudes.
+def phase_extraction(v) -> np.ndarray:
+    """Phases of the entries of ``v``, discarding magnitudes.
 
     Entries that are exactly zero get phase 0 by convention.
     """
@@ -197,7 +165,7 @@ def phase_extraction(v) -> PhaseProfile:
     zeros = int(np.count_nonzero(vec == 0))
     if zeros:
         logger.warning("phase extraction hit %d exactly-zero entries; their phase is set to 0", zeros)
-    return PhaseProfile(np.angle(vec), "extracted")
+    return np.angle(vec)
 
 
 def _receive_phases(num_ris_elements: int, phi_incident: float) -> np.ndarray:
@@ -222,11 +190,11 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     phi_incident = spatial_angle(grid.carrier_hz, paths.bs_ris_aoa_rad, grid.carrier_hz)
     receive = _receive_phases(m_ris, phi_incident)
 
-    direction = principal_direction(mean_channel_covariance(channels.h_ris_user))
-    candidates = [receive + phase_extraction(v).phases_rad for v in (direction.vector, np.conj(direction.vector))]
+    vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
+    candidates = [receive + phase_extraction(v) for v in (vector, np.conj(vector))]
     rates = [np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * p)))) for p in candidates]
     best_phases = candidates[int(np.argmax(rates))]  # argmax keeps the first of tied candidates
-    return PhaseProfile(best_phases, "mccm", degenerate=direction.degenerate)
+    return PhaseProfile(best_phases, degenerate=degenerate)
 
 
 def design_subcarrier_covariance(channels: ChannelRealization, k: int) -> PhaseProfile:
@@ -245,6 +213,5 @@ def design_subcarrier_covariance(channels: ChannelRealization, k: int) -> PhaseP
     phi_incident = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
     receive = _receive_phases(m_ris, phi_incident)
 
-    direction = _rank_one_direction(channels.h_ris_user[k])
-    phases = receive + phase_extraction(direction.vector).phases_rad
-    return PhaseProfile(phases, f"cov-indexed(k={k})", degenerate=direction.degenerate)
+    vector, degenerate = _rank_one_direction(channels.h_ris_user[k])
+    return PhaseProfile(receive + phase_extraction(vector), degenerate=degenerate)

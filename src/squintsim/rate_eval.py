@@ -55,8 +55,8 @@ def rate_upper_bound(
     """
     if paths.scenario != LOS:
         raise ValueError("rate_upper_bound is defined for the single-path (los) scenario only")
-    if profile.num_elements != num_ris_elements:
-        raise ValueError(f"profile has {profile.num_elements} phases, expected {num_ris_elements}")
+    if len(profile.phases_rad) != num_ris_elements:
+        raise ValueError(f"profile has {len(profile.phases_rad)} phases, expected {num_ris_elements}")
     # z_k is the alignment sum of subcarrier k.
     phi_bs = spatial_angle(grid.frequencies, paths.bs_ris_aoa_rad, grid.carrier_hz)
     phi_user = spatial_angle(grid.frequencies, paths.ru_paths[0].angle_rad, grid.carrier_hz)

@@ -48,9 +48,9 @@ def effective_channel(h_ru_k, profile: PhaseProfile, h_br_k) -> np.ndarray:
     """Composite row vector ``h_ru * diag(exp(j*phases)) * h_br`` of length N."""
     h_ru = np.asarray(h_ru_k, dtype=complex)
     h_br = np.asarray(h_br_k, dtype=complex)
-    if h_ru.shape != (profile.num_elements,) or h_br.shape[0] != profile.num_elements:
+    if h_ru.shape != (len(profile.phases_rad),) or h_br.shape[0] != len(profile.phases_rad):
         raise ValueError(
-            f"dimension mismatch: h_ru {h_ru.shape}, profile {profile.num_elements}, h_br {h_br.shape}"
+            f"dimension mismatch: h_ru {h_ru.shape}, profile {len(profile.phases_rad)}, h_br {h_br.shape}"
         )
     return (h_ru * profile.unit_diagonal()) @ h_br
 
@@ -89,9 +89,9 @@ def z_factor(
     """
     if paths.scenario != LOS:
         raise ValueError("z_factor is defined for the single-path (los) scenario only")
-    if profile.num_elements != num_ris_elements:
+    if len(profile.phases_rad) != num_ris_elements:
         raise ValueError(
-            f"profile has {profile.num_elements} phases, expected {num_ris_elements}"
+            f"profile has {len(profile.phases_rad)} phases, expected {num_ris_elements}"
         )
     if not 0 <= k < grid.num_subcarriers:
         raise ValueError(f"subcarrier index {k} out of range [0, {grid.num_subcarriers})")

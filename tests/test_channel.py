@@ -9,6 +9,7 @@ from squintsim.channel import (
     NLOS,
     PathSet,
     RuPath,
+    _steering_table,
     array_response,
     build_frequency_grid,
     gen_channels,
@@ -64,7 +65,10 @@ class TestFrequencyGrid:
 
     @pytest.mark.parametrize(
         "carrier,bandwidth,k",
-        [(28e9, 2e9, 0), (0.0, 2e9, 8), (-1e9, 2e9, 8), (28e9, -1e9, 8), (28e9, 56e9, 8), (28e9, 60e9, 8)],
+        [
+            (28e9, 2e9, 0), (0.0, 2e9, 8), (-1e9, 2e9, 8), (28e9, -1e9, 8), (28e9, 56e9, 8), (28e9, 60e9, 8),
+            (28e9, 2e9, 2.5), (28e9, 2e9, 4.0), (28e9, 2e9, True),
+        ],
     )
     def test_rejects_bad_parameters(self, carrier, bandwidth, k):
         with pytest.raises(ValueError):
@@ -114,6 +118,11 @@ class TestArrayResponse:
         with pytest.raises(ValueError):
             array_response(0, 0.1)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True], ids=["fraction", "integral-float", "bool"])
+    def test_rejects_count_that_is_no_integer(self, n):
+        with pytest.raises(ValueError, match="n_elements must be an integer >= 1"):
+            array_response(n, 0.1)
+
     def test_vector_angles_give_matrix(self):
         out = array_response(4, np.array([0.1, 0.2, 0.3]))
         assert out.shape == (4, 3)
@@ -154,6 +163,11 @@ class TestSamplePathSet:
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):
             sample_path_set(np.random.default_rng(0), NLOS, 0)
+
+    @pytest.mark.parametrize("num_paths", [2.5, True], ids=["fraction", "bool"])
+    def test_rejects_count_that_is_no_integer(self, num_paths):
+        with pytest.raises(ValueError, match="num_paths must be an integer >= 1"):
+            sample_path_set(np.random.default_rng(0), NLOS, num_paths)
 
     def test_delay_moments(self):
         # U(0, 20 ns] has mean 10 ns and sd 20ns/sqrt(12).
@@ -292,6 +306,29 @@ class TestGenChannels:
         grid = build_frequency_grid(28e9, 2e9, 3)
         with pytest.raises(ValueError):
             gen_channels(los_paths(), grid, 0, 6)
+
+    @pytest.mark.parametrize(
+        "n,m", [(2.5, 8), (True, 8), (4, 8.0), (4, True)], ids=["fraction", "bool", "float-elements", "bool-elements"]
+    )
+    def test_rejects_count_that_is_no_integer(self, n, m):
+        grid = build_frequency_grid(28e9, 2e9, 3)
+        with pytest.raises(ValueError, match="counts must be integers >= 1"):
+            gen_channels(los_paths(), grid, n, m)
+
+    @pytest.mark.parametrize("m", [16, 100])
+    def test_user_rows_are_the_coefficient_first_products(self, m):
+        # The per-path tables are scaled in place; the product must keep the
+        # operand order of coef * table, which numpy rounds differently from
+        # table * coef.
+        paths = sample_path_set(np.random.default_rng(21), NLOS, 5)
+        grid = build_frequency_grid(28e9, 2e9, 32)
+        f = grid.frequencies
+        expected = np.zeros((32, m), dtype=complex)
+        for path in paths.ru_paths:
+            coef = path.gain * np.exp(-2j * np.pi * path.delay_s * f)
+            expected += coef[:, None] * _steering_table(m, -spatial_angle(f, path.angle_rad, grid.carrier_hz))
+        expected *= np.sqrt(m / 5)
+        assert np.array_equal(gen_channels(paths, grid, 4, m).h_ris_user, expected)
 
 
 class TestPathSetValidation:

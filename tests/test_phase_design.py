@@ -15,7 +15,7 @@ from squintsim.channel import (
     spatial_angle,
 )
 from squintsim.phase_design import (
-    Mccm,
+    PhaseProfile,
     design_central,
     design_ideal,
     design_indexed,
@@ -156,36 +156,37 @@ class TestDesignRandom:
         with pytest.raises(ValueError):
             design_random(np.random.default_rng(0), 0)
 
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5], ids=["bool", "integral-float", "fraction"])
+    def test_rejects_count_that_is_no_integer(self, count):
+        with pytest.raises(ValueError, match="num_ris_elements must be an integer >= 1"):
+            design_random(np.random.default_rng(0), count)
+
 
 class TestMeanChannelCovariance:
     def test_single_subcarrier_is_rank_one(self):
         h = np.array([[1.0 + 1j, 2.0, -1j]])
         cov = mean_channel_covariance(h)
-        eigenvalues = np.linalg.eigvalsh(cov.matrix)
+        eigenvalues = np.linalg.eigvalsh(cov)
         assert eigenvalues[-1] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
         assert np.allclose(eigenvalues[:-1], 0.0, atol=1e-12)
-        assert cov.trace == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
+        assert np.trace(cov).real == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
 
     def test_los_unit_gain_trace_is_element_count(self):
         grid = build_frequency_grid(28e9, 2e9, 16)
         paths = sample_path_set(np.random.default_rng(7), LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 12)
         cov = mean_channel_covariance(channels.h_ris_user)
-        assert cov.trace == pytest.approx(12.0, rel=1e-12)
+        assert np.trace(cov).real == pytest.approx(12.0, rel=1e-12)
 
     def test_hermitian_by_construction(self):
         rng = np.random.default_rng(8)
         h = rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
         cov = mean_channel_covariance(h)
-        assert np.max(np.abs(cov.matrix - cov.matrix.conj().T)) < 1e-10
+        assert np.max(np.abs(cov - cov.conj().T)) < 1e-10
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             mean_channel_covariance(np.zeros((0, 4)))
-
-    def test_mccm_type_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            Mccm(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 class TestPrincipalDirection:
@@ -193,35 +194,42 @@ class TestPrincipalDirection:
         grid = build_frequency_grid(28e9, 2e9, 1)
         paths = sample_path_set(np.random.default_rng(9), LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 16)
-        direction = principal_direction(mean_channel_covariance(channels.h_ris_user))
+        vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
         phi = spatial_angle(grid.frequencies[0], paths.ru_paths[0].angle_rad, grid.carrier_hz)
         steering = array_response(16, phi)
-        assert abs(np.vdot(direction.vector, steering)) == pytest.approx(1.0, abs=1e-9)
-        assert not direction.degenerate
+        assert abs(np.vdot(vector, steering)) == pytest.approx(1.0, abs=1e-9)
+        assert not degenerate
 
     def test_isotropic_covariance_is_degenerate(self):
-        direction = principal_direction(Mccm(np.eye(5, dtype=complex)))
-        assert direction.degenerate
+        _, degenerate = principal_direction(np.eye(5, dtype=complex))
+        assert degenerate
 
     def test_eigenpair_residual(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             h = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
             cov = mean_channel_covariance(h)
-            d = principal_direction(cov)
-            residual = np.linalg.norm(cov.matrix @ d.vector - d.eigenvalue * d.vector)
-            assert residual < 1e-8 * d.eigenvalue
+            v, _ = principal_direction(cov)
+            eigenvalue = np.vdot(v, cov @ v).real  # Rayleigh quotient of the unit vector
+            residual = np.linalg.norm(cov @ v - eigenvalue * v)
+            assert residual < 1e-8 * eigenvalue
 
     def test_rejects_negative_definite(self):
         with pytest.raises(ValueError):
-            principal_direction(Mccm(-np.eye(3, dtype=complex)))
+            principal_direction(-np.eye(3, dtype=complex))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            principal_direction(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            principal_direction(np.zeros(shape))
 
     def test_accepts_nested_list(self):
-        mccm = Mccm([[2.0, 0.0], [0.0, 1.0]])
-        assert isinstance(mccm.matrix, np.ndarray) and mccm.size == 2
-        direction = principal_direction(mccm)
-        assert direction.eigenvalue == pytest.approx(2.0)
-        assert np.allclose(direction.vector, [1.0, 0.0])
+        vector, _ = principal_direction([[2.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(vector, [1.0, 0.0])
 
 
 class TestRankOneShortcut:
@@ -233,41 +241,39 @@ class TestRankOneShortcut:
         rng = np.random.default_rng(40)
         for _ in range(10):
             h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            closed = _rank_one_direction(h)
-            generic = principal_direction(mean_channel_covariance(h[None, :]))
-            assert np.allclose(closed.vector, generic.vector, atol=1e-8)
-            assert closed.eigenvalue == pytest.approx(generic.eigenvalue, rel=1e-8)
-            assert closed.degenerate == generic.degenerate
+            closed, closed_degenerate = _rank_one_direction(h)
+            generic, generic_degenerate = principal_direction(mean_channel_covariance(h[None, :]))
+            assert np.allclose(closed, generic, atol=1e-8)
+            assert closed_degenerate == generic_degenerate
 
     def test_zero_row_is_degenerate(self):
         from squintsim.phase_design import _rank_one_direction
 
-        direction = _rank_one_direction(np.zeros(4, dtype=complex))
-        assert direction.degenerate
-        assert direction.eigenvalue == 0.0
+        _, degenerate = _rank_one_direction(np.zeros(4, dtype=complex))
+        assert degenerate
 
 
 class TestPhaseExtraction:
     def test_arguments_example(self):
-        profile = phase_extraction(np.array([1 + 1j, -2.0, 1j]))
-        assert np.allclose(profile.phases_rad, [np.pi / 4, np.pi, np.pi / 2], atol=1e-12)
+        phases = phase_extraction(np.array([1 + 1j, -2.0, 1j]))
+        assert np.allclose(phases, [np.pi / 4, np.pi, np.pi / 2], atol=1e-12)
 
     def test_steering_vector_structure(self):
         phi = 0.37
-        profile = phase_extraction(array_response(6, phi))
-        assert_phases_equal(profile.phases_rad, 2 * np.pi * np.arange(6) * phi, atol=1e-12)
+        phases = phase_extraction(array_response(6, phi))
+        assert_phases_equal(phases, 2 * np.pi * np.arange(6) * phi, atol=1e-12)
 
     def test_global_phase_covariance(self):
         rng = np.random.default_rng(11)
         v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         c = 0.83
-        base = phase_extraction(v).phases_rad
-        rotated = phase_extraction(np.exp(1j * c) * v).phases_rad
+        base = phase_extraction(v)
+        rotated = phase_extraction(np.exp(1j * c) * v)
         assert_phases_equal(rotated, base + c, atol=1e-12)
 
     def test_zero_entry_convention(self):
-        profile = phase_extraction(np.array([0.0, 1j]))
-        assert profile.phases_rad[0] == 0.0
+        phases = phase_extraction(np.array([0.0, 1j]))
+        assert phases[0] == 0.0
 
 
 class TestDesignMccm:
@@ -373,10 +379,9 @@ class TestProfileProperties:
             design_ideal(paths, grid, 8, 2).phases_rad, design_ideal(scaled, grid, 8, 2).phases_rad
         )
 
-    def test_scheme_tags(self):
-        grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = los_paths(aoa=0.1, ru_angle=0.9)
-        assert design_ideal(paths, grid, 4, 2).scheme_tag == "ideal(k=2)"
-        assert design_central(paths, 4).scheme_tag == "central"
-        assert design_indexed(paths, grid, 4, 0).scheme_tag == "indexed(k=0)"
-        assert design_random(np.random.default_rng(0), 4).scheme_tag == "random"
+    def test_degenerate_is_keyword_only(self):
+        # A positional second argument (the old scheme tag) must not pass as the flag.
+        with pytest.raises(TypeError):
+            PhaseProfile(np.zeros(4), "zeros")
+        assert PhaseProfile(np.zeros(4), degenerate=True).degenerate
+        assert not PhaseProfile(np.zeros(4)).degenerate

@@ -20,7 +20,7 @@ SNR = 10.0
 
 
 def zero_profile(m):
-    return PhaseProfile(np.zeros(m), "zeros")
+    return PhaseProfile(np.zeros(m))
 
 
 def per_subcarrier(channels, profile):
@@ -57,7 +57,7 @@ class TestEffectiveChannel:
         h_ru = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         h_br = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         profile = design_random(rng, 5)
-        shifted = PhaseProfile(profile.phases_rad + 0.7, "shifted")
+        shifted = PhaseProfile(profile.phases_rad + 0.7)
         base = effective_channel(h_ru, profile, h_br)
         moved = effective_channel(h_ru, shifted, h_br)
         assert np.allclose(moved, np.exp(0.7j) * base, atol=1e-12)
@@ -229,7 +229,7 @@ class TestZFactor:
         assert abs(z_factor(paths, aligned, grid, 6, 2)) == pytest.approx(6.0, abs=1e-12)
         nudged = aligned.phases_rad.copy()
         nudged[3] += 0.3
-        detuned = PhaseProfile(nudged, "detuned")
+        detuned = PhaseProfile(nudged)
         assert abs(z_factor(paths, detuned, grid, 6, 2)) < 6.0 - 1e-3
 
     def test_rejects_multipath(self):
@@ -330,7 +330,7 @@ class TestPhysicalConsistency:
         paths = sample_path_set(np.random.default_rng(31), NLOS, 4)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(32), 8)
-        shifted = PhaseProfile(profile.phases_rad + 2.13, "shifted")
+        shifted = PhaseProfile(profile.phases_rad + 2.13)
         a = per_subcarrier(channels, profile)
         b = per_subcarrier(channels, shifted)
         assert np.allclose(a, b, atol=1e-9)

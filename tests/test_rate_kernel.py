@@ -88,16 +88,16 @@ def covariance_profile_by_power(channels, k):
     grid = channels.grid
     phi_incident = spatial_angle(grid.frequencies[k], channels.source_paths.bs_ris_aoa_rad, grid.carrier_hz)
     receive = _receive_phases(channels.num_ris_elements, phi_incident)
-    direction = _rank_one_direction(channels.h_ris_user[k])
+    vector, _ = _rank_one_direction(channels.h_ris_user[k])
     h_bs_k = h_bs_ris(channels, k)
     best_phases, best_power = None, -np.inf
-    for candidate in (direction.vector, np.conj(direction.vector)):
-        phases = receive + phase_extraction(candidate).phases_rad
+    for candidate in (vector, np.conj(vector)):
+        phases = receive + phase_extraction(candidate)
         eff = (channels.h_ris_user[k] * np.exp(1j * phases)) @ h_bs_k
         power = float(np.sum(np.abs(eff) ** 2))
         if power > best_power:
             best_phases, best_power = phases, power
-    return PhaseProfile(best_phases, f"cov-indexed(k={k})")
+    return PhaseProfile(best_phases)
 
 
 def reference_ideal_rates(channels, snr):
