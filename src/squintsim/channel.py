@@ -42,25 +42,15 @@ class FrequencyGrid:
 
 
 @dataclass(frozen=True)
-class RuPath:
-    """One propagation path between the reflecting surface and the user."""
-
-    angle_rad: float
-    gain: complex
-    delay_s: float
-
-    def __post_init__(self) -> None:
-        if self.delay_s < 0:
-            raise ValueError(f"path delay must be nonnegative, got {self.delay_s}")
-
-
-@dataclass(frozen=True)
 class PathSet:
     """Geometric description of one channel realization.
 
     The BS-to-surface hop is always a single path; the surface-to-user hop
     carries one path in the ``los`` scenario and ``L >= 1`` paths in ``nlos``.
-    Angles are physical angles in radians, gains are complex amplitudes.
+    User path l has angle ``ru_angles_rad[l]``, gain ``ru_gains[l]`` and delay
+    ``ru_delays_s[l]``; the three are tuples of length L, so the record keeps
+    ``==`` and hashing. Angles are physical angles in radians, gains are
+    complex amplitudes.
     """
 
     scenario: str
@@ -68,21 +58,22 @@ class PathSet:
     bs_ris_aod_rad: float
     bs_ris_gain: complex
     bs_ris_delay_s: float
-    ru_paths: tuple[RuPath, ...]
+    ru_angles_rad: tuple[float, ...]
+    ru_gains: tuple[complex, ...]
+    ru_delays_s: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        num_paths = len(self.ru_angles_rad)
         if self.scenario not in (LOS, NLOS):
             raise ValueError(f"scenario must be {LOS!r} or {NLOS!r}, got {self.scenario!r}")
-        if len(self.ru_paths) < 1:
+        if not len(self.ru_gains) == len(self.ru_delays_s) == num_paths:
+            raise ValueError("ru_angles_rad, ru_gains and ru_delays_s differ in length")
+        if num_paths < 1:
             raise ValueError("at least one surface-to-user path is required")
-        if self.scenario == LOS and len(self.ru_paths) != 1:
+        if self.scenario == LOS and num_paths != 1:
             raise ValueError("the los scenario carries exactly one surface-to-user path")
-        if self.bs_ris_delay_s < 0:
-            raise ValueError("BS-to-surface delay must be nonnegative")
-
-    @property
-    def num_ru_paths(self) -> int:
-        return len(self.ru_paths)
+        if self.bs_ris_delay_s < 0 or any(delay < 0 for delay in self.ru_delays_s):
+            raise ValueError(f"path delays must be nonnegative, got {self.bs_ris_delay_s} and {self.ru_delays_s}")
 
 
 @dataclass(frozen=True)
@@ -143,11 +134,14 @@ def build_frequency_grid(carrier_hz: float, bandwidth_hz: float, num_subcarriers
     """
     if not _is_count(num_subcarriers):
         raise ValueError(f"num_subcarriers must be an integer >= 1, got {num_subcarriers!r}")
-    if carrier_hz <= 0:
-        raise ValueError(f"carrier_hz must be positive, got {carrier_hz}")
-    if bandwidth_hz < 0:
-        raise ValueError(f"bandwidth_hz must be nonnegative, got {bandwidth_hz}")
-    if bandwidth_hz >= 2 * carrier_hz:
+    # Comparisons with NaN are false, so a value that is no real number is
+    # checked as NaN and fails every range.
+    carrier, bandwidth = (v if _is_real(v) else math.nan for v in (carrier_hz, bandwidth_hz))
+    if not 0 < carrier < math.inf:
+        raise ValueError(f"carrier_hz must be finite and positive, got {carrier_hz!r}")
+    if not 0 <= bandwidth:
+        raise ValueError(f"bandwidth_hz must be a nonnegative number, got {bandwidth_hz!r}")
+    if not bandwidth < 2 * carrier:
         raise ValueError(
             f"bandwidth_hz={bandwidth_hz} >= 2*carrier_hz={2 * carrier_hz} would "
             "produce nonpositive subcarrier frequencies"
@@ -234,23 +228,12 @@ def sample_path_set(
     delay = _open_closed_uniform(rng, DELAY_MAX_S)
     gain = _sample_gain(rng, gain_mode)
 
-    ru_paths = []
-    for _ in range(num_paths):
-        ru_paths.append(
-            RuPath(
-                angle_rad=_open_closed_uniform(rng, two_pi),
-                gain=_sample_gain(rng, gain_mode),
-                delay_s=_open_closed_uniform(rng, DELAY_MAX_S),
-            )
-        )
-    return PathSet(
-        scenario=scenario,
-        bs_ris_aoa_rad=aoa,
-        bs_ris_aod_rad=aod,
-        bs_ris_gain=gain,
-        bs_ris_delay_s=delay,
-        ru_paths=tuple(ru_paths),
-    )
+    # Each user path draws its angle, then its gain, then its delay.
+    draws = [
+        (_open_closed_uniform(rng, two_pi), _sample_gain(rng, gain_mode), _open_closed_uniform(rng, DELAY_MAX_S))
+        for _ in range(num_paths)
+    ]
+    return PathSet(scenario, aoa, aod, gain, delay, *zip(*draws))
 
 
 def gen_channels(
@@ -264,8 +247,9 @@ def gen_channels(
     The BS-to-surface matrix at subcarrier k is the rank-one outer product
     ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) * a_M(phi_in) * a_N(phi_out)^H``
     with both spatial angles evaluated at f_k. The surface-to-user row vector
-    sums the L paths, each normalized by ``sqrt(M)`` (los) or ``sqrt(M/L)``
-    (nlos) and carrying its own delay phase. Pure function of its inputs.
+    sums the L paths, each with its gain and delay phase, scaled by
+    ``sqrt(M/L)``; the L steering tables come from one call, as an (L, K, M)
+    stack. Pure function of its inputs.
     """
     if not (_is_count(num_bs_antennas) and _is_count(num_ris_elements)):
         raise ValueError("antenna and element counts must be integers >= 1")
@@ -274,15 +258,12 @@ def gen_channels(
     a_ris = _steering_table(m_ris, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz))
     scale = np.sqrt(m_ris * num_bs_antennas) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
 
-    h_ris_user = np.zeros(a_ris.shape, dtype=complex)
-    for path in paths.ru_paths:
-        # The conjugate response is the response at the negated angle.
-        phi_ru = spatial_angle(f, path.angle_rad, grid.carrier_hz)
-        delay = np.exp(-2j * np.pi * path.delay_s * f)
-        table = _steering_table(m_ris, -phi_ru)
-        # Scales the table in place, coefficient first: numpy's complex multiply
-        # is not operand-symmetric, and this order keeps every bit of coef * table.
-        h_ris_user += np.multiply((path.gain * delay)[:, None], table, out=table)
-    h_ris_user *= np.sqrt(m_ris / paths.num_ru_paths)
+    # The conjugate response is the response at the negated angle.
+    tables = _steering_table(m_ris, -spatial_angle(f, np.array(paths.ru_angles_rad)[:, None], grid.carrier_hz))
+    coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
+    # Scales the stack in place, coefficient first: numpy's complex multiply
+    # is not operand-symmetric, and this order keeps every bit of coef * table.
+    h_ris_user = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
+    h_ris_user *= np.sqrt(m_ris / len(paths.ru_angles_rad))
 
     return ChannelRealization(scale, a_ris, num_bs_antennas, h_ris_user, grid, paths)

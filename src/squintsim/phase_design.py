@@ -67,7 +67,7 @@ def design_ideal(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: 
     _check_subcarrier(grid, k)
     f_k = grid.frequencies[k]
     phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    phi_user = spatial_angle(f_k, paths.ru_paths[0].angle_rad, grid.carrier_hz)
+    phi_user = spatial_angle(f_k, paths.ru_angles_rad[0], grid.carrier_hz)
     phases = 2.0 * np.pi * np.arange(num_ris_elements) * (phi_user - phi_bs)
     return PhaseProfile(phases)
 
@@ -75,12 +75,18 @@ def design_ideal(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: 
 def design_central(paths: PathSet, num_ris_elements: int) -> PhaseProfile:
     """Carrier-frequency profile built from long-term physical angles only.
 
-    Element m gets ``pi*m*(sin(theta_user) - sin(theta_bs))``, the ideal
-    phase at the carrier. Equivalently this is the per-element average of the
-    per-subcarrier optimal phases over any symmetric grid.
+    Element m gets ``pi*m*s`` with ``s = sin(theta_user) - sin(theta_bs)``,
+    the ideal phase at the carrier. Equivalently this is the per-element
+    average of the per-subcarrier optimal phases over any symmetric grid.
+
+    It maximizes the Jensen bound ``log2(1 + snr*N/K * sum_k |z_k|^2)`` over
+    all common profiles whenever ``D(d) = sum_k cos(pi*s*d*(f_k - f_c)/f_c)``
+    is nonnegative at every lag ``d < M``: the sum is ``sum_{m,n} D(m - n)``
+    here, and no profile exceeds ``sum_{m,n} |D(m - n)|``. Where D has a
+    negative lobe, an indexed profile can bound higher.
     """
     _require_los(paths, "design_central")
-    delta = np.sin(paths.ru_paths[0].angle_rad) - np.sin(paths.bs_ris_aoa_rad)
+    delta = np.sin(paths.ru_angles_rad[0]) - np.sin(paths.bs_ris_aoa_rad)
     phases = np.pi * np.arange(num_ris_elements) * delta
     return PhaseProfile(phases)
 

@@ -6,15 +6,16 @@ tables, and evaluates rates through ``ChannelRealization.received_power`` and
 BS-to-surface channel. This module builds steering vectors with one exponential
 per entry, forms the dense channel explicitly, and chains them through the
 per-subcarrier effective channel, the maximum ratio beamformer and the
-subcarrier rate, plus the single-path element alignment sum ``z_k``, so the
-tests can check the fast path against the textbook formulas.
+subcarrier rate, plus the single-path element alignment sum ``z_k`` and the
+Jensen upper bound it yields on the mean rate, so the tests can check the
+fast path against the textbook formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, spatial_angle
+from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, _steering_table, rate_bits, spatial_angle
 from squintsim.phase_design import PhaseProfile
 
 
@@ -97,7 +98,32 @@ def z_factor(
         raise ValueError(f"subcarrier index {k} out of range [0, {grid.num_subcarriers})")
     f_k = grid.frequencies[k]
     phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    phi_user = spatial_angle(f_k, paths.ru_paths[0].angle_rad, grid.carrier_hz)
+    phi_user = spatial_angle(f_k, paths.ru_angles_rad[0], grid.carrier_hz)
     m = np.arange(num_ris_elements)
     terms = np.exp(1j * (2.0 * np.pi * m * (phi_bs - phi_user) + profile.phases_rad))
     return complex(np.sum(terms))
+
+
+def rate_upper_bound(
+    paths: PathSet,
+    profile: PhaseProfile,
+    grid: FrequencyGrid,
+    num_ris_elements: int,
+    num_bs_antennas: int,
+    snr: float,
+) -> float:
+    """Jensen bound ``log2(1 + snr*N/K * sum_k |z_k|^2)`` on the mean rate.
+
+    Uses the unit-gain convention, so it bounds the mean rate of the same
+    profile on a unit-gain single-path realization.
+    """
+    if paths.scenario != LOS:
+        raise ValueError("rate_upper_bound is defined for the single-path (los) scenario only")
+    if len(profile.phases_rad) != num_ris_elements:
+        raise ValueError(f"profile has {len(profile.phases_rad)} phases, expected {num_ris_elements}")
+    # z_k is the alignment sum of subcarrier k.
+    phi_bs = spatial_angle(grid.frequencies, paths.bs_ris_aoa_rad, grid.carrier_hz)
+    phi_user = spatial_angle(grid.frequencies, paths.ru_angles_rad[0], grid.carrier_hz)
+    z = np.sqrt(num_ris_elements) * (_steering_table(num_ris_elements, phi_bs - phi_user) @ profile.unit_diagonal())
+    mean_z_sq = float(np.mean(np.abs(z) ** 2))
+    return float(rate_bits(snr, num_bs_antennas * mean_z_sq))

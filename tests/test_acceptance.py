@@ -18,9 +18,9 @@ from squintsim.phase_design import (
     design_mccm,
     design_random,
 )
-from squintsim.rate_eval import ideal_rate, rate_upper_bound, sum_rate
+from squintsim.rate_eval import ideal_rate, sum_rate
 
-from reference import effective_channel, h_bs_ris, subcarrier_rate, z_factor
+from reference import effective_channel, h_bs_ris, rate_upper_bound, subcarrier_rate, z_factor
 
 SNR_10DB = 10.0
 
@@ -127,7 +127,7 @@ def test_criterion_4_exhaustive_quantized_search():
             rng = np.random.default_rng([4, m_ris, i])
             paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
             phi_bs = spatial_angle(grid.frequencies[0], paths.bs_ris_aoa_rad, grid.carrier_hz)
-            phi_user = spatial_angle(grid.frequencies[0], paths.ru_paths[0].angle_rad, grid.carrier_hz)
+            phi_user = spatial_angle(grid.frequencies[0], paths.ru_angles_rad[0], grid.carrier_hz)
             psi = 2.0 * np.pi * np.arange(m_ris) * (phi_bs - phi_user)
             peak = float(np.abs((np.exp(1j * psi)[:, None] * quantized).sum(axis=0)).max())
             profile = design_ideal(paths, grid, m_ris, 0)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import squintsim.channel as channel_module
 from squintsim.channel import (
     DELAY_MAX_S,
     LOS,
     NLOS,
     PathSet,
-    RuPath,
     _steering_table,
     array_response,
     build_frequency_grid,
@@ -29,7 +29,9 @@ def los_paths(aoa=0.4, aod=1.1, ru_angle=2.0, gain=1.0 + 0j, delay=5e-9, ru_dela
         bs_ris_aod_rad=aod,
         bs_ris_gain=gain,
         bs_ris_delay_s=delay,
-        ru_paths=(RuPath(angle_rad=ru_angle, gain=gain, delay_s=ru_delay),),
+        ru_angles_rad=(ru_angle,),
+        ru_gains=(gain,),
+        ru_delays_s=(ru_delay,),
     )
 
 
@@ -68,6 +70,8 @@ class TestFrequencyGrid:
         [
             (28e9, 2e9, 0), (0.0, 2e9, 8), (-1e9, 2e9, 8), (28e9, -1e9, 8), (28e9, 56e9, 8), (28e9, 60e9, 8),
             (28e9, 2e9, 2.5), (28e9, 2e9, 4.0), (28e9, 2e9, True),
+            (math.nan, 2e9, 4), (28e9, math.nan, 4), (math.inf, 2e9, 4), (28e9, math.inf, 4), ("x", 2e9, 4),
+            (28e9, None, 4), (True, 2e9, 4),
         ],
     )
     def test_rejects_bad_parameters(self, carrier, bandwidth, k):
@@ -154,7 +158,7 @@ class TestSamplePathSet:
 
     def test_nlos_path_count(self):
         paths = sample_path_set(np.random.default_rng(0), NLOS, 5)
-        assert paths.num_ru_paths == 5
+        assert len(paths.ru_angles_rad) == len(paths.ru_gains) == len(paths.ru_delays_s) == 5
 
     def test_los_forces_single_path(self):
         with pytest.raises(ValueError):
@@ -182,13 +186,13 @@ class TestSamplePathSet:
         rng = np.random.default_rng(4)
         for _ in range(200):
             paths = sample_path_set(rng, NLOS, 3)
-            angles = [paths.bs_ris_aoa_rad, paths.bs_ris_aod_rad] + [p.angle_rad for p in paths.ru_paths]
+            angles = [paths.bs_ris_aoa_rad, paths.bs_ris_aod_rad] + list(paths.ru_angles_rad)
             assert all(0 < a <= 2 * np.pi for a in angles)
 
     def test_unit_gain_mode(self):
         paths = sample_path_set(np.random.default_rng(5), NLOS, 4, gain_mode="unit")
         assert paths.bs_ris_gain == 1.0 + 0j
-        assert all(p.gain == 1.0 + 0j for p in paths.ru_paths)
+        assert all(g == 1.0 + 0j for g in paths.ru_gains)
 
     def test_random_gain_moments(self):
         rng = np.random.default_rng(6)
@@ -274,10 +278,10 @@ class TestGenChannels:
         f = grid.frequencies
         a_ris = array_response_direct(m, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
         h_ris_user = np.zeros((32, m), dtype=complex)
-        for path in paths.ru_paths:
-            a_ru = array_response_direct(m, spatial_angle(f, path.angle_rad, grid.carrier_hz)).T
-            delay = np.exp(-2j * np.pi * path.delay_s * f)
-            h_ris_user += (path.gain * delay)[:, None] * np.conj(a_ru)
+        for angle, gain, delay_s in zip(paths.ru_angles_rad, paths.ru_gains, paths.ru_delays_s):
+            a_ru = array_response_direct(m, spatial_angle(f, angle, grid.carrier_hz)).T
+            delay = np.exp(-2j * np.pi * delay_s * f)
+            h_ris_user += (gain * delay)[:, None] * np.conj(a_ru)
         h_ris_user *= np.sqrt(m / num_paths)
         for table, oracle in ((channels.a_ris, a_ris), (channels.h_ris_user, h_ris_user)):
             assert table.shape == (32, m)
@@ -315,37 +319,66 @@ class TestGenChannels:
         with pytest.raises(ValueError, match="counts must be integers >= 1"):
             gen_channels(los_paths(), grid, n, m)
 
-    @pytest.mark.parametrize("m", [16, 100])
-    def test_user_rows_are_the_coefficient_first_products(self, m):
-        # The per-path tables are scaled in place; the product must keep the
-        # operand order of coef * table, which numpy rounds differently from
-        # table * coef.
-        paths = sample_path_set(np.random.default_rng(21), NLOS, 5)
+    @pytest.mark.parametrize("num_paths", [1, 5, 9])
+    @pytest.mark.parametrize("m", [16, 37, 100])
+    def test_user_rows_are_the_coefficient_first_products(self, m, num_paths):
+        # The stacked path tables are scaled in place and summed over the path
+        # axis; the result must equal accumulating coef * table path by path
+        # from zero, bit for bit. The product keeps the operand order of
+        # coef * table, which numpy rounds differently from table * coef.
+        paths = sample_path_set(np.random.default_rng(21), NLOS, num_paths)
         grid = build_frequency_grid(28e9, 2e9, 32)
         f = grid.frequencies
         expected = np.zeros((32, m), dtype=complex)
-        for path in paths.ru_paths:
-            coef = path.gain * np.exp(-2j * np.pi * path.delay_s * f)
-            expected += coef[:, None] * _steering_table(m, -spatial_angle(f, path.angle_rad, grid.carrier_hz))
-        expected *= np.sqrt(m / 5)
+        for angle, gain, delay_s in zip(paths.ru_angles_rad, paths.ru_gains, paths.ru_delays_s):
+            coef = gain * np.exp(-2j * np.pi * delay_s * f)
+            expected += coef[:, None] * _steering_table(m, -spatial_angle(f, angle, grid.carrier_hz))
+        expected *= np.sqrt(m / num_paths)
         assert np.array_equal(gen_channels(paths, grid, 4, m).h_ris_user, expected)
+
+    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 1), (NLOS, 5)])
+    def test_two_steering_table_calls_for_any_path_count(self, monkeypatch, scenario, num_paths):
+        # One call for a_ris and one for the (L, K) user angles, whatever L is.
+        shapes = []
+
+        def counting_table(n_elements, phi):
+            shapes.append(np.shape(phi))
+            return _steering_table(n_elements, phi)
+
+        paths = sample_path_set(np.random.default_rng(22), scenario, num_paths)
+        grid = build_frequency_grid(28e9, 2e9, 16)
+        monkeypatch.setattr(channel_module, "_steering_table", counting_table)
+        gen_channels(paths, grid, 4, 8)
+        assert shapes == [(16,), (num_paths, 16)]
 
 
 class TestPathSetValidation:
+    @staticmethod
+    def path_set(scenario=NLOS, angles=(1.0,), gains=(1.0,), delays=(1e-9,), bs_delay=1e-9):
+        return PathSet(scenario, 0.1, 0.2, 1.0, bs_delay, angles, gains, delays)
+
     def test_los_requires_single_path(self):
-        path = RuPath(angle_rad=1.0, gain=1.0, delay_s=1e-9)
-        with pytest.raises(ValueError):
-            PathSet(LOS, 0.1, 0.2, 1.0, 1e-9, (path, path))
+        with pytest.raises(ValueError, match="exactly one surface-to-user path"):
+            self.path_set(LOS, (1.0, 2.0), (1.0, 1.0), (1e-9, 2e-9))
 
     def test_requires_at_least_one_path(self):
-        with pytest.raises(ValueError):
-            PathSet(NLOS, 0.1, 0.2, 1.0, 1e-9, ())
+        with pytest.raises(ValueError, match="at least one surface-to-user path"):
+            self.path_set(NLOS, (), (), ())
 
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            RuPath(angle_rad=1.0, gain=1.0, delay_s=-1e-9)
+    @pytest.mark.parametrize("bs_delay,delays", [(1e-9, (1e-9, -1e-9)), (-1e-9, (1e-9, 2e-9))], ids=["user", "bs"])
+    def test_rejects_negative_delay(self, bs_delay, delays):
+        with pytest.raises(ValueError, match="path delays must be nonnegative"):
+            self.path_set(NLOS, (1.0, 2.0), (1.0, 1.0), delays, bs_delay)
+
+    @pytest.mark.parametrize(
+        "angles,gains,delays",
+        [((1.0, 2.0), (1.0,), (1e-9,)), ((1.0,), (1.0, 1.0), (1e-9,)), ((1.0,), (1.0,), (1e-9, 2e-9)), ((), (1.0,), ())],
+        ids=["angles", "gains", "delays", "empty-angles"],
+    )
+    def test_rejects_user_tuples_of_different_lengths(self, angles, gains, delays):
+        with pytest.raises(ValueError, match="differ in length"):
+            self.path_set(NLOS, angles, gains, delays)
 
     def test_rejects_unknown_scenario(self):
-        path = RuPath(angle_rad=1.0, gain=1.0, delay_s=1e-9)
         with pytest.raises(ValueError):
-            PathSet("foo", 0.1, 0.2, 1.0, 1e-9, (path,))
+            self.path_set("foo")

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from squintsim.channel import (
     LOS,
     NLOS,
     PathSet,
-    RuPath,
     array_response,
     build_frequency_grid,
     gen_channels,
@@ -28,7 +29,7 @@ from squintsim.phase_design import (
 )
 from squintsim.rate_eval import sum_rate
 
-from reference import h_bs_ris, z_factor
+from reference import h_bs_ris, rate_upper_bound, z_factor
 
 SNR = 10.0
 
@@ -38,6 +39,13 @@ def assert_phases_equal(a, b, atol=1e-9):
     assert np.allclose(np.exp(1j * (np.asarray(a) - np.asarray(b))), 1.0, atol=atol)
 
 
+def jensen_kernel(paths, grid, num_ris_elements):
+    """``D(d) = sum_k cos(pi*s*d*(f_k - f_c)/f_c)`` for lags d < M, with s = sin(user) - sin(bs)."""
+    s = np.sin(paths.ru_angles_rad[0]) - np.sin(paths.bs_ris_aoa_rad)
+    offsets = (grid.frequencies - grid.carrier_hz) / grid.carrier_hz
+    return np.cos(np.pi * s * np.multiply.outer(np.arange(num_ris_elements), offsets)).sum(axis=1)
+
+
 def los_paths(aoa, ru_angle, aod=1.1, gain=1.0 + 0j):
     return PathSet(
         scenario=LOS,
@@ -45,7 +53,9 @@ def los_paths(aoa, ru_angle, aod=1.1, gain=1.0 + 0j):
         bs_ris_aod_rad=aod,
         bs_ris_gain=gain,
         bs_ris_delay_s=4e-9,
-        ru_paths=(RuPath(angle_rad=ru_angle, gain=gain, delay_s=2e-9),),
+        ru_angles_rad=(ru_angle,),
+        ru_gains=(gain,),
+        ru_delays_s=(2e-9,),
     )
 
 
@@ -114,6 +124,34 @@ class TestDesignCentral:
         paths = sample_path_set(np.random.default_rng(2), NLOS, 2)
         with pytest.raises(ValueError):
             design_central(paths, 4)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bandwidth=st.sampled_from((0.25e9, 0.5e9, 2e9, 4e9, 8e9)),
+        num_subcarriers=st.sampled_from((1, 2, 7, 32, 128)),
+        m_ris=st.sampled_from((1, 2, 5, 16, 64)),
+    )
+    def test_maximizes_jensen_bound_when_kernel_is_nonnegative(self, seed, bandwidth, num_subcarriers, m_ris):
+        # sum_k |z_k|^2 = sum_{m,n} exp(j(t_m - t_n)) D(m - n) with t the profile
+        # minus central; central (t = 0) reaches sum D, and no profile exceeds
+        # sum |D|, so D >= 0 at every lag makes central the maximizer.
+        grid = build_frequency_grid(28e9, bandwidth, num_subcarriers)
+        paths = sample_path_set(np.random.default_rng(seed), LOS, 1, gain_mode="unit")
+        assume(np.all(jensen_kernel(paths, grid, m_ris) >= 0))
+        central = rate_upper_bound(paths, design_central(paths, m_ris), grid, m_ris, 4, SNR)
+        rivals = [design_ideal(paths, grid, m_ris, k) for k in range(num_subcarriers)]
+        rivals.append(design_mccm(gen_channels(paths, grid, 4, m_ris)))
+        for profile in rivals:
+            assert rate_upper_bound(paths, profile, grid, m_ris, 4, SNR) <= central + 1e-12
+
+    def test_indexed_profile_can_beat_jensen_bound_when_kernel_has_negative_lobe(self):
+        grid = build_frequency_grid(28e9, 4e9, 128)
+        paths = sample_path_set(np.random.default_rng(11), LOS, 1, gain_mode="unit")
+        assert jensen_kernel(paths, grid, 64).min() < -27.0
+        central = rate_upper_bound(paths, design_central(paths, 64), grid, 64, 4, SNR)
+        indexed = rate_upper_bound(paths, design_ideal(paths, grid, 64, 43), grid, 64, 4, SNR)
+        assert indexed - central == pytest.approx(0.018861, abs=1e-6)
 
 
 class TestDesignIndexed:
@@ -195,7 +233,7 @@ class TestPrincipalDirection:
         paths = sample_path_set(np.random.default_rng(9), LOS, 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 16)
         vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
-        phi = spatial_angle(grid.frequencies[0], paths.ru_paths[0].angle_rad, grid.carrier_hz)
+        phi = spatial_angle(grid.frequencies[0], paths.ru_angles_rad[0], grid.carrier_hz)
         steering = array_response(16, phi)
         assert abs(np.vdot(vector, steering)) == pytest.approx(1.0, abs=1e-9)
         assert not degenerate
@@ -324,7 +362,7 @@ class TestDesignMccm:
         scaled = dataclasses.replace(
             paths,
             bs_ris_gain=3.7 * paths.bs_ris_gain,
-            ru_paths=tuple(dataclasses.replace(p, gain=3.7 * p.gain) for p in paths.ru_paths),
+            ru_gains=tuple(3.7 * g for g in paths.ru_gains),
         )
         a = design_mccm(gen_channels(paths, grid, 4, 8))
         b = design_mccm(gen_channels(scaled, grid, 4, 8))
@@ -372,7 +410,7 @@ class TestProfileProperties:
         scaled = dataclasses.replace(
             paths,
             bs_ris_gain=2.5 * paths.bs_ris_gain,
-            ru_paths=(dataclasses.replace(paths.ru_paths[0], gain=2.5 * paths.ru_paths[0].gain),),
+            ru_gains=(2.5 * paths.ru_gains[0],),
         )
         assert np.array_equal(design_central(paths, 8).phases_rad, design_central(scaled, 8).phases_rad)
         assert np.array_equal(

@@ -12,9 +12,9 @@ from squintsim.channel import (
     sample_path_set,
 )
 from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random
-from squintsim.rate_eval import ideal_rate, rate_upper_bound, sum_rate
+from squintsim.rate_eval import ideal_rate, sum_rate
 
-from reference import effective_channel, h_bs_ris, mrt_beamformer, subcarrier_rate, z_factor
+from reference import effective_channel, h_bs_ris, mrt_beamformer, rate_upper_bound, subcarrier_rate, z_factor
 
 SNR = 10.0
 
@@ -207,9 +207,7 @@ class TestZFactor:
     def test_matched_angles_with_zero_profile(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(18), LOS, 1)
-        matched = dataclasses.replace(
-            paths, ru_paths=(dataclasses.replace(paths.ru_paths[0], angle_rad=paths.bs_ris_aoa_rad),)
-        )
+        matched = dataclasses.replace(paths, ru_angles_rad=(paths.bs_ris_aoa_rad,))
         z = z_factor(matched, zero_profile(6), grid, 6, 1)
         assert z == pytest.approx(6.0 + 0j, abs=1e-12)
 
@@ -305,7 +303,7 @@ class TestPhysicalConsistency:
         moved = dataclasses.replace(
             paths,
             bs_ris_delay_s=17e-9,
-            ru_paths=(dataclasses.replace(paths.ru_paths[0], delay_s=11e-9),),
+            ru_delays_s=(11e-9,),
         )
         profile = design_random(np.random.default_rng(29), 8)
         a = per_subcarrier(gen_channels(paths, grid, 4, 8), profile)
