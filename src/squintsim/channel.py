@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,10 @@ class ChannelRealization:
     factored form, with shapes (K,) and (K, M). No rate depends on the
     unit-norm vectors ``a_N[k]``, so only their count N is stored.
     ``h_ris_user`` stacks the K surface-to-user row vectors into shape (K, M).
+    ``cascade = h_ris_user * a_ris`` (K, M) is derived, not passed: it is
+    computed once at construction (``dataclasses.replace`` computes it again).
+    The four arrays are made read-only there, so an in-place edit cannot leave
+    ``cascade`` stale.
     """
 
     bs_ris_scale: np.ndarray
@@ -94,17 +98,26 @@ class ChannelRealization:
     h_ris_user: np.ndarray
     grid: FrequencyGrid
     source_paths: PathSet
+    cascade: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cascade", self.h_ris_user * self.a_ris)
+        for array in (self.bs_ris_scale, self.a_ris, self.h_ris_user, self.cascade):
+            array.flags.writeable = False
 
     def received_power(self, diag) -> np.ndarray:
         """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
 
-        ``||a_N[k]|| = 1`` reduces it to ``|scale_k|^2 |sum_m h_ru[k,m] d_m a_ris[k,m]|^2``.
+        ``||a_N[k]|| = 1`` reduces it to ``|scale_k|^2 |sum_m cascade[k,m] d_m|^2``.
         """
-        return np.abs(self.bs_ris_scale) ** 2 * np.abs((self.h_ris_user * self.a_ris) @ diag) ** 2
+        return np.abs(self.bs_ris_scale) ** 2 * np.abs(self.cascade @ diag) ** 2
 
     def aligned_power(self) -> np.ndarray:
-        """Largest ``received_power`` any diagonal reaches: all M terms co-phased."""
-        return (np.abs(self.bs_ris_scale) * np.sum(np.abs(self.h_ris_user * self.a_ris), axis=1)) ** 2
+        """Largest ``received_power`` any diagonal reaches: all M terms co-phased.
+
+        It is ``(|scale_k| sum_m |cascade[k,m]|)^2``.
+        """
+        return (np.abs(self.bs_ris_scale) * np.sum(np.abs(self.cascade), axis=1)) ** 2
 
     @property
     def num_subcarriers(self) -> int:

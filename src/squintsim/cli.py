@@ -8,6 +8,7 @@ configuration value, caught before the first trial), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -18,6 +19,13 @@ from .experiments import SWEEP_GRIDS, SWEEP_VARIABLES, ScenarioConfig, SweepRow,
 CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
 
 _DEFAULTS = ScenarioConfig()
+
+# glibc mallopt parameters. 32 MiB is glibc's 64-bit ceiling for the mmap
+# threshold, above every preset's largest block: the (5, 128, 64) nlos user
+# stack, 640 KiB.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_THRESHOLD_BYTES = 32 << 20
 
 
 class UsageError(Exception):
@@ -186,6 +194,28 @@ def _print_summary(rows: tuple[SweepRow, ...]) -> None:
         )
 
 
+def _reuse_freed_blocks() -> None:
+    """Keep freed channel-sized blocks in the heap of this process, on glibc.
+
+    glibc serves a block at or above its mmap threshold with a fresh mapping,
+    and its dynamic threshold only rises to the size of the last freed mapped
+    block, so every same-size (K, M) table or (L, K, M) stack is mapped and
+    faulted in again. Free memory above the trim threshold at the top of the
+    heap goes back to the kernel as well, so both thresholds are raised.
+    Library callers keep their allocator as it is. A no-op off Linux and
+    where libc has no ``mallopt``.
+    """
+    if sys.platform != "linux":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
     try:
         job, output_path = parse_args(argv if argv is not None else sys.argv[1:])
@@ -193,6 +223,7 @@ def main(argv=None) -> int:
         print(f"squintsim: error: {exc}", file=sys.stderr)
         return 1
 
+    _reuse_freed_blocks()
     try:
         rows = experiments.run_sweep(*job)
         emit_csv(rows, output_path)

@@ -45,7 +45,9 @@ SWEEP_GRIDS = {
 SWEEP_VARIABLES = tuple(SWEEP_GRIDS)
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
-#: (K, M) channel table then takes 256 MiB, and a trial holds a few of them.
+#: (K, M) channel table then takes 256 MiB. A channel point holds three of them,
+#: ``a_ris``, ``h_ris_user`` and ``cascade``, and ``gen_channels`` holds the
+#: (L, K, M) user stack on top while it sums the paths.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -350,6 +351,35 @@ class TestGenChannels:
         monkeypatch.setattr(channel_module, "_steering_table", counting_table)
         gen_channels(paths, grid, 4, 8)
         assert shapes == [(16,), (num_paths, 16)]
+
+
+class TestCascade:
+    @staticmethod
+    def channels():
+        grid = build_frequency_grid(28e9, 2e9, 8)
+        return gen_channels(sample_path_set(np.random.default_rng(23), NLOS, 3), grid, 4, 6)
+
+    def test_replace_recomputes_cascade_and_powers(self):
+        # The subcarrier permutation test in test_rate_eval.py passes even with a
+        # stale cascade, because |bs_ris_scale| does not vary with k. Rows that do
+        # vary with k change every power, so a cascade carried over by replace shows.
+        channels = self.channels()
+        rng = np.random.default_rng(24)
+        h = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        a = np.exp(2j * np.pi * rng.uniform(size=(8, 6)))
+        diag = np.exp(2j * np.pi * rng.uniform(size=6))
+        for changes in ({"h_ris_user": h}, {"h_ris_user": h, "a_ris": a}):
+            moved = dataclasses.replace(channels, **changes)
+            cascade = moved.h_ris_user * moved.a_ris
+            scale = np.abs(moved.bs_ris_scale)
+            assert np.array_equal(moved.cascade, cascade)
+            assert np.array_equal(moved.received_power(diag), scale**2 * np.abs(cascade @ diag) ** 2)
+            assert np.array_equal(moved.aligned_power(), (scale * np.sum(np.abs(cascade), axis=1)) ** 2)
+
+    @pytest.mark.parametrize("name", ["bs_ris_scale", "a_ris", "h_ris_user", "cascade"])
+    def test_arrays_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(self.channels(), name)[0] *= 2
 
 
 class TestPathSetValidation:

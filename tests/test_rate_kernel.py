@@ -184,3 +184,25 @@ def test_snr_array_matches_one_call_per_snr(case):
     power = channels.received_power(profile.unit_diagonal())
     assert_rows_match_single_snr_calls(snrs, power, lambda snr: sum_rate(channels, profile, snr))
     assert_rows_match_single_snr_calls(snrs, channels.aligned_power(), lambda snr: ideal_rate(channels, snr))
+
+
+@pytest.mark.parametrize("gain_mode", ["unit", "random"])
+@pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 1), (NLOS, 5), (NLOS, 9)])
+@pytest.mark.parametrize("num_ris_elements", [1, 16, 37, 64, 100, 256])
+def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, scenario, num_paths, gain_mode):
+    # The powers read the cascade stored at construction. They must equal the
+    # h_ris_user * a_ris product formed per call bit for bit, and the dense path.
+    case = dict(
+        scenario=scenario, num_paths=num_paths, bandwidth_hz=2e9, num_subcarriers=8, num_bs_antennas=4,
+        num_ris_elements=num_ris_elements, gain_mode=gain_mode, seed=31, snr_db=10.0,
+    )
+    channels, rng, snr = realize(case)
+    profile = design_random(rng, num_ris_elements)
+    diag = profile.unit_diagonal()
+    product = channels.h_ris_user * channels.a_ris
+    scale = np.abs(channels.bs_ris_scale)
+    power, aligned = channels.received_power(diag), channels.aligned_power()
+    assert np.array_equal(power, scale**2 * np.abs(product @ diag) ** 2)
+    assert np.array_equal(aligned, (scale * np.sum(np.abs(product), axis=1)) ** 2)
+    np.testing.assert_allclose(rate_bits(snr, power), dense_rates(channels, profile, snr), RTOL, ATOL)
+    np.testing.assert_allclose(rate_bits(snr, aligned), reference_ideal_rates(channels, snr), RTOL, ATOL)
