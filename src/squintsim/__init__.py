@@ -15,9 +15,7 @@ from .channel import (
     spatial_angle,
 )
 from .experiments import (
-    ALL_SCHEMES,
-    LOS_SCHEMES,
-    NLOS_SCHEMES,
+    SCHEMES,
     SWEEP_GRIDS,
     SWEEP_VARIABLES,
     ScenarioConfig,
@@ -31,7 +29,6 @@ from .phase_design import (
     PhaseProfile,
     design_central,
     design_ideal,
-    design_indexed,
     design_mccm,
     design_random,
     design_subcarrier_covariance,
@@ -47,16 +44,14 @@ from .rate_eval import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_SCHEMES",
     "ChannelRealization",
     "DELAY_MAX_S",
     "FrequencyGrid",
     "LOS",
-    "LOS_SCHEMES",
     "NLOS",
-    "NLOS_SCHEMES",
     "PathSet",
     "PhaseProfile",
+    "SCHEMES",
     "SWEEP_GRIDS",
     "SWEEP_VARIABLES",
     "ScenarioConfig",
@@ -66,7 +61,6 @@ __all__ = [
     "central_subcarrier_index",
     "design_central",
     "design_ideal",
-    "design_indexed",
     "design_mccm",
     "design_random",
     "design_subcarrier_covariance",

@@ -205,8 +205,9 @@ def array_response(n_elements: int, phi) -> np.ndarray:
 
 
 def _open_closed_uniform(rng: np.random.Generator, high: float) -> float:
-    # rng.uniform draws from [0, high); mirroring moves the support to (0, high].
-    return high - rng.uniform(0.0, high)
+    # high * rng.random() is the draw rng.uniform(0.0, high) makes, bit for bit, without
+    # its argument handling; mirroring moves the support from [0, high) to (0, high].
+    return high - high * rng.random()
 
 
 def _sample_gain(rng: np.random.Generator, gain_mode: str) -> complex:

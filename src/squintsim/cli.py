@@ -11,10 +11,11 @@ import argparse
 import ctypes
 import os
 import sys
+from dataclasses import fields
 
 from . import experiments
 from .channel import LOS, NLOS
-from .experiments import SWEEP_GRIDS, SWEEP_VARIABLES, ScenarioConfig, SweepRow, schemes_for
+from .experiments import FIGURES, SCHEMES, SWEEP_GRIDS, SWEEP_VARIABLES, ScenarioConfig, SweepRow, schemes_for
 
 CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
 
@@ -70,12 +71,13 @@ def _build_parser() -> _Parser:
             help="path gains: complex standard normal or pinned to 1",
         )
 
+    presets = ", ".join(f"{fig_id}: {scenario} vs {variable}" for fig_id, (scenario, variable) in FIGURES.items())
     fig = sub.add_parser(
         "figure",
-        help="run a preset benchmark sweep (2: SNR, 3: bandwidth, 4: surface size; 5 and 6: multipath)",
+        help=f"run a preset sweep ({presets})",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    fig.add_argument("--id", type=int, required=True, choices=(2, 3, 4, 5, 6), help="preset sweep id")
+    fig.add_argument("--id", type=int, required=True, choices=tuple(FIGURES), help=f"preset sweep id ({presets})")
     add_run_flags(fig)
     fig.add_argument("--out", default=None, help="CSV output path (default figure<ID>.csv)")
 
@@ -84,22 +86,23 @@ def _build_parser() -> _Parser:
         help="run a custom sweep",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
+    # Each ScenarioConfig flag stores under its field name; parse_args builds the config by name.
     swp.add_argument("--scenario", choices=(LOS, NLOS), default=LOS, help="surface-to-user propagation")
-    swp.add_argument(
-        "--schemes",
-        default=None,
-        help="comma-separated scheme list (default: all schemes of the scenario)",
-    )
+    swp.add_argument("--schemes", help=f"comma-separated list of {', '.join(SCHEMES)} (default: all of the scenario)")
     swp.add_argument("--var", choices=SWEEP_VARIABLES, default="snr_db", help="sweep variable")
     swp.add_argument("--values", default=None, help="comma-separated sweep values (default: built-in grid)")
     swp.add_argument("--carrier-hz", type=float, default=_DEFAULTS.carrier_hz, help="carrier frequency")
     swp.add_argument("--bandwidth-hz", type=float, default=_DEFAULTS.bandwidth_hz, help="total bandwidth")
-    swp.add_argument("--subcarriers", type=int, default=_DEFAULTS.num_subcarriers, help="OFDM subcarriers")
-    swp.add_argument("--bs-antennas", type=int, default=_DEFAULTS.num_bs_antennas, help="BS antennas")
-    swp.add_argument("--ris-elements", type=int, default=_DEFAULTS.num_ris_elements, help="surface elements")
+    for flag, name, description in (
+        ("--subcarriers", "num_subcarriers", "OFDM subcarriers"),
+        ("--bs-antennas", "num_bs_antennas", "BS antennas"),
+        ("--ris-elements", "num_ris_elements", "surface elements"),
+    ):
+        swp.add_argument(flag, dest=name, type=int, default=getattr(_DEFAULTS, name), help=description)
     # No stored default, so that parse_args can reject an explicit value on los.
     swp.add_argument(
         "--paths",
+        dest="num_paths",
         type=int,
         default=argparse.SUPPRESS,
         help=f"user-side paths, nlos only (default: {_DEFAULTS.num_paths})",
@@ -125,35 +128,18 @@ def parse_args(argv) -> tuple:
             raise UsageError(str(exc)) from None
         return job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
 
-    if ns.schemes is None:
-        schemes = schemes_for(ns.scenario)
-    else:
+    schemes = schemes_for(ns.scenario)
+    if ns.schemes is not None:
         schemes = tuple(token.strip() for token in ns.schemes.split(",") if token.strip())
-        if not schemes:
-            raise UsageError("argument --schemes: expected at least one scheme")
-        for scheme in schemes:
-            try:
-                experiments.check_scheme(scheme, ns.scenario)
-            except ValueError as exc:
-                raise UsageError(f"argument --schemes: {exc}") from None
-    if hasattr(ns, "paths") and ns.scenario == LOS:
+    try:
+        experiments.check_schemes(schemes, ns.scenario)
+    except ValueError as exc:
+        raise UsageError(f"argument --schemes: {exc}") from None
+    if hasattr(ns, "num_paths") and ns.scenario == LOS:
         raise UsageError("argument --paths: the los scenario has exactly one surface-to-user path")
-    num_paths = getattr(ns, "paths", _DEFAULTS.num_paths)
     values = _split_floats(ns.values, "--values") if ns.values is not None else SWEEP_GRIDS[ns.var]
     try:
-        config = ScenarioConfig(
-            scenario=ns.scenario,
-            carrier_hz=ns.carrier_hz,
-            bandwidth_hz=ns.bandwidth_hz,
-            num_subcarriers=ns.subcarriers,
-            num_bs_antennas=ns.bs_antennas,
-            num_ris_elements=ns.ris_elements,
-            num_paths=num_paths,
-            snr_db=ns.snr_db,
-            trials=ns.trials,
-            seed=ns.seed,
-            gain_mode=ns.gain_mode,
-        )
+        config = ScenarioConfig(**{f.name: getattr(ns, f.name) for f in fields(ScenarioConfig) if hasattr(ns, f.name)})
         experiments.sweep_points(config, ns.var, values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

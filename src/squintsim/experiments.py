@@ -30,9 +30,15 @@ from .phase_design import (
 )
 from .rate_eval import ideal_rate, sum_rate
 
-LOS_SCHEMES = ("ideal", "central", "random", "random-index", "side-index")
-NLOS_SCHEMES = ("ideal", "mccm", "central", "random", "random-index", "side-index")
-ALL_SCHEMES = NLOS_SCHEMES
+#: Every scheme, in CSV row order, with the scenarios that offer it.
+SCHEMES = {
+    "ideal": (LOS, NLOS),
+    "mccm": (NLOS,),
+    "central": (LOS, NLOS),
+    "random": (LOS, NLOS),
+    "random-index": (LOS, NLOS),
+    "side-index": (LOS, NLOS),
+}
 
 #: Default grid of every sweep variable; each brackets the operating points
 #: discussed in the scheme comparisons (500 MHz and 2 GHz bandwidth, 10 dB SNR,
@@ -43,6 +49,16 @@ SWEEP_GRIDS = {
     "ris_elements": (16, 32, 64, 128, 256),
 }
 SWEEP_VARIABLES = tuple(SWEEP_GRIDS)
+
+#: Preset comparisons, figure id -> (scenario, sweep variable); each runs every
+#: scheme of its scenario over the variable's default grid, at 10 dB off the SNR axis.
+FIGURES = {
+    2: (LOS, "snr_db"),
+    3: (LOS, "bandwidth_hz"),
+    4: (LOS, "ris_elements"),
+    5: (NLOS, "snr_db"),
+    6: (NLOS, "bandwidth_hz"),
+}
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
 #: (K, M) channel table then takes 256 MiB. A channel point holds three of them,
@@ -105,7 +121,7 @@ class ScenarioConfig:
                 and self.num_subcarriers * self.num_ris_elements <= MAX_TABLE_ENTRIES,
                 f"an integer >= 1 with num_subcarriers * num_ris_elements <= {MAX_TABLE_ENTRIES}",
             ),
-            # A los link has one path; the field default passes too, as the CLI always sends it.
+            # A los link has one path; the default passes too, as ScenarioConfig(scenario=LOS) carries it.
             "num_paths": (
                 _is_count(self.num_paths) and (self.scenario != LOS or self.num_paths in (1, default_paths)),
                 f"an integer >= 1, and 1 or {default_paths} on los",
@@ -140,7 +156,8 @@ def _substream(seed: int, trial: int, stream: int) -> np.random.Generator:
 
 
 def schemes_for(scenario: str) -> tuple[str, ...]:
-    return LOS_SCHEMES if scenario == LOS else NLOS_SCHEMES
+    """The schemes a scenario offers, in CSV row order."""
+    return tuple(scheme for scheme, scenarios in SCHEMES.items() if scenario in scenarios)
 
 
 def central_subcarrier_index(grid: FrequencyGrid) -> int:
@@ -148,36 +165,35 @@ def central_subcarrier_index(grid: FrequencyGrid) -> int:
     return int(np.argmin(np.abs(grid.frequencies - grid.carrier_hz)))
 
 
-def check_scheme(scheme: str, scenario: str) -> None:
-    if scheme not in ALL_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; known schemes: {', '.join(ALL_SCHEMES)}")
-    if scheme not in schemes_for(scenario):
-        raise ValueError(f"scheme {scheme!r} is not available in the {scenario!r} scenario")
+def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:
+    """Raise ValueError unless ``schemes`` is a non-empty list of schemes the scenario offers."""
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; known schemes: {', '.join(SCHEMES)}")
+        if scenario not in SCHEMES[scheme]:
+            raise ValueError(f"scheme {scheme!r} is not available in the {scenario!r} scenario")
 
 
-def _common_profile(
-    cfg: ScenarioConfig,
-    grid: FrequencyGrid,
-    channels,
-    scheme: str,
-    trial: int,
-) -> PhaseProfile:
+def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: str, trial: int) -> PhaseProfile | None:
+    """The scheme's profile, common to all subcarriers; None for ``ideal``, which has none."""
     paths = channels.source_paths
     m_ris = cfg.num_ris_elements
+    if scheme == "ideal":
+        return None
     if scheme == "random":
         return design_random(_substream(cfg.seed, trial, _PHASE_STREAM), m_ris)
     if scheme == "mccm":
         return design_mccm(channels)
+    if scheme == "central" and cfg.scenario == LOS:
+        return design_central(paths, m_ris)
     if scheme == "central":
-        if cfg.scenario == LOS:
-            return design_central(paths, m_ris)
-        return design_subcarrier_covariance(channels, central_subcarrier_index(grid))
-    if scheme == "random-index":
+        k = central_subcarrier_index(grid)
+    elif scheme == "random-index":
         k = int(_substream(cfg.seed, trial, _INDEX_STREAM).integers(grid.num_subcarriers))
-    elif scheme == "side-index":
-        k = 0
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        k = 0
     if cfg.scenario == LOS:
         return design_indexed(paths, grid, m_ris, k)
     return design_subcarrier_covariance(channels, k)
@@ -192,11 +208,8 @@ def _point_rates(point: ScenarioConfig, grid: FrequencyGrid, snrs, paths, scheme
     channels = gen_channels(paths, grid, point.num_bs_antennas, point.num_ris_elements)
     rates = np.empty((len(snrs), len(schemes)))
     for s, scheme in enumerate(schemes):
-        if scheme == "ideal":
-            rates[:, s] = ideal_rate(channels, snrs)
-        else:
-            profile = _common_profile(point, grid, channels, scheme, trial)
-            rates[:, s] = sum_rate(channels, profile, snrs)
+        profile = _common_profile(point, grid, channels, scheme, trial)
+        rates[:, s] = ideal_rate(channels, snrs) if profile is None else sum_rate(channels, profile, snrs)
     return rates
 
 
@@ -209,10 +222,7 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     and sweep value is evaluated on the same paths.
     """
     schemes = tuple(schemes)
-    if not schemes:
-        raise ValueError("need at least one scheme")
-    for scheme in schemes:
-        check_scheme(scheme, config.scenario)
+    check_schemes(schemes, config.scenario)
     points = (config,) if values is None else sweep_points(config, sweep_variable, values)
     # Consecutive points that differ only in SNR share one channel.
     channel_points = []
@@ -291,22 +301,9 @@ def run_sweep(config: ScenarioConfig, schemes, sweep_variable: str, values) -> t
 
 
 def figure_sweep(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> tuple:
-    """Arguments of :func:`run_sweep` for one of the five preset comparisons.
-
-    2: single-path rate vs SNR; 3: vs bandwidth at 10 dB; 4: vs surface size
-    at 10 dB; 5: multipath (5 paths) rate vs SNR; 6: multipath vs bandwidth
-    at 10 dB.
-    """
-    los = ScenarioConfig(trials=trials, seed=seed, gain_mode=gain_mode)
-    nlos = replace(los, scenario=NLOS)
-    presets = {
-        2: (los, LOS_SCHEMES, "snr_db"),
-        3: (los, LOS_SCHEMES, "bandwidth_hz"),
-        4: (los, LOS_SCHEMES, "ris_elements"),
-        5: (nlos, NLOS_SCHEMES, "snr_db"),
-        6: (nlos, NLOS_SCHEMES, "bandwidth_hz"),
-    }
-    if fig_id not in presets:
-        raise ValueError(f"unknown figure id {fig_id}; expected 2..6")
-    config, schemes, variable = presets[fig_id]
-    return config, schemes, variable, SWEEP_GRIDS[variable]
+    """Arguments of :func:`run_sweep` for the preset comparison ``FIGURES[fig_id]``."""
+    if fig_id not in FIGURES:
+        raise ValueError(f"unknown figure id {fig_id}; known: {', '.join(map(str, FIGURES))}")
+    scenario, variable = FIGURES[fig_id]
+    config = ScenarioConfig(scenario=scenario, trials=trials, seed=seed, gain_mode=gain_mode)
+    return config, schemes_for(scenario), variable, SWEEP_GRIDS[variable]

@@ -15,8 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from squintsim import experiments
 from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, _steering_table, rate_bits, spatial_angle
-from squintsim.phase_design import PhaseProfile
+from squintsim.phase_design import (
+    PhaseProfile,
+    design_central,
+    design_ideal,
+    design_mccm,
+    design_random,
+    design_subcarrier_covariance,
+)
 
 
 def array_response_direct(n_elements: int, phi) -> np.ndarray:
@@ -127,3 +135,32 @@ def rate_upper_bound(
     z = np.sqrt(num_ris_elements) * (_steering_table(num_ris_elements, phi_bs - phi_user) @ profile.unit_diagonal())
     mean_z_sq = float(np.mean(np.abs(z) ** 2))
     return float(rate_bits(snr, num_bs_antennas * mean_z_sq))
+
+
+def reference_profile(cfg, grid: FrequencyGrid, channels: ChannelRealization, scheme: str, trial: int) -> PhaseProfile:
+    """Common profile of one (scheme, trial), written out as one if-chain per scheme.
+
+    The sweep's own dispatch, ``experiments._common_profile``, is checked
+    against this. Indexed los profiles call ``design_ideal`` at subcarrier k,
+    the definition of an indexed profile; ``ideal`` itself has no common
+    profile and is rejected like any unknown name.
+    """
+    paths = channels.source_paths
+    m_ris = cfg.num_ris_elements
+    if scheme == "random":
+        return design_random(experiments._substream(cfg.seed, trial, experiments._PHASE_STREAM), m_ris)
+    if scheme == "mccm":
+        return design_mccm(channels)
+    if scheme == "central":
+        if cfg.scenario == LOS:
+            return design_central(paths, m_ris)
+        return design_subcarrier_covariance(channels, experiments.central_subcarrier_index(grid))
+    if scheme == "random-index":
+        k = int(experiments._substream(cfg.seed, trial, experiments._INDEX_STREAM).integers(grid.num_subcarriers))
+    elif scheme == "side-index":
+        k = 0
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if cfg.scenario == LOS:
+        return design_ideal(paths, grid, m_ris, k)
+    return design_subcarrier_covariance(channels, k)

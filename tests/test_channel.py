@@ -183,6 +183,17 @@ class TestSamplePathSet:
         assert delays.min() > 0
         assert delays.max() <= DELAY_MAX_S
 
+    @pytest.mark.parametrize("gain_mode", ["random", "unit"])
+    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 5)], ids=["los", "nlos"])
+    def test_matches_rng_uniform_draws(self, monkeypatch, scenario, num_paths, gain_mode):
+        def draw(seed):
+            rng = np.random.default_rng(seed)
+            return [sample_path_set(rng, scenario, num_paths, gain_mode=gain_mode) for _ in range(50)]
+
+        fast = {seed: draw(seed) for seed in (0, 1, 7, 2**63 + 5)}
+        monkeypatch.setattr(channel_module, "_open_closed_uniform", lambda rng, high: high - rng.uniform(0.0, high))
+        assert fast == {seed: draw(seed) for seed in fast}
+
     def test_angles_in_half_open_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(200):

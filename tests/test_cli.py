@@ -9,12 +9,14 @@ import pytest
 import squintsim
 from squintsim import cli
 from squintsim.cli import CSV_HEADER, UsageError, emit_csv, main, parse_args
+from squintsim.channel import LOS, NLOS
 from squintsim.experiments import (
-    LOS_SCHEMES,
-    NLOS_SCHEMES,
+    FIGURES,
+    SCHEMES,
     SWEEP_GRIDS,
     SweepRow,
     figure_sweep,
+    schemes_for,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -71,7 +73,7 @@ class TestParseArgs:
     def test_sweep_defaults(self):
         (cfg, schemes, variable, values), out = parse_args(["sweep"])
         assert cfg.scenario == "los"
-        assert schemes == LOS_SCHEMES
+        assert schemes == schemes_for(LOS)
         assert variable == "snr_db"
         assert values == SWEEP_GRIDS["snr_db"]
         assert cfg.carrier_hz == 28e9
@@ -88,7 +90,7 @@ class TestParseArgs:
 
     def test_nlos_defaults_include_covariance_scheme(self):
         (_, schemes, _, _), _ = parse_args(["sweep", "--scenario", "nlos"])
-        assert schemes == NLOS_SCHEMES
+        assert schemes == schemes_for(NLOS)
 
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
@@ -192,11 +194,15 @@ class TestMain:
             ["--var", "snr_db", "--values", "-4000"],
             ["--scenario", "los", "--paths", "9"],
             ["--var", "ris_elements", "--values", "16,10000000"],
+            ["--schemes", "central,frobnicate"],
+            ["--scenario", "los", "--schemes", "mccm"],
+            ["--schemes", ","],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
              "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
              "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear",
-             "paths-on-single-path-scenario", "working-set-too-large"],
+             "paths-on-single-path-scenario", "working-set-too-large", "unknown-scheme",
+             "nlos-only-scheme-on-los", "empty-scheme-list"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -207,6 +213,16 @@ class TestMain:
         small = ["--subcarriers", "4", "--bs-antennas", "2", "--ris-elements", "2", "--trials", "1"]
         assert main(["sweep", *small, *flags, "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_figure_id_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the input was rejected")
+
+        monkeypatch.setattr(cli.experiments, "sample_path_set", no_trials)
+        out = tmp_path / "fig.csv"
+        assert main(["figure", "--id", "7", "--trials", "1", "--out", str(out)]) == 1
+        assert "--id" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_figure_seed_exits_1(self, tmp_path, capsys):
@@ -266,7 +282,7 @@ class TestMain:
         code = main(["figure", "--id", "3", "--trials", "1", "--seed", "1", "--out", str(out)])
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1 + 5 * len(LOS_SCHEMES)
+        assert len(lines) == 1 + 5 * len(schemes_for(LOS))
 
     @pytest.mark.parametrize("fig_id", [2, 3, 4, 5, 6])
     def test_figure_matches_golden_csv(self, fig_id, tmp_path):
@@ -317,3 +333,20 @@ class TestMain:
         assert "default: 28000000000.0" in out  # carrier
         assert "default: 500" in out  # trials
         assert "nlos only (default: 5)" in out  # paths
+
+    def test_sweep_help_names_every_scheme(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # one help line per flag, so no name is wrapped
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--help"])
+        assert excinfo.value.code == 0
+        assert f"comma-separated list of {', '.join(SCHEMES)} " in capsys.readouterr().out
+
+    def test_figure_help_lists_every_preset(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(map(str, FIGURES)) + "}" in out
+        for fig_id, (scenario, variable) in FIGURES.items():
+            assert f"{fig_id}: {scenario} vs {variable}" in out

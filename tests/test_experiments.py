@@ -7,8 +7,8 @@ import pytest
 from squintsim import experiments
 from squintsim.channel import LOS, NLOS, ChannelRealization, build_frequency_grid, gen_channels, sample_path_set
 from squintsim.experiments import (
-    LOS_SCHEMES,
-    NLOS_SCHEMES,
+    FIGURES,
+    SCHEMES,
     SWEEP_GRIDS,
     ScenarioConfig,
     central_subcarrier_index,
@@ -17,6 +17,8 @@ from squintsim.experiments import (
     run_sweep,
     schemes_for,
 )
+
+from reference import reference_profile
 
 SMALL_LOS = ScenarioConfig(
     scenario=LOS,
@@ -218,7 +220,7 @@ def oracle_trial_rate(cfg, scheme, trial):
     channels = gen_channels(paths, grid, cfg.num_bs_antennas, cfg.num_ris_elements)
     if scheme == "ideal":
         return experiments.ideal_rate(channels, snr)
-    profile = experiments._common_profile(cfg, grid, channels, scheme, trial)
+    profile = reference_profile(cfg, grid, channels, scheme, trial)
     return experiments.sum_rate(channels, profile, snr)
 
 
@@ -265,8 +267,8 @@ def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
     counting(monkeypatch, counts, "gen_channels")
     counting(monkeypatch, counts, "design_mccm")
     snrs = (-10.0, 0.0, 10.0, 20.0)
-    rows = run_sweep(SMALL_NLOS, NLOS_SCHEMES, "snr_db", snrs)
-    assert len(rows) == len(snrs) * len(NLOS_SCHEMES)
+    rows = run_sweep(SMALL_NLOS, schemes_for(NLOS), "snr_db", snrs)
+    assert len(rows) == len(snrs) * len(schemes_for(NLOS))
     assert counts == {"gen_channels": SMALL_NLOS.trials, "design_mccm": SMALL_NLOS.trials}
 
 
@@ -275,8 +277,8 @@ def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, variable, values)
     counts = Counter()
     counting(monkeypatch, counts, "sample_path_set")
     counting(monkeypatch, counts, "gen_channels")
-    rows = run_sweep(SMALL_NLOS, NLOS_SCHEMES, variable, values)
-    assert len(rows) == len(values) * len(NLOS_SCHEMES)
+    rows = run_sweep(SMALL_NLOS, schemes_for(NLOS), variable, values)
+    assert len(rows) == len(values) * len(schemes_for(NLOS))
     trials = SMALL_NLOS.trials
     assert counts == {"sample_path_set": trials, "gen_channels": trials * len(values)}
 
@@ -365,7 +367,7 @@ class TestRunSweep:
 class TestReproduceFigure:
     def test_snr_comparison_layout(self):
         rows = run_sweep(*figure_sweep(2, trials=2, seed=9))
-        assert len(rows) == len(SWEEP_GRIDS["snr_db"]) * len(LOS_SCHEMES)
+        assert len(rows) == len(SWEEP_GRIDS["snr_db"]) * len(schemes_for(LOS))
         assert all(r.scenario == LOS for r in rows)
         assert all(r.sweep_variable == "snr_db" for r in rows)
 
@@ -378,11 +380,24 @@ class TestReproduceFigure:
         rows = run_sweep(*figure_sweep(5, trials=1, seed=9))
         assert all(r.scenario == NLOS for r in rows)
         assert "mccm" in {r.scheme for r in rows}
-        assert set(r.scheme for r in rows) == set(NLOS_SCHEMES)
+        assert set(r.scheme for r in rows) == set(schemes_for(NLOS))
 
     def test_rejects_unknown_figure(self):
         with pytest.raises(ValueError):
             figure_sweep(7, trials=1, seed=0)
+
+    def test_presets(self):
+        assert FIGURES == {
+            2: (LOS, "snr_db"),
+            3: (LOS, "bandwidth_hz"),
+            4: (LOS, "ris_elements"),
+            5: (NLOS, "snr_db"),
+            6: (NLOS, "bandwidth_hz"),
+        }
+        for fig_id, (scenario, variable) in FIGURES.items():
+            config, schemes, sweep_variable, values = figure_sweep(fig_id, trials=3, seed=2, gain_mode="unit")
+            assert config == ScenarioConfig(scenario=scenario, trials=3, seed=2, gain_mode="unit")
+            assert (schemes, sweep_variable, values) == (schemes_for(scenario), variable, SWEEP_GRIDS[variable])
 
     def test_deterministic_table(self):
         assert run_sweep(*figure_sweep(2, trials=1, seed=4)) == run_sweep(*figure_sweep(2, trials=1, seed=4))
@@ -390,10 +405,9 @@ class TestReproduceFigure:
 
 class TestMisc:
     def test_schemes_for(self):
-        assert schemes_for(LOS) == LOS_SCHEMES
-        assert schemes_for(NLOS) == NLOS_SCHEMES
-        assert "mccm" not in LOS_SCHEMES
-        assert "mccm" in NLOS_SCHEMES
+        assert schemes_for(LOS) == ("ideal", "central", "random", "random-index", "side-index")
+        assert schemes_for(NLOS) == ("ideal", "mccm", "central", "random", "random-index", "side-index")
+        assert tuple(SCHEMES) == schemes_for(NLOS)
 
     def test_central_subcarrier_index(self):
         odd = build_frequency_grid(28e9, 2e9, 11)
