@@ -2,8 +2,6 @@
 
 from .channel import (
     DELAY_MAX_S,
-    LOS,
-    NLOS,
     ChannelRealization,
     FrequencyGrid,
     PathSet,
@@ -15,6 +13,8 @@ from .channel import (
     spatial_angle,
 )
 from .experiments import (
+    LOS,
+    NLOS,
     SCHEMES,
     SWEEP_GRIDS,
     SWEEP_VARIABLES,

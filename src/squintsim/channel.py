@@ -15,9 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LOS = "los"
-NLOS = "nlos"
-
 #: Path delays are sampled from (0, DELAY_MAX_S].
 DELAY_MAX_S = 20e-9
 
@@ -46,14 +43,12 @@ class PathSet:
     """Geometric description of one channel realization.
 
     The BS-to-surface hop is always a single path; the surface-to-user hop
-    carries one path in the ``los`` scenario and ``L >= 1`` paths in ``nlos``.
-    User path l has angle ``ru_angles_rad[l]``, gain ``ru_gains[l]`` and delay
-    ``ru_delays_s[l]``; the three are tuples of length L, so the record keeps
-    ``==`` and hashing. Angles are physical angles in radians, gains are
-    complex amplitudes.
+    carries ``L >= 1`` paths (one on a los link). User path l has angle
+    ``ru_angles_rad[l]``, gain ``ru_gains[l]`` and delay ``ru_delays_s[l]``;
+    the three are tuples of length L, so the record keeps ``==`` and hashing.
+    Angles are physical angles in radians, gains are complex amplitudes.
     """
 
-    scenario: str
     bs_ris_aoa_rad: float
     bs_ris_aod_rad: float
     bs_ris_gain: complex
@@ -64,14 +59,10 @@ class PathSet:
 
     def __post_init__(self) -> None:
         num_paths = len(self.ru_angles_rad)
-        if self.scenario not in (LOS, NLOS):
-            raise ValueError(f"scenario must be {LOS!r} or {NLOS!r}, got {self.scenario!r}")
         if not len(self.ru_gains) == len(self.ru_delays_s) == num_paths:
             raise ValueError("ru_angles_rad, ru_gains and ru_delays_s differ in length")
         if num_paths < 1:
             raise ValueError("at least one surface-to-user path is required")
-        if self.scenario == LOS and num_paths != 1:
-            raise ValueError("the los scenario carries exactly one surface-to-user path")
         if self.bs_ris_delay_s < 0 or any(delay < 0 for delay in self.ru_delays_s):
             raise ValueError(f"path delays must be nonnegative, got {self.bs_ris_delay_s} and {self.ru_delays_s}")
 
@@ -221,11 +212,10 @@ def _sample_gain(rng: np.random.Generator, gain_mode: str) -> complex:
 
 def sample_path_set(
     rng: np.random.Generator,
-    scenario: str,
     num_paths: int = 1,
     gain_mode: str = "random",
 ) -> PathSet:
-    """Draw a random path geometry for one channel realization.
+    """Draw a random path geometry with ``num_paths`` user paths.
 
     All angles are i.i.d. uniform on (0, 2*pi], delays uniform on
     (0, 20 ns], and gains are complex standard normal unless
@@ -247,7 +237,7 @@ def sample_path_set(
         (_open_closed_uniform(rng, two_pi), _sample_gain(rng, gain_mode), _open_closed_uniform(rng, DELAY_MAX_S))
         for _ in range(num_paths)
     ]
-    return PathSet(scenario, aoa, aod, gain, delay, *zip(*draws))
+    return PathSet(aoa, aod, gain, delay, *zip(*draws))
 
 
 def gen_channels(

@@ -14,12 +14,23 @@ import sys
 from dataclasses import fields
 
 from . import experiments
-from .channel import LOS, NLOS
-from .experiments import FIGURES, SCHEMES, SWEEP_GRIDS, SWEEP_VARIABLES, ScenarioConfig, SweepRow, schemes_for
+from .experiments import FIGURES, LOS, NLOS, SCHEMES, SWEEP_GRIDS, ScenarioConfig, SweepRow, schemes_for
 
 CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
 
-_DEFAULTS = ScenarioConfig()
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+#: The numeric ScenarioConfig flags of ``sweep``: (flag, field, type, help). Each
+#: stores under its field name and defaults to the field's default.
+_CONFIG_FLAGS = (
+    ("--carrier-hz", "carrier_hz", float, "carrier frequency"),
+    ("--bandwidth-hz", "bandwidth_hz", float, "total bandwidth"),
+    ("--subcarriers", "num_subcarriers", int, "OFDM subcarriers"),
+    ("--bs-antennas", "num_bs_antennas", int, "BS antennas"),
+    ("--ris-elements", "num_ris_elements", int, "surface elements"),
+    ("--paths", "num_paths", int, f"user-side paths (default: 1 on {LOS}, {experiments.NLOS_PATHS} on {NLOS})"),
+    ("--snr-db", "snr_db", float, "SNR in dB for non-SNR sweeps"),
+)
 
 # glibc mallopt parameters. 32 MiB is glibc's 64-bit ceiling for the mmap
 # threshold, above every preset's largest block: the (5, 128, 64) nlos user
@@ -36,6 +47,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 (argparse hook)
         raise UsageError(message)
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # a flag whose default is None states its own in the help
+        return action.help if action.default is None else super()._get_help_string(action)
 
 
 def _split_floats(raw: str, flag: str) -> tuple[float, ...]:
@@ -62,12 +78,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     def add_run_flags(p: _Parser) -> None:
-        p.add_argument("--trials", type=int, default=_DEFAULTS.trials, help="Monte Carlo trials per point")
-        p.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="base seed of the trial substreams")
+        p.add_argument("--trials", type=int, default=_DEFAULTS["trials"], help="Monte Carlo trials per point")
+        p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="base seed of the trial substreams")
         p.add_argument(
             "--gain-mode",
             choices=("unit", "random"),
-            default=_DEFAULTS.gain_mode,
+            default=_DEFAULTS["gain_mode"],
             help="path gains: complex standard normal or pinned to 1",
         )
 
@@ -75,7 +91,7 @@ def _build_parser() -> _Parser:
     fig = sub.add_parser(
         "figure",
         help=f"run a preset sweep ({presets})",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     fig.add_argument("--id", type=int, required=True, choices=tuple(FIGURES), help=f"preset sweep id ({presets})")
     add_run_flags(fig)
@@ -84,30 +100,17 @@ def _build_parser() -> _Parser:
     swp = sub.add_parser(
         "sweep",
         help="run a custom sweep",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     # Each ScenarioConfig flag stores under its field name; parse_args builds the config by name.
-    swp.add_argument("--scenario", choices=(LOS, NLOS), default=LOS, help="surface-to-user propagation")
-    swp.add_argument("--schemes", help=f"comma-separated list of {', '.join(SCHEMES)} (default: all of the scenario)")
-    swp.add_argument("--var", choices=SWEEP_VARIABLES, default="snr_db", help="sweep variable")
-    swp.add_argument("--values", default=None, help="comma-separated sweep values (default: built-in grid)")
-    swp.add_argument("--carrier-hz", type=float, default=_DEFAULTS.carrier_hz, help="carrier frequency")
-    swp.add_argument("--bandwidth-hz", type=float, default=_DEFAULTS.bandwidth_hz, help="total bandwidth")
-    for flag, name, description in (
-        ("--subcarriers", "num_subcarriers", "OFDM subcarriers"),
-        ("--bs-antennas", "num_bs_antennas", "BS antennas"),
-        ("--ris-elements", "num_ris_elements", "surface elements"),
-    ):
-        swp.add_argument(flag, dest=name, type=int, default=getattr(_DEFAULTS, name), help=description)
-    # No stored default, so that parse_args can reject an explicit value on los.
     swp.add_argument(
-        "--paths",
-        dest="num_paths",
-        type=int,
-        default=argparse.SUPPRESS,
-        help=f"user-side paths, nlos only (default: {_DEFAULTS.num_paths})",
+        "--scenario", choices=(LOS, NLOS), default=_DEFAULTS["scenario"], help="surface-to-user propagation"
     )
-    swp.add_argument("--snr-db", type=float, default=_DEFAULTS.snr_db, help="SNR in dB for non-SNR sweeps")
+    swp.add_argument("--schemes", help=f"comma-separated list of {', '.join(SCHEMES)} (default: all of the scenario)")
+    swp.add_argument("--var", choices=experiments.SWEEP_VARIABLES, default="snr_db", help="sweep variable")
+    swp.add_argument("--values", default=None, help="comma-separated sweep values (default: built-in grid)")
+    for flag, name, kind, description in _CONFIG_FLAGS:
+        swp.add_argument(flag, dest=name, type=kind, default=_DEFAULTS[name], help=description)
     add_run_flags(swp)
     swp.add_argument("--out", default="sweep.csv", help="CSV output path")
     return parser
@@ -135,11 +138,9 @@ def parse_args(argv) -> tuple:
         experiments.check_schemes(schemes, ns.scenario)
     except ValueError as exc:
         raise UsageError(f"argument --schemes: {exc}") from None
-    if hasattr(ns, "num_paths") and ns.scenario == LOS:
-        raise UsageError("argument --paths: the los scenario has exactly one surface-to-user path")
     values = _split_floats(ns.values, "--values") if ns.values is not None else SWEEP_GRIDS[ns.var]
     try:
-        config = ScenarioConfig(**{f.name: getattr(ns, f.name) for f in fields(ScenarioConfig) if hasattr(ns, f.name)})
+        config = ScenarioConfig(**{name: getattr(ns, name) for name in _DEFAULTS})
         experiments.sweep_points(config, ns.var, values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import LOS, NLOS, FrequencyGrid, _is_count, _is_real, build_frequency_grid, gen_channels, sample_path_set
+from .channel import FrequencyGrid, _is_count, _is_real, build_frequency_grid, gen_channels, sample_path_set
 from .phase_design import (
     PhaseProfile,
     design_central,
@@ -29,6 +29,12 @@ from .phase_design import (
     design_subcarrier_covariance,
 )
 from .rate_eval import ideal_rate, sum_rate
+
+#: The two scenarios; they differ only in the user-side path count, which is
+#: NLOS_PATHS on an nlos config that names none.
+LOS = "los"
+NLOS = "nlos"
+NLOS_PATHS = 5
 
 #: Every scheme, in CSV row order, with the scenarios that offer it.
 SCHEMES = {
@@ -89,7 +95,9 @@ def _has_linear_snr(snr_db) -> bool:
 class ScenarioConfig:
     """Simulation parameters; the defaults are the standard operating point
     (28 GHz carrier, 2 GHz bandwidth, 128 subcarriers, 64 BS antennas, 64
-    surface elements, 5 user-side paths in the nlos scenario)."""
+    surface elements). Los takes exactly one user-side path; ``num_paths=None``
+    sets the count at construction, to 1 on los and ``NLOS_PATHS`` on nlos, so
+    ``dataclasses.replace(cfg, scenario=...)`` keeps it."""
 
     scenario: str = LOS
     carrier_hz: float = 28e9
@@ -97,7 +105,7 @@ class ScenarioConfig:
     num_subcarriers: int = 128
     num_bs_antennas: int = 64
     num_ris_elements: int = 64
-    num_paths: int = 5
+    num_paths: int | None = None
     snr_db: float = 10.0
     trials: int = 500
     seed: int = 0
@@ -109,7 +117,8 @@ class ScenarioConfig:
         carrier, bandwidth, snr_db = (
             v if _is_real(v) else math.nan for v in (self.carrier_hz, self.bandwidth_hz, self.snr_db)
         )
-        default_paths = ScenarioConfig.num_paths
+        if self.num_paths is None:
+            object.__setattr__(self, "num_paths", 1 if self.scenario == LOS else NLOS_PATHS)
         rules = {
             "scenario": (self.scenario in (LOS, NLOS), f"{LOS!r} or {NLOS!r}"),
             "carrier_hz": (0 < carrier < math.inf, "finite and positive"),
@@ -121,10 +130,9 @@ class ScenarioConfig:
                 and self.num_subcarriers * self.num_ris_elements <= MAX_TABLE_ENTRIES,
                 f"an integer >= 1 with num_subcarriers * num_ris_elements <= {MAX_TABLE_ENTRIES}",
             ),
-            # A los link has one path; the default passes too, as ScenarioConfig(scenario=LOS) carries it.
             "num_paths": (
-                _is_count(self.num_paths) and (self.scenario != LOS or self.num_paths in (1, default_paths)),
-                f"an integer >= 1, and 1 or {default_paths} on los",
+                _is_count(self.num_paths) and (self.scenario != LOS or self.num_paths == 1),
+                "an integer >= 1, and 1 on los",
             ),
             "snr_db": (_has_linear_snr(snr_db), "a dB value with a finite positive linear SNR"),
             "trials": (_is_count(self.trials), "an integer >= 1"),
@@ -166,14 +174,16 @@ def central_subcarrier_index(grid: FrequencyGrid) -> int:
 
 
 def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:
-    """Raise ValueError unless ``schemes`` is a non-empty list of schemes the scenario offers."""
+    """Raise ValueError unless ``schemes`` is a non-empty list of distinct schemes the scenario offers."""
     if not schemes:
         raise ValueError("need at least one scheme")
-    for scheme in schemes:
+    for i, scheme in enumerate(schemes):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; known schemes: {', '.join(SCHEMES)}")
         if scenario not in SCHEMES[scheme]:
             raise ValueError(f"scheme {scheme!r} is not available in the {scenario!r} scenario")
+        if scheme in schemes[:i]:
+            raise ValueError(f"scheme {scheme!r} is named twice")
 
 
 def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: str, trial: int) -> PhaseProfile | None:
@@ -229,11 +239,10 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     for point, group in itertools.groupby(points, key=lambda p: replace(p, snr_db=config.snr_db)):
         grid = build_frequency_grid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
         channel_points.append((point, grid, np.array([_snr_linear(p.snr_db) for p in group])))
-    num_paths = 1 if config.scenario == LOS else config.num_paths
     rates = np.empty((len(points), len(schemes), config.trials))
     for trial in range(config.trials):
         rng = _substream(config.seed, trial, _CHANNEL_STREAM)
-        paths = sample_path_set(rng, config.scenario, num_paths, gain_mode=config.gain_mode)
+        paths = sample_path_set(rng, config.num_paths, gain_mode=config.gain_mode)
         rates[:, :, trial] = np.concatenate(
             [_point_rates(point, grid, snrs, paths, schemes, trial) for point, grid, snrs in channel_points]
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LOS, ChannelRealization, FrequencyGrid, PathSet, _is_count, rate_bits, spatial_angle
+from .channel import ChannelRealization, FrequencyGrid, PathSet, _is_count, rate_bits, spatial_angle
 
 logger = logging.getLogger(__name__)
 
@@ -46,9 +46,9 @@ class PhaseProfile:
         return np.exp(1j * np.asarray(self.phases_rad, dtype=float))
 
 
-def _require_los(paths: PathSet, designer: str) -> None:
-    if paths.scenario != LOS:
-        raise ValueError(f"{designer} needs a single-path surface-to-user link (los scenario)")
+def _require_single_path(paths: PathSet, designer: str) -> None:
+    if len(paths.ru_angles_rad) != 1:
+        raise ValueError(f"{designer} needs a single-path surface-to-user link, got {len(paths.ru_angles_rad)} paths")
 
 
 def _check_subcarrier(grid: FrequencyGrid, k: int) -> None:
@@ -63,7 +63,7 @@ def design_ideal(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: 
     evaluated at subcarrier k, which puts all M reflected contributions
     exactly in phase at that subcarrier.
     """
-    _require_los(paths, "design_ideal")
+    _require_single_path(paths, "design_ideal")
     _check_subcarrier(grid, k)
     f_k = grid.frequencies[k]
     phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
@@ -85,7 +85,7 @@ def design_central(paths: PathSet, num_ris_elements: int) -> PhaseProfile:
     here, and no profile exceeds ``sum_{m,n} |D(m - n)|``. Where D has a
     negative lobe, an indexed profile can bound higher.
     """
-    _require_los(paths, "design_central")
+    _require_single_path(paths, "design_central")
     delta = np.sin(paths.ru_angles_rad[0]) - np.sin(paths.bs_ris_aoa_rad)
     phases = np.pi * np.arange(num_ris_elements) * delta
     return PhaseProfile(phases)
@@ -174,9 +174,10 @@ def phase_extraction(v) -> np.ndarray:
     return np.angle(vec)
 
 
-def _receive_phases(num_ris_elements: int, phi_incident: float) -> np.ndarray:
-    # Cancels the incident steering progression so the reflected wavefront is flat.
-    return -2.0 * np.pi * np.arange(num_ris_elements) * phi_incident
+def _receive_phases(channels: ChannelRealization, f_hz: float) -> np.ndarray:
+    # Cancels the incident steering progression at f_hz so the reflected wavefront is flat.
+    phi_incident = spatial_angle(f_hz, channels.source_paths.bs_ris_aoa_rad, channels.grid.carrier_hz)
+    return -2.0 * np.pi * np.arange(channels.num_ris_elements) * phi_incident
 
 
 def design_mccm(channels: ChannelRealization) -> PhaseProfile:
@@ -190,12 +191,7 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     a fixed reference SNR and the better one is kept (ties keep the
     unconjugated candidate).
     """
-    paths = channels.source_paths
-    grid = channels.grid
-    m_ris = channels.num_ris_elements
-    phi_incident = spatial_angle(grid.carrier_hz, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    receive = _receive_phases(m_ris, phi_incident)
-
+    receive = _receive_phases(channels, channels.grid.carrier_hz)
     vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
     candidates = [receive + phase_extraction(v) for v in (vector, np.conj(vector))]
     rates = [np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * p)))) for p in candidates]
@@ -211,13 +207,7 @@ def design_subcarrier_covariance(channels: ChannelRealization, k: int) -> PhaseP
     part. Its principal direction ``conj(h_k)`` co-phases every reflected
     term, so the profile reaches ``aligned_power`` at subcarrier k.
     """
-    grid = channels.grid
-    _check_subcarrier(grid, k)
-    paths = channels.source_paths
-    m_ris = channels.num_ris_elements
-    f_k = grid.frequencies[k]
-    phi_incident = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    receive = _receive_phases(m_ris, phi_incident)
-
+    _check_subcarrier(channels.grid, k)
+    receive = _receive_phases(channels, channels.grid.frequencies[k])
     vector, degenerate = _rank_one_direction(channels.h_ris_user[k])
     return PhaseProfile(receive + phase_extraction(vector), degenerate=degenerate)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from squintsim import experiments
-from squintsim.channel import LOS, ChannelRealization, FrequencyGrid, PathSet, _steering_table, rate_bits, spatial_angle
+from squintsim.channel import ChannelRealization, FrequencyGrid, PathSet, _steering_table, rate_bits, spatial_angle
 from squintsim.phase_design import (
     PhaseProfile,
     design_central,
@@ -96,8 +96,8 @@ def z_factor(
     magnitude never exceeds M and reaches M exactly when the profile matches
     the per-subcarrier optimum.
     """
-    if paths.scenario != LOS:
-        raise ValueError("z_factor is defined for the single-path (los) scenario only")
+    if len(paths.ru_angles_rad) != 1:
+        raise ValueError("z_factor is defined for a single-path surface-to-user link only")
     if len(profile.phases_rad) != num_ris_elements:
         raise ValueError(
             f"profile has {len(profile.phases_rad)} phases, expected {num_ris_elements}"
@@ -125,8 +125,8 @@ def rate_upper_bound(
     Uses the unit-gain convention, so it bounds the mean rate of the same
     profile on a unit-gain single-path realization.
     """
-    if paths.scenario != LOS:
-        raise ValueError("rate_upper_bound is defined for the single-path (los) scenario only")
+    if len(paths.ru_angles_rad) != 1:
+        raise ValueError("rate_upper_bound is defined for a single-path surface-to-user link only")
     if len(profile.phases_rad) != num_ris_elements:
         raise ValueError(f"profile has {len(profile.phases_rad)} phases, expected {num_ris_elements}")
     # z_k is the alignment sum of subcarrier k.
@@ -152,7 +152,7 @@ def reference_profile(cfg, grid: FrequencyGrid, channels: ChannelRealization, sc
     if scheme == "mccm":
         return design_mccm(channels)
     if scheme == "central":
-        if cfg.scenario == LOS:
+        if cfg.scenario == experiments.LOS:
             return design_central(paths, m_ris)
         return design_subcarrier_covariance(channels, experiments.central_subcarrier_index(grid))
     if scheme == "random-index":
@@ -161,6 +161,6 @@ def reference_profile(cfg, grid: FrequencyGrid, channels: ChannelRealization, sc
         k = 0
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if cfg.scenario == LOS:
+    if cfg.scenario == experiments.LOS:
         return design_ideal(paths, grid, m_ris, k)
     return design_subcarrier_covariance(channels, k)

@@ -9,9 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from squintsim.channel import LOS, NLOS, build_frequency_grid, gen_channels, sample_path_set, spatial_angle
+from squintsim.channel import build_frequency_grid, gen_channels, sample_path_set, spatial_angle
 from squintsim.cli import main
-from squintsim.experiments import ScenarioConfig, per_trial_rates
+from squintsim.experiments import LOS, NLOS, ScenarioConfig, per_trial_rates
 from squintsim.phase_design import (
     design_central,
     design_ideal,
@@ -48,7 +48,7 @@ def test_criterion_1_per_subcarrier_optimality_is_exact():
     expected = np.log2(1.0 + 10.0 * N_BS * M_RIS**2)
     for i in range(1000):
         rng = np.random.default_rng([1, i])
-        paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
+        paths = sample_path_set(rng, 1, gain_mode="unit")
         k = int(rng.integers(K_SUB))
         profile = design_ideal(paths, DEFAULT_GRID, M_RIS, k)
         z = z_factor(paths, profile, DEFAULT_GRID, M_RIS, k)
@@ -71,7 +71,7 @@ def test_criterion_2_jensen_bound_never_violated():
     worst = -np.inf
     for i in range(1000):
         rng = np.random.default_rng([2, i])
-        paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
+        paths = sample_path_set(rng, 1, gain_mode="unit")
         channels = gen_channels(paths, DEFAULT_GRID, N_BS, M_RIS)
         profile = design_random(rng, M_RIS)
         mean_rate = sum_rate(channels, profile, SNR_10DB)
@@ -85,7 +85,7 @@ def test_criterion_3_degenerate_collapse():
     worst_central = 0.0
     for i in range(20):
         rng = np.random.default_rng([3, i])
-        paths = sample_path_set(rng, LOS, 1)
+        paths = sample_path_set(rng, 1)
         for grid in (build_frequency_grid(28e9, 2e9, 1), build_frequency_grid(28e9, 0.0, 16)):
             channels = gen_channels(paths, grid, 8, 16)
             central = sum_rate(channels, design_central(paths, 16), SNR_10DB)
@@ -96,7 +96,7 @@ def test_criterion_3_degenerate_collapse():
     single = build_frequency_grid(28e9, 2e9, 1)
     for i in range(20):
         rng = np.random.default_rng([30, i])
-        paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
+        paths = sample_path_set(rng, 1, gain_mode="unit")
         channels = gen_channels(paths, single, 8, 16)
         mccm = sum_rate(channels, design_mccm(channels), SNR_10DB)
         ideal = sum_rate(channels, design_ideal(paths, single, 16, 0), SNR_10DB)
@@ -125,7 +125,7 @@ def test_criterion_4_exhaustive_quantized_search():
         bound = m_ris * (1.0 - np.cos(np.pi / levels))
         for i in range(100):
             rng = np.random.default_rng([4, m_ris, i])
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
+            paths = sample_path_set(rng, 1, gain_mode="unit")
             phi_bs = spatial_angle(grid.frequencies[0], paths.bs_ris_aoa_rad, grid.carrier_hz)
             phi_user = spatial_angle(grid.frequencies[0], paths.ru_angles_rad[0], grid.carrier_hz)
             psi = 2.0 * np.pi * np.arange(m_ris) * (phi_bs - phi_user)

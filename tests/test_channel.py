@@ -7,8 +7,6 @@ import pytest
 import squintsim.channel as channel_module
 from squintsim.channel import (
     DELAY_MAX_S,
-    LOS,
-    NLOS,
     PathSet,
     _steering_table,
     array_response,
@@ -25,7 +23,6 @@ ORACLE_SIZES = (1, 2, 3, 5, 16, 17, 63, 64, 255, 256, 257, 1000, 1023, 1024)
 
 def los_paths(aoa=0.4, aod=1.1, ru_angle=2.0, gain=1.0 + 0j, delay=5e-9, ru_delay=3e-9):
     return PathSet(
-        scenario=LOS,
         bs_ris_aoa_rad=aoa,
         bs_ris_aod_rad=aod,
         bs_ris_gain=gain,
@@ -153,42 +150,38 @@ class TestArrayResponse:
 
 class TestSamplePathSet:
     def test_same_seed_reproduces_paths(self):
-        a = sample_path_set(np.random.default_rng(7), NLOS, 5)
-        b = sample_path_set(np.random.default_rng(7), NLOS, 5)
+        a = sample_path_set(np.random.default_rng(7), 5)
+        b = sample_path_set(np.random.default_rng(7), 5)
         assert a == b
 
     def test_nlos_path_count(self):
-        paths = sample_path_set(np.random.default_rng(0), NLOS, 5)
+        paths = sample_path_set(np.random.default_rng(0), 5)
         assert len(paths.ru_angles_rad) == len(paths.ru_gains) == len(paths.ru_delays_s) == 5
-
-    def test_los_forces_single_path(self):
-        with pytest.raises(ValueError):
-            sample_path_set(np.random.default_rng(0), LOS, 3)
 
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError):
-            sample_path_set(np.random.default_rng(0), NLOS, 0)
+            sample_path_set(np.random.default_rng(0), 0)
 
     @pytest.mark.parametrize("num_paths", [2.5, True], ids=["fraction", "bool"])
     def test_rejects_count_that_is_no_integer(self, num_paths):
         with pytest.raises(ValueError, match="num_paths must be an integer >= 1"):
-            sample_path_set(np.random.default_rng(0), NLOS, num_paths)
+            sample_path_set(np.random.default_rng(0), num_paths)
 
     def test_delay_moments(self):
         # U(0, 20 ns] has mean 10 ns and sd 20ns/sqrt(12).
         rng = np.random.default_rng(3)
-        delays = np.array([sample_path_set(rng, LOS, 1).bs_ris_delay_s for _ in range(10**5)])
+        delays = np.array([sample_path_set(rng, 1).bs_ris_delay_s for _ in range(10**5)])
         std_error = (DELAY_MAX_S / np.sqrt(12)) / np.sqrt(len(delays))
         assert abs(delays.mean() - 10e-9) < 3 * std_error
         assert delays.min() > 0
         assert delays.max() <= DELAY_MAX_S
 
     @pytest.mark.parametrize("gain_mode", ["random", "unit"])
-    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 5)], ids=["los", "nlos"])
-    def test_matches_rng_uniform_draws(self, monkeypatch, scenario, num_paths, gain_mode):
+    @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
+    def test_matches_rng_uniform_draws(self, monkeypatch, num_paths, gain_mode):
         def draw(seed):
             rng = np.random.default_rng(seed)
-            return [sample_path_set(rng, scenario, num_paths, gain_mode=gain_mode) for _ in range(50)]
+            return [sample_path_set(rng, num_paths, gain_mode=gain_mode) for _ in range(50)]
 
         fast = {seed: draw(seed) for seed in (0, 1, 7, 2**63 + 5)}
         monkeypatch.setattr(channel_module, "_open_closed_uniform", lambda rng, high: high - rng.uniform(0.0, high))
@@ -197,18 +190,18 @@ class TestSamplePathSet:
     def test_angles_in_half_open_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            paths = sample_path_set(rng, NLOS, 3)
+            paths = sample_path_set(rng, 3)
             angles = [paths.bs_ris_aoa_rad, paths.bs_ris_aod_rad] + list(paths.ru_angles_rad)
             assert all(0 < a <= 2 * np.pi for a in angles)
 
     def test_unit_gain_mode(self):
-        paths = sample_path_set(np.random.default_rng(5), NLOS, 4, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(5), 4, gain_mode="unit")
         assert paths.bs_ris_gain == 1.0 + 0j
         assert all(g == 1.0 + 0j for g in paths.ru_gains)
 
     def test_random_gain_moments(self):
         rng = np.random.default_rng(6)
-        gains = np.array([sample_path_set(rng, LOS, 1).bs_ris_gain for _ in range(20000)])
+        gains = np.array([sample_path_set(rng, 1).bs_ris_gain for _ in range(20000)])
         assert abs(np.mean(np.abs(gains) ** 2) - 1.0) < 0.05
         assert abs(gains.mean()) < 0.02
 
@@ -237,7 +230,7 @@ class TestGenChannels:
 
     def test_zero_bandwidth_freezes_all_subcarriers(self):
         grid = build_frequency_grid(28e9, 0.0, 8)
-        paths = sample_path_set(np.random.default_rng(8), NLOS, 3)
+        paths = sample_path_set(np.random.default_rng(8), 3)
         channels = gen_channels(paths, grid, 4, 6)
         for k in range(1, 8):
             assert np.array_equal(h_bs_ris(channels, k), h_bs_ris(channels, 0))
@@ -245,7 +238,7 @@ class TestGenChannels:
 
     def test_pure_function_of_inputs(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(9), NLOS, 5)
+        paths = sample_path_set(np.random.default_rng(9), 5)
         a = gen_channels(paths, grid, 4, 6)
         b = gen_channels(paths, grid, 4, 6)
         assert np.array_equal(h_bs_ris(a), h_bs_ris(b))
@@ -260,11 +253,11 @@ class TestGenChannels:
         assert channels.num_ris_elements == 6
         assert channels.num_bs_antennas == 4
 
-    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 4)])
+    @pytest.mark.parametrize("num_paths", [1, 4], ids=["los-1", "nlos-4"])
     @pytest.mark.parametrize("bandwidth", [0.0, 2e9])
-    def test_lazy_bs_views_match_eager_construction(self, scenario, num_paths, bandwidth):
+    def test_lazy_bs_views_match_eager_construction(self, num_paths, bandwidth):
         grid = build_frequency_grid(28e9, bandwidth, 9)
-        paths = sample_path_set(np.random.default_rng(12), scenario, num_paths)
+        paths = sample_path_set(np.random.default_rng(12), num_paths)
         channels = gen_channels(paths, grid, 5, 7)
         # The BS steering vectors and dense tensor as gen_channels once stored
         # them, from one exponential per entry. The dense tensor takes the stored
@@ -281,11 +274,11 @@ class TestGenChannels:
             assert np.array_equal(a_bs(channels, k), eager_a_bs[k])
             assert np.array_equal(h_bs_ris(channels, k), eager_h_bs_ris[k])
 
-    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 5)])
+    @pytest.mark.parametrize("num_paths", [1, 5], ids=["los-1", "nlos-5"])
     @pytest.mark.parametrize("m", [1, 7, 64, 256])
-    def test_tables_match_one_exponential_build(self, scenario, num_paths, m):
+    def test_tables_match_one_exponential_build(self, num_paths, m):
         grid = build_frequency_grid(28e9, 2e9, 32)
-        paths = sample_path_set(np.random.default_rng(13), scenario, num_paths)
+        paths = sample_path_set(np.random.default_rng(13), num_paths)
         channels = gen_channels(paths, grid, 4, m)
         f = grid.frequencies
         a_ris = array_response_direct(m, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
@@ -311,7 +304,7 @@ class TestGenChannels:
             evaluated.append(np.size(out))
             return out
 
-        paths = sample_path_set(np.random.default_rng(14), NLOS, num_paths)
+        paths = sample_path_set(np.random.default_rng(14), num_paths)
         grid = build_frequency_grid(28e9, 2e9, k)
         monkeypatch.setattr(np, "exp", counting_exp)
         gen_channels(paths, grid, 4, m)
@@ -338,7 +331,7 @@ class TestGenChannels:
         # axis; the result must equal accumulating coef * table path by path
         # from zero, bit for bit. The product keeps the operand order of
         # coef * table, which numpy rounds differently from table * coef.
-        paths = sample_path_set(np.random.default_rng(21), NLOS, num_paths)
+        paths = sample_path_set(np.random.default_rng(21), num_paths)
         grid = build_frequency_grid(28e9, 2e9, 32)
         f = grid.frequencies
         expected = np.zeros((32, m), dtype=complex)
@@ -348,8 +341,8 @@ class TestGenChannels:
         expected *= np.sqrt(m / num_paths)
         assert np.array_equal(gen_channels(paths, grid, 4, m).h_ris_user, expected)
 
-    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 1), (NLOS, 5)])
-    def test_two_steering_table_calls_for_any_path_count(self, monkeypatch, scenario, num_paths):
+    @pytest.mark.parametrize("num_paths", [1, 1, 5], ids=["los-1", "nlos-1", "nlos-5"])
+    def test_two_steering_table_calls_for_any_path_count(self, monkeypatch, num_paths):
         # One call for a_ris and one for the (L, K) user angles, whatever L is.
         shapes = []
 
@@ -357,7 +350,7 @@ class TestGenChannels:
             shapes.append(np.shape(phi))
             return _steering_table(n_elements, phi)
 
-        paths = sample_path_set(np.random.default_rng(22), scenario, num_paths)
+        paths = sample_path_set(np.random.default_rng(22), num_paths)
         grid = build_frequency_grid(28e9, 2e9, 16)
         monkeypatch.setattr(channel_module, "_steering_table", counting_table)
         gen_channels(paths, grid, 4, 8)
@@ -368,7 +361,7 @@ class TestCascade:
     @staticmethod
     def channels():
         grid = build_frequency_grid(28e9, 2e9, 8)
-        return gen_channels(sample_path_set(np.random.default_rng(23), NLOS, 3), grid, 4, 6)
+        return gen_channels(sample_path_set(np.random.default_rng(23), 3), grid, 4, 6)
 
     def test_replace_recomputes_cascade_and_powers(self):
         # The subcarrier permutation test in test_rate_eval.py passes even with a
@@ -395,21 +388,17 @@ class TestCascade:
 
 class TestPathSetValidation:
     @staticmethod
-    def path_set(scenario=NLOS, angles=(1.0,), gains=(1.0,), delays=(1e-9,), bs_delay=1e-9):
-        return PathSet(scenario, 0.1, 0.2, 1.0, bs_delay, angles, gains, delays)
-
-    def test_los_requires_single_path(self):
-        with pytest.raises(ValueError, match="exactly one surface-to-user path"):
-            self.path_set(LOS, (1.0, 2.0), (1.0, 1.0), (1e-9, 2e-9))
+    def path_set(angles=(1.0,), gains=(1.0,), delays=(1e-9,), bs_delay=1e-9):
+        return PathSet(0.1, 0.2, 1.0, bs_delay, angles, gains, delays)
 
     def test_requires_at_least_one_path(self):
         with pytest.raises(ValueError, match="at least one surface-to-user path"):
-            self.path_set(NLOS, (), (), ())
+            self.path_set((), (), ())
 
     @pytest.mark.parametrize("bs_delay,delays", [(1e-9, (1e-9, -1e-9)), (-1e-9, (1e-9, 2e-9))], ids=["user", "bs"])
     def test_rejects_negative_delay(self, bs_delay, delays):
         with pytest.raises(ValueError, match="path delays must be nonnegative"):
-            self.path_set(NLOS, (1.0, 2.0), (1.0, 1.0), delays, bs_delay)
+            self.path_set((1.0, 2.0), (1.0, 1.0), delays, bs_delay)
 
     @pytest.mark.parametrize(
         "angles,gains,delays",
@@ -418,8 +407,4 @@ class TestPathSetValidation:
     )
     def test_rejects_user_tuples_of_different_lengths(self, angles, gains, delays):
         with pytest.raises(ValueError, match="differ in length"):
-            self.path_set(NLOS, angles, gains, delays)
-
-    def test_rejects_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            self.path_set("foo")
+            self.path_set(angles, gains, delays)

@@ -9,9 +9,10 @@ import pytest
 import squintsim
 from squintsim import cli
 from squintsim.cli import CSV_HEADER, UsageError, emit_csv, main, parse_args
-from squintsim.channel import LOS, NLOS
 from squintsim.experiments import (
     FIGURES,
+    LOS,
+    NLOS,
     SCHEMES,
     SWEEP_GRIDS,
     SweepRow,
@@ -81,7 +82,7 @@ class TestParseArgs:
         assert cfg.num_subcarriers == 128
         assert cfg.num_bs_antennas == 64
         assert cfg.num_ris_elements == 64
-        assert cfg.num_paths == 5
+        assert cfg.num_paths == 1
         assert cfg.snr_db == 10.0
         assert cfg.trials == 500
         assert cfg.seed == 0
@@ -91,6 +92,15 @@ class TestParseArgs:
     def test_nlos_defaults_include_covariance_scheme(self):
         (_, schemes, _, _), _ = parse_args(["sweep", "--scenario", "nlos"])
         assert schemes == schemes_for(NLOS)
+
+    @pytest.mark.parametrize(
+        "scenario,flags,num_paths",
+        [("los", [], 1), ("los", ["--paths", "1"], 1), ("nlos", [], 5), ("nlos", ["--paths", "9"], 9)],
+        ids=["los-default", "los-one", "nlos-default", "nlos-nine"],
+    )
+    def test_path_count_follows_the_scenario(self, scenario, flags, num_paths):
+        (cfg, _, _, _), _ = parse_args(["sweep", "--scenario", scenario, *flags])
+        assert cfg.num_paths == num_paths
 
     def test_unknown_flag(self):
         with pytest.raises(UsageError):
@@ -197,12 +207,14 @@ class TestMain:
             ["--schemes", "central,frobnicate"],
             ["--scenario", "los", "--schemes", "mccm"],
             ["--schemes", ","],
+            ["--schemes", "central,central"],
+            ["--scenario", "los", "--paths", "5"],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
              "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
              "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear",
              "paths-on-single-path-scenario", "working-set-too-large", "unknown-scheme",
-             "nlos-only-scheme-on-los", "empty-scheme-list"],
+             "nlos-only-scheme-on-los", "empty-scheme-list", "repeated-scheme", "nlos-default-paths-on-los"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -260,6 +272,13 @@ class TestMain:
         code = main(["figure", "--id", "2", "--trials", "1", "--seed", "0", "--out", str(missing_dir)])
         assert code == 2
         assert "failure" in capsys.readouterr().err
+
+    def test_one_path_on_los_runs(self, tmp_path):
+        out = tmp_path / "los.csv"
+        args = ["sweep", "--scenario", "los", "--paths", "1", "--schemes", "central", "--values", "10",
+                "--subcarriers", "4", "--bs-antennas", "2", "--ris-elements", "2", "--trials", "1"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_figure_run_writes_deterministic_csv(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -332,7 +351,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "default: 28000000000.0" in out  # carrier
         assert "default: 500" in out  # trials
-        assert "nlos only (default: 5)" in out  # paths
+        assert "user-side paths (default: 1 on los, 5 on nlos)" in out  # paths
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "figure"])
+    def test_help_states_no_none_default(self, subcommand, capsys, monkeypatch):
+        # A flag whose default is computed states it in its own help text.
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit) as excinfo:
+            main([subcommand, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "(default: None)" not in out
+        assert "(default: 500)" in out  # trials
 
     def test_sweep_help_names_every_scheme(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "400")  # one help line per flag, so no name is wrapped

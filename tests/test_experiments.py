@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from squintsim import experiments
-from squintsim.channel import LOS, NLOS, ChannelRealization, build_frequency_grid, gen_channels, sample_path_set
+from squintsim.channel import ChannelRealization, build_frequency_grid, gen_channels, sample_path_set
 from squintsim.experiments import (
     FIGURES,
+    LOS,
+    NLOS,
+    NLOS_PATHS,
     SCHEMES,
     SWEEP_GRIDS,
     ScenarioConfig,
@@ -47,7 +50,7 @@ class TestScenarioConfig:
         assert cfg.num_subcarriers == 128
         assert cfg.num_bs_antennas == 64
         assert cfg.num_ris_elements == 64
-        assert cfg.num_paths == 5
+        assert cfg.num_paths == 1
         assert cfg.gain_mode == "random"
 
     def test_rejects_zero_trials(self):
@@ -126,12 +129,22 @@ class TestScenarioConfig:
         assert experiments._snr_linear(10.0) == pytest.approx(10.0, rel=1e-12)
         assert experiments._snr_linear(0.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_los_takes_one_path_or_the_default(self):
-        assert ScenarioConfig(num_paths=1).num_paths == 1
-        assert ScenarioConfig(num_paths=5).num_paths == 5
+    def test_scenario_sets_the_default_path_count(self):
+        assert ScenarioConfig(scenario=LOS).num_paths == 1
+        assert ScenarioConfig(scenario=NLOS).num_paths == NLOS_PATHS == 5
         assert ScenarioConfig(scenario=NLOS, num_paths=9).num_paths == 9
-        with pytest.raises(ValueError, match="num_paths must be an integer >= 1, and 1 or 5 on los, got 9"):
-            ScenarioConfig(scenario=LOS, num_paths=9)
+
+    def test_los_takes_exactly_one_path(self):
+        assert ScenarioConfig(scenario=LOS, num_paths=1).num_paths == 1
+        for num_paths in (NLOS_PATHS, 9):
+            with pytest.raises(ValueError, match=f"num_paths must be an integer >= 1, and 1 on los, got {num_paths}$"):
+                ScenarioConfig(scenario=LOS, num_paths=num_paths)
+
+    def test_replace_keeps_the_path_count(self):
+        # The count is set at construction, so a later scenario change carries it over.
+        assert replace(ScenarioConfig(scenario=LOS), scenario=NLOS).num_paths == 1
+        with pytest.raises(ValueError, match="1 on los, got 5"):
+            replace(ScenarioConfig(scenario=NLOS), scenario=LOS)
 
     def test_working_set_bound_is_checked_on_the_sizes_alone(self):
         # Only K*M is compared; a config at the bound allocates nothing.
@@ -215,8 +228,7 @@ def oracle_trial_rate(cfg, scheme, trial):
     grid = build_frequency_grid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.num_subcarriers)
     snr = experiments._snr_linear(cfg.snr_db)
     rng = experiments._substream(cfg.seed, trial, experiments._CHANNEL_STREAM)
-    num_paths = 1 if cfg.scenario == LOS else cfg.num_paths
-    paths = sample_path_set(rng, cfg.scenario, num_paths, gain_mode=cfg.gain_mode)
+    paths = sample_path_set(rng, cfg.num_paths, gain_mode=cfg.gain_mode)
     channels = gen_channels(paths, grid, cfg.num_bs_antennas, cfg.num_ris_elements)
     if scheme == "ideal":
         return experiments.ideal_rate(channels, snr)

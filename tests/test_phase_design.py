@@ -6,8 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from squintsim.channel import (
-    LOS,
-    NLOS,
     PathSet,
     array_response,
     build_frequency_grid,
@@ -48,7 +46,6 @@ def jensen_kernel(paths, grid, num_ris_elements):
 
 def los_paths(aoa, ru_angle, aod=1.1, gain=1.0 + 0j):
     return PathSet(
-        scenario=LOS,
         bs_ris_aoa_rad=aoa,
         bs_ris_aod_rad=aod,
         bs_ris_gain=gain,
@@ -78,15 +75,15 @@ class TestDesignIdeal:
         grid = build_frequency_grid(28e9, 2e9, 32)
         rng = np.random.default_rng(0)
         for _ in range(25):
-            paths = sample_path_set(rng, LOS, 1)
+            paths = sample_path_set(rng, 1)
             k = int(rng.integers(32))
             profile = design_ideal(paths, grid, 16, k)
             assert abs(z_factor(paths, profile, grid, 16, k)) == pytest.approx(16.0, abs=1e-9)
 
     def test_rejects_multipath(self):
         grid = build_frequency_grid(28e9, 2e9, 16)
-        paths = sample_path_set(np.random.default_rng(1), NLOS, 3)
-        with pytest.raises(ValueError):
+        paths = sample_path_set(np.random.default_rng(1), 3)
+        with pytest.raises(ValueError, match="design_ideal needs a single-path surface-to-user link, got 3 paths"):
             design_ideal(paths, grid, 8, 0)
 
     def test_rejects_out_of_range_subcarrier(self):
@@ -121,8 +118,8 @@ class TestDesignCentral:
         assert np.allclose(stack.mean(axis=0), central, atol=1e-9)
 
     def test_rejects_multipath(self):
-        paths = sample_path_set(np.random.default_rng(2), NLOS, 2)
-        with pytest.raises(ValueError):
+        paths = sample_path_set(np.random.default_rng(2), 2)
+        with pytest.raises(ValueError, match="design_central needs a single-path surface-to-user link, got 2 paths"):
             design_central(paths, 4)
 
     @settings(derandomize=True, deadline=None)
@@ -137,7 +134,7 @@ class TestDesignCentral:
         # minus central; central (t = 0) reaches sum D, and no profile exceeds
         # sum |D|, so D >= 0 at every lag makes central the maximizer.
         grid = build_frequency_grid(28e9, bandwidth, num_subcarriers)
-        paths = sample_path_set(np.random.default_rng(seed), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(seed), 1, gain_mode="unit")
         assume(np.all(jensen_kernel(paths, grid, m_ris) >= 0))
         central = rate_upper_bound(paths, design_central(paths, m_ris), grid, m_ris, 4, SNR)
         rivals = [design_ideal(paths, grid, m_ris, k) for k in range(num_subcarriers)]
@@ -147,7 +144,7 @@ class TestDesignCentral:
 
     def test_indexed_profile_can_beat_jensen_bound_when_kernel_has_negative_lobe(self):
         grid = build_frequency_grid(28e9, 4e9, 128)
-        paths = sample_path_set(np.random.default_rng(11), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(11), 1, gain_mode="unit")
         assert jensen_kernel(paths, grid, 64).min() < -27.0
         central = rate_upper_bound(paths, design_central(paths, 64), grid, 64, 4, SNR)
         indexed = rate_upper_bound(paths, design_ideal(paths, grid, 64, 43), grid, 64, 4, SNR)
@@ -211,7 +208,7 @@ class TestMeanChannelCovariance:
 
     def test_los_unit_gain_trace_is_element_count(self):
         grid = build_frequency_grid(28e9, 2e9, 16)
-        paths = sample_path_set(np.random.default_rng(7), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(7), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 12)
         cov = mean_channel_covariance(channels.h_ris_user)
         assert np.trace(cov).real == pytest.approx(12.0, rel=1e-12)
@@ -230,7 +227,7 @@ class TestMeanChannelCovariance:
 class TestPrincipalDirection:
     def test_rank_one_recovers_steering_vector(self):
         grid = build_frequency_grid(28e9, 2e9, 1)
-        paths = sample_path_set(np.random.default_rng(9), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(9), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 16)
         vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
         phi = spatial_angle(grid.frequencies[0], paths.ru_angles_rad[0], grid.carrier_hz)
@@ -319,7 +316,7 @@ class TestDesignMccm:
         grid = build_frequency_grid(28e9, 2e9, 1)
         rng = np.random.default_rng(12)
         for _ in range(5):
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
+            paths = sample_path_set(rng, 1, gain_mode="unit")
             channels = gen_channels(paths, grid, 8, 16)
             mccm_rate = sum_rate(channels, design_mccm(channels), SNR)
             ideal = sum_rate(channels, design_ideal(paths, grid, 16, 0), SNR)
@@ -330,7 +327,7 @@ class TestDesignMccm:
         gaps = []
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            paths = sample_path_set(rng, LOS, 1)
+            paths = sample_path_set(rng, 1)
             channels = gen_channels(paths, grid, 4, 16)
             mccm_rate = sum_rate(channels, design_mccm(channels), SNR)
             random_rate = sum_rate(channels, design_random(rng, 16), SNR)
@@ -339,7 +336,7 @@ class TestDesignMccm:
 
     def test_uniform_user_channel_gives_constant_forward_phases(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = sample_path_set(np.random.default_rng(13), NLOS, 2)
+        paths = sample_path_set(np.random.default_rng(13), 2)
         channels = gen_channels(paths, grid, 4, 6)
         channels = dataclasses.replace(channels, h_ris_user=np.ones((4, 6), dtype=complex))
         profile = design_mccm(channels)
@@ -351,14 +348,14 @@ class TestDesignMccm:
 
     def test_propagates_degeneracy_flag(self):
         grid = build_frequency_grid(28e9, 2e9, 2)
-        paths = sample_path_set(np.random.default_rng(14), NLOS, 2)
+        paths = sample_path_set(np.random.default_rng(14), 2)
         channels = gen_channels(paths, grid, 4, 2)
         channels = dataclasses.replace(channels, h_ris_user=np.eye(2, dtype=complex))
         assert design_mccm(channels).degenerate
 
     def test_gain_scale_invariance(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(15), NLOS, 4)
+        paths = sample_path_set(np.random.default_rng(15), 4)
         scaled = dataclasses.replace(
             paths,
             bs_ris_gain=3.7 * paths.bs_ris_gain,
@@ -374,7 +371,7 @@ class TestDesignSubcarrierCovariance:
         # On a single-path link the covariance route reduces to the ideal
         # profile of that subcarrier up to a constant phase offset.
         grid = build_frequency_grid(28e9, 2e9, 16)
-        paths = sample_path_set(np.random.default_rng(16), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(16), 1)
         channels = gen_channels(paths, grid, 4, 8)
         for k in (0, 7, 15):
             cov_profile = design_subcarrier_covariance(channels, k)
@@ -387,7 +384,7 @@ class TestDesignSubcarrierCovariance:
         # its own subcarrier attains the triangle-inequality maximum
         # (sum_m |h_m| * ||row_m of the rank-one BS link||)^2.
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(17), NLOS, 5)
+        paths = sample_path_set(np.random.default_rng(17), 5)
         channels = gen_channels(paths, grid, 4, 6)
         k = 3
         profile = design_subcarrier_covariance(channels, k)
@@ -406,7 +403,7 @@ class TestProfileProperties:
 
     def test_angle_designers_ignore_gain_scale(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(19), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(19), 1)
         scaled = dataclasses.replace(
             paths,
             bs_ris_gain=2.5 * paths.bs_ris_gain,

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from squintsim.channel import (
-    LOS,
-    NLOS,
     build_frequency_grid,
     gen_channels,
     rate_bits,
@@ -30,7 +28,7 @@ def per_subcarrier(channels, profile):
 class TestSnrCheck:
     @pytest.mark.parametrize("snr", [0.0, -1.0, np.nan, np.array([10.0, -2.0]), np.array([1.0, np.nan])])
     def test_rejects_nonpositive(self, snr):
-        paths = sample_path_set(np.random.default_rng(1), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(1), 1)
         channels = gen_channels(paths, build_frequency_grid(28e9, 2e9, 4), 2, 4)
         with pytest.raises(ValueError, match="snr must be a positive linear value"):
             rate_bits(snr, np.ones(4))
@@ -104,7 +102,7 @@ class TestSubcarrierRate:
         # 64 antennas, 64 elements, unit gains, 10 dB: the fully aligned
         # subcarrier rate is log2(1 + 10 * 64 * 64^2) = log2(2621441).
         grid = build_frequency_grid(28e9, 2e9, 128)
-        paths = sample_path_set(np.random.default_rng(3), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(3), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 64, 64)
         k = 17
         profile = design_ideal(paths, grid, 64, k)
@@ -115,7 +113,7 @@ class TestSubcarrierRate:
 class TestSumRate:
     def test_single_subcarrier_report(self):
         grid = build_frequency_grid(28e9, 2e9, 1)
-        paths = sample_path_set(np.random.default_rng(4), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(4), 1)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_central(paths, 8)
         rate = sum_rate(channels, profile, SNR)
@@ -125,7 +123,7 @@ class TestSumRate:
 
     def test_mean_matches_per_subcarrier(self):
         grid = build_frequency_grid(28e9, 2e9, 16)
-        paths = sample_path_set(np.random.default_rng(5), NLOS, 3)
+        paths = sample_path_set(np.random.default_rng(5), 3)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(6), 8)
         per_k = per_subcarrier(channels, profile)
@@ -134,14 +132,14 @@ class TestSumRate:
 
     def test_zero_bandwidth_rates_are_flat(self):
         grid = build_frequency_grid(28e9, 0.0, 8)
-        paths = sample_path_set(np.random.default_rng(7), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(7), 1)
         channels = gen_channels(paths, grid, 4, 8)
         per_k = per_subcarrier(channels, design_central(paths, 8))
         assert np.all(per_k == per_k[0])
 
     def test_subcarrier_permutation_invariance(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(8), NLOS, 4)
+        paths = sample_path_set(np.random.default_rng(8), 4)
         channels = gen_channels(paths, grid, 4, 8)
         perm = np.random.default_rng(9).permutation(8)
         shuffled = dataclasses.replace(
@@ -159,7 +157,7 @@ class TestSumRate:
 
     def test_strictly_increasing_in_snr(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(11), NLOS, 3)
+        paths = sample_path_set(np.random.default_rng(11), 3)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(12), 8)
         low = sum_rate(channels, profile, 10.0**0.5)
@@ -170,7 +168,7 @@ class TestSumRate:
 class TestIdealRate:
     def test_unit_gain_per_subcarrier_closed_form(self):
         grid = build_frequency_grid(28e9, 2e9, 16)
-        paths = sample_path_set(np.random.default_rng(13), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(13), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 8, 16)
         expected = np.log2(1 + 10.0 * 8 * 16**2)
         assert np.allclose(rate_bits(SNR, channels.aligned_power()), expected, rtol=1e-9)
@@ -178,18 +176,18 @@ class TestIdealRate:
 
     def test_single_subcarrier_equals_central(self):
         grid = build_frequency_grid(28e9, 2e9, 1)
-        paths = sample_path_set(np.random.default_rng(14), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(14), 1)
         channels = gen_channels(paths, grid, 4, 8)
         ideal = ideal_rate(channels, SNR)
         central = sum_rate(channels, design_central(paths, 8), SNR)
         assert ideal == pytest.approx(central, rel=1e-12)
 
-    @pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 5)])
-    def test_dominates_common_profiles_per_subcarrier(self, scenario, num_paths):
+    @pytest.mark.parametrize("num_paths", [1, 5], ids=["los-1", "nlos-5"])
+    def test_dominates_common_profiles_per_subcarrier(self, num_paths):
         grid = build_frequency_grid(28e9, 2e9, 16)
         rng = np.random.default_rng(15)
         for _ in range(5):
-            paths = sample_path_set(rng, scenario, num_paths)
+            paths = sample_path_set(rng, num_paths)
             channels = gen_channels(paths, grid, 4, 8)
             per_ideal = rate_bits(SNR, channels.aligned_power())
             for profile in (design_random(rng, 8), zero_profile(8)):
@@ -200,13 +198,13 @@ class TestIdealRate:
 class TestZFactor:
     def test_single_element_is_unit_modulus(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = sample_path_set(np.random.default_rng(16), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(16), 1)
         profile = design_random(np.random.default_rng(17), 1)
         assert abs(z_factor(paths, profile, grid, 1, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matched_angles_with_zero_profile(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = sample_path_set(np.random.default_rng(18), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(18), 1)
         matched = dataclasses.replace(paths, ru_angles_rad=(paths.bs_ris_aoa_rad,))
         z = z_factor(matched, zero_profile(6), grid, 6, 1)
         assert z == pytest.approx(6.0 + 0j, abs=1e-12)
@@ -215,14 +213,14 @@ class TestZFactor:
         grid = build_frequency_grid(28e9, 2e9, 8)
         rng = np.random.default_rng(19)
         for _ in range(50):
-            paths = sample_path_set(rng, LOS, 1)
+            paths = sample_path_set(rng, 1)
             profile = design_random(rng, 12)
             k = int(rng.integers(8))
             assert abs(z_factor(paths, profile, grid, 12, k)) <= 12 + 1e-12
 
     def test_cap_attained_only_by_aligned_profile(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(33), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(33), 1)
         aligned = design_ideal(paths, grid, 6, 2)
         assert abs(z_factor(paths, aligned, grid, 6, 2)) == pytest.approx(6.0, abs=1e-12)
         nudged = aligned.phases_rad.copy()
@@ -232,13 +230,13 @@ class TestZFactor:
 
     def test_rejects_multipath(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = sample_path_set(np.random.default_rng(20), NLOS, 2)
+        paths = sample_path_set(np.random.default_rng(20), 2)
         with pytest.raises(ValueError):
             z_factor(paths, zero_profile(4), grid, 4, 0)
 
     def test_rejects_wrong_profile_length(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = sample_path_set(np.random.default_rng(21), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(21), 1)
         with pytest.raises(ValueError):
             z_factor(paths, zero_profile(3), grid, 4, 0)
 
@@ -246,7 +244,7 @@ class TestZFactor:
 class TestRateUpperBound:
     def test_tight_on_single_subcarrier(self):
         grid = build_frequency_grid(28e9, 2e9, 1)
-        paths = sample_path_set(np.random.default_rng(22), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(22), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(23), 8)
         bound = rate_upper_bound(paths, profile, grid, 8, 4, SNR)
@@ -254,7 +252,7 @@ class TestRateUpperBound:
 
     def test_tight_when_rates_are_flat(self):
         grid = build_frequency_grid(28e9, 0.0, 8)
-        paths = sample_path_set(np.random.default_rng(24), LOS, 1, gain_mode="unit")
+        paths = sample_path_set(np.random.default_rng(24), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(25), 8)
         bound = rate_upper_bound(paths, profile, grid, 8, 4, SNR)
@@ -264,7 +262,7 @@ class TestRateUpperBound:
         grid = build_frequency_grid(28e9, 2e9, 8)
         rng = np.random.default_rng(26)
         for _ in range(100):
-            paths = sample_path_set(rng, LOS, 1, gain_mode="unit")
+            paths = sample_path_set(rng, 1, gain_mode="unit")
             channels = gen_channels(paths, grid, 4, 8)
             profile = design_random(rng, 8)
             mean_rate = sum_rate(channels, profile, SNR)
@@ -276,7 +274,7 @@ class TestRateUpperBound:
         grid = build_frequency_grid(28e9, bandwidth, k_sub)
         rng = np.random.default_rng(k_sub * m_ris)
         for _ in range(10):
-            paths = sample_path_set(rng, LOS, 1)
+            paths = sample_path_set(rng, 1)
             profile = design_random(rng, m_ris)
             z_sq = [abs(z_factor(paths, profile, grid, m_ris, k)) ** 2 for k in range(k_sub)]
             expected = np.log2(1.0 + SNR * 3 * np.mean(z_sq))
@@ -285,13 +283,13 @@ class TestRateUpperBound:
 
     def test_rejects_multipath(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = sample_path_set(np.random.default_rng(27), NLOS, 3)
+        paths = sample_path_set(np.random.default_rng(27), 3)
         with pytest.raises(ValueError):
             rate_upper_bound(paths, zero_profile(4), grid, 4, 4, SNR)
 
     def test_rejects_profile_size_mismatch(self):
         grid = build_frequency_grid(28e9, 2e9, 4)
-        paths = sample_path_set(np.random.default_rng(27), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(27), 1)
         with pytest.raises(ValueError, match="profile has 3 phases, expected 4"):
             rate_upper_bound(paths, zero_profile(3), grid, 4, 4, SNR)
 
@@ -299,7 +297,7 @@ class TestRateUpperBound:
 class TestPhysicalConsistency:
     def test_los_rate_ignores_delays(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(28), LOS, 1)
+        paths = sample_path_set(np.random.default_rng(28), 1)
         moved = dataclasses.replace(
             paths,
             bs_ris_delay_s=17e-9,
@@ -314,7 +312,7 @@ class TestPhysicalConsistency:
         grid = build_frequency_grid(28e9, 2e9, 8)
         rng = np.random.default_rng(30)
         for _ in range(10):
-            paths = sample_path_set(rng, NLOS, 3)
+            paths = sample_path_set(rng, 3)
             channels = gen_channels(paths, grid, 4, 8)
             profile = design_random(rng, 8)
             k = int(rng.integers(8))
@@ -325,7 +323,7 @@ class TestPhysicalConsistency:
 
     def test_global_phase_neutrality(self):
         grid = build_frequency_grid(28e9, 2e9, 8)
-        paths = sample_path_set(np.random.default_rng(31), NLOS, 4)
+        paths = sample_path_set(np.random.default_rng(31), 4)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(32), 8)
         shifted = PhaseProfile(profile.phases_rad + 2.13)

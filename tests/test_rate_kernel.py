@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squintsim.channel import LOS, NLOS, build_frequency_grid, gen_channels, rate_bits, sample_path_set, spatial_angle
+from squintsim.channel import build_frequency_grid, gen_channels, rate_bits, sample_path_set
 from squintsim.phase_design import (
     PhaseProfile,
     _rank_one_direction,
@@ -32,7 +32,6 @@ ATOL = 1e-12
 
 CASES = st.fixed_dictionaries(
     {
-        "scenario": st.sampled_from((LOS, NLOS)),
         "num_paths": st.integers(1, 4),
         "bandwidth_hz": st.sampled_from((0.0, 0.5e9, 2e9, 8e9)),
         "num_subcarriers": st.integers(1, 6),
@@ -43,13 +42,13 @@ CASES = st.fixed_dictionaries(
         "snr_db": st.sampled_from((-10.0, 0.0, 10.0, 20.0)),
     }
 )
-#: K = M = N = 1 at zero bandwidth with unit gains, once per scenario.
+#: K = M = N = 1 at zero bandwidth with unit gains, with one and with three user paths.
 EDGE_CASES = [
     dict(
-        scenario=scenario, num_paths=num_paths, bandwidth_hz=0.0, num_subcarriers=1, num_bs_antennas=1,
+        num_paths=num_paths, bandwidth_hz=0.0, num_subcarriers=1, num_bs_antennas=1,
         num_ris_elements=1, gain_mode="unit", seed=0, snr_db=10.0,
     )
-    for scenario, num_paths in ((LOS, 1), (NLOS, 3))
+    for num_paths in (1, 3)
 ]
 
 
@@ -61,10 +60,9 @@ def with_edge_cases(test):
 
 def realize(case):
     """Channels, a generator for scheme randomness and the linear SNR of one drawn case."""
-    num_paths = 1 if case["scenario"] == LOS else case["num_paths"]
     grid = build_frequency_grid(28e9, case["bandwidth_hz"], case["num_subcarriers"])
     rng = np.random.default_rng(case["seed"])
-    paths = sample_path_set(rng, case["scenario"], num_paths, gain_mode=case["gain_mode"])
+    paths = sample_path_set(rng, case["num_paths"], gain_mode=case["gain_mode"])
     channels = gen_channels(paths, grid, case["num_bs_antennas"], case["num_ris_elements"])
     return channels, rng, 10.0 ** (case["snr_db"] / 10.0)
 
@@ -85,9 +83,7 @@ def covariance_profile_by_power(channels, k):
     Both phase-extraction candidates of the rank-one covariance are scored by
     their dense reflected power at subcarrier k; ties keep the unconjugated one.
     """
-    grid = channels.grid
-    phi_incident = spatial_angle(grid.frequencies[k], channels.source_paths.bs_ris_aoa_rad, grid.carrier_hz)
-    receive = _receive_phases(channels.num_ris_elements, phi_incident)
+    receive = _receive_phases(channels, channels.grid.frequencies[k])
     vector, _ = _rank_one_direction(channels.h_ris_user[k])
     h_bs_k = h_bs_ris(channels, k)
     best_phases, best_power = None, -np.inf
@@ -105,7 +101,7 @@ def reference_ideal_rates(channels, snr):
     paths = channels.source_paths
     per_k = np.empty(channels.num_subcarriers)
     for k in range(channels.num_subcarriers):
-        if paths.scenario == LOS:
+        if len(paths.ru_angles_rad) == 1:
             profile = design_ideal(paths, channels.grid, channels.num_ris_elements, k)
         else:
             profile = covariance_profile_by_power(channels, k)
@@ -141,7 +137,6 @@ def test_received_power_never_exceeds_aligned_power(case):
 
 SNR_CASES = st.fixed_dictionaries(
     {
-        "scenario": st.sampled_from((LOS, NLOS)),
         "num_paths": st.integers(1, 4),
         "bandwidth_hz": st.sampled_from((0.0, 2e9)),
         "num_subcarriers": st.sampled_from((1, 2, 7, 129)),
@@ -156,7 +151,7 @@ SNR_CASES = st.fixed_dictionaries(
 
 def with_snr_edge_cases(test):
     base = dict(
-        scenario=NLOS, num_paths=3, bandwidth_hz=2e9, num_bs_antennas=3, num_ris_elements=5,
+        num_paths=3, bandwidth_hz=2e9, num_bs_antennas=3, num_ris_elements=5,
         gain_mode="random", seed=1,
     )
     for num_subcarriers in (1, 7, 129):
@@ -187,13 +182,13 @@ def test_snr_array_matches_one_call_per_snr(case):
 
 
 @pytest.mark.parametrize("gain_mode", ["unit", "random"])
-@pytest.mark.parametrize("scenario,num_paths", [(LOS, 1), (NLOS, 1), (NLOS, 5), (NLOS, 9)])
+@pytest.mark.parametrize("num_paths", [1, 1, 5, 9], ids=["los-1", "nlos-1", "nlos-5", "nlos-9"])
 @pytest.mark.parametrize("num_ris_elements", [1, 16, 37, 64, 100, 256])
-def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, scenario, num_paths, gain_mode):
+def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_paths, gain_mode):
     # The powers read the cascade stored at construction. They must equal the
     # h_ris_user * a_ris product formed per call bit for bit, and the dense path.
     case = dict(
-        scenario=scenario, num_paths=num_paths, bandwidth_hz=2e9, num_subcarriers=8, num_bs_antennas=4,
+        num_paths=num_paths, bandwidth_hz=2e9, num_subcarriers=8, num_bs_antennas=4,
         num_ris_elements=num_ris_elements, gain_mode=gain_mode, seed=31, snr_db=10.0,
     )
     channels, rng, snr = realize(case)

@@ -3,8 +3,7 @@
 import re
 from pathlib import Path
 
-from squintsim.channel import LOS, NLOS
-from squintsim.experiments import FIGURES, SCHEMES
+from squintsim.experiments import FIGURES, LOS, NLOS, SCHEMES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
