@@ -100,8 +100,12 @@ class ChannelRealization:
         """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
 
         ``||a_N[k]|| = 1`` reduces it to ``|scale_k|^2 |sum_m cascade[k,m] d_m|^2``.
+        ``diag`` has shape (..., M) and the result (..., K): a stack of S
+        diagonals is one batched matrix-vector product, and every row is bit
+        for bit the power of that diagonal alone.
         """
-        return np.abs(self.bs_ris_scale) ** 2 * np.abs(self.cascade @ diag) ** 2
+        sums = np.matmul(self.cascade, np.asarray(diag)[..., None])[..., 0]
+        return np.abs(self.bs_ris_scale) ** 2 * np.abs(sums) ** 2
 
     def aligned_power(self) -> np.ndarray:
         """Largest ``received_power`` any diagonal reaches: all M terms co-phased.

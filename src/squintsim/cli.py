@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from . import experiments
-from .experiments import FIGURES, LOS, NLOS, SCHEMES, SWEEP_GRIDS, ScenarioConfig, SweepRow, schemes_for
+from .experiments import FIGURES, LOS, NLOS, SCHEMES, SWEEP_GRIDS, ConfigError, ScenarioConfig, SweepRow, schemes_for
 
 CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
 
@@ -52,6 +52,13 @@ class _Parser(argparse.ArgumentParser):
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
     def _get_help_string(self, action):  # a flag whose default is None states its own in the help
         return action.help if action.default is None else super()._get_help_string(action)
+
+
+def _config_usage_error(exc: ConfigError) -> UsageError:
+    """The error of a bad config value, under the flag that set it: the table's
+    flag, else the field's own name as a flag (``--trials``, ``--gain-mode``)."""
+    flag = next((f for f, name, *_ in _CONFIG_FLAGS if name == exc.field), "--" + exc.field.replace("_", "-"))
+    return UsageError(f"argument {flag}: {exc}")
 
 
 def _split_floats(raw: str, flag: str) -> tuple[float, ...]:
@@ -127,6 +134,8 @@ def parse_args(argv) -> tuple:
     if ns.subcommand == "figure":
         try:
             job = experiments.figure_sweep(ns.id, ns.trials, ns.seed, ns.gain_mode)
+        except ConfigError as exc:
+            raise _config_usage_error(exc) from None
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         return job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
@@ -141,6 +150,9 @@ def parse_args(argv) -> tuple:
     values = _split_floats(ns.values, "--values") if ns.values is not None else SWEEP_GRIDS[ns.var]
     try:
         config = ScenarioConfig(**{name: getattr(ns, name) for name in _DEFAULTS})
+    except ConfigError as exc:
+        raise _config_usage_error(exc) from None
+    try:
         experiments.sweep_points(config, ns.var, values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

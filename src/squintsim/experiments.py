@@ -1,13 +1,15 @@
 """Seeded Monte Carlo sweeps comparing the phase-design schemes.
 
-Every trial derives its own random substream from (seed, trial index, stream
-id). The sweep loop is trial-major: each trial draws its paths once, builds
-one channel per sweep point that needs its own (consecutive SNR points share
-one), designs every scheme's profile on it once, and evaluates every SNR of
-that point from one per-subcarrier power vector per scheme, since neither the
-profiles nor the powers depend on the SNR. So all schemes and sweep points of
-a trial see the same paths (common random numbers), and a result is a pure
-function of (configuration, seed).
+Every trial derives its own random substreams from (seed, trial index, stream
+id). The sweep loop is trial-major: each trial draws its paths once, and its
+``random`` phases and ``random-index`` subcarrier once for all sweep points.
+It builds one channel per sweep point that needs its own (consecutive SNR
+points share one), designs every scheme's profile on it once, and rates every
+SNR of that point with one ``ideal_rate`` call and one stacked ``sum_rate``
+call for the other schemes, from one power vector per profile, since neither
+the profiles nor the powers depend on the SNR. So all schemes and sweep
+points of a trial see the same paths (common random numbers), and a result is
+a pure function of (configuration, seed).
 """
 
 from __future__ import annotations
@@ -91,6 +93,14 @@ def _has_linear_snr(snr_db) -> bool:
     return 0 < snr < math.inf
 
 
+class ConfigError(ValueError):
+    """A :class:`ScenarioConfig` value that breaks its field's rule; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Simulation parameters; the defaults are the standard operating point
@@ -144,7 +154,7 @@ class ScenarioConfig:
         }
         for name, (ok, expected) in rules.items():
             if not ok:
-                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
+                raise ConfigError(name, f"{name} must be {expected}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -186,14 +196,30 @@ def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:
             raise ValueError(f"scheme {scheme!r} is named twice")
 
 
-def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: str, trial: int) -> PhaseProfile | None:
-    """The scheme's profile, common to all subcarriers; None for ``ideal``, which has none."""
+def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: int) -> tuple:
+    """The trial's scheme-side draws, made once for all of its sweep points.
+
+    Returns the ``random`` phases at ``num_ris_elements``, the sweep's largest
+    M (a point with fewer elements takes a prefix: ``Generator.uniform`` fills
+    in order, so the prefix is the draw at that size), and the ``random-index``
+    subcarrier, since K is the same at every point. Either is None when its
+    scheme is not asked for, and its substream is not built.
+    """
+    phases = index = None
+    if "random" in schemes:
+        phases = design_random(_substream(config.seed, trial, _PHASE_STREAM), num_ris_elements).phases_rad
+    if "random-index" in schemes:
+        index = int(_substream(config.seed, trial, _INDEX_STREAM).integers(config.num_subcarriers))
+    return phases, index
+
+
+def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: str, draws: tuple) -> PhaseProfile:
+    """The profile of a scheme other than ``ideal``, common to all subcarriers."""
     paths = channels.source_paths
     m_ris = cfg.num_ris_elements
-    if scheme == "ideal":
-        return None
+    random_phases, random_index = draws
     if scheme == "random":
-        return design_random(_substream(cfg.seed, trial, _PHASE_STREAM), m_ris)
+        return PhaseProfile(random_phases[:m_ris])
     if scheme == "mccm":
         return design_mccm(channels)
     if scheme == "central" and cfg.scenario == LOS:
@@ -201,7 +227,7 @@ def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: 
     if scheme == "central":
         k = central_subcarrier_index(grid)
     elif scheme == "random-index":
-        k = int(_substream(cfg.seed, trial, _INDEX_STREAM).integers(grid.num_subcarriers))
+        k = random_index
     else:
         k = 0
     if cfg.scenario == LOS:
@@ -209,17 +235,22 @@ def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: 
     return design_subcarrier_covariance(channels, k)
 
 
-def _point_rates(point: ScenarioConfig, grid: FrequencyGrid, snrs, paths, schemes, trial: int) -> np.ndarray:
+def _point_rates(point: ScenarioConfig, grid: FrequencyGrid, snrs, paths, schemes, draws: tuple) -> np.ndarray:
     """Rates of one trial at one channel point, shape (len(snrs), len(schemes)).
 
-    Every SNR of a scheme is evaluated from one power vector. A function of
-    its own so that each channel is freed before the next point's is built.
+    ``ideal`` takes one ``ideal_rate`` call and every other scheme shares one
+    stacked ``sum_rate`` call, which evaluates all SNRs from one power vector
+    per profile. A function of its own so that each channel is freed before
+    the next point's is built.
     """
     channels = gen_channels(paths, grid, point.num_bs_antennas, point.num_ris_elements)
     rates = np.empty((len(snrs), len(schemes)))
-    for s, scheme in enumerate(schemes):
-        profile = _common_profile(point, grid, channels, scheme, trial)
-        rates[:, s] = ideal_rate(channels, snrs) if profile is None else sum_rate(channels, profile, snrs)
+    if "ideal" in schemes:
+        rates[:, schemes.index("ideal")] = ideal_rate(channels, snrs)
+    common = [s for s, scheme in enumerate(schemes) if scheme != "ideal"]
+    if common:
+        profiles = [_common_profile(point, grid, channels, schemes[s], draws) for s in common]
+        rates[:, common] = sum_rate(channels, profiles, snrs)
     return rates
 
 
@@ -229,7 +260,8 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     ``values=None`` evaluates the config's own point alone. Every value is
     validated before the first trial. Trials run in ascending order; each
     draws its paths from a substream of (seed, trial) only, so every scheme
-    and sweep value is evaluated on the same paths.
+    and sweep value is evaluated on the same paths, and makes its scheme-side
+    draws once for all sweep values.
     """
     schemes = tuple(schemes)
     check_schemes(schemes, config.scenario)
@@ -239,12 +271,14 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     for point, group in itertools.groupby(points, key=lambda p: replace(p, snr_db=config.snr_db)):
         grid = build_frequency_grid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
         channel_points.append((point, grid, np.array([_snr_linear(p.snr_db) for p in group])))
+    m_max = max(point.num_ris_elements for point in points)
     rates = np.empty((len(points), len(schemes), config.trials))
     for trial in range(config.trials):
         rng = _substream(config.seed, trial, _CHANNEL_STREAM)
         paths = sample_path_set(rng, config.num_paths, gain_mode=config.gain_mode)
+        draws = _trial_draws(config, schemes, trial, m_max)
         rates[:, :, trial] = np.concatenate(
-            [_point_rates(point, grid, snrs, paths, schemes, trial) for point, grid, snrs in channel_points]
+            [_point_rates(point, grid, snrs, paths, schemes, draws) for point, grid, snrs in channel_points]
         )
     return rates
 
@@ -256,7 +290,9 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
     if sweep_variable not in SWEEP_GRIDS:
         raise ValueError(f"unknown sweep variable {sweep_variable!r}; known: {', '.join(SWEEP_VARIABLES)}")
     points = []
-    for value in values:
+    for i, value in enumerate(values):
+        if float(value) in map(float, values[:i]):
+            raise ValueError(f"{sweep_variable} value {value:g} is named twice")
         if sweep_variable == "ris_elements":
             if not float(value).is_integer():
                 raise ValueError(f"ris_elements must be an integer, got {value}")

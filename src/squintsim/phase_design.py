@@ -187,14 +187,14 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     incident wave of the carrier-frequency BS-to-surface channel, and a
     forward part obtained by phase extraction of the principal direction of
     the mean channel covariance. Because an eigenvector is only defined up to
-    conjugation, both extraction candidates are scored by their mean rate at
-    a fixed reference SNR and the better one is kept (ties keep the
-    unconjugated candidate).
+    conjugation, both extraction candidates are scored, in one stacked
+    ``received_power`` call, by their mean rate at a fixed reference SNR and
+    the better one is kept (ties keep the unconjugated candidate).
     """
     receive = _receive_phases(channels, channels.grid.carrier_hz)
     vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
-    candidates = [receive + phase_extraction(v) for v in (vector, np.conj(vector))]
-    rates = [np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * p)))) for p in candidates]
+    candidates = np.stack([receive + phase_extraction(v) for v in (vector, np.conj(vector))])
+    rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * candidates))), axis=-1)
     best_phases = candidates[int(np.argmax(rates))]  # argmax keeps the first of tied candidates
     return PhaseProfile(best_phases, degenerate=degenerate)
 

@@ -15,14 +15,22 @@ from .channel import ChannelRealization, rate_bits
 from .phase_design import PhaseProfile, design_ideal, design_subcarrier_covariance  # noqa: F401
 
 
-def sum_rate(channels: ChannelRealization, profile: PhaseProfile, snr):
-    """Mean achievable rate of a common profile across all subcarriers.
+def sum_rate(channels: ChannelRealization, profiles, snr):
+    """Mean achievable rate of common profiles across all subcarriers.
 
-    ``snr`` is one linear SNR or an array of V of them; the received power
-    does not depend on it, so every SNR is evaluated from one power vector.
-    Returns a float for one SNR and shape (V,) for V.
+    ``profiles`` is one :class:`PhaseProfile` or a sequence of S of them; a
+    sequence is rated in one stacked ``received_power`` call, and each of its
+    rates is bit for bit the rate of that profile alone. ``snr`` is one linear
+    SNR or an array of V of them; the received power does not depend on it, so
+    every SNR is evaluated from one power vector. Returns a float for one
+    profile and one SNR and shape (V,) for V SNRs; a sequence adds a trailing
+    S axis, (S,) or (V, S).
     """
-    return np.mean(rate_bits(snr, channels.received_power(profile.unit_diagonal())), axis=-1)
+    if isinstance(profiles, PhaseProfile):
+        diag = profiles.unit_diagonal()
+    else:
+        diag = np.stack([profile.unit_diagonal() for profile in profiles])
+    return np.mean(rate_bits(snr, channels.received_power(diag)), axis=-1)
 
 
 def ideal_rate(channels: ChannelRealization, snr):

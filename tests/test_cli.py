@@ -209,12 +209,15 @@ class TestMain:
             ["--schemes", ","],
             ["--schemes", "central,central"],
             ["--scenario", "los", "--paths", "5"],
+            ["--values", "5,5"],
+            ["--var", "ris_elements", "--values", "16,16.0"],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
              "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
              "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear",
              "paths-on-single-path-scenario", "working-set-too-large", "unknown-scheme",
-             "nlos-only-scheme-on-los", "empty-scheme-list", "repeated-scheme", "nlos-default-paths-on-los"],
+             "nlos-only-scheme-on-los", "empty-scheme-list", "repeated-scheme", "nlos-default-paths-on-los",
+             "repeated-value", "repeated-element-count"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -226,6 +229,24 @@ class TestMain:
         assert main(["sweep", *small, *flags, "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--scenario", "los", "--paths", "5"],
+             "argument --paths: num_paths must be an integer >= 1, and 1 on los, got 5"),
+            (["sweep", "--subcarriers", "0"],
+             "argument --subcarriers: num_subcarriers must be an integer >= 1, got 0"),
+            (["sweep", "--trials", "0"],
+             "argument --trials: trials must be an integer >= 1, got 0"),
+            (["figure", "--id", "2", "--seed", "-1"],
+             "argument --seed: seed must be an integer in [0, 2**64), got -1"),
+        ],
+        ids=["paths", "subcarriers", "sweep-trials", "figure-seed"],
+    )
+    def test_config_error_names_the_flag(self, argv, message, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"squintsim: error: {message}\n"
 
     def test_unknown_figure_id_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):

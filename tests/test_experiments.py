@@ -129,6 +129,12 @@ class TestScenarioConfig:
         assert experiments._snr_linear(10.0) == pytest.approx(10.0, rel=1e-12)
         assert experiments._snr_linear(0.0) == pytest.approx(1.0, rel=1e-12)
 
+    def test_error_names_the_field(self):
+        with pytest.raises(experiments.ConfigError, match="num_subcarriers must be") as info:
+            ScenarioConfig(num_subcarriers=0)
+        assert info.value.field == "num_subcarriers"
+        assert isinstance(info.value, ValueError)
+
     def test_scenario_sets_the_default_path_count(self):
         assert ScenarioConfig(scenario=LOS).num_paths == 1
         assert ScenarioConfig(scenario=NLOS).num_paths == NLOS_PATHS == 5
@@ -298,14 +304,40 @@ def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, variable, values)
 @pytest.mark.parametrize("base,mccm_scoring", [(SMALL_LOS, 0), (SMALL_NLOS, 2)], ids=["los", "nlos"])
 def test_snr_sweep_computes_one_power_vector_per_scheme_and_trial(monkeypatch, base, mccm_scoring):
     counts = Counter()
-    counting(monkeypatch, counts, "received_power", ChannelRealization)
+    received_power = ChannelRealization.received_power
+
+    def counting_rows(self, diag):
+        counts["received_power"] += 1
+        counts["power_rows"] += int(np.prod(np.shape(diag)[:-1]))
+        return received_power(self, diag)
+
+    monkeypatch.setattr(ChannelRealization, "received_power", counting_rows)
     counting(monkeypatch, counts, "aligned_power", ChannelRealization)
     schemes = schemes_for(base.scenario)
     rates = per_trial_rates(base, schemes, "snr_db", (-10.0, 0.0, 10.0, 20.0))
     assert rates.shape == (4, len(schemes), base.trials)
-    # Every scheme but "ideal" needs one received power; design_mccm scores two candidates.
+    # Every scheme but "ideal" needs one power row; design_mccm scores two candidates.
+    # The rows of a channel point take one stacked call, and those of an MCCM design one more.
     common = len(schemes) - 1
-    assert counts == {"received_power": (common + mccm_scoring) * base.trials, "aligned_power": base.trials}
+    assert counts == {
+        "power_rows": (common + mccm_scoring) * base.trials,
+        "received_power": (1 + (mccm_scoring > 0)) * base.trials,
+        "aligned_power": base.trials,
+    }
+
+
+@pytest.mark.parametrize(
+    "schemes,per_trial", [(schemes_for(LOS), 3), (("ideal", "central", "side-index"), 1)], ids=["all", "no-random"]
+)
+def test_elements_sweep_builds_each_substream_once_per_trial(monkeypatch, schemes, per_trial):
+    # The paths always take one; the random phases and the random index one each
+    # when their scheme is asked for, whatever the number of points.
+    counts = Counter()
+    counting(monkeypatch, counts, "_substream")
+    counting(monkeypatch, counts, "design_random")
+    per_trial_rates(SMALL_LOS, schemes, "ris_elements", (4, 8, 16, 32))
+    assert counts["_substream"] == per_trial * SMALL_LOS.trials
+    assert counts["design_random"] == ("random" in schemes) * SMALL_LOS.trials
 
 
 class TestRunSweep:
@@ -341,6 +373,15 @@ class TestRunSweep:
     def test_rejects_unknown_variable(self):
         with pytest.raises(ValueError):
             run_sweep(SMALL_LOS, ("central",), "carrier_hz", (28e9,))
+
+    @pytest.mark.parametrize(
+        "variable,values",
+        [("snr_db", (5.0, 5.0)), ("ris_elements", (16, 32, 16.0)), ("bandwidth_hz", np.array([1e9, 1e9]))],
+    )
+    def test_rejects_repeated_value(self, variable, values):
+        # Two points with one value would write two rows with one CSV key.
+        with pytest.raises(ValueError, match="named twice"):
+            experiments.sweep_points(SMALL_LOS, variable, values)
 
     def test_rejects_fractional_element_count(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,15 @@ from squintsim.channel import (
     array_response,
     build_frequency_grid,
     gen_channels,
+    rate_bits,
     sample_path_set,
     spatial_angle,
 )
+from squintsim.experiments import SWEEP_GRIDS
 from squintsim.phase_design import (
+    CANDIDATE_SNR,
     PhaseProfile,
+    _receive_phases,
     design_central,
     design_ideal,
     design_indexed,
@@ -187,6 +191,13 @@ class TestDesignRandom:
         assert phases.min() >= 0
         assert phases.max() < 2 * np.pi
 
+    def test_prefix_of_a_larger_draw_is_the_smaller_draw(self):
+        # A sweep over surface sizes draws once at the largest M and slices.
+        for seed in range(20):
+            largest = design_random(np.random.default_rng(seed), 256).phases_rad
+            for m_ris in SWEEP_GRIDS["ris_elements"]:
+                assert np.array_equal(largest[:m_ris], design_random(np.random.default_rng(seed), m_ris).phases_rad)
+
     def test_rejects_empty_surface(self):
         with pytest.raises(ValueError):
             design_random(np.random.default_rng(0), 0)
@@ -321,6 +332,18 @@ class TestDesignMccm:
             mccm_rate = sum_rate(channels, design_mccm(channels), SNR)
             ideal = sum_rate(channels, design_ideal(paths, grid, 16, 0), SNR)
             assert mccm_rate == pytest.approx(ideal, rel=1e-9)
+
+    @pytest.mark.parametrize("num_paths", [1, 5])
+    def test_stacked_scoring_picks_as_one_call_per_candidate(self, num_paths):
+        grid = build_frequency_grid(28e9, 2e9, 16)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            channels = gen_channels(sample_path_set(rng, num_paths), grid, 4, 16)
+            receive = _receive_phases(channels, grid.carrier_hz)
+            vector, _ = principal_direction(mean_channel_covariance(channels.h_ris_user))
+            candidates = [receive + phase_extraction(v) for v in (vector, np.conj(vector))]
+            rates = [np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * p)))) for p in candidates]
+            assert np.array_equal(design_mccm(channels).phases_rad, candidates[int(np.argmax(rates))])
 
     def test_beats_random_on_average(self):
         grid = build_frequency_grid(28e9, 2e9, 16)

@@ -4,8 +4,9 @@
 and ``aligned_power``, which never form the (K, M, N) BS-to-surface tensor.
 These properties pin both to the per-subcarrier reference of the test module
 ``reference`` (the dense ``h_bs_ris`` view, ``effective_channel`` and
-``subcarrier_rate``), and pin the
-SNR-array form of both to one call per SNR.
+``subcarrier_rate``), pin the
+SNR-array form of both to one call per SNR, and pin the stacked form of
+``received_power`` and ``sum_rate`` to one call per profile.
 """
 
 import numpy as np
@@ -201,3 +202,29 @@ def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_
     assert np.array_equal(aligned, (scale * np.sum(np.abs(product), axis=1)) ** 2)
     np.testing.assert_allclose(rate_bits(snr, power), dense_rates(channels, profile, snr), RTOL, ATOL)
     np.testing.assert_allclose(rate_bits(snr, aligned), reference_ideal_rates(channels, snr), RTOL, ATOL)
+
+
+@pytest.mark.parametrize("num_subcarriers", [1, 7, 128])
+@pytest.mark.parametrize("num_ris_elements", [1, 16, 33, 256])
+def test_stacked_profiles_match_one_call_per_profile(num_subcarriers, num_ris_elements):
+    # S profiles in one received_power or sum_rate call give, row for row, the
+    # bits of S single-profile calls and of the per-row matrix-vector product.
+    case = dict(
+        num_paths=3, bandwidth_hz=2e9, num_subcarriers=num_subcarriers, num_bs_antennas=4,
+        num_ris_elements=num_ris_elements, gain_mode="random", seed=num_subcarriers + num_ris_elements, snr_db=10.0,
+    )
+    channels, rng, snr = realize(case)
+    snrs = np.array([0.1, 1.0, snr, 100.0])
+    scale = np.abs(channels.bs_ris_scale)
+    for count in range(1, 7):
+        profiles = [design_random(rng, num_ris_elements) for _ in range(count)]
+        diags = np.stack([profile.unit_diagonal() for profile in profiles])
+        power = channels.received_power(diags)
+        one_snr, many_snrs = sum_rate(channels, profiles, snr), sum_rate(channels, profiles, snrs)
+        assert power.shape == (count, num_subcarriers)
+        assert one_snr.shape == (count,) and many_snrs.shape == (len(snrs), count)
+        for s, (profile, diag) in enumerate(zip(profiles, diags)):
+            assert np.array_equal(power[s], channels.received_power(diag))
+            assert np.array_equal(power[s], scale**2 * np.abs(channels.cascade @ diag) ** 2)
+            assert np.array_equal(one_snr[s], sum_rate(channels, profile, snr))
+            assert np.array_equal(many_snrs[:, s], sum_rate(channels, profile, snrs))
