@@ -71,29 +71,34 @@ class PathSet:
 class ChannelRealization:
     """Per-subcarrier channels for one realization.
 
-    The BS-to-surface hop is a single path, so its slice at subcarrier k is
-    the rank-one matrix ``bs_ris_scale[k] * outer(a_ris[k], conj(a_N[k]))``
-    with ``a_N[k]`` the BS steering vector at f_k; it is stored in that
-    factored form, with shapes (K,) and (K, M). No rate depends on the
-    unit-norm vectors ``a_N[k]``, so only their count N is stored.
-    ``h_ris_user`` stacks the K surface-to-user row vectors into shape (K, M).
-    ``cascade = h_ris_user * a_ris`` (K, M) is derived, not passed: it is
-    computed once at construction (``dataclasses.replace`` computes it again).
-    The four arrays are made read-only there, so an in-place edit cannot leave
-    ``cascade`` stale.
+    It is built from the N BS antennas, the surface-to-user rows
+    ``h_ris_user`` (K, M) and the grid and paths they came from. The
+    BS-to-surface hop is a single path, so its slice at subcarrier k is the
+    rank-one matrix ``bs_ris_scale[k] * outer(a_M[k], conj(a_N[k]))``, with
+    ``a_M[k]`` and ``a_N[k]`` the surface and BS steering vectors at f_k.
+    That hop is derived from ``source_paths`` and ``grid``, not passed: at
+    construction (``dataclasses.replace`` builds it again) the realization
+    stores ``bs_ris_scale`` (K,) and ``cascade = h_ris_user * a_M`` (K, M),
+    and drops the table of the ``a_M[k]``. No rate depends on the unit-norm
+    vectors ``a_N[k]``, so only their count N is stored. The three arrays are
+    made read-only, so an in-place edit cannot leave ``cascade`` stale.
     """
 
-    bs_ris_scale: np.ndarray
-    a_ris: np.ndarray
     num_bs_antennas: int
     h_ris_user: np.ndarray
     grid: FrequencyGrid
     source_paths: PathSet
+    bs_ris_scale: np.ndarray = field(init=False, repr=False, compare=False)
     cascade: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cascade", self.h_ris_user * self.a_ris)
-        for array in (self.bs_ris_scale, self.a_ris, self.h_ris_user, self.cascade):
+        paths, f, m_ris = self.source_paths, self.grid.frequencies, self.h_ris_user.shape[1]
+        delay = np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
+        scale = np.sqrt(m_ris * self.num_bs_antennas) * paths.bs_ris_gain * delay
+        a_ris = _steering_table(m_ris, spatial_angle(f, paths.bs_ris_aoa_rad, self.grid.carrier_hz))
+        object.__setattr__(self, "bs_ris_scale", scale)
+        object.__setattr__(self, "cascade", self.h_ris_user * a_ris)
+        for array in (self.bs_ris_scale, self.h_ris_user, self.cascade):
             array.flags.writeable = False
 
     def received_power(self, diag) -> np.ndarray:
@@ -116,11 +121,11 @@ class ChannelRealization:
 
     @property
     def num_subcarriers(self) -> int:
-        return self.a_ris.shape[0]
+        return self.cascade.shape[0]
 
     @property
     def num_ris_elements(self) -> int:
-        return self.a_ris.shape[1]
+        return self.cascade.shape[1]
 
 
 def rate_bits(snr, power) -> np.ndarray:
@@ -252,20 +257,17 @@ def gen_channels(
 ) -> ChannelRealization:
     """Generate the per-subcarrier channels for one path realization.
 
-    The BS-to-surface matrix at subcarrier k is the rank-one outer product
-    ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) * a_M(phi_in) * a_N(phi_out)^H``
-    with both spatial angles evaluated at f_k. The surface-to-user row vector
-    sums the L paths, each with its gain and delay phase, scaled by
-    ``sqrt(M/L)``; the L steering tables come from one call, as an (L, K, M)
-    stack. Pure function of its inputs.
+    The surface-to-user row vector at subcarrier k sums the L paths, each with
+    its gain and delay phase, scaled by ``sqrt(M/L)``; the L steering tables
+    come from one call, as an (L, K, M) stack. The realization derives the
+    BS-to-surface hop ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) * a_M(phi_in)
+    * a_N(phi_out)^H`` itself, with both spatial angles evaluated at f_k, from
+    one more call. Pure function of its inputs.
     """
     if not (_is_count(num_bs_antennas) and _is_count(num_ris_elements)):
         raise ValueError("antenna and element counts must be integers >= 1")
     f = grid.frequencies
     m_ris = num_ris_elements
-    a_ris = _steering_table(m_ris, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz))
-    scale = np.sqrt(m_ris * num_bs_antennas) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
-
     # The conjugate response is the response at the negated angle.
     tables = _steering_table(m_ris, -spatial_angle(f, np.array(paths.ru_angles_rad)[:, None], grid.carrier_hz))
     coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
@@ -274,4 +276,4 @@ def gen_channels(
     h_ris_user = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
     h_ris_user *= np.sqrt(m_ris / len(paths.ru_angles_rad))
 
-    return ChannelRealization(scale, a_ris, num_bs_antennas, h_ris_user, grid, paths)
+    return ChannelRealization(num_bs_antennas, h_ris_user, grid, paths)

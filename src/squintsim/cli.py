@@ -155,7 +155,11 @@ def parse_args(argv) -> tuple:
     try:
         experiments.sweep_points(config, ns.var, values)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        # No one flag is at fault for a built-in grid value: --subcarriers can
+        # push a ris_elements value past the size cap, --carrier-hz a bandwidth.
+        if ns.values is not None:
+            raise UsageError(f"argument --values: {exc}") from None
+        raise UsageError(f"argument --var: {exc} (a value of the built-in {ns.var} grid)") from None
     return (config, schemes, ns.var, values), ns.out
 
 

@@ -69,9 +69,9 @@ FIGURES = {
 }
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
-#: (K, M) channel table then takes 256 MiB. A channel point holds three of them,
-#: ``a_ris``, ``h_ris_user`` and ``cascade``, and ``gen_channels`` holds the
-#: (L, K, M) user stack on top while it sums the paths.
+#: (K, M) channel table then takes 256 MiB. A channel point holds two of them,
+#: ``h_ris_user`` and ``cascade``. While it is built, the (L, K, M) user stack
+#: and the surface steering table it multiplies into ``cascade`` sit on top.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0

@@ -8,7 +8,9 @@ per entry, forms the dense channel explicitly, and chains them through the
 per-subcarrier effective channel, the maximum ratio beamformer and the
 subcarrier rate, plus the single-path element alignment sum ``z_k`` and the
 Jensen upper bound it yields on the mean rate, so the tests can check the
-fast path against the textbook formulas.
+fast path against the textbook formulas. The one exception is ``a_ris``: the
+realization does not keep its surface table, so it is rebuilt here with the
+package's builder, bit for bit the table ``cascade`` was formed from.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ def a_bs(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
     return array_response_direct(channels.num_bs_antennas, phi_out).T
 
 
+def a_ris(channels: ChannelRealization) -> np.ndarray:
+    """Surface steering vectors at the arrival angle, (K, M), from the table builder as ``cascade`` used them."""
+    phi_in = spatial_angle(channels.grid.frequencies, channels.source_paths.bs_ris_aoa_rad, channels.grid.carrier_hz)
+    return _steering_table(channels.num_ris_elements, phi_in)
+
+
 def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
     """Dense BS-to-surface channel: (K, M, N), or the (M, N) slice of subcarrier k.
 
@@ -49,7 +57,7 @@ def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
     """
     index = slice(None) if k is None else k
     return np.einsum(
-        "...,...m,...n->...mn", channels.bs_ris_scale[index], channels.a_ris[index], np.conj(a_bs(channels, k))
+        "...,...m,...n->...mn", channels.bs_ris_scale[index], a_ris(channels)[index], np.conj(a_bs(channels, k))
     )
 
 

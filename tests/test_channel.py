@@ -16,7 +16,7 @@ from squintsim.channel import (
     spatial_angle,
 )
 
-from reference import a_bs, array_response_direct, h_bs_ris
+from reference import a_bs, a_ris, array_response_direct, h_bs_ris
 
 ORACLE_SIZES = (1, 2, 3, 5, 16, 17, 63, 64, 255, 256, 257, 1000, 1023, 1024)
 
@@ -260,14 +260,14 @@ class TestGenChannels:
         paths = sample_path_set(np.random.default_rng(12), num_paths)
         channels = gen_channels(paths, grid, 5, 7)
         # The BS steering vectors and dense tensor as gen_channels once stored
-        # them, from one exponential per entry. The dense tensor takes the stored
-        # a_ris, which must match the one-exponential build to rounding.
+        # them, from one exponential per entry. The dense tensor takes the
+        # reference surface table, which must match the one-exponential build to rounding.
         f = grid.frequencies
-        a_ris = array_response_direct(7, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
+        direct_a_ris = array_response_direct(7, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
         eager_a_bs = array_response_direct(5, spatial_angle(f, paths.bs_ris_aod_rad, grid.carrier_hz)).T
         scale = np.sqrt(7 * 5) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
-        eager_h_bs_ris = np.einsum("k,km,kn->kmn", scale, channels.a_ris, np.conj(eager_a_bs))
-        assert np.allclose(channels.a_ris, a_ris, rtol=0, atol=1e-12)
+        eager_h_bs_ris = np.einsum("k,km,kn->kmn", scale, a_ris(channels), np.conj(eager_a_bs))
+        assert np.allclose(a_ris(channels), direct_a_ris, rtol=0, atol=1e-12)
         assert np.array_equal(a_bs(channels), eager_a_bs)
         assert np.array_equal(h_bs_ris(channels), eager_h_bs_ris)
         for k in range(9):
@@ -281,14 +281,14 @@ class TestGenChannels:
         paths = sample_path_set(np.random.default_rng(13), num_paths)
         channels = gen_channels(paths, grid, 4, m)
         f = grid.frequencies
-        a_ris = array_response_direct(m, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
+        oracle_a_ris = array_response_direct(m, spatial_angle(f, paths.bs_ris_aoa_rad, grid.carrier_hz)).T
         h_ris_user = np.zeros((32, m), dtype=complex)
         for angle, gain, delay_s in zip(paths.ru_angles_rad, paths.ru_gains, paths.ru_delays_s):
             a_ru = array_response_direct(m, spatial_angle(f, angle, grid.carrier_hz)).T
             delay = np.exp(-2j * np.pi * delay_s * f)
             h_ris_user += (gain * delay)[:, None] * np.conj(a_ru)
         h_ris_user *= np.sqrt(m / num_paths)
-        for table, oracle in ((channels.a_ris, a_ris), (channels.h_ris_user, h_ris_user)):
+        for table, oracle in ((channels.h_ris_user, h_ris_user), (channels.cascade, h_ris_user * oracle_a_ris)):
             assert table.shape == (32, m)
             assert np.allclose(table, oracle, rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
 
@@ -343,7 +343,8 @@ class TestGenChannels:
 
     @pytest.mark.parametrize("num_paths", [1, 1, 5], ids=["los-1", "nlos-1", "nlos-5"])
     def test_two_steering_table_calls_for_any_path_count(self, monkeypatch, num_paths):
-        # One call for a_ris and one for the (L, K) user angles, whatever L is.
+        # One call for the (L, K) user angles, then one for the surface table
+        # the realization builds its cascade from, whatever L is.
         shapes = []
 
         def counting_table(n_elements, phi):
@@ -354,7 +355,7 @@ class TestGenChannels:
         grid = build_frequency_grid(28e9, 2e9, 16)
         monkeypatch.setattr(channel_module, "_steering_table", counting_table)
         gen_channels(paths, grid, 4, 8)
-        assert shapes == [(16,), (num_paths, 16)]
+        assert shapes == [(num_paths, 16), (16,)]
 
 
 class TestCascade:
@@ -370,17 +371,41 @@ class TestCascade:
         channels = self.channels()
         rng = np.random.default_rng(24)
         h = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-        a = np.exp(2j * np.pi * rng.uniform(size=(8, 6)))
         diag = np.exp(2j * np.pi * rng.uniform(size=6))
-        for changes in ({"h_ris_user": h}, {"h_ris_user": h, "a_ris": a}):
-            moved = dataclasses.replace(channels, **changes)
-            cascade = moved.h_ris_user * moved.a_ris
-            scale = np.abs(moved.bs_ris_scale)
-            assert np.array_equal(moved.cascade, cascade)
-            assert np.array_equal(moved.received_power(diag), scale**2 * np.abs(cascade @ diag) ** 2)
-            assert np.array_equal(moved.aligned_power(), (scale * np.sum(np.abs(cascade), axis=1)) ** 2)
+        moved = dataclasses.replace(channels, h_ris_user=h)
+        cascade = h * a_ris(moved)
+        scale = np.abs(moved.bs_ris_scale)
+        assert np.array_equal(moved.cascade, cascade)
+        assert np.array_equal(moved.received_power(diag), scale**2 * np.abs(cascade @ diag) ** 2)
+        assert np.array_equal(moved.aligned_power(), (scale * np.sum(np.abs(cascade), axis=1)) ** 2)
 
-    @pytest.mark.parametrize("name", ["bs_ris_scale", "a_ris", "h_ris_user", "cascade"])
+    @pytest.mark.parametrize("change", ["source_paths", "grid"])
+    def test_replace_recomputes_the_bs_hop(self, change):
+        # A new arrival angle, or the same subcarriers in another order, must
+        # give the scale and surface table of the new paths or grid, not the old.
+        channels = self.channels()
+        if change == "source_paths":
+            aoa = channels.source_paths.bs_ris_aoa_rad + 0.3
+            moved = dataclasses.replace(channels, source_paths=dataclasses.replace(channels.source_paths, bs_ris_aoa_rad=aoa))
+        else:
+            frequencies = channels.grid.frequencies[np.random.default_rng(25).permutation(8)]
+            moved = dataclasses.replace(channels, grid=dataclasses.replace(channels.grid, frequencies=frequencies))
+        paths, f = moved.source_paths, moved.grid.frequencies
+        scale = np.sqrt(6 * 4) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
+        assert np.array_equal(moved.bs_ris_scale, scale)
+        assert np.array_equal(moved.cascade, channels.h_ris_user * a_ris(moved))
+        assert not np.array_equal(moved.cascade, channels.cascade)
+
+    @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
+    def test_stores_two_tables_and_the_scale(self, num_paths):
+        # h_ris_user and cascade (K, M), and bs_ris_scale (K,), all complex128.
+        k, m = 16, 12
+        grid = build_frequency_grid(28e9, 2e9, k)
+        channels = gen_channels(sample_path_set(np.random.default_rng(26), num_paths), grid, 4, m)
+        stored = sum(getattr(getattr(channels, f.name), "nbytes", 0) for f in dataclasses.fields(channels))
+        assert stored == (2 * k * m + k) * 16
+
+    @pytest.mark.parametrize("name", ["bs_ris_scale", "h_ris_user", "cascade"])
     def test_arrays_are_read_only(self, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(self.channels(), name)[0] *= 2

@@ -248,6 +248,22 @@ class TestMain:
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err == f"squintsim: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--var", "bandwidth_hz", "--values", "1e9,1e12"],
+             "argument --values: bandwidth_hz must be in [0, 2*carrier_hz), got 1000000000000.0"),
+            (["--values", "5,5"], "argument --values: snr_db value 5 is named twice"),
+            (["--subcarriers", "100000", "--var", "ris_elements"],
+             "argument --var: num_ris_elements must be an integer >= 1 with num_subcarriers * num_ris_elements"
+             " <= 16777216, got 256 (a value of the built-in ris_elements grid)"),
+        ],
+        ids=["bad-value", "repeated-value", "built-in-grid-value"],
+    )
+    def test_sweep_value_error_names_the_flag(self, flags, message, tmp_path, capsys):
+        assert main(["sweep", *flags, "--trials", "1", "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"squintsim: error: {message}\n"
+
     def test_unknown_figure_id_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the input was rejected")

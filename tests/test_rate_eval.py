@@ -144,8 +144,6 @@ class TestSumRate:
         perm = np.random.default_rng(9).permutation(8)
         shuffled = dataclasses.replace(
             channels,
-            bs_ris_scale=channels.bs_ris_scale[perm],
-            a_ris=channels.a_ris[perm],
             h_ris_user=channels.h_ris_user[perm],
             grid=dataclasses.replace(channels.grid, frequencies=channels.grid.frequencies[perm]),
         )

@@ -25,7 +25,7 @@ from squintsim.phase_design import (
 )
 from squintsim.rate_eval import ideal_rate, sum_rate
 
-from reference import effective_channel, h_bs_ris, subcarrier_rate
+from reference import a_ris, effective_channel, h_bs_ris, subcarrier_rate
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -195,7 +195,7 @@ def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_
     channels, rng, snr = realize(case)
     profile = design_random(rng, num_ris_elements)
     diag = profile.unit_diagonal()
-    product = channels.h_ris_user * channels.a_ris
+    product = channels.h_ris_user * a_ris(channels)
     scale = np.abs(channels.bs_ris_scale)
     power, aligned = channels.received_power(diag), channels.aligned_power()
     assert np.array_equal(power, scale**2 * np.abs(product @ diag) ** 2)
