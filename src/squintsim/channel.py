@@ -30,12 +30,43 @@ def _is_count(value) -> bool:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """OFDM subcarrier frequencies, symmetric about the carrier."""
+    """OFDM subcarrier frequencies, symmetric about the carrier.
+
+    Subcarrier k (0-based) sits at ``carrier + spacing * (k - (K-1)/2)``, with
+    ``spacing_hz = bandwidth/K``, so the grid is arithmetic and its mean is the
+    carrier frequency. ``frequencies`` is derived from the three fields at
+    construction and is read-only; it is no argument, so no grid, not even one
+    made by ``dataclasses.replace``, holds frequencies that disagree with them.
+    """
 
     carrier_hz: float
     bandwidth_hz: float
     num_subcarriers: int
-    frequencies: np.ndarray
+    frequencies: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not _is_count(self.num_subcarriers):
+            raise ValueError(f"num_subcarriers must be an integer >= 1, got {self.num_subcarriers!r}")
+        # Comparisons with NaN are false, so a value that is no real number is
+        # checked as NaN and fails every range.
+        carrier, bandwidth = (v if _is_real(v) else math.nan for v in (self.carrier_hz, self.bandwidth_hz))
+        if not 0 < carrier < math.inf:
+            raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz!r}")
+        if not 0 <= bandwidth:
+            raise ValueError(f"bandwidth_hz must be a nonnegative number, got {self.bandwidth_hz!r}")
+        if not bandwidth < 2 * carrier:
+            raise ValueError(
+                f"bandwidth_hz={self.bandwidth_hz} >= 2*carrier_hz={2 * self.carrier_hz} would "
+                "produce nonpositive subcarrier frequencies"
+            )
+        k = np.arange(self.num_subcarriers, dtype=float)
+        frequencies = self.carrier_hz + self.spacing_hz * (k - (self.num_subcarriers - 1) / 2)
+        frequencies.flags.writeable = False
+        object.__setattr__(self, "frequencies", frequencies)
+
+    @property
+    def spacing_hz(self) -> float:
+        return self.bandwidth_hz / self.num_subcarriers
 
 
 @dataclass(frozen=True)
@@ -79,7 +110,8 @@ class ChannelRealization:
     That hop is derived from ``source_paths`` and ``grid``, not passed: at
     construction (``dataclasses.replace`` builds it again) the realization
     stores ``bs_ris_scale`` (K,) and ``cascade = h_ris_user * a_M`` (K, M),
-    and drops the table of the ``a_M[k]``. No rate depends on the unit-norm
+    and drops the table of the ``a_M[k]``, which one :func:`_band_table` call
+    builds over the whole grid. No rate depends on the unit-norm
     vectors ``a_N[k]``, so only their count N is stored. The three arrays are
     made read-only, so an in-place edit cannot leave ``cascade`` stale.
     """
@@ -95,7 +127,7 @@ class ChannelRealization:
         paths, f, m_ris = self.source_paths, self.grid.frequencies, self.h_ris_user.shape[1]
         delay = np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
         scale = np.sqrt(m_ris * self.num_bs_antennas) * paths.bs_ris_gain * delay
-        a_ris = _steering_table(m_ris, spatial_angle(f, paths.bs_ris_aoa_rad, self.grid.carrier_hz))
+        a_ris = _band_table(m_ris, self.grid, np.sin(paths.bs_ris_aoa_rad))
         object.__setattr__(self, "bs_ris_scale", scale)
         object.__setattr__(self, "cascade", self.h_ris_user * a_ris)
         for array in (self.bs_ris_scale, self.h_ris_user, self.cascade):
@@ -140,29 +172,8 @@ def rate_bits(snr, power) -> np.ndarray:
 
 
 def build_frequency_grid(carrier_hz: float, bandwidth_hz: float, num_subcarriers: int) -> FrequencyGrid:
-    """Build the K subcarrier frequencies centered on the carrier.
-
-    Subcarrier k (0-based) sits at ``carrier + (bandwidth/K) * (k - (K-1)/2)``,
-    so the grid is symmetric and its mean is the carrier frequency.
-    """
-    if not _is_count(num_subcarriers):
-        raise ValueError(f"num_subcarriers must be an integer >= 1, got {num_subcarriers!r}")
-    # Comparisons with NaN are false, so a value that is no real number is
-    # checked as NaN and fails every range.
-    carrier, bandwidth = (v if _is_real(v) else math.nan for v in (carrier_hz, bandwidth_hz))
-    if not 0 < carrier < math.inf:
-        raise ValueError(f"carrier_hz must be finite and positive, got {carrier_hz!r}")
-    if not 0 <= bandwidth:
-        raise ValueError(f"bandwidth_hz must be a nonnegative number, got {bandwidth_hz!r}")
-    if not bandwidth < 2 * carrier:
-        raise ValueError(
-            f"bandwidth_hz={bandwidth_hz} >= 2*carrier_hz={2 * carrier_hz} would "
-            "produce nonpositive subcarrier frequencies"
-        )
-    k = np.arange(num_subcarriers, dtype=float)
-    spacing = bandwidth_hz / num_subcarriers
-    frequencies = carrier_hz + spacing * (k - (num_subcarriers - 1) / 2)
-    return FrequencyGrid(carrier_hz, bandwidth_hz, num_subcarriers, frequencies)
+    """Build the K subcarrier frequencies centered on the carrier (see :class:`FrequencyGrid`)."""
+    return FrequencyGrid(carrier_hz, bandwidth_hz, num_subcarriers)
 
 
 def spatial_angle(f_hz, theta_rad, carrier_hz: float):
@@ -177,18 +188,48 @@ def spatial_angle(f_hz, theta_rad, carrier_hz: float):
     return (np.asarray(f_hz, dtype=float) / (2.0 * carrier_hz)) * np.sin(theta_rad)
 
 
-def _steering_table(n_elements: int, phi) -> np.ndarray:
-    """ULA responses ``exp(j*2*pi*m*phi) / sqrt(n)``, shape ``np.shape(phi) + (n,)``.
+def _steering_table(n_elements: int, phi, norm=None) -> np.ndarray:
+    """ULA responses ``exp(j*2*pi*m*phi) / norm``, shape ``np.shape(phi) + (n,)``.
 
-    With ``m = q*B + r`` and ``B = ceil(sqrt(n))`` an entry is ``exp(j*2*pi*q*B*phi)
-    * exp(j*2*pi*r*phi)``: about 2*sqrt(n) exponentials per angle, not n.
+    ``norm`` broadcasts against ``phi`` and defaults to sqrt(n), the unit-norm
+    response. With ``m = q*B + r`` and ``B = ceil(sqrt(n))`` an entry is
+    ``exp(j*2*pi*q*B*phi) * exp(j*2*pi*r*phi)``: about 2*sqrt(n) exponentials
+    per angle, not n. Over a subcarrier grid, :func:`_band_table` needs fewer.
     """
     phi = np.asarray(phi, dtype=float)[..., None]
     block = math.isqrt(n_elements - 1) + 1
-    coarse = np.exp(2j * np.pi * (np.arange(0, n_elements, block) * phi)) / np.sqrt(n_elements)
+    norm = np.sqrt(n_elements) if norm is None else np.asarray(norm)[..., None]
+    coarse = np.exp(2j * np.pi * (np.arange(0, n_elements, block) * phi)) / norm
     fine = np.exp(2j * np.pi * (np.arange(block) * phi))
     table = coarse[..., :, None] * fine[..., None, :]
     return table.reshape(phi.shape[:-1] + (-1,))[..., :n_elements]
+
+
+def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
+    """``_steering_table(n, spatial_angle(f_k, theta))`` at every subcarrier, shape ``np.shape(sin_theta) + (K, n)``.
+
+    The spatial angle is linear in frequency, so on the arithmetic grid it is
+    ``phi_k = phi_0 + k*delta``, with delta the angle of one subcarrier
+    spacing. With C the largest divisor of K not above sqrt(K) and
+    ``k = p*C + s``, entry (k, m) is ``exp(j*2*pi*m*phi_{pC}) *
+    exp(j*2*pi*m*s*delta)``: both factors come from one table call over
+    K/C + C angles, about 2*sqrt(K) * 2*sqrt(n) exponentials per angle
+    theta instead of 2*K*sqrt(n), and meet in one broadcast product.
+    """
+    k_sub = grid.num_subcarriers
+    step = next(c for c in range(math.isqrt(k_sub), 0, -1) if k_sub % c == 0)
+    sin_theta = np.asarray(sin_theta, dtype=float)[..., None]
+    coarse_phi = (grid.frequencies[::step] / (2.0 * grid.carrier_hz)) * sin_theta
+    if step == 1:
+        # No factor to share (K prime, or K < 4): the coarse rows are the table.
+        return _steering_table(n_elements, coarse_phi)
+    fine_phi = (grid.spacing_hz * np.arange(step) / (2.0 * grid.carrier_hz)) * sin_theta
+    rows = k_sub // step
+    # Only the coarse factor carries 1/sqrt(n); the fine row s = 0 is exactly one.
+    norm = np.repeat((np.sqrt(n_elements), 1.0), (rows, step))
+    table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi), axis=-1), norm)
+    product = table[..., :rows, None, :] * table[..., None, rows:, :]
+    return product.reshape(sin_theta.shape[:-1] + (k_sub, n_elements))
 
 
 def array_response(n_elements: int, phi) -> np.ndarray:
@@ -259,17 +300,19 @@ def gen_channels(
 
     The surface-to-user row vector at subcarrier k sums the L paths, each with
     its gain and delay phase, scaled by ``sqrt(M/L)``; the L steering tables
-    come from one call, as an (L, K, M) stack. The realization derives the
-    BS-to-surface hop ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) * a_M(phi_in)
-    * a_N(phi_out)^H`` itself, with both spatial angles evaluated at f_k, from
-    one more call. Pure function of its inputs.
+    come from one :func:`_band_table` call, as an (L, K, M) stack multiplied
+    out from about 2*sqrt(K) * 2*sqrt(M) exponentials per path. The
+    realization derives the BS-to-surface hop ``sqrt(M*N) * gain *
+    exp(-j*2*pi*tau*f_k) * a_M(phi_in) * a_N(phi_out)^H`` itself, with both
+    spatial angles evaluated at f_k, from one more call. Pure function of its
+    inputs.
     """
     if not (_is_count(num_bs_antennas) and _is_count(num_ris_elements)):
         raise ValueError("antenna and element counts must be integers >= 1")
     f = grid.frequencies
     m_ris = num_ris_elements
     # The conjugate response is the response at the negated angle.
-    tables = _steering_table(m_ris, -spatial_angle(f, np.array(paths.ru_angles_rad)[:, None], grid.carrier_hz))
+    tables = _band_table(m_ris, grid, -np.sin(paths.ru_angles_rad))
     coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
     # Scales the stack in place, coefficient first: numpy's complex multiply
     # is not operand-symmetric, and this order keeps every bit of coef * table.

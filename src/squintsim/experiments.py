@@ -71,7 +71,10 @@ FIGURES = {
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
 #: (K, M) channel table then takes 256 MiB. A channel point holds two of them,
 #: ``h_ris_user`` and ``cascade``. While it is built, the (L, K, M) user stack
-#: and the surface steering table it multiplies into ``cascade`` sit on top.
+#: and the surface steering table it multiplies into ``cascade`` sit on top,
+#: each with the factor table it is multiplied out from: K/C + C rows per
+#: angle for C the largest divisor of K not above sqrt(K), so small unless K
+#: has no divisor near sqrt(K) (at a prime K the table is built directly).
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0

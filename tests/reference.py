@@ -10,7 +10,7 @@ subcarrier rate, plus the single-path element alignment sum ``z_k`` and the
 Jensen upper bound it yields on the mean rate, so the tests can check the
 fast path against the textbook formulas. The one exception is ``a_ris``: the
 realization does not keep its surface table, so it is rebuilt here with the
-package's builder, bit for bit the table ``cascade`` was formed from.
+package's grid-factored builder, bit for bit the table ``cascade`` was formed from.
 """
 
 from __future__ import annotations
@@ -18,7 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from squintsim import experiments
-from squintsim.channel import ChannelRealization, FrequencyGrid, PathSet, _steering_table, rate_bits, spatial_angle
+from squintsim.channel import (
+    ChannelRealization,
+    FrequencyGrid,
+    PathSet,
+    _band_table,
+    _steering_table,
+    rate_bits,
+    spatial_angle,
+)
 from squintsim.phase_design import (
     PhaseProfile,
     design_central,
@@ -45,8 +53,7 @@ def a_bs(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
 
 def a_ris(channels: ChannelRealization) -> np.ndarray:
     """Surface steering vectors at the arrival angle, (K, M), from the table builder as ``cascade`` used them."""
-    phi_in = spatial_angle(channels.grid.frequencies, channels.source_paths.bs_ris_aoa_rad, channels.grid.carrier_hz)
-    return _steering_table(channels.num_ris_elements, phi_in)
+    return _band_table(channels.num_ris_elements, channels.grid, np.sin(channels.source_paths.bs_ris_aoa_rad))
 
 
 def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:

@@ -7,7 +7,9 @@ import pytest
 import squintsim.channel as channel_module
 from squintsim.channel import (
     DELAY_MAX_S,
+    FrequencyGrid,
     PathSet,
+    _band_table,
     _steering_table,
     array_response,
     build_frequency_grid,
@@ -75,6 +77,37 @@ class TestFrequencyGrid:
     def test_rejects_bad_parameters(self, carrier, bandwidth, k):
         with pytest.raises(ValueError):
             build_frequency_grid(carrier, bandwidth, k)
+
+    @pytest.mark.parametrize(
+        "carrier,bandwidth,k,message",
+        [
+            (28e9, 2e9, 0, "num_subcarriers must be an integer >= 1, got 0"),
+            (28e9, 2e9, True, "num_subcarriers must be an integer >= 1, got True"),
+            (math.nan, 2e9, 4, "carrier_hz must be finite and positive, got nan"),
+            ("x", 2e9, 4, "carrier_hz must be finite and positive, got 'x'"),
+            (28e9, None, 4, "bandwidth_hz must be a nonnegative number, got None"),
+            (28e9, 56e9, 8, "bandwidth_hz=56000000000.0 >= 2*carrier_hz=56000000000.0 would produce nonpositive"),
+        ],
+        ids=["zero-subcarriers", "bool-subcarriers", "nan-carrier", "text-carrier", "no-bandwidth", "wide-band"],
+    )
+    def test_constructor_rejects_bad_parameters(self, carrier, bandwidth, k, message):
+        # The grid checks itself, so a direct construction fails as build_frequency_grid does.
+        for build in (FrequencyGrid, build_frequency_grid):
+            with pytest.raises(ValueError) as error:
+                build(carrier, bandwidth, k)
+            assert str(error.value).startswith(message)
+
+    def test_frequencies_are_derived_from_the_fields(self):
+        grid = build_frequency_grid(28e9, 2e9, 128)
+        assert grid.spacing_hz == 2e9 / 128
+        assert np.array_equal(grid.frequencies, 28e9 + grid.spacing_hz * (np.arange(128) - 63.5))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(grid, frequencies=grid.frequencies[::-1])
+        with pytest.raises(ValueError, match="read-only"):
+            grid.frequencies[0] = 28e9
+        wider = dataclasses.replace(grid, bandwidth_hz=4e9)
+        assert np.array_equal(wider.frequencies, build_frequency_grid(28e9, 4e9, 128).frequencies)
+        assert wider == build_frequency_grid(28e9, 4e9, 128) != grid
 
 
 class TestSpatialAngle:
@@ -146,6 +179,24 @@ class TestArrayResponse:
         phis = spatial_angle(build_frequency_grid(28e9, 8e9, 16).frequencies, 4.0, 28e9)
         assert array_response(1, phis[0]).tolist() == [1.0 + 0j]
         assert array_response(1, phis).tolist() == [[1.0 + 0j] * 16]
+
+
+class TestBandTable:
+    @pytest.mark.parametrize("k", [1, 7, 128])
+    @pytest.mark.parametrize("m", [1, 16, 37, 256, 1024])
+    @pytest.mark.parametrize("num_angles", [1, 5])
+    @pytest.mark.parametrize("bandwidth", [0.0, 2e9, 8e9])
+    def test_matches_one_exponential_form(self, k, m, num_angles, bandwidth):
+        # One angle as a scalar gives (K, M); a stack of five gives (5, K, M).
+        grid = build_frequency_grid(28e9, bandwidth, k)
+        theta = np.random.default_rng(27).uniform(0, 2 * np.pi, num_angles)
+        sin_theta = np.sin(theta[0]) if num_angles == 1 else np.sin(theta)
+        out = _band_table(m, grid, sin_theta)
+        phi = spatial_angle(grid.frequencies, theta[:, None], grid.carrier_hz)
+        direct = np.moveaxis(array_response_direct(m, phi), 0, -1).reshape(np.shape(sin_theta) + (k, m))
+        assert out.shape == direct.shape
+        assert np.max(np.abs(out - direct)) * np.sqrt(m) <= 2e-12
+        assert np.max(np.abs(np.abs(out) * np.sqrt(m) - 1.0)) <= 4e-15
 
 
 class TestSamplePathSet:
@@ -293,9 +344,11 @@ class TestGenChannels:
             assert np.allclose(table, oracle, rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
 
     def test_builds_each_steering_table_from_about_two_sqrt_m_exponentials(self, monkeypatch):
-        # One exponential per entry would take (1 + L) * K * (M + 1); the +2 per
-        # subcarrier covers the delay phase of each path and rounding.
-        k, m, num_paths = 128, 256, 5
+        # Each of the 1 + L band tables factors K = 128 as 16 coarse rows times
+        # C = 8 fine ones, and takes 2 * sqrt(M) exponentials for each of those
+        # K/C + C angles; the delay phases add one per subcarrier and path. A
+        # table of K angles would take (1 + L) * K * 2 * sqrt(M) and fails.
+        k, m, num_paths, step = 128, 256, 5, 8
         evaluated = []
         real_exp = np.exp
 
@@ -309,7 +362,7 @@ class TestGenChannels:
         monkeypatch.setattr(np, "exp", counting_exp)
         gen_channels(paths, grid, 4, m)
         assert evaluated
-        assert sum(evaluated) <= (1 + num_paths) * k * (2 * math.ceil(math.sqrt(m)) + 2)
+        assert sum(evaluated) <= (1 + num_paths) * ((k // step + step) * 2 * math.ceil(math.sqrt(m)) + k)
 
     def test_rejects_bad_dimensions(self):
         grid = build_frequency_grid(28e9, 2e9, 3)
@@ -337,25 +390,32 @@ class TestGenChannels:
         expected = np.zeros((32, m), dtype=complex)
         for angle, gain, delay_s in zip(paths.ru_angles_rad, paths.ru_gains, paths.ru_delays_s):
             coef = gain * np.exp(-2j * np.pi * delay_s * f)
-            expected += coef[:, None] * _steering_table(m, -spatial_angle(f, angle, grid.carrier_hz))
+            expected += coef[:, None] * _band_table(m, grid, -np.sin(angle))
         expected *= np.sqrt(m / num_paths)
         assert np.array_equal(gen_channels(paths, grid, 4, m).h_ris_user, expected)
 
     @pytest.mark.parametrize("num_paths", [1, 1, 5], ids=["los-1", "nlos-1", "nlos-5"])
     def test_two_steering_table_calls_for_any_path_count(self, monkeypatch, num_paths):
-        # One call for the (L, K) user angles, then one for the surface table
-        # the realization builds its cascade from, whatever L is.
-        shapes = []
+        # One band table for the L user angles, then one for the surface table
+        # the realization builds its cascade from, whatever L is. Each makes
+        # one steering-table call over K/C + C = 4 + 4 angles, not K = 16.
+        band_shapes, angle_shapes = [], []
 
-        def counting_table(n_elements, phi):
-            shapes.append(np.shape(phi))
-            return _steering_table(n_elements, phi)
+        def counting_band(n_elements, grid, sin_theta):
+            band_shapes.append(np.shape(sin_theta))
+            return _band_table(n_elements, grid, sin_theta)
+
+        def counting_table(n_elements, phi, norm=None):
+            angle_shapes.append(np.shape(phi))
+            return _steering_table(n_elements, phi, norm)
 
         paths = sample_path_set(np.random.default_rng(22), num_paths)
         grid = build_frequency_grid(28e9, 2e9, 16)
+        monkeypatch.setattr(channel_module, "_band_table", counting_band)
         monkeypatch.setattr(channel_module, "_steering_table", counting_table)
         gen_channels(paths, grid, 4, 8)
-        assert shapes == [(num_paths, 16), (16,)]
+        assert band_shapes == [(num_paths,), ()]
+        assert angle_shapes == [(num_paths, 8), (8,)]
 
 
 class TestCascade:
@@ -381,15 +441,14 @@ class TestCascade:
 
     @pytest.mark.parametrize("change", ["source_paths", "grid"])
     def test_replace_recomputes_the_bs_hop(self, change):
-        # A new arrival angle, or the same subcarriers in another order, must
-        # give the scale and surface table of the new paths or grid, not the old.
+        # A new arrival angle, or a grid of another bandwidth, must give the
+        # scale and surface table of the new paths or grid, not the old.
         channels = self.channels()
         if change == "source_paths":
             aoa = channels.source_paths.bs_ris_aoa_rad + 0.3
             moved = dataclasses.replace(channels, source_paths=dataclasses.replace(channels.source_paths, bs_ris_aoa_rad=aoa))
         else:
-            frequencies = channels.grid.frequencies[np.random.default_rng(25).permutation(8)]
-            moved = dataclasses.replace(channels, grid=dataclasses.replace(channels.grid, frequencies=frequencies))
+            moved = dataclasses.replace(channels, grid=build_frequency_grid(28e9, 3e9, 8))
         paths, f = moved.source_paths, moved.grid.frequencies
         scale = np.sqrt(6 * 4) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
         assert np.array_equal(moved.bs_ris_scale, scale)

@@ -342,10 +342,12 @@ class TestMain:
 
     @pytest.mark.parametrize("fig_id", [2, 3, 4, 5, 6])
     def test_figure_matches_golden_csv(self, fig_id, tmp_path):
-        # Recorded with `squintsim figure --id N --trials 4 --seed 1`, one file per preset.
-        out = tmp_path / f"figure{fig_id}.csv"
-        assert main(["figure", "--id", str(fig_id), "--trials", "4", "--seed", "1", "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA_DIR / f"figure{fig_id}-trials4-seed1.csv").read_bytes()
+        # Recorded with `squintsim figure --id N --trials 4 --seed S`, one file per preset and seed.
+        for seed in (1, 11):
+            out = tmp_path / f"figure{fig_id}-seed{seed}.csv"
+            assert main(["figure", "--id", str(fig_id), "--trials", "4", "--seed", str(seed), "--out", str(out)]) == 0
+            expected = (DATA_DIR / f"figure{fig_id}-trials4-seed{seed}.csv").read_bytes()
+            assert out.read_bytes() == expected, f"seed {seed}"
 
     def test_figure_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # Two child processes, so each loads its BLAS with its own thread count.
