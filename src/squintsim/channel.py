@@ -220,9 +220,6 @@ def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
     step = next(c for c in range(math.isqrt(k_sub), 0, -1) if k_sub % c == 0)
     sin_theta = np.asarray(sin_theta, dtype=float)[..., None]
     coarse_phi = (grid.frequencies[::step] / (2.0 * grid.carrier_hz)) * sin_theta
-    if step == 1:
-        # No factor to share (K prime, or K < 4): the coarse rows are the table.
-        return _steering_table(n_elements, coarse_phi)
     fine_phi = (grid.spacing_hz * np.arange(step) / (2.0 * grid.carrier_hz)) * sin_theta
     rows = k_sub // step
     # Only the coarse factor carries 1/sqrt(n); the fine row s = 0 is exactly one.

@@ -71,10 +71,11 @@ FIGURES = {
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
 #: (K, M) channel table then takes 256 MiB. A channel point holds two of them,
 #: ``h_ris_user`` and ``cascade``. While it is built, the (L, K, M) user stack
-#: and the surface steering table it multiplies into ``cascade`` sit on top,
-#: each with the factor table it is multiplied out from: K/C + C rows per
-#: angle for C the largest divisor of K not above sqrt(K), so small unless K
-#: has no divisor near sqrt(K) (at a prime K the table is built directly).
+#: stays alive until ``cascade`` is formed, so the peak is that stack plus
+#: three (K, M) tables. Each steering table is multiplied out from a factor
+#: table of K/C + C rows per angle, C the largest divisor of K not above
+#: sqrt(K). The user stack's factor table lifts the peak when L*(K/C + C)
+#: exceeds 3*K: at L = 5 only at a prime K, where it is as large as the stack.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0
