@@ -6,7 +6,6 @@ from .channel import (
     FrequencyGrid,
     PathSet,
     array_response,
-    build_frequency_grid,
     gen_channels,
     rate_bits,
     sample_path_set,
@@ -57,7 +56,6 @@ __all__ = [
     "ScenarioConfig",
     "SweepRow",
     "array_response",
-    "build_frequency_grid",
     "central_subcarrier_index",
     "design_central",
     "design_ideal",

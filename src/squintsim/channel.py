@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,36 +103,59 @@ class PathSet:
 class ChannelRealization:
     """Per-subcarrier channels for one realization.
 
-    It is built from the N BS antennas, the surface-to-user rows
-    ``h_ris_user`` (K, M) and the grid and paths they came from. The
-    BS-to-surface hop is a single path, so its slice at subcarrier k is the
-    rank-one matrix ``bs_ris_scale[k] * outer(a_M[k], conj(a_N[k]))``, with
-    ``a_M[k]`` and ``a_N[k]`` the surface and BS steering vectors at f_k.
-    That hop is derived from ``source_paths`` and ``grid``, not passed: at
-    construction (``dataclasses.replace`` builds it again) the realization
-    stores ``bs_ris_scale`` (K,) and ``cascade = h_ris_user * a_M`` (K, M),
-    and drops the table of the ``a_M[k]``, which one :func:`_band_table` call
-    builds over the whole grid. No rate depends on the unit-norm
-    vectors ``a_N[k]``, so only their count N is stored. The three arrays are
-    made read-only, so an in-place edit cannot leave ``cascade`` stale.
+    It is built from the N BS antennas, the M surface elements, the grid and
+    the paths, and derives every array from them. The BS-to-surface hop is a
+    single path, so its slice at subcarrier k is the rank-one matrix
+    ``bs_ris_scale[k] * outer(a_M[k], conj(a_N[k]))``, with ``a_M[k]`` and
+    ``a_N[k]`` the surface and BS steering vectors at f_k. The realization
+    stores ``bs_ris_scale`` (K,) and the cascaded channel
+    ``cascade = h_ris_user * a_M`` (K, M), the surface-to-user row times the
+    surface response. Both hops squint linearly in frequency, so the cascade
+    of user path l is itself one steering vector, at the difference angle
+    ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``: one :func:`_band_table`
+    call over the L difference angles builds it, and no ``a_M`` table is
+    formed. The rows ``h_ris_user`` are derived from ``cascade`` on first
+    read, with one more call (see :attr:`h_ris_user`). No rate depends on the
+    unit-norm vectors ``a_N[k]``, so only their count N is stored. Every array
+    is read-only, and ``dataclasses.replace`` builds a new realization from
+    its four arguments, so no table can be stale.
     """
 
     num_bs_antennas: int
-    h_ris_user: np.ndarray
+    num_ris_elements: int
     grid: FrequencyGrid
     source_paths: PathSet
     bs_ris_scale: np.ndarray = field(init=False, repr=False, compare=False)
     cascade: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        paths, f, m_ris = self.source_paths, self.grid.frequencies, self.h_ris_user.shape[1]
+        paths, f, m_ris = self.source_paths, self.grid.frequencies, self.num_ris_elements
         delay = np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
         scale = np.sqrt(m_ris * self.num_bs_antennas) * paths.bs_ris_gain * delay
-        a_ris = _band_table(m_ris, self.grid, np.sin(paths.bs_ris_aoa_rad))
-        object.__setattr__(self, "bs_ris_scale", scale)
-        object.__setattr__(self, "cascade", self.h_ris_user * a_ris)
-        for array in (self.bs_ris_scale, self.h_ris_user, self.cascade):
+        tables = _band_table(m_ris, self.grid, np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad))
+        coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
+        # Scales the stack in place, in the operand order of coef * table.
+        cascade = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
+        # sqrt(M/L) of the user rows times the 1/sqrt(M) of each response leaves 1/sqrt(L).
+        cascade *= 1.0 / np.sqrt(len(paths.ru_angles_rad))
+        for name, array in (("bs_ris_scale", scale), ("cascade", cascade)):
             array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def h_ris_user(self) -> np.ndarray:
+        """Surface-to-user rows (K, M): ``sqrt(M/L)`` times the sum of each path's gain, delay phase and ``conj(a_M)``.
+
+        Derived from ``cascade`` as ``M * cascade * conj(a_M)``, since
+        ``|a_M[k, m]|^2 = 1/M``, with one :func:`_band_table` call at
+        ``-sin(theta_bs)``. It is computed on first read and cached, read-only.
+        Only the covariance designers read it.
+        """
+        rows = _band_table(self.num_ris_elements, self.grid, -np.sin(self.source_paths.bs_ris_aoa_rad))
+        rows *= self.cascade
+        rows *= self.num_ris_elements
+        rows.flags.writeable = False
+        return rows
 
     def received_power(self, diag) -> np.ndarray:
         """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
@@ -155,10 +179,6 @@ class ChannelRealization:
     def num_subcarriers(self) -> int:
         return self.cascade.shape[0]
 
-    @property
-    def num_ris_elements(self) -> int:
-        return self.cascade.shape[1]
-
 
 def rate_bits(snr, power) -> np.ndarray:
     """Rate ``log2(1 + snr * power)`` in bits/s/Hz of every SNR at every power.
@@ -169,11 +189,6 @@ def rate_bits(snr, power) -> np.ndarray:
     if not np.all(np.asarray(snr) > 0):
         raise ValueError(f"snr must be a positive linear value, got {snr!r}")
     return np.log2(1.0 + np.multiply.outer(snr, power))
-
-
-def build_frequency_grid(carrier_hz: float, bandwidth_hz: float, num_subcarriers: int) -> FrequencyGrid:
-    """Build the K subcarrier frequencies centered on the carrier (see :class:`FrequencyGrid`)."""
-    return FrequencyGrid(carrier_hz, bandwidth_hz, num_subcarriers)
 
 
 def spatial_angle(f_hz, theta_rad, carrier_hz: float):
@@ -295,25 +310,13 @@ def gen_channels(
 ) -> ChannelRealization:
     """Generate the per-subcarrier channels for one path realization.
 
-    The surface-to-user row vector at subcarrier k sums the L paths, each with
-    its gain and delay phase, scaled by ``sqrt(M/L)``; the L steering tables
-    come from one :func:`_band_table` call, as an (L, K, M) stack multiplied
-    out from about 2*sqrt(K) * 2*sqrt(M) exponentials per path. The
-    realization derives the BS-to-surface hop ``sqrt(M*N) * gain *
-    exp(-j*2*pi*tau*f_k) * a_M(phi_in) * a_N(phi_out)^H`` itself, with both
-    spatial angles evaluated at f_k, from one more call. Pure function of its
-    inputs.
+    The BS-to-surface hop is ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) *
+    a_M(phi_in) * a_N(phi_out)^H`` and the surface-to-user row ``sqrt(M/L)``
+    times the sum of each path's gain, delay phase and conjugate response,
+    every spatial angle evaluated at f_k. Checks the two counts and builds the
+    :class:`ChannelRealization`, which stores the cascade of the two from one
+    table call. Pure function of its inputs.
     """
     if not (_is_count(num_bs_antennas) and _is_count(num_ris_elements)):
         raise ValueError("antenna and element counts must be integers >= 1")
-    f = grid.frequencies
-    m_ris = num_ris_elements
-    # The conjugate response is the response at the negated angle.
-    tables = _band_table(m_ris, grid, -np.sin(paths.ru_angles_rad))
-    coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
-    # Scales the stack in place, coefficient first: numpy's complex multiply
-    # is not operand-symmetric, and this order keeps every bit of coef * table.
-    h_ris_user = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
-    h_ris_user *= np.sqrt(m_ris / len(paths.ru_angles_rad))
-
-    return ChannelRealization(num_bs_antennas, h_ris_user, grid, paths)
+    return ChannelRealization(num_bs_antennas, num_ris_elements, grid, paths)

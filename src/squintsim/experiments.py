@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import FrequencyGrid, _is_count, _is_real, build_frequency_grid, gen_channels, sample_path_set
+from .channel import FrequencyGrid, _is_count, _is_real, gen_channels, sample_path_set
 from .phase_design import (
     PhaseProfile,
     design_central,
@@ -69,13 +69,14 @@ FIGURES = {
 }
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
-#: (K, M) channel table then takes 256 MiB. A channel point holds two of them,
-#: ``h_ris_user`` and ``cascade``. While it is built, the (L, K, M) user stack
-#: stays alive until ``cascade`` is formed, so the peak is that stack plus
-#: three (K, M) tables. Each steering table is multiplied out from a factor
-#: table of K/C + C rows per angle, C the largest divisor of K not above
-#: sqrt(K). The user stack's factor table lifts the peak when L*(K/C + C)
-#: exceeds 3*K: at L = 5 only at a prime K, where it is as large as the stack.
+#: (K, M) table then takes 256 MiB. A channel point holds ``cascade``, and an
+#: nlos point also ``h_ris_user`` once a covariance designer reads it. The peak
+#: comes while ``cascade`` is built from the (L, K, M) stack of path tables: the
+#: stack plus its sum, or plus its factor table of L*(K/C + C) rows (C the
+#: largest divisor of K not above sqrt(K)) if that is larger. Traced peaks at a
+#: quarter of the cap, M = 1024: 128 MiB at L = 1 for K = 4096, 4078 and 4093;
+#: at L = 5, 384 MiB (K = 4096), 479 MiB (4078 = 2*2039) and 640 MiB (4093,
+#: prime). Reading ``h_ris_user`` then peaks at 130 to 192 MiB.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0
@@ -273,7 +274,7 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     # Consecutive points that differ only in SNR share one channel.
     channel_points = []
     for point, group in itertools.groupby(points, key=lambda p: replace(p, snr_db=config.snr_db)):
-        grid = build_frequency_grid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
+        grid = FrequencyGrid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
         channel_points.append((point, grid, np.array([_snr_linear(p.snr_db) for p in group])))
     m_max = max(point.num_ris_elements for point in points)
     rates = np.empty((len(points), len(schemes), config.trials))

@@ -8,9 +8,9 @@ per entry, forms the dense channel explicitly, and chains them through the
 per-subcarrier effective channel, the maximum ratio beamformer and the
 subcarrier rate, plus the single-path element alignment sum ``z_k`` and the
 Jensen upper bound it yields on the mean rate, so the tests can check the
-fast path against the textbook formulas. The one exception is ``a_ris``: the
-realization does not keep its surface table, so it is rebuilt here with the
-package's grid-factored builder, bit for bit the table ``cascade`` was formed from.
+fast path against the textbook formulas. ``h_ris_user_direct`` and
+``cascade_direct`` rebuild the two channel tables path by path the same way;
+the package's tables stay within ``TABLE_TOL`` of them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from squintsim.channel import (
     ChannelRealization,
     FrequencyGrid,
     PathSet,
-    _band_table,
     _steering_table,
     rate_bits,
     spatial_angle,
@@ -52,8 +51,43 @@ def a_bs(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
 
 
 def a_ris(channels: ChannelRealization) -> np.ndarray:
-    """Surface steering vectors at the arrival angle, (K, M), from the table builder as ``cascade`` used them."""
-    return _band_table(channels.num_ris_elements, channels.grid, np.sin(channels.source_paths.bs_ris_aoa_rad))
+    """Surface steering vectors at the arrival angle, (K, M)."""
+    phi_in = spatial_angle(channels.grid.frequencies, channels.source_paths.bs_ris_aoa_rad, channels.grid.carrier_hz)
+    return array_response_direct(channels.num_ris_elements, phi_in).T
+
+
+def h_ris_user_direct(channels: ChannelRealization) -> np.ndarray:
+    """Surface-to-user rows (K, M): ``sqrt(M/L)`` times the sum over the user
+    paths of gain, delay phase and conjugate steering vector."""
+    paths, f, m = channels.source_paths, channels.grid.frequencies, channels.num_ris_elements
+    rows = np.zeros((len(f), m), dtype=complex)
+    for angle, gain, delay_s in zip(paths.ru_angles_rad, paths.ru_gains, paths.ru_delays_s):
+        a_user = array_response_direct(m, spatial_angle(f, angle, channels.grid.carrier_hz)).T
+        rows += (gain * np.exp(-2j * np.pi * delay_s * f))[:, None] * np.conj(a_user)
+    return rows * np.sqrt(m / len(paths.ru_angles_rad))
+
+
+def cascade_direct(channels: ChannelRealization) -> np.ndarray:
+    """Cascaded channel ``h_ris_user * a_ris`` (K, M)."""
+    return h_ris_user_direct(channels) * a_ris(channels)
+
+
+#: Largest deviation of ``cascade`` and ``h_ris_user`` from the two tables above,
+#: in units of ``sum_l |gain_l| / sqrt(L*M)`` and ``sum_l |gain_l| / sqrt(L)``, the
+#: largest magnitude an entry of each can reach. A single steering table stays
+#: within 2e-12 of the one-exponential form in its unit, 1/sqrt(M), up to M = 1024;
+#: ``cascade`` takes its phases at difference angles, up to twice as large, so its
+#: phase rounding is up to twice that.
+TABLE_TOL = 4e-12
+
+
+def table_deviation(channels: ChannelRealization) -> tuple[float, float]:
+    """Deviation of ``cascade`` and of ``h_ris_user`` from the direct tables, in the units of ``TABLE_TOL``."""
+    paths = channels.source_paths
+    unit = sum(abs(g) for g in paths.ru_gains) / np.sqrt(len(paths.ru_angles_rad))
+    cascade = np.max(np.abs(channels.cascade - cascade_direct(channels))) * np.sqrt(channels.num_ris_elements)
+    rows = np.max(np.abs(channels.h_ris_user - h_ris_user_direct(channels)))
+    return cascade / unit, rows / unit
 
 
 def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:

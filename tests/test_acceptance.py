@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from squintsim.channel import build_frequency_grid, gen_channels, sample_path_set, spatial_angle
+from squintsim.channel import FrequencyGrid, gen_channels, sample_path_set, spatial_angle
 from squintsim.cli import main
 from squintsim.experiments import LOS, NLOS, ScenarioConfig, per_trial_rates
 from squintsim.phase_design import (
@@ -27,7 +27,7 @@ SNR_10DB = 10.0
 N_BS = 64
 M_RIS = 64
 K_SUB = 128
-DEFAULT_GRID = build_frequency_grid(28e9, 2e9, K_SUB)
+DEFAULT_GRID = FrequencyGrid(28e9, 2e9, K_SUB)
 
 
 def report(criterion, ok, detail):
@@ -86,14 +86,14 @@ def test_criterion_3_degenerate_collapse():
     for i in range(20):
         rng = np.random.default_rng([3, i])
         paths = sample_path_set(rng, 1)
-        for grid in (build_frequency_grid(28e9, 2e9, 1), build_frequency_grid(28e9, 0.0, 16)):
+        for grid in (FrequencyGrid(28e9, 2e9, 1), FrequencyGrid(28e9, 0.0, 16)):
             channels = gen_channels(paths, grid, 8, 16)
             central = sum_rate(channels, design_central(paths, 16), SNR_10DB)
             ideal = ideal_rate(channels, SNR_10DB)
             worst_central = max(worst_central, abs(central - ideal) / ideal)
 
     worst_mccm = 0.0
-    single = build_frequency_grid(28e9, 2e9, 1)
+    single = FrequencyGrid(28e9, 2e9, 1)
     for i in range(20):
         rng = np.random.default_rng([30, i])
         paths = sample_path_set(rng, 1, gain_mode="unit")
@@ -117,7 +117,7 @@ def test_criterion_4_exhaustive_quantized_search():
     step = 2.0 * np.pi / levels
     worst_excess = -np.inf
     worst_defect = -np.inf
-    grid = build_frequency_grid(28e9, 2e9, 1)
+    grid = FrequencyGrid(28e9, 2e9, 1)
     for m_ris in (2, 3, 4):
         # All level combinations of the quantized profile, shape (m, levels**m).
         combos = np.indices((levels,) * m_ris).reshape(m_ris, -1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from squintsim import experiments
-from squintsim.channel import ChannelRealization, build_frequency_grid, gen_channels, sample_path_set
+from squintsim.channel import ChannelRealization, FrequencyGrid, gen_channels, sample_path_set
 from squintsim.experiments import (
     FIGURES,
     LOS,
@@ -231,7 +231,7 @@ class TestCommonRandomNumbers:
 def oracle_trial_rate(cfg, scheme, trial):
     """One (point, scheme, trial) rate the way the sweep computed it before it
     became trial-major: a fresh channel for every scheme and sweep value."""
-    grid = build_frequency_grid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.num_subcarriers)
+    grid = FrequencyGrid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.num_subcarriers)
     snr = experiments._snr_linear(cfg.snr_db)
     rng = experiments._substream(cfg.seed, trial, experiments._CHANNEL_STREAM)
     paths = sample_path_set(rng, cfg.num_paths, gain_mode=cfg.gain_mode)
@@ -338,6 +338,22 @@ def test_elements_sweep_builds_each_substream_once_per_trial(monkeypatch, scheme
     per_trial_rates(SMALL_LOS, schemes, "ris_elements", (4, 8, 16, 32))
     assert counts["_substream"] == per_trial * SMALL_LOS.trials
     assert counts["design_random"] == ("random" in schemes) * SMALL_LOS.trials
+
+
+@pytest.mark.parametrize("fig_id,reads", [(2, False), (4, False), (5, True)])
+def test_only_covariance_designers_derive_the_user_rows(monkeypatch, fig_id, reads):
+    # On los the angle designers take the paths and the rates read the cascade,
+    # so no point derives h_ris_user; the nlos covariance designers read it.
+    counts = Counter()
+    derive = ChannelRealization.h_ris_user.func
+
+    def counting_rows(self):
+        counts["h_ris_user"] += 1
+        return derive(self)
+
+    monkeypatch.setattr(ChannelRealization, "h_ris_user", property(counting_rows))
+    run_sweep(*figure_sweep(fig_id, trials=2, seed=3))
+    assert (counts["h_ris_user"] > 0) == reads
 
 
 class TestRunSweep:
@@ -463,8 +479,8 @@ class TestMisc:
         assert tuple(SCHEMES) == schemes_for(NLOS)
 
     def test_central_subcarrier_index(self):
-        odd = build_frequency_grid(28e9, 2e9, 11)
+        odd = FrequencyGrid(28e9, 2e9, 11)
         assert central_subcarrier_index(odd) == 5
         assert odd.frequencies[5] == 28e9
-        even = build_frequency_grid(28e9, 2e9, 128)
+        even = FrequencyGrid(28e9, 2e9, 128)
         assert central_subcarrier_index(even) == 63

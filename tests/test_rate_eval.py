@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from squintsim.channel import (
-    build_frequency_grid,
+    FrequencyGrid,
     gen_channels,
     rate_bits,
     sample_path_set,
@@ -29,7 +29,7 @@ class TestSnrCheck:
     @pytest.mark.parametrize("snr", [0.0, -1.0, np.nan, np.array([10.0, -2.0]), np.array([1.0, np.nan])])
     def test_rejects_nonpositive(self, snr):
         paths = sample_path_set(np.random.default_rng(1), 1)
-        channels = gen_channels(paths, build_frequency_grid(28e9, 2e9, 4), 2, 4)
+        channels = gen_channels(paths, FrequencyGrid(28e9, 2e9, 4), 2, 4)
         with pytest.raises(ValueError, match="snr must be a positive linear value"):
             rate_bits(snr, np.ones(4))
         with pytest.raises(ValueError, match="snr must be a positive linear value"):
@@ -101,7 +101,7 @@ class TestSubcarrierRate:
     def test_aligned_closed_form(self):
         # 64 antennas, 64 elements, unit gains, 10 dB: the fully aligned
         # subcarrier rate is log2(1 + 10 * 64 * 64^2) = log2(2621441).
-        grid = build_frequency_grid(28e9, 2e9, 128)
+        grid = FrequencyGrid(28e9, 2e9, 128)
         paths = sample_path_set(np.random.default_rng(3), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 64, 64)
         k = 17
@@ -112,7 +112,7 @@ class TestSubcarrierRate:
 
 class TestSumRate:
     def test_single_subcarrier_report(self):
-        grid = build_frequency_grid(28e9, 2e9, 1)
+        grid = FrequencyGrid(28e9, 2e9, 1)
         paths = sample_path_set(np.random.default_rng(4), 1)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_central(paths, 8)
@@ -122,7 +122,7 @@ class TestSumRate:
         assert len(per_subcarrier(channels, profile)) == 1
 
     def test_mean_matches_per_subcarrier(self):
-        grid = build_frequency_grid(28e9, 2e9, 16)
+        grid = FrequencyGrid(28e9, 2e9, 16)
         paths = sample_path_set(np.random.default_rng(5), 3)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(6), 8)
@@ -131,7 +131,7 @@ class TestSumRate:
         assert np.all(per_k >= 0)
 
     def test_zero_bandwidth_rates_are_flat(self):
-        grid = build_frequency_grid(28e9, 0.0, 8)
+        grid = FrequencyGrid(28e9, 0.0, 8)
         paths = sample_path_set(np.random.default_rng(7), 1)
         channels = gen_channels(paths, grid, 4, 8)
         per_k = per_subcarrier(channels, design_central(paths, 8))
@@ -140,7 +140,7 @@ class TestSumRate:
     def test_subcarrier_permutation_invariance(self):
         # A grid is arithmetic by construction, so the subcarriers are put in
         # another order where sum_rate reads them: the received-power rows.
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         paths = sample_path_set(np.random.default_rng(8), 4)
         channels = gen_channels(paths, grid, 4, 8)
         perm = np.random.default_rng(9).permutation(8)
@@ -158,7 +158,7 @@ class TestSumRate:
         assert not np.array_equal(Shuffled.received_power(diag), channels.received_power(diag))
 
     def test_strictly_increasing_in_snr(self):
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         paths = sample_path_set(np.random.default_rng(11), 3)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(12), 8)
@@ -169,7 +169,7 @@ class TestSumRate:
 
 class TestIdealRate:
     def test_unit_gain_per_subcarrier_closed_form(self):
-        grid = build_frequency_grid(28e9, 2e9, 16)
+        grid = FrequencyGrid(28e9, 2e9, 16)
         paths = sample_path_set(np.random.default_rng(13), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 8, 16)
         expected = np.log2(1 + 10.0 * 8 * 16**2)
@@ -177,7 +177,7 @@ class TestIdealRate:
         assert ideal_rate(channels, SNR) == pytest.approx(expected, rel=1e-9)
 
     def test_single_subcarrier_equals_central(self):
-        grid = build_frequency_grid(28e9, 2e9, 1)
+        grid = FrequencyGrid(28e9, 2e9, 1)
         paths = sample_path_set(np.random.default_rng(14), 1)
         channels = gen_channels(paths, grid, 4, 8)
         ideal = ideal_rate(channels, SNR)
@@ -186,7 +186,7 @@ class TestIdealRate:
 
     @pytest.mark.parametrize("num_paths", [1, 5], ids=["los-1", "nlos-5"])
     def test_dominates_common_profiles_per_subcarrier(self, num_paths):
-        grid = build_frequency_grid(28e9, 2e9, 16)
+        grid = FrequencyGrid(28e9, 2e9, 16)
         rng = np.random.default_rng(15)
         for _ in range(5):
             paths = sample_path_set(rng, num_paths)
@@ -199,20 +199,20 @@ class TestIdealRate:
 
 class TestZFactor:
     def test_single_element_is_unit_modulus(self):
-        grid = build_frequency_grid(28e9, 2e9, 4)
+        grid = FrequencyGrid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(16), 1)
         profile = design_random(np.random.default_rng(17), 1)
         assert abs(z_factor(paths, profile, grid, 1, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matched_angles_with_zero_profile(self):
-        grid = build_frequency_grid(28e9, 2e9, 4)
+        grid = FrequencyGrid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(18), 1)
         matched = dataclasses.replace(paths, ru_angles_rad=(paths.bs_ris_aoa_rad,))
         z = z_factor(matched, zero_profile(6), grid, 6, 1)
         assert z == pytest.approx(6.0 + 0j, abs=1e-12)
 
     def test_capped_by_element_count(self):
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         rng = np.random.default_rng(19)
         for _ in range(50):
             paths = sample_path_set(rng, 1)
@@ -221,7 +221,7 @@ class TestZFactor:
             assert abs(z_factor(paths, profile, grid, 12, k)) <= 12 + 1e-12
 
     def test_cap_attained_only_by_aligned_profile(self):
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         paths = sample_path_set(np.random.default_rng(33), 1)
         aligned = design_ideal(paths, grid, 6, 2)
         assert abs(z_factor(paths, aligned, grid, 6, 2)) == pytest.approx(6.0, abs=1e-12)
@@ -231,13 +231,13 @@ class TestZFactor:
         assert abs(z_factor(paths, detuned, grid, 6, 2)) < 6.0 - 1e-3
 
     def test_rejects_multipath(self):
-        grid = build_frequency_grid(28e9, 2e9, 4)
+        grid = FrequencyGrid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(20), 2)
         with pytest.raises(ValueError):
             z_factor(paths, zero_profile(4), grid, 4, 0)
 
     def test_rejects_wrong_profile_length(self):
-        grid = build_frequency_grid(28e9, 2e9, 4)
+        grid = FrequencyGrid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(21), 1)
         with pytest.raises(ValueError):
             z_factor(paths, zero_profile(3), grid, 4, 0)
@@ -245,7 +245,7 @@ class TestZFactor:
 
 class TestRateUpperBound:
     def test_tight_on_single_subcarrier(self):
-        grid = build_frequency_grid(28e9, 2e9, 1)
+        grid = FrequencyGrid(28e9, 2e9, 1)
         paths = sample_path_set(np.random.default_rng(22), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(23), 8)
@@ -253,7 +253,7 @@ class TestRateUpperBound:
         assert bound == pytest.approx(sum_rate(channels, profile, SNR), rel=1e-12)
 
     def test_tight_when_rates_are_flat(self):
-        grid = build_frequency_grid(28e9, 0.0, 8)
+        grid = FrequencyGrid(28e9, 0.0, 8)
         paths = sample_path_set(np.random.default_rng(24), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(25), 8)
@@ -261,7 +261,7 @@ class TestRateUpperBound:
         assert bound == pytest.approx(sum_rate(channels, profile, SNR), rel=1e-9)
 
     def test_dominates_mean_rate(self):
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         rng = np.random.default_rng(26)
         for _ in range(100):
             paths = sample_path_set(rng, 1, gain_mode="unit")
@@ -273,7 +273,7 @@ class TestRateUpperBound:
 
     @pytest.mark.parametrize("k_sub,m_ris,bandwidth", [(1, 1, 2e9), (7, 5, 0.0), (129, 64, 2e9), (16, 256, 8e9)])
     def test_matches_per_subcarrier_z_factor_loop(self, k_sub, m_ris, bandwidth):
-        grid = build_frequency_grid(28e9, bandwidth, k_sub)
+        grid = FrequencyGrid(28e9, bandwidth, k_sub)
         rng = np.random.default_rng(k_sub * m_ris)
         for _ in range(10):
             paths = sample_path_set(rng, 1)
@@ -284,13 +284,13 @@ class TestRateUpperBound:
             assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_multipath(self):
-        grid = build_frequency_grid(28e9, 2e9, 4)
+        grid = FrequencyGrid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(27), 3)
         with pytest.raises(ValueError):
             rate_upper_bound(paths, zero_profile(4), grid, 4, 4, SNR)
 
     def test_rejects_profile_size_mismatch(self):
-        grid = build_frequency_grid(28e9, 2e9, 4)
+        grid = FrequencyGrid(28e9, 2e9, 4)
         paths = sample_path_set(np.random.default_rng(27), 1)
         with pytest.raises(ValueError, match="profile has 3 phases, expected 4"):
             rate_upper_bound(paths, zero_profile(3), grid, 4, 4, SNR)
@@ -298,7 +298,7 @@ class TestRateUpperBound:
 
 class TestPhysicalConsistency:
     def test_los_rate_ignores_delays(self):
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         paths = sample_path_set(np.random.default_rng(28), 1)
         moved = dataclasses.replace(
             paths,
@@ -311,7 +311,7 @@ class TestPhysicalConsistency:
         assert np.allclose(a, b, atol=1e-12)
 
     def test_mrt_receive_chain_matches_closed_form(self):
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         rng = np.random.default_rng(30)
         for _ in range(10):
             paths = sample_path_set(rng, 3)
@@ -324,7 +324,7 @@ class TestPhysicalConsistency:
             assert explicit == pytest.approx(subcarrier_rate(eff, SNR), abs=1e-10)
 
     def test_global_phase_neutrality(self):
-        grid = build_frequency_grid(28e9, 2e9, 8)
+        grid = FrequencyGrid(28e9, 2e9, 8)
         paths = sample_path_set(np.random.default_rng(31), 4)
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_random(np.random.default_rng(32), 8)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from squintsim.channel import build_frequency_grid, gen_channels, rate_bits, sample_path_set
+from squintsim.channel import FrequencyGrid, gen_channels, rate_bits, sample_path_set
 from squintsim.phase_design import (
     PhaseProfile,
     _rank_one_direction,
@@ -25,7 +25,7 @@ from squintsim.phase_design import (
 )
 from squintsim.rate_eval import ideal_rate, sum_rate
 
-from reference import a_ris, effective_channel, h_bs_ris, subcarrier_rate
+from reference import TABLE_TOL, cascade_direct, effective_channel, h_bs_ris, subcarrier_rate
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -61,7 +61,7 @@ def with_edge_cases(test):
 
 def realize(case):
     """Channels, a generator for scheme randomness and the linear SNR of one drawn case."""
-    grid = build_frequency_grid(28e9, case["bandwidth_hz"], case["num_subcarriers"])
+    grid = FrequencyGrid(28e9, case["bandwidth_hz"], case["num_subcarriers"])
     rng = np.random.default_rng(case["seed"])
     paths = sample_path_set(rng, case["num_paths"], gain_mode=case["gain_mode"])
     channels = gen_channels(paths, grid, case["num_bs_antennas"], case["num_ris_elements"])
@@ -186,8 +186,9 @@ def test_snr_array_matches_one_call_per_snr(case):
 @pytest.mark.parametrize("num_paths", [1, 1, 5, 9], ids=["los-1", "nlos-1", "nlos-5", "nlos-9"])
 @pytest.mark.parametrize("num_ris_elements", [1, 16, 37, 64, 100, 256])
 def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_paths, gain_mode):
-    # The powers read the cascade stored at construction. They must equal the
-    # h_ris_user * a_ris product formed per call bit for bit, and the dense path.
+    # The powers read the cascade stored at construction: bit for bit the
+    # products formed from it per call, within the bound TABLE_TOL implies of
+    # those formed from the one-exponential h_ris_user * a_ris, and near the dense path.
     case = dict(
         num_paths=num_paths, bandwidth_hz=2e9, num_subcarriers=8, num_bs_antennas=4,
         num_ris_elements=num_ris_elements, gain_mode=gain_mode, seed=31, snr_db=10.0,
@@ -195,11 +196,17 @@ def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_
     channels, rng, snr = realize(case)
     profile = design_random(rng, num_ris_elements)
     diag = profile.unit_diagonal()
-    product = channels.h_ris_user * a_ris(channels)
+    cascade, oracle = channels.cascade, cascade_direct(channels)
     scale = np.abs(channels.bs_ris_scale)
     power, aligned = channels.received_power(diag), channels.aligned_power()
-    assert np.array_equal(power, scale**2 * np.abs(product @ diag) ** 2)
-    assert np.array_equal(aligned, (scale * np.sum(np.abs(product), axis=1)) ** 2)
+    assert np.array_equal(power, scale**2 * np.abs(cascade @ diag) ** 2)
+    assert np.array_equal(aligned, (scale * np.sum(np.abs(cascade), axis=1)) ** 2)
+    # M entries of unit-modulus weight, each within `entry` of the oracle's, put a
+    # sum within M * entry of the oracle's sum s; its square within that times 2|s| + M * entry.
+    gains = channels.source_paths.ru_gains
+    sum_error = num_ris_elements * TABLE_TOL * sum(map(abs, gains)) / np.sqrt(num_paths * num_ris_elements)
+    for sums, got in ((np.abs(oracle @ diag), power), (np.sum(np.abs(oracle), axis=1), aligned)):
+        assert np.all(np.abs(got - scale**2 * sums**2) <= scale**2 * (2 * sums + sum_error) * sum_error)
     np.testing.assert_allclose(rate_bits(snr, power), dense_rates(channels, profile, snr), RTOL, ATOL)
     np.testing.assert_allclose(rate_bits(snr, aligned), reference_ideal_rates(channels, snr), RTOL, ATOL)
 
