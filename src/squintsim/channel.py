@@ -149,7 +149,7 @@ class ChannelRealization:
         Derived from ``cascade`` as ``M * cascade * conj(a_M)``, since
         ``|a_M[k, m]|^2 = 1/M``, with one :func:`_band_table` call at
         ``-sin(theta_bs)``. It is computed on first read and cached, read-only.
-        Only the covariance designers read it.
+        Only ``design_mccm`` reads it; every other designer and rate reads ``cascade``.
         """
         rows = _band_table(self.num_ris_elements, self.grid, -np.sin(self.source_paths.bs_ris_aoa_rad))
         rows *= self.cascade

@@ -22,14 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import FrequencyGrid, _is_count, _is_real, gen_channels, sample_path_set
-from .phase_design import (
-    PhaseProfile,
-    design_central,
-    design_indexed,
-    design_mccm,
-    design_random,
-    design_subcarrier_covariance,
-)
+from .phase_design import PhaseProfile, design_central, design_mccm, design_random, design_subcarrier_covariance
+# Unused here; benchmarks/child.py traces it under this module.
+from .phase_design import design_indexed  # noqa: F401
 from .rate_eval import ideal_rate, sum_rate
 
 #: The two scenarios; they differ only in the user-side path count, which is
@@ -69,10 +64,10 @@ FIGURES = {
 }
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
-#: (K, M) table then takes 256 MiB. A channel point holds ``cascade``, and an
-#: nlos point also ``h_ris_user`` once a covariance designer reads it. The peak
-#: comes while ``cascade`` is built from the (L, K, M) stack of path tables: the
-#: stack plus its sum, or plus its factor table of L*(K/C + C) rows (C the
+#: (K, M) table then takes 256 MiB. A channel point holds ``cascade``, and also
+#: ``h_ris_user`` once ``design_mccm``, its one reader, reads it. The peak comes
+#: while ``cascade`` is built from the (L, K, M) stack of path tables: the stack
+#: plus its sum, or plus its factor table of L*(K/C + C) rows (C the
 #: largest divisor of K not above sqrt(K)) if that is larger. Traced peaks at a
 #: quarter of the cap, M = 1024: 128 MiB at L = 1 for K = 4096, 4078 and 4093;
 #: at L = 5, 384 MiB (K = 4096), 479 MiB (4078 = 2*2039) and 640 MiB (4093,
@@ -219,8 +214,11 @@ def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: 
 
 
 def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: str, draws: tuple) -> PhaseProfile:
-    """The profile of a scheme other than ``ideal``, common to all subcarriers."""
-    paths = channels.source_paths
+    """The profile of a scheme other than ``ideal``, common to all subcarriers.
+
+    Every indexed scheme co-phases its subcarrier's cascade row; only the los
+    ``central`` profile has a closed form of its own.
+    """
     m_ris = cfg.num_ris_elements
     random_phases, random_index = draws
     if scheme == "random":
@@ -228,15 +226,13 @@ def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: 
     if scheme == "mccm":
         return design_mccm(channels)
     if scheme == "central" and cfg.scenario == LOS:
-        return design_central(paths, m_ris)
+        return design_central(channels.source_paths, m_ris)
     if scheme == "central":
         k = central_subcarrier_index(grid)
     elif scheme == "random-index":
         k = random_index
     else:
         k = 0
-    if cfg.scenario == LOS:
-        return design_indexed(paths, grid, m_ris, k)
     return design_subcarrier_covariance(channels, k)
 
 

@@ -4,9 +4,11 @@ Every designer returns a :class:`PhaseProfile`: the real phase vector
 ``phases_rad``, whose materialized diagonal has unit modulus by construction,
 and the ``degenerate`` flag of the covariance-based designers. The angle-based
 designers (per-subcarrier optimal, carrier-frequency, indexed) need a
-single-path surface-to-user link; the covariance-based designers work on any
-realization by splitting the profile into a receive part that aligns the
-incident wave and a forward part extracted from a channel covariance matrix.
+single-path surface-to-user link. The covariance-based designers work on any
+realization. The per-subcarrier one co-phases row k of the cascaded channel,
+which is the principal direction of that subcarrier's rank-one covariance.
+:func:`design_mccm` splits the profile into a receive part that aligns the
+incident wave and a forward part extracted from the mean channel covariance.
 The steps of that extraction take and return plain arrays: the mean covariance
 (M, M), its principal direction as ``(vector, degenerate)``, and the phases of
 that vector.
@@ -15,11 +17,12 @@ that vector.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, FrequencyGrid, PathSet, _is_count, rate_bits, spatial_angle
+from .channel import ChannelRealization, FrequencyGrid, PathSet, _is_count, _is_real, rate_bits, spatial_angle
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +55,13 @@ def _require_single_path(paths: PathSet, designer: str) -> None:
 
 
 def _check_subcarrier(grid: FrequencyGrid, k: int) -> None:
-    if not 0 <= k < grid.num_subcarriers:
-        raise ValueError(f"subcarrier index {k} out of range [0, {grid.num_subcarriers})")
+    if not (_is_real(k) and isinstance(k, numbers.Integral) and 0 <= k < grid.num_subcarriers):
+        raise ValueError(f"subcarrier index must be an integer in [0, {grid.num_subcarriers}), got {k!r}")
+
+
+def _check_elements(num_ris_elements: int) -> None:
+    if not _is_count(num_ris_elements):
+        raise ValueError(f"num_ris_elements must be an integer >= 1, got {num_ris_elements!r}")
 
 
 def design_ideal(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: int) -> PhaseProfile:
@@ -64,6 +72,7 @@ def design_ideal(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: 
     exactly in phase at that subcarrier.
     """
     _require_single_path(paths, "design_ideal")
+    _check_elements(num_ris_elements)
     _check_subcarrier(grid, k)
     f_k = grid.frequencies[k]
     phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
@@ -86,6 +95,7 @@ def design_central(paths: PathSet, num_ris_elements: int) -> PhaseProfile:
     negative lobe, an indexed profile can bound higher.
     """
     _require_single_path(paths, "design_central")
+    _check_elements(num_ris_elements)
     delta = np.sin(paths.ru_angles_rad[0]) - np.sin(paths.bs_ris_aoa_rad)
     phases = np.pi * np.arange(num_ris_elements) * delta
     return PhaseProfile(phases)
@@ -98,8 +108,7 @@ def design_indexed(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k
 
 def design_random(rng: np.random.Generator, num_ris_elements: int) -> PhaseProfile:
     """Independent uniform phases on [0, 2*pi); deterministic given the seed."""
-    if not _is_count(num_ris_elements):
-        raise ValueError(f"num_ris_elements must be an integer >= 1, got {num_ris_elements!r}")
+    _check_elements(num_ris_elements)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_ris_elements)
     return PhaseProfile(phases)
 
@@ -147,21 +156,6 @@ def principal_direction(covariance) -> tuple[np.ndarray, bool]:
     return _canonical_phase(eigenvectors[:, -1]), degenerate
 
 
-def _rank_one_direction(h_row: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Principal direction of the rank-one covariance ``h^H h`` in closed form.
-
-    Equals ``principal_direction(mean_channel_covariance([h]))`` but avoids an
-    eigendecomposition; the single nonzero eigenvalue is ``||h||^2``.
-    """
-    norm = float(np.linalg.norm(h_row))
-    size = len(h_row)
-    if norm == 0.0:
-        basis = np.zeros(size, dtype=complex)
-        basis[0] = 1.0
-        return basis, size >= 2
-    return _canonical_phase(np.conj(h_row) / norm), False
-
-
 def phase_extraction(v) -> np.ndarray:
     """Phases of the entries of ``v``, discarding magnitudes.
 
@@ -174,9 +168,10 @@ def phase_extraction(v) -> np.ndarray:
     return np.angle(vec)
 
 
-def _receive_phases(channels: ChannelRealization, f_hz: float) -> np.ndarray:
-    # Cancels the incident steering progression at f_hz so the reflected wavefront is flat.
-    phi_incident = spatial_angle(f_hz, channels.source_paths.bs_ris_aoa_rad, channels.grid.carrier_hz)
+def _receive_phases(channels: ChannelRealization) -> np.ndarray:
+    # Cancels the incident steering progression at the carrier so the reflected wavefront is flat.
+    grid = channels.grid
+    phi_incident = spatial_angle(grid.carrier_hz, channels.source_paths.bs_ris_aoa_rad, grid.carrier_hz)
     return -2.0 * np.pi * np.arange(channels.num_ris_elements) * phi_incident
 
 
@@ -191,7 +186,7 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     ``received_power`` call, by their mean rate at a fixed reference SNR and
     the better one is kept (ties keep the unconjugated candidate).
     """
-    receive = _receive_phases(channels, channels.grid.carrier_hz)
+    receive = _receive_phases(channels)
     vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
     candidates = np.stack([receive + phase_extraction(v) for v in (vector, np.conj(vector))])
     rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * candidates))), axis=-1)
@@ -200,14 +195,15 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
 
 
 def design_subcarrier_covariance(channels: ChannelRealization, k: int) -> PhaseProfile:
-    """Single-subcarrier analog of :func:`design_mccm`.
+    """Profile that co-phases every reflected term at subcarrier k, on any number of user paths.
 
-    Uses the BS-to-surface spatial angle at subcarrier k for the receive part
-    and the covariance of that subcarrier's channel alone for the forward
-    part. Its principal direction ``conj(h_k)`` co-phases every reflected
-    term, so the profile reaches ``aligned_power`` at subcarrier k.
+    Subcarrier k's covariance ``c_k^H c_k``, with ``c_k`` row k of the cascaded
+    channel, has rank one, and its principal direction is ``conj(c_k)``. Its
+    phases ``-angle(c_k)`` put the M reflected terms in phase, so the profile
+    reaches ``aligned_power`` at subcarrier k. On a single-path link this is
+    :func:`design_ideal`'s profile up to a global phase. An all-zero row has
+    no direction: its phases are 0, and it is ``degenerate`` when M >= 2.
     """
     _check_subcarrier(channels.grid, k)
-    receive = _receive_phases(channels, channels.grid.frequencies[k])
-    vector, degenerate = _rank_one_direction(channels.h_ris_user[k])
-    return PhaseProfile(receive + phase_extraction(vector), degenerate=degenerate)
+    row = channels.cascade[k]
+    return PhaseProfile(-np.angle(row), degenerate=len(row) >= 2 and not np.any(row))

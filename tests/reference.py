@@ -11,6 +11,9 @@ Jensen upper bound it yields on the mean rate, so the tests can check the
 fast path against the textbook formulas. ``h_ris_user_direct`` and
 ``cascade_direct`` rebuild the two channel tables path by path the same way;
 the package's tables stay within ``TABLE_TOL`` of them.
+``subcarrier_covariance_profile`` is the per-subcarrier covariance designer
+written out as the mean-covariance route: a receive part at f_k and the closed
+form principal direction of the rank-one covariance of ``h_ris_user[k]``.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from squintsim.channel import (
 )
 from squintsim.phase_design import (
     PhaseProfile,
+    _canonical_phase,
     design_central,
-    design_ideal,
     design_mccm,
     design_random,
     design_subcarrier_covariance,
+    phase_extraction,
 )
 
 
@@ -186,30 +190,61 @@ def rate_upper_bound(
     return float(rate_bits(snr, num_bs_antennas * mean_z_sq))
 
 
+def receive_phases_at(channels: ChannelRealization, f_hz: float) -> np.ndarray:
+    """Phases ``-2*pi*m*phi_in(f)`` that cancel the incident steering progression at ``f_hz``."""
+    phi_incident = spatial_angle(f_hz, channels.source_paths.bs_ris_aoa_rad, channels.grid.carrier_hz)
+    return -2.0 * np.pi * np.arange(channels.num_ris_elements) * phi_incident
+
+
+def rank_one_direction(h_row) -> tuple[np.ndarray, bool]:
+    """Principal direction of the rank-one covariance ``h^H h`` in closed form, and whether it is degenerate.
+
+    Equals ``principal_direction(mean_channel_covariance([h]))`` without an
+    eigendecomposition: the single nonzero eigenvalue is ``||h||^2``. A zero
+    row gives the first basis vector, degenerate when it has two or more entries.
+    """
+    h_row = np.asarray(h_row, dtype=complex)
+    norm = float(np.linalg.norm(h_row))
+    if norm == 0.0:
+        basis = np.zeros(len(h_row), dtype=complex)
+        basis[0] = 1.0
+        return basis, len(h_row) >= 2
+    return _canonical_phase(np.conj(h_row) / norm), False
+
+
+def subcarrier_covariance_profile(channels: ChannelRealization, k: int) -> PhaseProfile:
+    """Subcarrier k's covariance profile by the mean-covariance route.
+
+    The receive part flattens the incident wave at f_k, and the forward part
+    is the phase of the principal direction of ``h_ris_user[k]^H h_ris_user[k]``.
+    """
+    receive = receive_phases_at(channels, channels.grid.frequencies[k])
+    vector, degenerate = rank_one_direction(channels.h_ris_user[k])
+    return PhaseProfile(receive + phase_extraction(vector), degenerate=degenerate)
+
+
 def reference_profile(cfg, grid: FrequencyGrid, channels: ChannelRealization, scheme: str, trial: int) -> PhaseProfile:
     """Common profile of one (scheme, trial), written out as one if-chain per scheme.
 
     The sweep's own dispatch, ``experiments._common_profile``, is checked
-    against this. Indexed los profiles call ``design_ideal`` at subcarrier k,
-    the definition of an indexed profile; ``ideal`` itself has no common
-    profile and is rejected like any unknown name.
+    against this. Every indexed profile, on either scenario, co-phases the
+    cascade row of its subcarrier k; only the los ``central`` profile is the
+    closed form of ``design_central``. ``ideal`` itself has no common profile
+    and is rejected like any unknown name.
     """
-    paths = channels.source_paths
     m_ris = cfg.num_ris_elements
     if scheme == "random":
         return design_random(experiments._substream(cfg.seed, trial, experiments._PHASE_STREAM), m_ris)
     if scheme == "mccm":
         return design_mccm(channels)
+    if scheme == "central" and cfg.scenario == experiments.LOS:
+        return design_central(channels.source_paths, m_ris)
     if scheme == "central":
-        if cfg.scenario == experiments.LOS:
-            return design_central(paths, m_ris)
-        return design_subcarrier_covariance(channels, experiments.central_subcarrier_index(grid))
-    if scheme == "random-index":
+        k = experiments.central_subcarrier_index(grid)
+    elif scheme == "random-index":
         k = int(experiments._substream(cfg.seed, trial, experiments._INDEX_STREAM).integers(grid.num_subcarriers))
     elif scheme == "side-index":
         k = 0
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if cfg.scenario == experiments.LOS:
-        return design_ideal(paths, grid, m_ris, k)
     return design_subcarrier_covariance(channels, k)

@@ -340,10 +340,8 @@ def test_elements_sweep_builds_each_substream_once_per_trial(monkeypatch, scheme
     assert counts["design_random"] == ("random" in schemes) * SMALL_LOS.trials
 
 
-@pytest.mark.parametrize("fig_id,reads", [(2, False), (4, False), (5, True)])
-def test_only_covariance_designers_derive_the_user_rows(monkeypatch, fig_id, reads):
-    # On los the angle designers take the paths and the rates read the cascade,
-    # so no point derives h_ris_user; the nlos covariance designers read it.
+def user_row_derivations(monkeypatch, *sweep) -> int:
+    """How many times ``run_sweep(*sweep)`` derives ``h_ris_user``."""
     counts = Counter()
     derive = ChannelRealization.h_ris_user.func
 
@@ -352,8 +350,37 @@ def test_only_covariance_designers_derive_the_user_rows(monkeypatch, fig_id, rea
         return derive(self)
 
     monkeypatch.setattr(ChannelRealization, "h_ris_user", property(counting_rows))
-    run_sweep(*figure_sweep(fig_id, trials=2, seed=3))
-    assert (counts["h_ris_user"] > 0) == reads
+    run_sweep(*sweep)
+    return counts["h_ris_user"]
+
+
+@pytest.mark.parametrize("fig_id,reads", [(2, False), (4, False), (5, True)])
+def test_only_covariance_designers_derive_the_user_rows(monkeypatch, fig_id, reads):
+    # Every designer but design_mccm and every rate read the cascade, so only a
+    # sweep with mccm, offered on nlos alone, derives h_ris_user.
+    assert (user_row_derivations(monkeypatch, *figure_sweep(fig_id, trials=2, seed=3)) > 0) == reads
+
+
+@pytest.mark.parametrize("variable,values", [("snr_db", (0.0, 10.0)), ("bandwidth_hz", (0.5e9, 4e9))])
+def test_nlos_sweep_without_mccm_never_derives_the_user_rows(monkeypatch, variable, values):
+    schemes = tuple(s for s in schemes_for(NLOS) if s != "mccm")
+    assert user_row_derivations(monkeypatch, SMALL_NLOS, schemes, variable, values) == 0
+
+
+@pytest.mark.parametrize("base", [SMALL_LOS, SMALL_NLOS], ids=["los", "nlos"])
+@pytest.mark.parametrize("variable,values", [("snr_db", (0.0, 10.0)), ("bandwidth_hz", (0.5e9, 1e9, 4e9))])
+def test_one_subcarrier_design_per_indexed_scheme_point_and_trial(monkeypatch, base, variable, values):
+    # Both scenarios design every indexed scheme by co-phasing a cascade row;
+    # only los central keeps its closed form.
+    counts = Counter()
+    for name in ("design_subcarrier_covariance", "design_indexed", "design_central"):
+        counting(monkeypatch, counts, name)
+    schemes = schemes_for(base.scenario)
+    per_trial_rates(base, schemes, variable, values)
+    designs = base.trials * (1 if variable == "snr_db" else len(values))
+    assert counts["design_indexed"] == 0
+    assert counts["design_subcarrier_covariance"] == (2 if base.scenario == LOS else 3) * designs
+    assert counts["design_central"] == (base.scenario == LOS) * designs
 
 
 class TestRunSweep:

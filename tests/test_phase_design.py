@@ -31,9 +31,14 @@ from squintsim.phase_design import (
 )
 from squintsim.rate_eval import sum_rate
 
-from reference import h_bs_ris, rate_upper_bound, z_factor
+from reference import h_bs_ris, rank_one_direction, rate_upper_bound, subcarrier_covariance_profile, z_factor
 
 SNR = 10.0
+
+#: Surface sizes every designer that takes one rejects, with the design_random message.
+NO_COUNTS = pytest.mark.parametrize(
+    "count", [True, 2.0, 2.5, 0], ids=["bool", "integral-float", "fraction", "zero"]
+)
 
 
 def assert_phases_equal(a, b, atol=1e-9):
@@ -95,6 +100,11 @@ class TestDesignIdeal:
         with pytest.raises(ValueError):
             design_ideal(los_paths(0.3, 0.9), grid, 8, 16)
 
+    @NO_COUNTS
+    def test_rejects_count_that_is_no_integer(self, count):
+        with pytest.raises(ValueError, match="num_ris_elements must be an integer >= 1"):
+            design_ideal(los_paths(0.3, 0.9), FrequencyGrid(28e9, 2e9, 16), count, 0)
+
 
 class TestDesignCentral:
     def test_matched_angles(self):
@@ -125,6 +135,11 @@ class TestDesignCentral:
         paths = sample_path_set(np.random.default_rng(2), 2)
         with pytest.raises(ValueError, match="design_central needs a single-path surface-to-user link, got 2 paths"):
             design_central(paths, 4)
+
+    @NO_COUNTS
+    def test_rejects_count_that_is_no_integer(self, count):
+        with pytest.raises(ValueError, match="num_ris_elements must be an integer >= 1"):
+            design_central(los_paths(0.3, 0.9), count)
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -202,7 +217,7 @@ class TestDesignRandom:
         with pytest.raises(ValueError):
             design_random(np.random.default_rng(0), 0)
 
-    @pytest.mark.parametrize("count", [True, 2.0, 2.5], ids=["bool", "integral-float", "fraction"])
+    @NO_COUNTS
     def test_rejects_count_that_is_no_integer(self, count):
         with pytest.raises(ValueError, match="num_ris_elements must be an integer >= 1"):
             design_random(np.random.default_rng(0), count)
@@ -279,23 +294,19 @@ class TestPrincipalDirection:
 
 
 class TestRankOneShortcut:
-    def test_closed_form_matches_eigendecomposition(self):
-        # design_subcarrier_covariance uses the closed-form principal
-        # direction of h^H h; it must agree with the generic eigh route.
-        from squintsim.phase_design import _rank_one_direction
+    """The oracle's closed-form direction of a rank-one covariance, against the generic eigh route."""
 
+    def test_closed_form_matches_eigendecomposition(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
             h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            closed, closed_degenerate = _rank_one_direction(h)
+            closed, closed_degenerate = rank_one_direction(h)
             generic, generic_degenerate = principal_direction(mean_channel_covariance(h[None, :]))
             assert np.allclose(closed, generic, atol=1e-8)
             assert closed_degenerate == generic_degenerate
 
     def test_zero_row_is_degenerate(self):
-        from squintsim.phase_design import _rank_one_direction
-
-        _, degenerate = _rank_one_direction(np.zeros(4, dtype=complex))
+        _, degenerate = rank_one_direction(np.zeros(4, dtype=complex))
         assert degenerate
 
 
@@ -349,7 +360,7 @@ class TestDesignMccm:
         rng = np.random.default_rng(21)
         for _ in range(20):
             channels = gen_channels(sample_path_set(rng, num_paths), grid, 4, 16)
-            receive = _receive_phases(channels, grid.carrier_hz)
+            receive = _receive_phases(channels)
             vector, _ = principal_direction(mean_channel_covariance(channels.h_ris_user))
             candidates = [receive + phase_extraction(v) for v in (vector, np.conj(vector))]
             rates = [np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * p)))) for p in candidates]
@@ -403,7 +414,53 @@ class TestDesignMccm:
         assert np.allclose(a.phases_rad, b.phases_rad, atol=1e-8)
 
 
+def assert_same_up_to_global_phase(a, b, atol):
+    """Phase vectors equal modulo 2*pi once their mean offset is removed, to ``atol`` rad."""
+    diff = np.asarray(a) - np.asarray(b)
+    offset = np.angle(np.sum(np.exp(1j * diff)))
+    assert np.max(np.abs(np.angle(np.exp(1j * (diff - offset))))) <= atol
+
+
 class TestDesignSubcarrierCovariance:
+    @pytest.mark.parametrize("num_paths", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "num_subcarriers,num_ris_elements", [(1, 1), (16, 64), (128, 256), (131, 1024), (7, 1000)]
+    )
+    def test_matches_covariance_route_and_aligns_every_term(self, num_paths, num_subcarriers, num_ris_elements):
+        # The designer reads cascade row k alone; the oracle takes the receive
+        # part at f_k and the rank-one direction of h_ris_user[k]. K = 131 and
+        # 7 are prime, and 8 GHz is the widest sweep bandwidth.
+        grid = FrequencyGrid(28e9, 8e9, num_subcarriers)
+        rng = np.random.default_rng(1000 * num_paths + num_subcarriers + num_ris_elements)
+        paths = sample_path_set(rng, num_paths)
+        channels = gen_channels(paths, grid, 4, num_ris_elements)
+        aligned = channels.aligned_power()
+        for k in {0, num_subcarriers // 2, num_subcarriers - 1, int(rng.integers(num_subcarriers))}:
+            profile = design_subcarrier_covariance(channels, k)
+            assert not profile.degenerate
+            oracle = subcarrier_covariance_profile(channels, k)
+            assert_same_up_to_global_phase(profile.phases_rad, oracle.phases_rad, atol=1e-11)
+            if num_paths == 1:
+                ideal = design_ideal(paths, grid, num_ris_elements, k)
+                assert_same_up_to_global_phase(profile.phases_rad, ideal.phases_rad, atol=1e-11)
+            power = channels.received_power(profile.unit_diagonal())[k]
+            assert power == pytest.approx(aligned[k], rel=1e-12)
+
+    @pytest.mark.parametrize("num_paths", [1, 3])
+    @pytest.mark.parametrize("num_ris_elements", [1, 2, 8])
+    def test_zero_row_gives_zero_phases(self, num_paths, num_ris_elements):
+        # Every user gain 0 zeroes the cascade: no direction to co-phase, so the
+        # phases are 0 and the profile is degenerate wherever M >= 2.
+        grid = FrequencyGrid(28e9, 2e9, 8)
+        paths = sample_path_set(np.random.default_rng(41), num_paths)
+        silent = dataclasses.replace(paths, ru_gains=(0j,) * num_paths)
+        channels = gen_channels(silent, grid, 4, num_ris_elements)
+        assert not np.any(channels.cascade)
+        for k in (0, 5):
+            profile = design_subcarrier_covariance(channels, k)
+            assert np.array_equal(profile.phases_rad, np.zeros(num_ris_elements))
+            assert profile.degenerate == (num_ris_elements >= 2)
+
     def test_matches_angle_design_on_single_path(self):
         # On a single-path link the covariance route reduces to the ideal
         # profile of that subcarrier up to a constant phase offset.
@@ -430,6 +487,30 @@ class TestDesignSubcarrierCovariance:
         achieved = float(np.sum(np.abs(eff) ** 2))
         best = float(np.sum(np.abs(channels.h_ris_user[k]) * np.linalg.norm(h_bs_k, axis=1)) ** 2)
         assert achieved == pytest.approx(best, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [2.5, True, 3.0, None], ids=["fraction", "bool", "integral-float", "none"])
+@pytest.mark.parametrize("designer", ["indexed", "subcarrier-covariance"])
+def test_indexed_designers_reject_index_that_is_no_integer(designer, k):
+    grid = FrequencyGrid(28e9, 2e9, 16)
+    paths = los_paths(0.3, 0.9)
+    design = {
+        "indexed": lambda: design_indexed(paths, grid, 8, k),
+        "subcarrier-covariance": lambda: design_subcarrier_covariance(gen_channels(paths, grid, 4, 8), k),
+    }[designer]
+    with pytest.raises(ValueError, match=rf"^subcarrier index must be an integer in \[0, 16\), got {k!r}$"):
+        design()
+
+
+def test_indexed_designers_take_numpy_integer_index():
+    grid = FrequencyGrid(28e9, 2e9, 16)
+    paths = los_paths(0.3, 0.9)
+    channels = gen_channels(paths, grid, 4, 8)
+    for k in (np.int64(3), np.uint8(3)):
+        assert np.array_equal(design_indexed(paths, grid, 8, k).phases_rad, design_indexed(paths, grid, 8, 3).phases_rad)
+        assert np.array_equal(
+            design_subcarrier_covariance(channels, k).phases_rad, design_subcarrier_covariance(channels, 3).phases_rad
+        )
 
 
 class TestProfileProperties:

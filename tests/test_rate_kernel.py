@@ -15,17 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squintsim.channel import FrequencyGrid, gen_channels, rate_bits, sample_path_set
-from squintsim.phase_design import (
-    PhaseProfile,
-    _rank_one_direction,
-    _receive_phases,
-    design_ideal,
-    design_random,
-    phase_extraction,
-)
+from squintsim.phase_design import PhaseProfile, design_ideal, design_random, phase_extraction
 from squintsim.rate_eval import ideal_rate, sum_rate
 
-from reference import TABLE_TOL, cascade_direct, effective_channel, h_bs_ris, subcarrier_rate
+from reference import (
+    TABLE_TOL,
+    cascade_direct,
+    effective_channel,
+    h_bs_ris,
+    rank_one_direction,
+    receive_phases_at,
+    subcarrier_rate,
+)
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -79,13 +80,13 @@ def dense_rates(channels, profile, snr):
 
 
 def covariance_profile_by_power(channels, k):
-    """The per-subcarrier covariance designer with its conjugate candidate.
+    """The oracle's per-subcarrier covariance profile with its conjugate candidate.
 
     Both phase-extraction candidates of the rank-one covariance are scored by
     their dense reflected power at subcarrier k; ties keep the unconjugated one.
     """
-    receive = _receive_phases(channels, channels.grid.frequencies[k])
-    vector, _ = _rank_one_direction(channels.h_ris_user[k])
+    receive = receive_phases_at(channels, channels.grid.frequencies[k])
+    vector, _ = rank_one_direction(channels.h_ris_user[k])
     h_bs_k = h_bs_ris(channels, k)
     best_phases, best_power = None, -np.inf
     for candidate in (vector, np.conj(vector)):
