@@ -104,43 +104,42 @@ class ChannelRealization:
     """Per-subcarrier channels for one realization.
 
     It is built from the N BS antennas, the M surface elements, the grid and
-    the paths, and derives every array from them. The BS-to-surface hop is a
-    single path, so its slice at subcarrier k is the rank-one matrix
-    ``bs_ris_scale[k] * outer(a_M[k], conj(a_N[k]))``, with ``a_M[k]`` and
-    ``a_N[k]`` the surface and BS steering vectors at f_k. The realization
-    stores ``bs_ris_scale`` (K,) and the cascaded channel
-    ``cascade = h_ris_user * a_M`` (K, M), the surface-to-user row times the
-    surface response. Both hops squint linearly in frequency, so the cascade
-    of user path l is itself one steering vector, at the difference angle
-    ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``: one :func:`_band_table`
-    call over the L difference angles builds it, and no ``a_M`` table is
-    formed. The rows ``h_ris_user`` are derived from ``cascade`` on first
-    read, with one more call (see :attr:`h_ris_user`). No rate depends on the
-    unit-norm vectors ``a_N[k]``, so only their count N is stored. Every array
-    is read-only, and ``dataclasses.replace`` builds a new realization from
-    its four arguments, so no table can be stale.
+    the paths, checks the two counts and derives the rest. The BS-to-surface
+    hop is one path, ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k) *
+    outer(a_M[k], conj(a_N[k]))`` at f_k; its delay phase is common to all M
+    elements and ``||a_N[k]|| = 1``, so after MRT only its power gain
+    ``bs_ris_power_gain = M*N*|g_bs|^2`` is left in any rate. The BS delay and
+    departure angle are still drawn, which keeps every trial's stream, but no
+    rate reads them. Besides that gain it stores the cascaded channel
+    ``cascade = h_ris_user * a_M`` (K, M). Both hops squint linearly in
+    frequency, so the cascade of user path l is one steering vector, at the
+    difference angle ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``: one
+    :func:`_band_table` call over the L difference angles builds it. The rows
+    ``h_ris_user`` are derived from it on first read (see :attr:`h_ris_user`).
+    Both arrays are read-only, and ``dataclasses.replace`` builds a new
+    realization from its four arguments, so no value can be stale.
     """
 
     num_bs_antennas: int
     num_ris_elements: int
     grid: FrequencyGrid
     source_paths: PathSet
-    bs_ris_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    bs_ris_power_gain: float = field(init=False, repr=False, compare=False)
     cascade: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (_is_count(self.num_bs_antennas) and _is_count(self.num_ris_elements)):
+            raise ValueError("antenna and element counts must be integers >= 1")
         paths, f, m_ris = self.source_paths, self.grid.frequencies, self.num_ris_elements
-        delay = np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
-        scale = np.sqrt(m_ris * self.num_bs_antennas) * paths.bs_ris_gain * delay
         tables = _band_table(m_ris, self.grid, np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad))
         coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
         # Scales the stack in place, in the operand order of coef * table.
         cascade = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
         # sqrt(M/L) of the user rows times the 1/sqrt(M) of each response leaves 1/sqrt(L).
         cascade *= 1.0 / np.sqrt(len(paths.ru_angles_rad))
-        for name, array in (("bs_ris_scale", scale), ("cascade", cascade)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        cascade.flags.writeable = False
+        object.__setattr__(self, "bs_ris_power_gain", m_ris * self.num_bs_antennas * abs(paths.bs_ris_gain) ** 2)
+        object.__setattr__(self, "cascade", cascade)
 
     @cached_property
     def h_ris_user(self) -> np.ndarray:
@@ -160,24 +159,20 @@ class ChannelRealization:
     def received_power(self, diag) -> np.ndarray:
         """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
 
-        ``||a_N[k]|| = 1`` reduces it to ``|scale_k|^2 |sum_m cascade[k,m] d_m|^2``.
+        ``||a_N[k]|| = 1`` reduces it to ``bs_ris_power_gain * |sum_m cascade[k,m] d_m|^2``.
         ``diag`` has shape (..., M) and the result (..., K): a stack of S
         diagonals is one batched matrix-vector product, and every row is bit
         for bit the power of that diagonal alone.
         """
         sums = np.matmul(self.cascade, np.asarray(diag)[..., None])[..., 0]
-        return np.abs(self.bs_ris_scale) ** 2 * np.abs(sums) ** 2
+        return self.bs_ris_power_gain * np.abs(sums) ** 2
 
     def aligned_power(self) -> np.ndarray:
         """Largest ``received_power`` any diagonal reaches: all M terms co-phased.
 
-        It is ``(|scale_k| sum_m |cascade[k,m]|)^2``.
+        It is ``bs_ris_power_gain * (sum_m |cascade[k,m]|)^2``.
         """
-        return (np.abs(self.bs_ris_scale) * np.sum(np.abs(self.cascade), axis=1)) ** 2
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.cascade.shape[0]
+        return self.bs_ris_power_gain * np.sum(np.abs(self.cascade), axis=1) ** 2
 
 
 def rate_bits(snr, power) -> np.ndarray:
@@ -313,10 +308,9 @@ def gen_channels(
     The BS-to-surface hop is ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) *
     a_M(phi_in) * a_N(phi_out)^H`` and the surface-to-user row ``sqrt(M/L)``
     times the sum of each path's gain, delay phase and conjugate response,
-    every spatial angle evaluated at f_k. Checks the two counts and builds the
-    :class:`ChannelRealization`, which stores the cascade of the two from one
-    table call. Pure function of its inputs.
+    every spatial angle evaluated at f_k. The :class:`ChannelRealization`
+    checks the counts and stores the cascade of the two hops and the hop's
+    power gain ``M*N*|gain|^2``; no rate reads the BS delay or departure angle.
+    Pure function of its inputs.
     """
-    if not (_is_count(num_bs_antennas) and _is_count(num_ris_elements)):
-        raise ValueError("antenna and element counts must be integers >= 1")
     return ChannelRealization(num_bs_antennas, num_ris_elements, grid, paths)

@@ -179,8 +179,8 @@ def schemes_for(scenario: str) -> tuple[str, ...]:
 
 
 def central_subcarrier_index(grid: FrequencyGrid) -> int:
-    """Index of the subcarrier closest to the carrier (ties take the lower one)."""
-    return int(np.argmin(np.abs(grid.frequencies - grid.carrier_hz)))
+    """Middle index ``(K - 1) // 2``: nearest the carrier on the symmetric grid, the lower of two at even K."""
+    return (grid.num_subcarriers - 1) // 2
 
 
 def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:

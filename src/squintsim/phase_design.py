@@ -137,7 +137,8 @@ def principal_direction(covariance) -> tuple[np.ndarray, bool]:
     global phase is canonicalized so the largest-magnitude entry is real and
     nonnegative, making the result invariant under positive rescaling of the
     covariance. A top eigenvalue that is not unique (to 1e-9 relative) is
-    reported through the returned flag rather than as an error.
+    reported through the returned flag rather than as an error. Where ``eigh``
+    does not converge, ``eigvalsh`` and the SVD stand in, under the same checks.
     """
     matrix = np.asarray(covariance)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -145,7 +146,10 @@ def principal_direction(covariance) -> tuple[np.ndarray, bool]:
     trace = np.trace(matrix)
     if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10 * max(1.0, float(abs(trace))):
         raise ValueError("covariance matrix is not Hermitian")
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError:  # heevd can fail to converge on a nearly repeated top eigenvalue
+        eigenvalues, eigenvectors = np.linalg.eigvalsh(matrix), np.linalg.svd(matrix)[0][:, ::-1]
     if eigenvalues[0] < -1e-10 * max(float(trace.real), np.finfo(float).tiny):
         raise ValueError(f"covariance is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})")
     top = float(eigenvalues[-1])
@@ -165,7 +169,7 @@ def phase_extraction(v) -> np.ndarray:
     zeros = int(np.count_nonzero(vec == 0))
     if zeros:
         logger.warning("phase extraction hit %d exactly-zero entries; their phase is set to 0", zeros)
-    return np.angle(vec)
+    return np.where(vec == 0, 0.0, np.angle(vec))
 
 
 def _receive_phases(channels: ChannelRealization) -> np.ndarray:

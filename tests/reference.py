@@ -97,13 +97,15 @@ def table_deviation(channels: ChannelRealization) -> tuple[float, float]:
 def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
     """Dense BS-to-surface channel: (K, M, N), or the (M, N) slice of subcarrier k.
 
-    Slice k is ``bs_ris_scale[k] * outer(a_ris[k], conj(a_bs[k]))``; a single
-    slice is built from the steering vectors of f_k alone.
+    Slice k is ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) * outer(a_ris[k],
+    conj(a_bs[k]))``, built from the paths alone: the realization stores only
+    the hop's power gain. A single slice takes the steering vectors of f_k alone.
     """
+    paths, f = channels.source_paths, channels.grid.frequencies
     index = slice(None) if k is None else k
-    return np.einsum(
-        "...,...m,...n->...mn", channels.bs_ris_scale[index], a_ris(channels)[index], np.conj(a_bs(channels, k))
-    )
+    gain = np.sqrt(channels.num_ris_elements * channels.num_bs_antennas) * paths.bs_ris_gain
+    scale = gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
+    return np.einsum("...,...m,...n->...mn", scale[index], a_ris(channels)[index], np.conj(a_bs(channels, k)))
 
 
 def effective_channel(h_ru_k, profile: PhaseProfile, h_br_k) -> np.ndarray:

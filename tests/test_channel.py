@@ -298,7 +298,8 @@ class TestGenChannels:
         channels = gen_channels(los_paths(), grid, 4, 6)
         assert h_bs_ris(channels).shape == (3, 6, 4)
         assert channels.h_ris_user.shape == (3, 6)
-        assert channels.num_subcarriers == 3
+        assert channels.grid.num_subcarriers == 3
+        assert not hasattr(channels, "num_subcarriers")
         assert channels.num_ris_elements == 6
         assert channels.num_bs_antennas == 4
 
@@ -446,44 +447,64 @@ class TestCascade:
         diag = np.exp(2j * np.pi * rng.uniform(size=6))
         moved = dataclasses.replace(channels, source_paths=paths)
         fresh = gen_channels(paths, channels.grid, 4, 6)
-        cascade, scale = moved.cascade, np.abs(moved.bs_ris_scale)
+        cascade, gain = moved.cascade, moved.bs_ris_power_gain
         assert np.array_equal(cascade, fresh.cascade)
+        assert gain == fresh.bs_ris_power_gain != channels.bs_ris_power_gain
         assert np.array_equal(moved.h_ris_user, fresh.h_ris_user)
         assert not np.allclose(moved.h_ris_user, old_rows)
         assert max(table_deviation(moved)) <= TABLE_TOL
-        assert np.array_equal(moved.received_power(diag), scale**2 * np.abs(cascade @ diag) ** 2)
-        assert np.array_equal(moved.aligned_power(), (scale * np.sum(np.abs(cascade), axis=1)) ** 2)
+        assert np.array_equal(moved.received_power(diag), gain * np.abs(cascade @ diag) ** 2)
+        assert np.array_equal(moved.aligned_power(), gain * np.sum(np.abs(cascade), axis=1) ** 2)
 
     @pytest.mark.parametrize("change", ["source_paths", "grid"])
     def test_replace_recomputes_the_bs_hop(self, change):
-        # A new arrival angle, or a grid of another bandwidth, must give the
-        # scale and cascade of the new paths or grid, not the old.
+        # A new arrival angle and BS gain, or a grid of another bandwidth, must
+        # give the power gain and cascade of the new paths or grid, not the old.
         channels = self.channels()
         if change == "source_paths":
             aoa = channels.source_paths.bs_ris_aoa_rad + 0.3
-            moved = dataclasses.replace(channels, source_paths=dataclasses.replace(channels.source_paths, bs_ris_aoa_rad=aoa))
+            source = dataclasses.replace(channels.source_paths, bs_ris_aoa_rad=aoa, bs_ris_gain=0.5 - 0.25j)
+            moved = dataclasses.replace(channels, source_paths=source)
+            assert moved.bs_ris_power_gain != channels.bs_ris_power_gain
         else:
             moved = dataclasses.replace(channels, grid=FrequencyGrid(28e9, 3e9, 8))
-        paths, f = moved.source_paths, moved.grid.frequencies
-        scale = np.sqrt(6 * 4) * paths.bs_ris_gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
-        assert np.array_equal(moved.bs_ris_scale, scale)
+        assert moved.bs_ris_power_gain == 6 * 4 * abs(moved.source_paths.bs_ris_gain) ** 2
         assert table_deviation(moved)[0] <= TABLE_TOL
         assert not np.allclose(moved.cascade, channels.cascade)
 
     @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
     def test_stores_two_tables_and_the_scale(self, num_paths):
-        # Its fields hold cascade (K, M) and bs_ris_scale (K,), complex128; the
-        # rows h_ris_user (K, M) join them once read, as the one cached value.
+        # Its fields hold cascade (K, M), complex128, and the one float
+        # bs_ris_power_gain; the rows h_ris_user (K, M) join them once read, as
+        # the one cached value.
         k, m = 16, 12
         grid = FrequencyGrid(28e9, 2e9, k)
         channels = gen_channels(sample_path_set(np.random.default_rng(26), num_paths), grid, 4, m)
         stored = sum(getattr(getattr(channels, f.name), "nbytes", 0) for f in dataclasses.fields(channels))
-        assert stored == (k * m + k) * 16
+        assert stored == k * m * 16
+        assert isinstance(channels.bs_ris_power_gain, float)
         assert "h_ris_user" not in vars(channels)
         assert channels.h_ris_user.nbytes == k * m * 16
         assert list(vars(channels)) == [f.name for f in dataclasses.fields(channels)] + ["h_ris_user"]
 
-    @pytest.mark.parametrize("name", ["bs_ris_scale", "h_ris_user", "cascade"])
+    @pytest.mark.parametrize("num_bs_antennas,num_ris_elements", [(1, 1), (4, 6), (64, 256), (7, 1000)])
+    @pytest.mark.parametrize("gain", [None, 1.0 + 0j, 0.8 - 0.3j, 0j], ids=["drawn", "unit", "fixed", "zero"])
+    def test_power_gain_is_m_n_times_the_squared_bs_gain(self, num_bs_antennas, num_ris_elements, gain):
+        # Exactly M*N*|g_bs|^2, whatever the BS delay: its phase is common to all
+        # M elements, so |sqrt(M*N) g_bs exp(-j*2*pi*tau*f_k)|^2 is the same up to rounding.
+        paths = sample_path_set(np.random.default_rng(27), 3)
+        if gain is not None:
+            paths = dataclasses.replace(paths, bs_ris_gain=gain)
+        grid = FrequencyGrid(28e9, 2e9, 8)
+        channels = gen_channels(paths, grid, num_bs_antennas, num_ris_elements)
+        expected = num_ris_elements * num_bs_antennas * abs(paths.bs_ris_gain) ** 2
+        assert channels.bs_ris_power_gain == expected
+        delayed = np.sqrt(num_ris_elements * num_bs_antennas) * paths.bs_ris_gain
+        delayed = np.abs(delayed * np.exp(-2j * np.pi * paths.bs_ris_delay_s * grid.frequencies)) ** 2
+        np.testing.assert_allclose(delayed, expected, rtol=1e-14, atol=0)
+        assert np.all(np.isfinite(channels.aligned_power()))
+
+    @pytest.mark.parametrize("name", ["h_ris_user", "cascade"])
     def test_arrays_are_read_only(self, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(self.channels(), name)[0] *= 2

@@ -1,0 +1,51 @@
+"""Every public entry that takes a count rejects one that is no integer >= 1."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from squintsim.channel import (
+    ChannelRealization,
+    FrequencyGrid,
+    PathSet,
+    array_response,
+    gen_channels,
+    sample_path_set,
+)
+from squintsim.phase_design import design_central, design_ideal, design_random
+
+GRID = FrequencyGrid(28e9, 2e9, 8)
+PATHS = PathSet(0.4, 1.1, 0.8 - 0.3j, 5e-9, (2.0,), (1.0 + 0j,), (3e-9,))
+CHANNELS = gen_channels(PATHS, GRID, 4, 6)
+
+#: Each entry called with one count n in the place of a count.
+ENTRIES = {
+    "FrequencyGrid": lambda n: FrequencyGrid(28e9, 2e9, n),
+    "ChannelRealization-antennas": lambda n: ChannelRealization(n, 6, GRID, PATHS),
+    "ChannelRealization-elements": lambda n: ChannelRealization(4, n, GRID, PATHS),
+    "replace-antennas": lambda n: dataclasses.replace(CHANNELS, num_bs_antennas=n),
+    "replace-elements": lambda n: dataclasses.replace(CHANNELS, num_ris_elements=n),
+    "gen_channels-antennas": lambda n: gen_channels(PATHS, GRID, n, 6),
+    "gen_channels-elements": lambda n: gen_channels(PATHS, GRID, 4, n),
+    "sample_path_set": lambda n: sample_path_set(np.random.default_rng(0), n),
+    "design_central": lambda n: design_central(PATHS, n),
+    "design_ideal": lambda n: design_ideal(PATHS, GRID, n, 0),
+    "design_random": lambda n: design_random(np.random.default_rng(0), n),
+    "array_response": lambda n: array_response(n, 0.1),
+}
+
+BY_ENTRY = pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
+
+
+@BY_ENTRY
+@pytest.mark.parametrize("count", [0, 2.5, 4.0, True, -3], ids=["zero", "fraction", "integral-float", "bool", "negative"])
+def test_rejects_count_that_is_no_integer_of_at_least_one(entry, count):
+    with pytest.raises(ValueError, match="integer"):
+        entry(count)
+
+
+@BY_ENTRY
+@pytest.mark.parametrize("count", [4, np.int64(4)], ids=["int", "numpy-int"])
+def test_accepts_a_count(entry, count):
+    entry(count)

@@ -511,3 +511,16 @@ class TestMisc:
         assert odd.frequencies[5] == 28e9
         even = FrequencyGrid(28e9, 2e9, 128)
         assert central_subcarrier_index(even) == 63
+
+    @pytest.mark.parametrize(
+        "carrier_hz,bandwidth_hz", [(28e9, 2e9), (28e9, 0.0), (1e9, 1e9), (3.5e9, 1e8), (60e9, 8e9), (28e9, 55e9)]
+    )
+    @pytest.mark.parametrize("num_subcarriers", [1, 2, 6, 7, 64, 128, 131, 299])
+    def test_central_subcarrier_index_takes_the_lower_middle(self, carrier_hz, bandwidth_hz, num_subcarriers):
+        # Subcarrier k sits (2k - (K-1))/2 spacings from the carrier: the closest
+        # one, ties to the lower, from exact integers rather than rounded
+        # frequencies, which at 1 GHz over K = 6 put subcarrier 3 nearer than 2.
+        # At zero bandwidth it is still the middle; every row is then the same.
+        k = central_subcarrier_index(FrequencyGrid(carrier_hz, bandwidth_hz, num_subcarriers))
+        assert k == int(np.argmin(np.abs(2 * np.arange(num_subcarriers) - (num_subcarriers - 1))))
+        assert isinstance(k, int)

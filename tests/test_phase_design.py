@@ -14,7 +14,7 @@ from squintsim.channel import (
     sample_path_set,
     spatial_angle,
 )
-from squintsim.experiments import SWEEP_GRIDS
+from squintsim.experiments import _CHANNEL_STREAM, SWEEP_GRIDS, _substream
 from squintsim.phase_design import (
     CANDIDATE_SNR,
     PhaseProfile,
@@ -292,6 +292,45 @@ class TestPrincipalDirection:
         vector, _ = principal_direction([[2.0, 0.0], [0.0, 1.0]])
         assert np.allclose(vector, [1.0, 0.0])
 
+    @staticmethod
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    @pytest.mark.parametrize("size", [2, 5, 16, 64])
+    def test_fallback_matches_the_eigh_route(self, monkeypatch, size):
+        # Where eigh does not converge, eigvalsh and the SVD give the canonical
+        # vector of the eigh route on gapped PSD matrices of rank 1, 3 and full,
+        # and the same flag there and on a matrix whose top eigenvalue repeats.
+        rng = np.random.default_rng(41 + size)
+        matrices = [
+            mean_channel_covariance(rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size)))
+            for rows in (1, 3, size + 2)
+            for _ in range(3)
+        ] + [np.diag([1.0] * 2 + [0.5] * (size - 2)).astype(complex)]
+        expected = [principal_direction(matrix) for matrix in matrices]
+        assert [degenerate for _, degenerate in expected] == [False] * 9 + [True]
+        monkeypatch.setattr(np.linalg, "eigh", self.failing_eigh)
+        for matrix, (vector, degenerate) in zip(matrices, expected):
+            got, got_degenerate = principal_direction(matrix)
+            assert got_degenerate == degenerate
+            if not degenerate:
+                assert np.max(np.abs(got - vector)) <= 1e-12
+
+    @pytest.mark.parametrize("diagonal", [[2.0, -1.0], [1.0, 1.0, -1e-6]], ids=["indefinite", "slightly-negative"])
+    def test_fallback_still_rejects_indefinite(self, monkeypatch, diagonal):
+        monkeypatch.setattr(np.linalg, "eigh", self.failing_eigh)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            principal_direction(np.diag(diagonal).astype(complex))
+
+    def test_non_converging_draw_gives_a_degenerate_profile(self):
+        # Trial 14 of seed 0 in an nlos sweep at 8 GHz, M = 256, L = 3: its mean
+        # covariance has a top eigenvalue repeated to about 15 digits, on which
+        # LAPACK's heevd can fail to converge. Either route flags it.
+        paths = sample_path_set(_substream(0, 14, _CHANNEL_STREAM), 3)
+        profile = design_mccm(gen_channels(paths, FrequencyGrid(28e9, 8e9, 128), 64, 256))
+        assert profile.degenerate
+        assert np.all(np.isfinite(profile.phases_rad))
+
 
 class TestRankOneShortcut:
     """The oracle's closed-form direction of a rank-one covariance, against the generic eigh route."""
@@ -331,6 +370,9 @@ class TestPhaseExtraction:
     def test_zero_entry_convention(self):
         phases = phase_extraction(np.array([0.0, 1j]))
         assert phases[0] == 0.0
+        # A zero with a negative real part is still phase 0, not +-pi.
+        signed = phase_extraction(np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]))
+        assert np.array_equal(signed, [0.0, 0.0, 0.0])
 
 
 class RowsStandIn:

@@ -74,7 +74,7 @@ def dense_rates(channels, profile, snr):
     return np.array(
         [
             subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, dense[k]), snr)
-            for k in range(channels.num_subcarriers)
+            for k in range(channels.grid.num_subcarriers)
         ]
     )
 
@@ -101,8 +101,8 @@ def covariance_profile_by_power(channels, k):
 def reference_ideal_rates(channels, snr):
     """Per-subcarrier designer loop: redesign the surface at every subcarrier."""
     paths = channels.source_paths
-    per_k = np.empty(channels.num_subcarriers)
-    for k in range(channels.num_subcarriers):
+    per_k = np.empty(channels.grid.num_subcarriers)
+    for k in range(channels.grid.num_subcarriers):
         if len(paths.ru_angles_rad) == 1:
             profile = design_ideal(paths, channels.grid, channels.num_ris_elements, k)
         else:
@@ -198,16 +198,16 @@ def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_
     profile = design_random(rng, num_ris_elements)
     diag = profile.unit_diagonal()
     cascade, oracle = channels.cascade, cascade_direct(channels)
-    scale = np.abs(channels.bs_ris_scale)
+    gain = channels.bs_ris_power_gain
     power, aligned = channels.received_power(diag), channels.aligned_power()
-    assert np.array_equal(power, scale**2 * np.abs(cascade @ diag) ** 2)
-    assert np.array_equal(aligned, (scale * np.sum(np.abs(cascade), axis=1)) ** 2)
+    assert np.array_equal(power, gain * np.abs(cascade @ diag) ** 2)
+    assert np.array_equal(aligned, gain * np.sum(np.abs(cascade), axis=1) ** 2)
     # M entries of unit-modulus weight, each within `entry` of the oracle's, put a
     # sum within M * entry of the oracle's sum s; its square within that times 2|s| + M * entry.
     gains = channels.source_paths.ru_gains
     sum_error = num_ris_elements * TABLE_TOL * sum(map(abs, gains)) / np.sqrt(num_paths * num_ris_elements)
     for sums, got in ((np.abs(oracle @ diag), power), (np.sum(np.abs(oracle), axis=1), aligned)):
-        assert np.all(np.abs(got - scale**2 * sums**2) <= scale**2 * (2 * sums + sum_error) * sum_error)
+        assert np.all(np.abs(got - gain * sums**2) <= gain * (2 * sums + sum_error) * sum_error)
     np.testing.assert_allclose(rate_bits(snr, power), dense_rates(channels, profile, snr), RTOL, ATOL)
     np.testing.assert_allclose(rate_bits(snr, aligned), reference_ideal_rates(channels, snr), RTOL, ATOL)
 
@@ -223,7 +223,7 @@ def test_stacked_profiles_match_one_call_per_profile(num_subcarriers, num_ris_el
     )
     channels, rng, snr = realize(case)
     snrs = np.array([0.1, 1.0, snr, 100.0])
-    scale = np.abs(channels.bs_ris_scale)
+    gain = channels.bs_ris_power_gain
     for count in range(1, 7):
         profiles = [design_random(rng, num_ris_elements) for _ in range(count)]
         diags = np.stack([profile.unit_diagonal() for profile in profiles])
@@ -233,6 +233,6 @@ def test_stacked_profiles_match_one_call_per_profile(num_subcarriers, num_ris_el
         assert one_snr.shape == (count,) and many_snrs.shape == (len(snrs), count)
         for s, (profile, diag) in enumerate(zip(profiles, diags)):
             assert np.array_equal(power[s], channels.received_power(diag))
-            assert np.array_equal(power[s], scale**2 * np.abs(channels.cascade @ diag) ** 2)
+            assert np.array_equal(power[s], gain * np.abs(channels.cascade @ diag) ** 2)
             assert np.array_equal(one_snr[s], sum_rate(channels, profile, snr))
             assert np.array_equal(many_snrs[:, s], sum_rate(channels, profile, snrs))
