@@ -9,6 +9,7 @@ designers in :mod:`squintsim.phase_design` try to mitigate.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -106,18 +107,24 @@ class ChannelRealization:
     It is built from the N BS antennas, the M surface elements, the grid and
     the paths, checks the two counts and derives the rest. The BS-to-surface
     hop is one path, ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k) *
-    outer(a_M[k], conj(a_N[k]))`` at f_k; its delay phase is common to all M
-    elements and ``||a_N[k]|| = 1``, so after MRT only its power gain
-    ``bs_ris_power_gain = M*N*|g_bs|^2`` is left in any rate. The BS delay and
+    outer(a_M[k], conj(a_N[k]))`` at f_k, with unit-norm responses; its delay
+    phase is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only
+    the power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the element responses
+    ``sqrt(M) * a_M[k]``, of modulus 1, are left in any rate. The BS delay and
     departure angle are still drawn, which keeps every trial's stream, but no
     rate reads them. Besides that gain it stores the cascaded channel
-    ``cascade = h_ris_user * a_M`` (K, M). Both hops squint linearly in
-    frequency, so the cascade of user path l is one steering vector, at the
-    difference angle ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``: one
-    :func:`_band_table` call over the L difference angles builds it. The rows
-    ``h_ris_user`` are derived from it on first read (see :attr:`h_ris_user`).
-    Both arrays are read-only, and ``dataclasses.replace`` builds a new
-    realization from its four arguments, so no value can be stale.
+    ``cascade = h_ris_user * sqrt(M) * a_M`` (K, M). Both hops squint linearly
+    in frequency, so the cascade of user path l is one modulus-1 steering
+    vector, at the difference angle ``(f_k / 2f_c) * (sin(theta_bs) -
+    sin(theta_l))``, scaled by the path's gain, delay phase and ``1/sqrt(L)``:
+    one :func:`_band_table` call over the L difference angles builds it. The
+    rows ``h_ris_user`` are derived from it on first read (see
+    :attr:`h_ris_user`). Both arrays are read-only, and ``dataclasses.replace``
+    builds a new realization from its four arguments, so no value can be stale.
+
+    No entry depends on M: the realization of the first m elements is the
+    first m columns of this one, bit for bit, and :meth:`first_elements`
+    returns it as a view.
     """
 
     num_bs_antennas: int
@@ -130,29 +137,47 @@ class ChannelRealization:
     def __post_init__(self) -> None:
         if not (_is_count(self.num_bs_antennas) and _is_count(self.num_ris_elements)):
             raise ValueError("antenna and element counts must be integers >= 1")
-        paths, f, m_ris = self.source_paths, self.grid.frequencies, self.num_ris_elements
-        tables = _band_table(m_ris, self.grid, np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad))
+        paths, f = self.source_paths, self.grid.frequencies
+        sin_diff = np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad)
+        tables = _band_table(self.num_ris_elements, self.grid, sin_diff)
         coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
         # Scales the stack in place, in the operand order of coef * table.
         cascade = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
-        # sqrt(M/L) of the user rows times the 1/sqrt(M) of each response leaves 1/sqrt(L).
+        # sqrt(M/L) of the user rows times the 1/sqrt(M) of each unit-norm user response leaves 1/sqrt(L).
         cascade *= 1.0 / np.sqrt(len(paths.ru_angles_rad))
         cascade.flags.writeable = False
-        object.__setattr__(self, "bs_ris_power_gain", m_ris * self.num_bs_antennas * abs(paths.bs_ris_gain) ** 2)
+        object.__setattr__(self, "bs_ris_power_gain", self.num_bs_antennas * abs(paths.bs_ris_gain) ** 2)
         object.__setattr__(self, "cascade", cascade)
+
+    def first_elements(self, m: int) -> ChannelRealization:
+        """The realization of the first ``m`` elements, a read-only view of this one's columns.
+
+        It equals ``gen_channels`` at ``m`` on the same paths and grid, bit for
+        bit, in every array and rate; ``m`` must be an integer in [1, M].
+        The view keeps this realization's table alive.
+        """
+        if not (_is_count(m) and m <= self.num_ris_elements):
+            raise ValueError(f"element count must be an integer in [1, {self.num_ris_elements}], got {m!r}")
+        if m == self.num_ris_elements:
+            return self
+        narrow = copy.copy(self)
+        object.__setattr__(narrow, "num_ris_elements", m)
+        object.__setattr__(narrow, "cascade", self.cascade[:, :m])
+        if "h_ris_user" in vars(self):
+            vars(narrow)["h_ris_user"] = self.h_ris_user[:, :m]
+        return narrow
 
     @cached_property
     def h_ris_user(self) -> np.ndarray:
         """Surface-to-user rows (K, M): ``sqrt(M/L)`` times the sum of each path's gain, delay phase and ``conj(a_M)``.
 
-        Derived from ``cascade`` as ``M * cascade * conj(a_M)``, since
-        ``|a_M[k, m]|^2 = 1/M``, with one :func:`_band_table` call at
-        ``-sin(theta_bs)``. It is computed on first read and cached, read-only.
+        Derived from ``cascade`` as ``cascade * conj(sqrt(M) * a_M)``, since
+        ``sqrt(M) * a_M`` has entries of modulus 1, with one :func:`_band_table`
+        call at ``-sin(theta_bs)``. It is computed on first read and cached, read-only.
         Only ``design_mccm`` reads it; every other designer and rate reads ``cascade``.
         """
         rows = _band_table(self.num_ris_elements, self.grid, -np.sin(self.source_paths.bs_ris_aoa_rad))
         rows *= self.cascade
-        rows *= self.num_ris_elements
         rows.flags.writeable = False
         return rows
 
@@ -162,9 +187,13 @@ class ChannelRealization:
         ``||a_N[k]|| = 1`` reduces it to ``bs_ris_power_gain * |sum_m cascade[k,m] d_m|^2``.
         ``diag`` has shape (..., M) and the result (..., K): a stack of S
         diagonals is one batched matrix-vector product, and every row is bit
-        for bit the power of that diagonal alone.
+        for bit the power of that diagonal alone. Raises ValueError when the
+        trailing length of ``diag`` is not M.
         """
-        sums = np.matmul(self.cascade, np.asarray(diag)[..., None])[..., 0]
+        diag = np.asarray(diag)
+        if diag.shape[-1:] != (self.num_ris_elements,):
+            raise ValueError(f"diagonal has trailing length {diag.shape[-1:]}, expected M = {self.num_ris_elements}")
+        sums = np.matmul(self.cascade, diag[..., None])[..., 0]
         return self.bs_ris_power_gain * np.abs(sums) ** 2
 
     def aligned_power(self) -> np.ndarray:
@@ -198,18 +227,22 @@ def spatial_angle(f_hz, theta_rad, carrier_hz: float):
     return (np.asarray(f_hz, dtype=float) / (2.0 * carrier_hz)) * np.sin(theta_rad)
 
 
-def _steering_table(n_elements: int, phi, norm=None) -> np.ndarray:
-    """ULA responses ``exp(j*2*pi*m*phi) / norm``, shape ``np.shape(phi) + (n,)``.
+#: Element block of every steering table. It does not depend on n, so the table
+#: of n elements is the first n columns of any wider one, bit for bit.
+_BLOCK = 16
 
-    ``norm`` broadcasts against ``phi`` and defaults to sqrt(n), the unit-norm
-    response. With ``m = q*B + r`` and ``B = ceil(sqrt(n))`` an entry is
-    ``exp(j*2*pi*q*B*phi) * exp(j*2*pi*r*phi)``: about 2*sqrt(n) exponentials
-    per angle, not n. Over a subcarrier grid, :func:`_band_table` needs fewer.
+
+def _steering_table(n_elements: int, phi) -> np.ndarray:
+    """ULA responses ``exp(j*2*pi*m*phi)`` of modulus 1, shape ``np.shape(phi) + (n,)``.
+
+    With ``m = q*B + r`` and the fixed block ``B = 16`` an entry is
+    ``exp(j*2*pi*q*B*phi) * exp(j*2*pi*r*phi)``: about ``n/B + B``
+    exponentials per angle, not n (2*sqrt(n) at n = 256), and entry m is the
+    same for every n above m. Over a subcarrier grid, :func:`_band_table` needs fewer.
     """
     phi = np.asarray(phi, dtype=float)[..., None]
-    block = math.isqrt(n_elements - 1) + 1
-    norm = np.sqrt(n_elements) if norm is None else np.asarray(norm)[..., None]
-    coarse = np.exp(2j * np.pi * (np.arange(0, n_elements, block) * phi)) / norm
+    block = min(n_elements, _BLOCK)
+    coarse = np.exp(2j * np.pi * (np.arange(0, n_elements, block) * phi))
     fine = np.exp(2j * np.pi * (np.arange(block) * phi))
     table = coarse[..., :, None] * fine[..., None, :]
     return table.reshape(phi.shape[:-1] + (-1,))[..., :n_elements]
@@ -223,18 +256,21 @@ def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
     spacing. With C the largest divisor of K not above sqrt(K) and
     ``k = p*C + s``, entry (k, m) is ``exp(j*2*pi*m*phi_{pC}) *
     exp(j*2*pi*m*s*delta)``: both factors come from one table call over
-    K/C + C angles, about 2*sqrt(K) * 2*sqrt(n) exponentials per angle
-    theta instead of 2*K*sqrt(n), and meet in one broadcast product.
+    K/C + C angles, about 2*sqrt(K) * (n/B + B) exponentials per angle
+    theta instead of K * (n/B + B), and meet in one broadcast product. At a
+    prime K, C = 1 and the fine factor is the single row s = 0, exactly one,
+    so the coarse rows are the table. Like the steering table, the table of
+    n elements is the first n columns of any wider one.
     """
     k_sub = grid.num_subcarriers
     step = next(c for c in range(math.isqrt(k_sub), 0, -1) if k_sub % c == 0)
     sin_theta = np.asarray(sin_theta, dtype=float)[..., None]
     coarse_phi = (grid.frequencies[::step] / (2.0 * grid.carrier_hz)) * sin_theta
+    if step == 1:
+        return _steering_table(n_elements, coarse_phi)
     fine_phi = (grid.spacing_hz * np.arange(step) / (2.0 * grid.carrier_hz)) * sin_theta
     rows = k_sub // step
-    # Only the coarse factor carries 1/sqrt(n); the fine row s = 0 is exactly one.
-    norm = np.repeat((np.sqrt(n_elements), 1.0), (rows, step))
-    table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi), axis=-1), norm)
+    table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi), axis=-1))
     product = table[..., :rows, None, :] * table[..., None, rows:, :]
     return product.reshape(sin_theta.shape[:-1] + (k_sub, n_elements))
 
@@ -244,12 +280,12 @@ def array_response(n_elements: int, phi) -> np.ndarray:
 
     Entry m equals ``exp(j*2*pi*m*phi) / sqrt(n)``. A scalar ``phi`` yields a
     vector of shape (n,), an array of angles yields shape (n, ...). Entries are
-    products of two of about 2*sqrt(n) exponentials; they agree with the one-exp
+    products of two of about n/16 + 16 exponentials; they agree with the one-exp
     form to about 1e-12 at n = 1024, the rounding of the phase ``2*pi*m*phi``.
     """
     if not _is_count(n_elements):
         raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
-    return np.moveaxis(_steering_table(n_elements, phi), -1, 0)
+    return np.moveaxis(_steering_table(n_elements, phi), -1, 0) / np.sqrt(n_elements)
 
 
 def _open_closed_uniform(rng: np.random.Generator, high: float) -> float:
@@ -309,8 +345,9 @@ def gen_channels(
     a_M(phi_in) * a_N(phi_out)^H`` and the surface-to-user row ``sqrt(M/L)``
     times the sum of each path's gain, delay phase and conjugate response,
     every spatial angle evaluated at f_k. The :class:`ChannelRealization`
-    checks the counts and stores the cascade of the two hops and the hop's
-    power gain ``M*N*|gain|^2``; no rate reads the BS delay or departure angle.
+    checks the counts and stores the cascade of the two hops, with element
+    responses of modulus 1, and the power gain ``N*|gain|^2``; no rate reads
+    the BS delay or departure angle.
     Pure function of its inputs.
     """
     return ChannelRealization(num_bs_antennas, num_ris_elements, grid, paths)

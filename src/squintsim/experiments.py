@@ -3,18 +3,20 @@
 Every trial derives its own random substreams from (seed, trial index, stream
 id). The sweep loop is trial-major: each trial draws its paths once, and its
 ``random`` phases and ``random-index`` subcarrier once for all sweep points.
-It builds one channel per sweep point that needs its own (consecutive SNR
-points share one), designs every scheme's profile on it once, and rates every
-SNR of that point with one ``ideal_rate`` call and one stacked ``sum_rate``
-call for the other schemes, from one power vector per profile, since neither
-the profiles nor the powers depend on the SNR. So all schemes and sweep
-points of a trial see the same paths (common random numbers), and a result is
-a pure function of (configuration, seed).
+Points that differ only in SNR or surface size share one channel build per
+trial, at their largest M: the realization of the first M elements is a view
+of the widest one, bit for bit the channel built at M, so an SNR or a
+surface-size sweep makes one build per trial and a bandwidth sweep one per
+point. The trial designs every scheme's profile once per point, and rates
+every SNR of that point with one ``ideal_rate`` call and one stacked
+``sum_rate`` call for the other schemes, from one power vector per profile,
+since neither the profiles nor the powers depend on the SNR. So all schemes
+and sweep points of a trial see the same paths (common random numbers), and
+a result is a pure function of (configuration, seed).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -68,10 +70,13 @@ FIGURES = {
 #: ``h_ris_user`` once ``design_mccm``, its one reader, reads it. The peak comes
 #: while ``cascade`` is built from the (L, K, M) stack of path tables: the stack
 #: plus its sum, or plus its factor table of L*(K/C + C) rows (C the
-#: largest divisor of K not above sqrt(K)) if that is larger. Traced peaks at a
-#: quarter of the cap, M = 1024: 128 MiB at L = 1 for K = 4096, 4078 and 4093;
-#: at L = 5, 384 MiB (K = 4096), 479 MiB (4078 = 2*2039) and 640 MiB (4093,
-#: prime). Reading ``h_ris_user`` then peaks at 130 to 192 MiB.
+#: largest divisor of K not above sqrt(K); at a prime K the factor table is the
+#: stack) if that is larger. Traced peaks at a quarter of the cap, M = 1024:
+#: 128 MiB at L = 1 for K = 4096, 4078 and 4093; at L = 5, 384 MiB (K = 4096
+#: and 4093, prime) and 478 MiB (4078 = 2*2039). Reading ``h_ris_user`` then
+#: peaks at 130 to 160 MiB. A surface-size sweep holds its widest table for the
+#: whole trial, since every narrower point reads a view of it, so its peak is
+#: that of its largest M.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0
@@ -213,7 +218,7 @@ def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: 
     return phases, index
 
 
-def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: str, draws: tuple) -> PhaseProfile:
+def _common_profile(cfg: ScenarioConfig, channels, scheme: str, draws: tuple) -> PhaseProfile:
     """The profile of a scheme other than ``ideal``, common to all subcarriers.
 
     Every indexed scheme co-phases its subcarrier's cascade row; only the los
@@ -228,7 +233,7 @@ def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: 
     if scheme == "central" and cfg.scenario == LOS:
         return design_central(channels.source_paths, m_ris)
     if scheme == "central":
-        k = central_subcarrier_index(grid)
+        k = central_subcarrier_index(channels.grid)
     elif scheme == "random-index":
         k = random_index
     else:
@@ -236,23 +241,35 @@ def _common_profile(cfg: ScenarioConfig, grid: FrequencyGrid, channels, scheme: 
     return design_subcarrier_covariance(channels, k)
 
 
-def _point_rates(point: ScenarioConfig, grid: FrequencyGrid, snrs, paths, schemes, draws: tuple) -> np.ndarray:
+def _point_rates(point: ScenarioConfig, snrs, channels, schemes, draws: tuple) -> np.ndarray:
     """Rates of one trial at one channel point, shape (len(snrs), len(schemes)).
 
     ``ideal`` takes one ``ideal_rate`` call and every other scheme shares one
     stacked ``sum_rate`` call, which evaluates all SNRs from one power vector
-    per profile. A function of its own so that each channel is freed before
-    the next point's is built.
+    per profile.
     """
-    channels = gen_channels(paths, grid, point.num_bs_antennas, point.num_ris_elements)
     rates = np.empty((len(snrs), len(schemes)))
     if "ideal" in schemes:
         rates[:, schemes.index("ideal")] = ideal_rate(channels, snrs)
     common = [s for s, scheme in enumerate(schemes) if scheme != "ideal"]
     if common:
-        profiles = [_common_profile(point, grid, channels, schemes[s], draws) for s in common]
+        profiles = [_common_profile(point, channels, schemes[s], draws) for s in common]
         rates[:, common] = sum_rate(channels, profiles, snrs)
     return rates
+
+
+def _build_rates(out: np.ndarray, grid: FrequencyGrid, sizes, paths, schemes, draws: tuple) -> None:
+    """Fill the (point, scheme) rows ``out`` of every surface size that shares one channel build.
+
+    ``sizes`` holds (point, row indices, linear SNRs) per surface size. The
+    channel is built once, at the largest size, and each size reads its first
+    M elements. A function of its own so that each trial's widest table is
+    freed before the next build.
+    """
+    m_max = max(point.num_ris_elements for point, _, _ in sizes)
+    widest = gen_channels(paths, grid, sizes[0][0].num_bs_antennas, m_max)
+    for point, rows, snrs in sizes:
+        out[rows] = _point_rates(point, snrs, widest.first_elements(point.num_ris_elements), schemes, draws)
 
 
 def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_db", values=None) -> np.ndarray:
@@ -267,20 +284,27 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     schemes = tuple(schemes)
     check_schemes(schemes, config.scenario)
     points = (config,) if values is None else sweep_points(config, sweep_variable, values)
-    # Consecutive points that differ only in SNR share one channel.
-    channel_points = []
-    for point, group in itertools.groupby(points, key=lambda p: replace(p, snr_db=config.snr_db)):
-        grid = FrequencyGrid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
-        channel_points.append((point, grid, np.array([_snr_linear(p.snr_db) for p in group])))
+    # Points that differ only in SNR or surface size share one channel build per trial.
+    builds = {}
+    for row, point in enumerate(points):
+        size = replace(point, snr_db=config.snr_db)
+        build = builds.setdefault(replace(size, num_ris_elements=config.num_ris_elements), {})
+        build.setdefault(size, []).append(row)
+    channel_builds = [
+        (
+            FrequencyGrid(key.carrier_hz, key.bandwidth_hz, key.num_subcarriers),
+            [(size, rows, np.array([_snr_linear(points[r].snr_db) for r in rows])) for size, rows in sizes.items()],
+        )
+        for key, sizes in builds.items()
+    ]
     m_max = max(point.num_ris_elements for point in points)
     rates = np.empty((len(points), len(schemes), config.trials))
     for trial in range(config.trials):
         rng = _substream(config.seed, trial, _CHANNEL_STREAM)
         paths = sample_path_set(rng, config.num_paths, gain_mode=config.gain_mode)
         draws = _trial_draws(config, schemes, trial, m_max)
-        rates[:, :, trial] = np.concatenate(
-            [_point_rates(point, grid, snrs, paths, schemes, draws) for point, grid, snrs in channel_points]
-        )
+        for grid, sizes in channel_builds:
+            _build_rates(rates[:, :, trial], grid, sizes, paths, schemes, draws)
     return rates
 
 
@@ -318,14 +342,12 @@ def run_sweep(config: ScenarioConfig, schemes, sweep_variable: str, values) -> t
     values = tuple(values)
     rates = per_trial_rates(config, schemes, sweep_variable, values)
 
+    trials = rates.shape[-1]
+    means = rates.mean(axis=-1)
+    std_errors = rates.std(axis=-1, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros_like(means)
     rows = []
-    for value, point_rates in zip(values, rates):
-        for scheme, trial_rates in zip(schemes, point_rates):
-            mean = float(np.mean(trial_rates))
-            if len(trial_rates) > 1:
-                std_error = float(np.std(trial_rates, ddof=1) / np.sqrt(len(trial_rates)))
-            else:
-                std_error = 0.0
+    for value, point_means, point_errors in zip(values, means.tolist(), std_errors.tolist()):
+        for scheme, mean, std_error in zip(schemes, point_means, point_errors):
             if not (math.isfinite(mean) and math.isfinite(std_error)):
                 raise FloatingPointError(
                     f"scheme {scheme!r} at {sweep_variable}={value:g} has a non-finite result: "

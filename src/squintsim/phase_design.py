@@ -38,11 +38,16 @@ class PhaseProfile:
 
     Phases are stored unconstrained in R; two profiles are equivalent when
     their phases agree modulo 2*pi. ``degenerate`` marks profiles built from
-    a covariance matrix whose top eigenvalue was not unique.
+    a covariance matrix whose top eigenvalue was not unique. The phases are
+    one vector: a stack of them is no profile.
     """
 
     phases_rad: np.ndarray
     degenerate: bool = field(default=False, kw_only=True)
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.phases_rad) != 1:
+            raise ValueError(f"phases_rad must be 1-D, got shape {np.shape(self.phases_rad)}")
 
     def unit_diagonal(self) -> np.ndarray:
         """Diagonal of the reflection matrix; every entry has modulus one."""

@@ -72,16 +72,16 @@ def h_ris_user_direct(channels: ChannelRealization) -> np.ndarray:
 
 
 def cascade_direct(channels: ChannelRealization) -> np.ndarray:
-    """Cascaded channel ``h_ris_user * a_ris`` (K, M)."""
-    return h_ris_user_direct(channels) * a_ris(channels)
+    """Cascaded channel ``h_ris_user * sqrt(M) * a_ris`` (K, M), element responses of modulus 1."""
+    return h_ris_user_direct(channels) * (a_ris(channels) * np.sqrt(channels.num_ris_elements))
 
 
 #: Largest deviation of ``cascade`` and ``h_ris_user`` from the two tables above,
-#: in units of ``sum_l |gain_l| / sqrt(L*M)`` and ``sum_l |gain_l| / sqrt(L)``, the
-#: largest magnitude an entry of each can reach. A single steering table stays
-#: within 2e-12 of the one-exponential form in its unit, 1/sqrt(M), up to M = 1024;
-#: ``cascade`` takes its phases at difference angles, up to twice as large, so its
-#: phase rounding is up to twice that.
+#: in units of ``sum_l |gain_l| / sqrt(L)``, the largest magnitude an entry of
+#: either can reach. A single steering table stays within 2e-12 of the
+#: one-exponential form in its unit, 1, up to M = 1024; ``cascade`` takes its
+#: phases at difference angles, up to twice as large, so its phase rounding is
+#: up to twice that.
 TABLE_TOL = 4e-12
 
 
@@ -89,7 +89,7 @@ def table_deviation(channels: ChannelRealization) -> tuple[float, float]:
     """Deviation of ``cascade`` and of ``h_ris_user`` from the direct tables, in the units of ``TABLE_TOL``."""
     paths = channels.source_paths
     unit = sum(abs(g) for g in paths.ru_gains) / np.sqrt(len(paths.ru_angles_rad))
-    cascade = np.max(np.abs(channels.cascade - cascade_direct(channels))) * np.sqrt(channels.num_ris_elements)
+    cascade = np.max(np.abs(channels.cascade - cascade_direct(channels)))
     rows = np.max(np.abs(channels.h_ris_user - h_ris_user_direct(channels)))
     return cascade / unit, rows / unit
 
@@ -187,7 +187,7 @@ def rate_upper_bound(
     # z_k is the alignment sum of subcarrier k.
     phi_bs = spatial_angle(grid.frequencies, paths.bs_ris_aoa_rad, grid.carrier_hz)
     phi_user = spatial_angle(grid.frequencies, paths.ru_angles_rad[0], grid.carrier_hz)
-    z = np.sqrt(num_ris_elements) * (_steering_table(num_ris_elements, phi_bs - phi_user) @ profile.unit_diagonal())
+    z = _steering_table(num_ris_elements, phi_bs - phi_user) @ profile.unit_diagonal()
     mean_z_sq = float(np.mean(np.abs(z) ** 2))
     return float(rate_bits(snr, num_bs_antennas * mean_z_sq))
 

@@ -191,10 +191,38 @@ class TestBandTable:
         sin_theta = np.sin(theta[0]) if num_angles == 1 else np.sin(theta)
         out = _band_table(m, grid, sin_theta)
         phi = spatial_angle(grid.frequencies, theta[:, None], grid.carrier_hz)
-        direct = np.moveaxis(array_response_direct(m, phi), 0, -1).reshape(np.shape(sin_theta) + (k, m))
+        direct = np.moveaxis(array_response_direct(m, phi) * np.sqrt(m), 0, -1).reshape(np.shape(sin_theta) + (k, m))
         assert out.shape == direct.shape
-        assert np.max(np.abs(out - direct)) * np.sqrt(m) <= 2e-12
-        assert np.max(np.abs(np.abs(out) * np.sqrt(m) - 1.0)) <= 4e-15
+        assert np.max(np.abs(out - direct)) <= 2e-12
+        assert np.max(np.abs(np.abs(out) - 1.0)) <= 4e-15
+
+
+    @pytest.mark.parametrize("k", [1, 7, 128, 131])
+    @pytest.mark.parametrize("num_angles", [1, 5])
+    def test_is_a_prefix_of_any_wider_table(self, k, num_angles):
+        # The block of the steering table does not depend on n, and no entry
+        # carries a 1/sqrt(n): the table of n elements is the first n columns
+        # of the table of n' > n, bit for bit.
+        grid = FrequencyGrid(28e9, 2e9, k)
+        sin_theta = np.sin(np.random.default_rng(k).uniform(0, 2 * np.pi, num_angles))
+        widest = _band_table(300, grid, sin_theta)
+        for n in (1, 2, 15, 16, 17, 31, 32, 33, 64, 100, 256, 299):
+            assert np.array_equal(_band_table(n, grid, sin_theta), widest[..., :n])
+        for n, wider in ((1, 16), (16, 17), (37, 64), (64, 256)):
+            assert np.array_equal(_band_table(n, grid, sin_theta), _band_table(wider, grid, sin_theta)[..., :n])
+
+    @pytest.mark.parametrize("k", [7, 131])
+    @pytest.mark.parametrize("m", [1, 16, 256])
+    def test_prime_subcarrier_count_skips_the_product_with_the_unit_row(self, k, m):
+        # At a prime K the fine factor is the single row s = 0, exactly 1 + 0j,
+        # so the coarse rows alone equal the broadcast product.
+        grid = FrequencyGrid(28e9, 2e9, k)
+        sin_theta = np.sin(np.random.default_rng(m).uniform(0, 2 * np.pi, 5))
+        coarse_phi = (grid.frequencies / (2.0 * grid.carrier_hz)) * sin_theta[:, None]
+        table = _steering_table(m, np.concatenate((coarse_phi, np.zeros((5, 1))), axis=-1))
+        assert np.array_equal(table[:, k], np.ones((5, m), dtype=complex))
+        product = table[:, :k, None, :] * table[:, None, k:, :]
+        assert np.array_equal(_band_table(m, grid, sin_theta), product.reshape(5, k, m))
 
 
 class TestSamplePathSet:
@@ -337,7 +365,8 @@ class TestGenChannels:
             delay = np.exp(-2j * np.pi * delay_s * f)
             h_ris_user += (gain * delay)[:, None] * np.conj(a_ru)
         h_ris_user *= np.sqrt(m / num_paths)
-        for table, oracle in ((channels.h_ris_user, h_ris_user), (channels.cascade, h_ris_user * oracle_a_ris)):
+        cascade = h_ris_user * oracle_a_ris * np.sqrt(m)
+        for table, oracle in ((channels.h_ris_user, h_ris_user), (channels.cascade, cascade)):
             assert table.shape == (32, m)
             assert np.allclose(table, oracle, rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
 
@@ -414,9 +443,9 @@ class TestGenChannels:
             band_shapes.append(np.shape(sin_theta))
             return _band_table(n_elements, grid, sin_theta)
 
-        def counting_table(n_elements, phi, norm=None):
+        def counting_table(n_elements, phi):
             angle_shapes.append(np.shape(phi))
-            return _steering_table(n_elements, phi, norm)
+            return _steering_table(n_elements, phi)
 
         paths = sample_path_set(np.random.default_rng(22), num_paths)
         grid = FrequencyGrid(28e9, 2e9, 16)
@@ -468,7 +497,7 @@ class TestCascade:
             assert moved.bs_ris_power_gain != channels.bs_ris_power_gain
         else:
             moved = dataclasses.replace(channels, grid=FrequencyGrid(28e9, 3e9, 8))
-        assert moved.bs_ris_power_gain == 6 * 4 * abs(moved.source_paths.bs_ris_gain) ** 2
+        assert moved.bs_ris_power_gain == 4 * abs(moved.source_paths.bs_ris_gain) ** 2
         assert table_deviation(moved)[0] <= TABLE_TOL
         assert not np.allclose(moved.cascade, channels.cascade)
 
@@ -489,17 +518,18 @@ class TestCascade:
 
     @pytest.mark.parametrize("num_bs_antennas,num_ris_elements", [(1, 1), (4, 6), (64, 256), (7, 1000)])
     @pytest.mark.parametrize("gain", [None, 1.0 + 0j, 0.8 - 0.3j, 0j], ids=["drawn", "unit", "fixed", "zero"])
-    def test_power_gain_is_m_n_times_the_squared_bs_gain(self, num_bs_antennas, num_ris_elements, gain):
-        # Exactly M*N*|g_bs|^2, whatever the BS delay: its phase is common to all
-        # M elements, so |sqrt(M*N) g_bs exp(-j*2*pi*tau*f_k)|^2 is the same up to rounding.
+    def test_power_gain_is_n_times_the_squared_bs_gain(self, num_bs_antennas, num_ris_elements, gain):
+        # Exactly N*|g_bs|^2, whatever the BS delay and M: the delay phase is
+        # common to all M elements, so |sqrt(N) g_bs exp(-j*2*pi*tau*f_k)|^2 is the
+        # same up to rounding, and the sqrt(M) goes with the modulus-1 element responses.
         paths = sample_path_set(np.random.default_rng(27), 3)
         if gain is not None:
             paths = dataclasses.replace(paths, bs_ris_gain=gain)
         grid = FrequencyGrid(28e9, 2e9, 8)
         channels = gen_channels(paths, grid, num_bs_antennas, num_ris_elements)
-        expected = num_ris_elements * num_bs_antennas * abs(paths.bs_ris_gain) ** 2
+        expected = num_bs_antennas * abs(paths.bs_ris_gain) ** 2
         assert channels.bs_ris_power_gain == expected
-        delayed = np.sqrt(num_ris_elements * num_bs_antennas) * paths.bs_ris_gain
+        delayed = np.sqrt(num_bs_antennas) * paths.bs_ris_gain
         delayed = np.abs(delayed * np.exp(-2j * np.pi * paths.bs_ris_delay_s * grid.frequencies)) ** 2
         np.testing.assert_allclose(delayed, expected, rtol=1e-14, atol=0)
         assert np.all(np.isfinite(channels.aligned_power()))
@@ -512,6 +542,57 @@ class TestCascade:
     def test_rows_are_no_constructor_argument(self):
         with pytest.raises(TypeError, match="h_ris_user"):
             dataclasses.replace(self.channels(), h_ris_user=np.ones((8, 6), dtype=complex))
+
+
+class TestFirstElements:
+    @pytest.mark.parametrize("k", [7, 128, 131])
+    @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
+    def test_is_the_direct_build_bit_for_bit(self, num_paths, k):
+        # Every narrower realization is a column view of the widest, with the
+        # cascade, gain, rows and powers of gen_channels at that size.
+        grid = FrequencyGrid(28e9, 2e9, k)
+        paths = sample_path_set(np.random.default_rng([num_paths, k]), num_paths)
+        widest = gen_channels(paths, grid, 8, 256)
+        diags = np.exp(2j * np.pi * np.random.default_rng(k).uniform(size=(3, 256)))
+        for m in (1, 2, 15, 16, 17, 37, 64, 128, 200, 255, 256):
+            view, direct = widest.first_elements(m), gen_channels(paths, grid, 8, m)
+            assert view == direct and view.num_ris_elements == m
+            assert np.shares_memory(view.cascade, widest.cascade)
+            assert np.array_equal(view.cascade, direct.cascade)
+            assert view.bs_ris_power_gain == direct.bs_ris_power_gain
+            assert np.array_equal(view.h_ris_user, direct.h_ris_user)
+            assert np.array_equal(view.received_power(diags[:, :m]), direct.received_power(diags[:, :m]))
+            assert np.array_equal(view.received_power(diags[0, :m]), direct.received_power(diags[0, :m]))
+            assert np.array_equal(view.aligned_power(), direct.aligned_power())
+
+    def test_reuses_rows_already_read(self):
+        # Rows the wider realization has derived are sliced, not built again.
+        grid = FrequencyGrid(28e9, 2e9, 16)
+        widest = gen_channels(sample_path_set(np.random.default_rng(41), 5), grid, 4, 64)
+        assert "h_ris_user" not in vars(widest.first_elements(20))
+        rows = widest.h_ris_user
+        view = widest.first_elements(20)
+        assert np.shares_memory(view.h_ris_user, rows)
+        assert np.array_equal(view.h_ris_user, gen_channels(widest.source_paths, grid, 4, 20).h_ris_user)
+
+    def test_full_width_is_the_realization_itself(self):
+        channels = gen_channels(los_paths(), FrequencyGrid(28e9, 2e9, 8), 4, 12)
+        assert channels.first_elements(12) is channels
+
+    @pytest.mark.parametrize("name", ["h_ris_user", "cascade"])
+    def test_views_are_read_only(self, name):
+        channels = gen_channels(sample_path_set(np.random.default_rng(42), 3), FrequencyGrid(28e9, 2e9, 8), 4, 12)
+        view = channels.first_elements(5)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(view, name)[0] *= 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.num_ris_elements = 12
+
+    def test_replace_builds_a_fresh_realization(self):
+        channels = gen_channels(sample_path_set(np.random.default_rng(43), 3), FrequencyGrid(28e9, 2e9, 8), 4, 12)
+        rebuilt = dataclasses.replace(channels.first_elements(5), num_bs_antennas=6)
+        assert not np.shares_memory(rebuilt.cascade, channels.cascade)
+        assert np.array_equal(rebuilt.cascade, channels.cascade[:, :5])
 
 
 class TestPathSetValidation:

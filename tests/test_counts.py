@@ -33,6 +33,7 @@ ENTRIES = {
     "design_ideal": lambda n: design_ideal(PATHS, GRID, n, 0),
     "design_random": lambda n: design_random(np.random.default_rng(0), n),
     "array_response": lambda n: array_response(n, 0.1),
+    "first_elements": lambda n: CHANNELS.first_elements(n),
 }
 
 BY_ENTRY = pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
@@ -49,3 +50,9 @@ def test_rejects_count_that_is_no_integer_of_at_least_one(entry, count):
 @pytest.mark.parametrize("count", [4, np.int64(4)], ids=["int", "numpy-int"])
 def test_accepts_a_count(entry, count):
     entry(count)
+
+
+@pytest.mark.parametrize("count", [7, 100], ids=["m-plus-one", "far-above-m"])
+def test_first_elements_rejects_more_elements_than_the_realization_has(count):
+    with pytest.raises(ValueError, match=r"integer in \[1, 6\], got " + str(count)):
+        CHANNELS.first_elements(count)

@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -270,6 +271,34 @@ class TestTrialMajorLoop:
         assert np.array_equal(rates, oracle_rates(experiments.sweep_points(base, variable, values), schemes))
 
 
+@pytest.mark.parametrize("base", [SMALL_LOS, SMALL_NLOS], ids=["los", "nlos-with-mccm"])
+def test_elements_sweep_matches_per_point_runs(base):
+    # One build per trial at the largest M, read by every point as a prefix,
+    # gives the bits of a run at each point's own M.
+    schemes = schemes_for(base.scenario)
+    values = (16, 4, 37, 8, 1)
+    rates = per_trial_rates(base, schemes, "ris_elements", values)
+    for value, point_rates in zip(values, rates):
+        assert np.array_equal(point_rates, per_trial_rates(replace(base, num_ris_elements=value), schemes)[0])
+
+
+@pytest.mark.parametrize("variable,values", [("ris_elements", (4, 16, 8)), ("bandwidth_hz", (0.5e9, 4e9))])
+def test_each_channel_build_is_freed_before_the_next(monkeypatch, variable, values):
+    # The widest table of a trial, and every view of it, is gone before the
+    # next build, so a sweep holds one channel at a time.
+    built = []
+
+    def tracking(*args):
+        assert all(ref() is None for ref in built)
+        channels = gen_channels(*args)
+        built.append(weakref.ref(channels))
+        return channels
+
+    monkeypatch.setattr(experiments, "gen_channels", tracking)
+    run_sweep(SMALL_NLOS, schemes_for(NLOS), variable, values)
+    assert len(built) == SMALL_NLOS.trials * (len(values) if variable == "bandwidth_hz" else 1)
+
+
 def counting(monkeypatch, counts, name, owner=experiments):
     inner = getattr(owner, name)
 
@@ -290,15 +319,19 @@ def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
     assert counts == {"gen_channels": SMALL_NLOS.trials, "design_mccm": SMALL_NLOS.trials}
 
 
-@pytest.mark.parametrize("variable,values", [("bandwidth_hz", (0.5e9, 1e9, 4e9)), ("ris_elements", (4, 8, 16))])
-def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, variable, values):
+@pytest.mark.parametrize(
+    "variable,values,builds", [("bandwidth_hz", (0.5e9, 1e9, 4e9), 3), ("ris_elements", (4, 16, 8), 1)]
+)
+def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, variable, values, builds):
+    # A bandwidth sweep builds one channel per point; a surface-size sweep
+    # builds one per trial, at its largest M, which every point reads a prefix of.
     counts = Counter()
     counting(monkeypatch, counts, "sample_path_set")
     counting(monkeypatch, counts, "gen_channels")
     rows = run_sweep(SMALL_NLOS, schemes_for(NLOS), variable, values)
     assert len(rows) == len(values) * len(schemes_for(NLOS))
     trials = SMALL_NLOS.trials
-    assert counts == {"sample_path_set": trials, "gen_channels": trials * len(values)}
+    assert counts == {"sample_path_set": trials, "gen_channels": trials * builds}
 
 
 @pytest.mark.parametrize("base,mccm_scoring", [(SMALL_LOS, 0), (SMALL_NLOS, 2)], ids=["los", "nlos"])
@@ -406,6 +439,21 @@ class TestRunSweep:
         rates = per_trial_rates(replace(SMALL_LOS, snr_db=5.0), ("side-index",))[0, 0]
         assert rows[0].mean_rate_bits == float(np.mean(rates))
         assert rows[0].std_error_bits == float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
+
+    @pytest.mark.parametrize("trials", [1, 2, 8, 500])
+    def test_row_statistics_match_per_row_reductions(self, monkeypatch, trials):
+        # One mean and one std over the (value, scheme, trial) array give the
+        # bits of one np.mean and one np.std per row.
+        rates = np.random.default_rng(trials).uniform(0.0, 12.0, (3, 2, trials))
+        monkeypatch.setattr(experiments, "per_trial_rates", lambda *args: rates)
+        rows = run_sweep(replace(SMALL_LOS, trials=trials), ("central", "side-index"), "snr_db", (0.0, 5.0, 10.0))
+        for row, row_rates in zip(rows, rates.reshape(6, trials)):
+            assert row.mean_rate_bits == float(np.mean(row_rates))
+            if trials == 1:
+                assert row.std_error_bits == 0.0
+            else:
+                assert row.std_error_bits == float(np.std(row_rates, ddof=1) / np.sqrt(trials))
+            assert type(row.mean_rate_bits) is type(row.std_error_bits) is float
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):

@@ -332,3 +332,37 @@ class TestPhysicalConsistency:
         a = per_subcarrier(channels, profile)
         b = per_subcarrier(channels, shifted)
         assert np.allclose(a, b, atol=1e-9)
+
+
+@pytest.mark.parametrize("source", ["direct", "view"])
+class TestWidthChecks:
+    @staticmethod
+    def channels(source):
+        paths = sample_path_set(np.random.default_rng(51), 3)
+        grid = FrequencyGrid(28e9, 2e9, 8)
+        if source == "direct":
+            return gen_channels(paths, grid, 4, 6)
+        return gen_channels(paths, grid, 4, 20).first_elements(6)
+
+    @pytest.mark.parametrize("width", [5, 7, 20])
+    def test_received_power_names_both_widths(self, source, width):
+        channels = self.channels(source)
+        for shape in ((width,), (3, width)):
+            with pytest.raises(ValueError, match=rf"trailing length \({width},\), expected M = 6"):
+                channels.received_power(np.ones(shape, dtype=complex))
+        with pytest.raises(ValueError, match="expected M = 6"):
+            sum_rate(channels, zero_profile(width), SNR)
+
+    def test_received_power_rejects_a_scalar_diagonal(self, source):
+        with pytest.raises(ValueError, match=r"trailing length \(\), expected M = 6"):
+            self.channels(source).received_power(1.0)
+
+    def test_profile_of_a_stack_of_phases_is_rejected(self, source):
+        # sum_rate would read a (2, M) phase array as a stack of two profiles
+        # and return two rates.
+        channels = self.channels(source)
+        with pytest.raises(ValueError, match=r"phases_rad must be 1-D, got shape \(2, 6\)"):
+            PhaseProfile(-np.angle(channels.cascade[:2]))
+        with pytest.raises(ValueError, match=r"phases_rad must be 1-D, got shape \(\)"):
+            PhaseProfile(0.5)
+        assert np.ndim(sum_rate(channels, PhaseProfile(-np.angle(channels.cascade[0])), SNR)) == 0

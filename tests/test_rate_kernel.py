@@ -205,7 +205,7 @@ def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_
     # M entries of unit-modulus weight, each within `entry` of the oracle's, put a
     # sum within M * entry of the oracle's sum s; its square within that times 2|s| + M * entry.
     gains = channels.source_paths.ru_gains
-    sum_error = num_ris_elements * TABLE_TOL * sum(map(abs, gains)) / np.sqrt(num_paths * num_ris_elements)
+    sum_error = num_ris_elements * TABLE_TOL * sum(map(abs, gains)) / np.sqrt(num_paths)
     for sums, got in ((np.abs(oracle @ diag), power), (np.sum(np.abs(oracle), axis=1), aligned)):
         assert np.all(np.abs(got - gain * sums**2) <= gain * (2 * sums + sum_error) * sum_error)
     np.testing.assert_allclose(rate_bits(snr, power), dense_rates(channels, profile, snr), RTOL, ATOL)
