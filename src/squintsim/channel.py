@@ -79,7 +79,8 @@ class PathSet:
     carries ``L >= 1`` paths (one on a los link). User path l has angle
     ``ru_angles_rad[l]``, gain ``ru_gains[l]`` and delay ``ru_delays_s[l]``;
     the three are tuples of length L, so the record keeps ``==`` and hashing.
-    Angles are physical angles in radians, gains are complex amplitudes.
+    Angles are physical angles in radians, gains are complex amplitudes;
+    every value must be finite.
     """
 
     bs_ris_aoa_rad: float
@@ -96,35 +97,31 @@ class PathSet:
             raise ValueError("ru_angles_rad, ru_gains and ru_delays_s differ in length")
         if num_paths < 1:
             raise ValueError("at least one surface-to-user path is required")
+        # x - x is 0 exactly when x, a real or a complex number, is finite.
+        head = (self.bs_ris_aoa_rad, self.bs_ris_aod_rad, self.bs_ris_gain, self.bs_ris_delay_s)
+        if not all(v - v == 0 for v in (*head, *self.ru_angles_rad, *self.ru_gains, *self.ru_delays_s)):
+            name, value = next((n, v) for n, v in vars(self).items() if not np.isfinite(v).all())
+            raise ValueError(f"{name} must be finite, got {value!r}")
         if self.bs_ris_delay_s < 0 or any(delay < 0 for delay in self.ru_delays_s):
             raise ValueError(f"path delays must be nonnegative, got {self.bs_ris_delay_s} and {self.ru_delays_s}")
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-subcarrier channels for one realization.
+    """Per-subcarrier channels for one realization, derived from N, M, the grid and the paths.
 
-    It is built from the N BS antennas, the M surface elements, the grid and
-    the paths, checks the two counts and derives the rest. The BS-to-surface
-    hop is one path, ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k) *
-    outer(a_M[k], conj(a_N[k]))`` at f_k, with unit-norm responses; its delay
-    phase is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only
-    the power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the element responses
-    ``sqrt(M) * a_M[k]``, of modulus 1, are left in any rate. The BS delay and
-    departure angle are still drawn, which keeps every trial's stream, but no
-    rate reads them. Besides that gain it stores the cascaded channel
-    ``cascade = h_ris_user * sqrt(M) * a_M`` (K, M). Both hops squint linearly
-    in frequency, so the cascade of user path l is one modulus-1 steering
-    vector, at the difference angle ``(f_k / 2f_c) * (sin(theta_bs) -
-    sin(theta_l))``, scaled by the path's gain, delay phase and ``1/sqrt(L)``:
-    one :func:`_band_table` call over the L difference angles builds it. The
-    rows ``h_ris_user`` are derived from it on first read (see
-    :attr:`h_ris_user`). Both arrays are read-only, and ``dataclasses.replace``
-    builds a new realization from its four arguments, so no value can be stale.
-
-    No entry depends on M: the realization of the first m elements is the
-    first m columns of this one, bit for bit, and :meth:`first_elements`
-    returns it as a view.
+    The BS-to-surface hop is one path, ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k)
+    * outer(a_M[k], conj(a_N[k]))`` with unit-norm responses; its delay phase
+    is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only the
+    power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the modulus-1 element
+    responses ``sqrt(M) * a_M[k]`` reach a rate (the BS delay and departure
+    angle are drawn but never read). It also stores the (K, M) cascade
+    ``h_ris_user * sqrt(M) * a_M``: both hops squint linearly in frequency, so
+    user path l contributes one modulus-1 steering vector at the difference
+    angle ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``, scaled by its gain,
+    delay phase and ``1/sqrt(L)``, and one :func:`_band_table` call builds all L.
+    Both arrays are read-only and ``dataclasses.replace`` rebuilds from the four
+    arguments. No entry depends on M: :meth:`first_elements` is a view.
     """
 
     num_bs_antennas: int
@@ -298,8 +295,8 @@ def _sample_gain(rng: np.random.Generator, gain_mode: str) -> complex:
     if gain_mode == "unit":
         return 1.0 + 0.0j
     if gain_mode == "random":
-        re, im = rng.standard_normal(2)
-        return complex(re, im) / np.sqrt(2.0)
+        # Two scalar draws are the draw standard_normal(2) makes, bit for bit, without the array.
+        return complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
     raise ValueError(f"gain_mode must be 'unit' or 'random', got {gain_mode!r}")
 
 
@@ -339,15 +336,10 @@ def gen_channels(
     num_bs_antennas: int,
     num_ris_elements: int,
 ) -> ChannelRealization:
-    """Generate the per-subcarrier channels for one path realization.
+    """Generate the per-subcarrier channels for one path realization; a pure function of its inputs.
 
-    The BS-to-surface hop is ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) *
-    a_M(phi_in) * a_N(phi_out)^H`` and the surface-to-user row ``sqrt(M/L)``
-    times the sum of each path's gain, delay phase and conjugate response,
-    every spatial angle evaluated at f_k. The :class:`ChannelRealization`
-    checks the counts and stores the cascade of the two hops, with element
-    responses of modulus 1, and the power gain ``N*|gain|^2``; no rate reads
-    the BS delay or departure angle.
-    Pure function of its inputs.
+    The surface-to-user row is ``sqrt(M/L)`` times the sum of each path's gain,
+    delay phase and conjugate response at f_k; :class:`ChannelRealization`
+    stores its cascade with the BS-to-surface hop and that hop's power gain.
     """
     return ChannelRealization(num_bs_antennas, num_ris_elements, grid, paths)

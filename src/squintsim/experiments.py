@@ -4,13 +4,12 @@ Every trial derives its own random substreams from (seed, trial index, stream
 id). The sweep loop is trial-major: each trial draws its paths once, and its
 ``random`` phases and ``random-index`` subcarrier once for all sweep points.
 Points that differ only in SNR or surface size share one channel build per
-trial, at their largest M: the realization of the first M elements is a view
-of the widest one, bit for bit the channel built at M, so an SNR or a
-surface-size sweep makes one build per trial and a bandwidth sweep one per
-point. The trial designs every scheme's profile once per point, and rates
-every SNR of that point with one ``ideal_rate`` call and one stacked
-``sum_rate`` call for the other schemes, from one power vector per profile,
-since neither the profiles nor the powers depend on the SNR. So all schemes
+trial, at their largest M, whose first m elements are bit for bit the channel
+built at m; a bandwidth sweep builds one per point. A build designs every
+prefix-consistent profile once, on its widest realization, and rates every
+SNR and size with one ``ideal_rate`` call and one stacked ``sum_rate`` call;
+``mccm``, whose profile at m is no prefix of a wider one, joins that call on a
+one-size build and is designed and rated per size otherwise. So all schemes
 and sweep points of a trial see the same paths (common random numbers), and
 a result is a pure function of (configuration, seed).
 """
@@ -74,9 +73,7 @@ FIGURES = {
 #: stack) if that is larger. Traced peaks at a quarter of the cap, M = 1024:
 #: 128 MiB at L = 1 for K = 4096, 4078 and 4093; at L = 5, 384 MiB (K = 4096
 #: and 4093, prime) and 478 MiB (4078 = 2*2039). Reading ``h_ris_user`` then
-#: peaks at 130 to 160 MiB. A surface-size sweep holds its widest table for the
-#: whole trial, since every narrower point reads a view of it, so its peak is
-#: that of its largest M.
+#: peaks at 130 to 160 MiB. A surface-size sweep peaks as its largest M.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0
@@ -204,11 +201,10 @@ def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:
 def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: int) -> tuple:
     """The trial's scheme-side draws, made once for all of its sweep points.
 
-    Returns the ``random`` phases at ``num_ris_elements``, the sweep's largest
-    M (a point with fewer elements takes a prefix: ``Generator.uniform`` fills
-    in order, so the prefix is the draw at that size), and the ``random-index``
-    subcarrier, since K is the same at every point. Either is None when its
-    scheme is not asked for, and its substream is not built.
+    Returns the ``random`` phases at the sweep's largest M, whose prefix is the
+    draw at a smaller size (``Generator.uniform`` fills in order), and the
+    ``random-index`` subcarrier; either is None, its substream unbuilt, when
+    its scheme is not asked for.
     """
     phases = index = None
     if "random" in schemes:
@@ -218,20 +214,21 @@ def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: 
     return phases, index
 
 
-def _common_profile(cfg: ScenarioConfig, channels, scheme: str, draws: tuple) -> PhaseProfile:
+def _common_profile(scenario: str, channels, scheme: str, draws: tuple) -> PhaseProfile:
     """The profile of a scheme other than ``ideal``, common to all subcarriers.
 
     Every indexed scheme co-phases its subcarrier's cascade row; only the los
-    ``central`` profile has a closed form of its own.
+    ``central`` profile has a closed form of its own. Every profile but
+    ``mccm``'s is prefix-consistent: its first m phases are the profile on
+    the first m elements, bit for bit.
     """
-    m_ris = cfg.num_ris_elements
     random_phases, random_index = draws
     if scheme == "random":
-        return PhaseProfile(random_phases[:m_ris])
+        return PhaseProfile(random_phases[: channels.num_ris_elements])
     if scheme == "mccm":
         return design_mccm(channels)
-    if scheme == "central" and cfg.scenario == LOS:
-        return design_central(channels.source_paths, m_ris)
+    if scheme == "central" and scenario == LOS:
+        return design_central(channels.source_paths, channels.num_ris_elements)
     if scheme == "central":
         k = central_subcarrier_index(channels.grid)
     elif scheme == "random-index":
@@ -241,35 +238,29 @@ def _common_profile(cfg: ScenarioConfig, channels, scheme: str, draws: tuple) ->
     return design_subcarrier_covariance(channels, k)
 
 
-def _point_rates(point: ScenarioConfig, snrs, channels, schemes, draws: tuple) -> np.ndarray:
-    """Rates of one trial at one channel point, shape (len(snrs), len(schemes)).
+def _build_rates(out: np.ndarray, config: ScenarioConfig, build: tuple, paths, schemes, draws: tuple) -> None:
+    """Fill the (point, scheme) rows ``out`` of every point that shares one channel build.
 
-    ``ideal`` takes one ``ideal_rate`` call and every other scheme shares one
-    stacked ``sum_rate`` call, which evaluates all SNRs from one power vector
-    per profile.
+    ``build`` holds the grid, the linear SNRs, the surface sizes and the
+    (row, SNR index, size index) arrays of its points; the channel is built
+    at the largest size. A function of its own so that each trial's widest
+    table is freed before the next build.
     """
-    rates = np.empty((len(snrs), len(schemes)))
+    grid, snrs, sizes, (rows, snr_index, size_index) = build
+    widest = gen_channels(paths, grid, config.num_bs_antennas, max(sizes))
+    rates = np.empty((len(snrs), len(sizes), len(schemes)))
     if "ideal" in schemes:
-        rates[:, schemes.index("ideal")] = ideal_rate(channels, snrs)
-    common = [s for s, scheme in enumerate(schemes) if scheme != "ideal"]
-    if common:
-        profiles = [_common_profile(point, channels, schemes[s], draws) for s in common]
-        rates[:, common] = sum_rate(channels, profiles, snrs)
-    return rates
-
-
-def _build_rates(out: np.ndarray, grid: FrequencyGrid, sizes, paths, schemes, draws: tuple) -> None:
-    """Fill the (point, scheme) rows ``out`` of every surface size that shares one channel build.
-
-    ``sizes`` holds (point, row indices, linear SNRs) per surface size. The
-    channel is built once, at the largest size, and each size reads its first
-    M elements. A function of its own so that each trial's widest table is
-    freed before the next build.
-    """
-    m_max = max(point.num_ris_elements for point, _, _ in sizes)
-    widest = gen_channels(paths, grid, sizes[0][0].num_bs_antennas, m_max)
-    for point, rows, snrs in sizes:
-        out[rows] = _point_rates(point, snrs, widest.first_elements(point.num_ris_elements), schemes, draws)
+        rates[..., schemes.index("ideal")] = ideal_rate(widest, snrs, sizes)
+    # The mccm profile at m is no prefix of a wider one, so a build of several sizes designs it per size.
+    per_size = [s for s, scheme in enumerate(schemes) if scheme == "mccm" and len(sizes) > 1]
+    shared = [s for s, scheme in enumerate(schemes) if scheme != "ideal" and s not in per_size]
+    if shared:
+        profiles = [_common_profile(config.scenario, widest, schemes[s], draws) for s in shared]
+        rates[..., shared] = sum_rate(widest, profiles, snrs, sizes)
+    for s in per_size:
+        for z, view in enumerate(map(widest.first_elements, sizes)):
+            rates[:, z, s] = sum_rate(view, design_mccm(view), snrs)
+    out[rows] = rates[snr_index, size_index]
 
 
 def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_db", values=None) -> np.ndarray:
@@ -284,18 +275,17 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     schemes = tuple(schemes)
     check_schemes(schemes, config.scenario)
     points = (config,) if values is None else sweep_points(config, sweep_variable, values)
-    # Points that differ only in SNR or surface size share one channel build per trial.
+    # Points on one grid, which differ only in SNR or surface size, share one channel
+    # build per trial; each point reads the (SNR, size) entry of its build's rates.
     builds = {}
     for row, point in enumerate(points):
-        size = replace(point, snr_db=config.snr_db)
-        build = builds.setdefault(replace(size, num_ris_elements=config.num_ris_elements), {})
-        build.setdefault(size, []).append(row)
+        grid = FrequencyGrid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
+        snrs, sizes, cells = builds.setdefault(grid, ({}, {}, []))
+        snr, size = snrs.setdefault(point.snr_db, len(snrs)), sizes.setdefault(point.num_ris_elements, len(sizes))
+        cells.append((row, snr, size))
     channel_builds = [
-        (
-            FrequencyGrid(key.carrier_hz, key.bandwidth_hz, key.num_subcarriers),
-            [(size, rows, np.array([_snr_linear(points[r].snr_db) for r in rows])) for size, rows in sizes.items()],
-        )
-        for key, sizes in builds.items()
+        (grid, np.array([_snr_linear(snr_db) for snr_db in snrs]), tuple(sizes), tuple(map(np.array, zip(*cells))))
+        for grid, (snrs, sizes, cells) in builds.items()
     ]
     m_max = max(point.num_ris_elements for point in points)
     rates = np.empty((len(points), len(schemes), config.trials))
@@ -303,8 +293,8 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
         rng = _substream(config.seed, trial, _CHANNEL_STREAM)
         paths = sample_path_set(rng, config.num_paths, gain_mode=config.gain_mode)
         draws = _trial_draws(config, schemes, trial, m_max)
-        for grid, sizes in channel_builds:
-            _build_rates(rates[:, :, trial], grid, sizes, paths, schemes, draws)
+        for build in channel_builds:
+            _build_rates(rates[:, :, trial], config, build, paths, schemes, draws)
     return rates
 
 

@@ -1,17 +1,13 @@
 """Phase-shift profile designers for the reflecting surface.
 
 Every designer returns a :class:`PhaseProfile`: the real phase vector
-``phases_rad``, whose materialized diagonal has unit modulus by construction,
-and the ``degenerate`` flag of the covariance-based designers. The angle-based
-designers (per-subcarrier optimal, carrier-frequency, indexed) need a
-single-path surface-to-user link. The covariance-based designers work on any
-realization. The per-subcarrier one co-phases row k of the cascaded channel,
-which is the principal direction of that subcarrier's rank-one covariance.
-:func:`design_mccm` splits the profile into a receive part that aligns the
-incident wave and a forward part extracted from the mean channel covariance.
-The steps of that extraction take and return plain arrays: the mean covariance
-(M, M), its principal direction as ``(vector, degenerate)``, and the phases of
-that vector.
+``phases_rad`` and the ``degenerate`` flag of the covariance-based designers.
+The angle-based designers (per-subcarrier optimal, carrier-frequency, indexed)
+need a single-path surface-to-user link; the covariance-based ones work on any
+realization. The per-subcarrier one co-phases row k of the cascaded channel.
+:func:`design_mccm` adds a receive part that aligns the incident wave to the
+phases of the principal direction of the mean channel covariance, each step
+taking and returning plain arrays.
 """
 
 from __future__ import annotations
@@ -39,19 +35,24 @@ class PhaseProfile:
     Phases are stored unconstrained in R; two profiles are equivalent when
     their phases agree modulo 2*pi. ``degenerate`` marks profiles built from
     a covariance matrix whose top eigenvalue was not unique. The phases are
-    one vector: a stack of them is no profile.
+    one vector of finite values, kept as a read-only float copy.
     """
 
     phases_rad: np.ndarray
     degenerate: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
-        if np.ndim(self.phases_rad) != 1:
-            raise ValueError(f"phases_rad must be 1-D, got shape {np.shape(self.phases_rad)}")
+        phases = np.array(self.phases_rad, dtype=float)
+        if phases.ndim != 1:
+            raise ValueError(f"phases_rad must be 1-D, got shape {phases.shape}")
+        if not np.isfinite(phases).all():
+            raise ValueError(f"phases_rad must be finite, got {phases}")
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases_rad", phases)
 
     def unit_diagonal(self) -> np.ndarray:
         """Diagonal of the reflection matrix; every entry has modulus one."""
-        return np.exp(1j * np.asarray(self.phases_rad, dtype=float))
+        return np.exp(1j * self.phases_rad)
 
 
 def _require_single_path(paths: PathSet, designer: str) -> None:

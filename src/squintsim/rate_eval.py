@@ -3,7 +3,8 @@
 The transmitter steers with a maximum ratio beamformer per subcarrier, so the
 per-subcarrier rate is ``log2(1 + snr * ||h Phi H||^2)`` (:func:`rate_bits`),
 read off the received power of :class:`ChannelRealization`. Every SNR is a
-linear value with unit noise power.
+linear value with unit noise power. Both rates take ``sizes``, surface sizes
+m <= M, each rated on :meth:`ChannelRealization.first_elements`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from .channel import ChannelRealization, rate_bits
 from .phase_design import PhaseProfile, design_ideal, design_subcarrier_covariance  # noqa: F401
 
 
-def sum_rate(channels: ChannelRealization, profiles, snr):
+def _sized_rates(channels: ChannelRealization, snr, sizes, power) -> np.ndarray:
+    """Mean ``rate_bits`` over the subcarriers of ``power(view)`` for the view of every size, in one pass."""
+    if len(sizes) == 0:
+        raise ValueError("sizes must hold at least one surface size")
+    return np.mean(rate_bits(snr, np.stack([power(channels.first_elements(m)) for m in sizes])), axis=-1)
+
+
+def sum_rate(channels: ChannelRealization, profiles, snr, sizes=None):
     """Mean achievable rate of common profiles across all subcarriers.
 
     ``profiles`` is one :class:`PhaseProfile` or a sequence of S of them; a
@@ -24,24 +32,33 @@ def sum_rate(channels: ChannelRealization, profiles, snr):
     SNR or an array of V of them; the received power does not depend on it, so
     every SNR is evaluated from one power vector. Returns a float for one
     profile and one SNR and shape (V,) for V SNRs; a sequence adds a trailing
-    S axis, (S,) or (V, S).
+    S axis, (S,) or (V, S). A sequence of Z ``sizes`` in [1, M] rates the first
+    m phases of each profile on the first m elements, one ``received_power``
+    call per size, and adds a Z axis before any S axis; every entry equals
+    the call on that view alone, bit for bit.
     """
-    if isinstance(profiles, PhaseProfile):
-        diag = profiles.unit_diagonal()
-    else:
-        diag = np.stack([profile.unit_diagonal() for profile in profiles])
-    return np.mean(rate_bits(snr, channels.received_power(diag)), axis=-1)
+    single = isinstance(profiles, PhaseProfile)
+    diag = np.exp(1j * (profiles.phases_rad if single else np.stack([p.phases_rad for p in profiles])))
+    if sizes is None:
+        return np.mean(rate_bits(snr, channels.received_power(diag)), axis=-1)
+    if diag.shape[-1] != channels.num_ris_elements:
+        raise ValueError(f"diagonal has trailing length {diag.shape[-1:]}, expected M = {channels.num_ris_elements}")
+    # A contiguous copy of each prefix, so every size's product is the one on that view alone.
+    return _sized_rates(
+        channels, snr, sizes, lambda view: view.received_power(np.ascontiguousarray(diag[..., : view.num_ris_elements]))
+    )
 
 
-def ideal_rate(channels: ChannelRealization, snr):
+def ideal_rate(channels: ChannelRealization, snr, sizes=None):
     """Benchmark rate with a separate profile optimized for every subcarrier.
 
     Relaxing the common-phase constraint lets every subcarrier co-phase all M
     reflected terms, so its power is :meth:`ChannelRealization.aligned_power`
     and this dominates every common profile subcarrier by subcarrier. On a
     single-path link that power is ``N * M^2 * |g_bs * g_user|^2``, the value the
-    per-subcarrier angle profile of :func:`design_ideal` reaches. ``snr`` and
-    the result are as in :func:`sum_rate`.
+    per-subcarrier angle profile of :func:`design_ideal` reaches. ``snr``,
+    ``sizes`` and the result are as in :func:`sum_rate` for one profile.
     """
-    return np.mean(rate_bits(snr, channels.aligned_power()), axis=-1)
-
+    if sizes is None:
+        return np.mean(rate_bits(snr, channels.aligned_power()), axis=-1)
+    return _sized_rates(channels, snr, sizes, ChannelRealization.aligned_power)

@@ -25,8 +25,9 @@ def load_harness():
 
 harness = load_harness()
 
-#: One trial: the channel points of each workload, each rated by one stacked sum_rate call.
-SUM_RATE_CALLS = {"los-snr": 1, "los-elements": 5, "nlos-snr": 1}
+#: One trial: each workload makes one channel build, whose SNRs or surface sizes
+#: are all rated by one stacked sum_rate call.
+SUM_RATE_CALLS = {"los-snr": 1, "los-elements": 1, "nlos-snr": 1}
 
 
 @pytest.mark.parametrize("name", sorted(harness.WORKLOADS))
@@ -38,3 +39,4 @@ def test_traced_run_sees_every_working_layer(name):
         if layer not in harness.WORKLOADS[name].idle_layers:
             assert metrics[f"{layer}.calls"]["value"] > 0, layer
     assert metrics["rate_eval.sum_rate.calls"]["value"] == SUM_RATE_CALLS[name]
+    assert metrics["rate_eval.ideal_rate.calls"]["value"] == 1

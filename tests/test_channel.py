@@ -225,6 +225,24 @@ class TestBandTable:
         assert np.array_equal(_band_table(m, grid, sin_theta), product.reshape(5, k, m))
 
 
+class TestPathSet:
+    FIELDS = {
+        "bs_ris_aoa_rad": np.nan, "bs_ris_aod_rad": np.inf, "bs_ris_gain": complex(1.0, np.nan),
+        "bs_ris_delay_s": np.inf, "ru_angles_rad": (0.3, np.nan), "ru_gains": (1.0, complex(np.inf, 0.0)),
+        "ru_delays_s": (np.nan, 1e-9),
+    }
+
+    @pytest.mark.parametrize("name,value", FIELDS.items(), ids=list(FIELDS))
+    def test_rejects_a_non_finite_value_naming_its_field(self, name, value):
+        paths = sample_path_set(np.random.default_rng(3), 2)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(paths, **{name: value})
+
+    def test_finite_draws_are_kept(self):
+        paths = sample_path_set(np.random.default_rng(3), 2)
+        assert dataclasses.replace(paths) == paths
+
+
 class TestSamplePathSet:
     def test_same_seed_reproduces_paths(self):
         a = sample_path_set(np.random.default_rng(7), 5)

@@ -377,6 +377,23 @@ class TestMain:
         )
         assert int(proc.stdout.splitlines()[-1]) < 100
 
+    def test_figure_runs_import_no_lazy_heavy_module(self, tmp_path):
+        # A fresh child process, as the benchmark times one per run: numpy loads
+        # numpy.ma on first use (np.unique is one user), at about 20 ms and 1.5 MB.
+        src = str(Path(squintsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = (
+            "import sys\nfrom squintsim import cli\n"
+            "for fig_id in ('4', '5'):\n"
+            "    assert cli.main(['figure', '--id', fig_id, '--trials', '1', '--out', sys.argv[1]]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "f.csv")],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])

@@ -13,7 +13,8 @@ from squintsim.channel import (
     gen_channels,
     sample_path_set,
 )
-from squintsim.phase_design import design_central, design_ideal, design_random
+from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random
+from squintsim.rate_eval import ideal_rate, sum_rate
 
 GRID = FrequencyGrid(28e9, 2e9, 8)
 PATHS = PathSet(0.4, 1.1, 0.8 - 0.3j, 5e-9, (2.0,), (1.0 + 0j,), (3e-9,))
@@ -34,6 +35,8 @@ ENTRIES = {
     "design_random": lambda n: design_random(np.random.default_rng(0), n),
     "array_response": lambda n: array_response(n, 0.1),
     "first_elements": lambda n: CHANNELS.first_elements(n),
+    "sum_rate-sizes": lambda n: sum_rate(CHANNELS, PhaseProfile(np.zeros(6)), 10.0, (1, n)),
+    "ideal_rate-sizes": lambda n: ideal_rate(CHANNELS, 10.0, (n, 1)),
 }
 
 BY_ENTRY = pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
@@ -56,3 +59,18 @@ def test_accepts_a_count(entry, count):
 def test_first_elements_rejects_more_elements_than_the_realization_has(count):
     with pytest.raises(ValueError, match=r"integer in \[1, 6\], got " + str(count)):
         CHANNELS.first_elements(count)
+
+
+@pytest.mark.parametrize("entry", [ENTRIES["sum_rate-sizes"], ENTRIES["ideal_rate-sizes"]], ids=["sum", "ideal"])
+@pytest.mark.parametrize("count", [7, 100], ids=["m-plus-one", "far-above-m"])
+def test_rate_sizes_reject_more_elements_than_the_realization_has(entry, count):
+    with pytest.raises(ValueError, match=r"integer in \[1, 6\], got " + str(count)):
+        entry(count)
+
+
+@pytest.mark.parametrize("sizes", [(), [], np.array([], dtype=int)], ids=["tuple", "list", "array"])
+def test_rates_reject_an_empty_sequence_of_sizes(sizes):
+    with pytest.raises(ValueError, match="at least one surface size"):
+        sum_rate(CHANNELS, PhaseProfile(np.zeros(6)), 10.0, sizes)
+    with pytest.raises(ValueError, match="at least one surface size"):
+        ideal_rate(CHANNELS, 10.0, sizes)

@@ -282,6 +282,38 @@ def test_elements_sweep_matches_per_point_runs(base):
         assert np.array_equal(point_rates, per_trial_rates(replace(base, num_ris_elements=value), schemes)[0])
 
 
+@pytest.mark.parametrize("base", [SMALL_LOS, SMALL_NLOS], ids=["los", "nlos"])
+@pytest.mark.parametrize("scheme", [s for s in SCHEMES if s not in ("ideal", "mccm")])
+def test_profiles_designed_on_the_widest_build_are_prefixes(base, scheme):
+    # Every profile but mccm's, designed once on the widest channel and cut to
+    # m phases, is the reference profile of a direct build at m, bit for bit.
+    grid = FrequencyGrid(base.carrier_hz, base.bandwidth_hz, base.num_subcarriers)
+    for trial in range(3):
+        rng = experiments._substream(base.seed, trial, experiments._CHANNEL_STREAM)
+        paths = sample_path_set(rng, base.num_paths, gain_mode=base.gain_mode)
+        draws = experiments._trial_draws(base, (scheme,), trial, 64)
+        wide = experiments._common_profile(base.scenario, gen_channels(paths, grid, 4, 64), scheme, draws)
+        for m in (1, 7, 16, 37, 64):
+            point = replace(base, num_ris_elements=m)
+            direct = reference_profile(point, grid, gen_channels(paths, grid, 4, m), scheme, trial)
+            assert np.array_equal(wide.phases_rad[:m], direct.phases_rad)
+
+
+@pytest.mark.parametrize(
+    "base,mccm_calls", [(SMALL_LOS, 0), (SMALL_NLOS, 3)], ids=["los", "nlos-mccm-per-size"]
+)
+def test_elements_sweep_rates_each_build_in_one_call_per_rate(monkeypatch, base, mccm_calls):
+    # The sizes of a build share one ideal_rate and one sum_rate call; only
+    # mccm, which is no prefix of a wider design, is designed and rated per size.
+    counts = Counter()
+    names = ("gen_channels", "ideal_rate", "sum_rate", "design_mccm")
+    for name in names:
+        counting(monkeypatch, counts, name)
+    per_trial_rates(base, schemes_for(base.scenario), "ris_elements", (4, 16, 8))
+    per_trial = [counts[name] / base.trials for name in names]
+    assert per_trial == [1, 1, 1 + mccm_calls, mccm_calls]
+
+
 @pytest.mark.parametrize("variable,values", [("ris_elements", (4, 16, 8)), ("bandwidth_hz", (0.5e9, 4e9))])
 def test_each_channel_build_is_freed_before_the_next(monkeypatch, variable, values):
     # The widest table of a trial, and every view of it, is gone before the

@@ -574,6 +574,22 @@ class TestProfileProperties:
             design_ideal(paths, grid, 8, 2).phases_rad, design_ideal(scaled, grid, 8, 2).phases_rad
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_profile_rejects_a_non_finite_phase(self, bad):
+        phases = np.zeros(8)
+        phases[3] = bad
+        with pytest.raises(ValueError, match="phases_rad must be finite"):
+            PhaseProfile(phases)
+
+    def test_profile_keeps_a_read_only_float_copy(self):
+        phases = np.arange(4)
+        profile = PhaseProfile(phases)
+        phases[0] = 7
+        assert profile.phases_rad.dtype == float and profile.phases_rad.tolist() == [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            profile.phases_rad[0] = 1.0
+        assert PhaseProfile([0.5, 1.5]).phases_rad.tolist() == [0.5, 1.5]
+
     def test_degenerate_is_keyword_only(self):
         # A positional second argument (the old scheme tag) must not pass as the flag.
         with pytest.raises(TypeError):

@@ -5,8 +5,9 @@ and ``aligned_power``, which never form the (K, M, N) BS-to-surface tensor.
 These properties pin both to the per-subcarrier reference of the test module
 ``reference`` (the dense ``h_bs_ris`` view, ``effective_channel`` and
 ``subcarrier_rate``), pin the
-SNR-array form of both to one call per SNR, and pin the stacked form of
-``received_power`` and ``sum_rate`` to one call per profile.
+SNR-array form of both to one call per SNR, pin the stacked form of
+``received_power`` and ``sum_rate`` to one call per profile, and pin the
+``sizes`` form of both rates to one call per surface size.
 """
 
 import numpy as np
@@ -15,7 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from squintsim.channel import FrequencyGrid, gen_channels, rate_bits, sample_path_set
-from squintsim.phase_design import PhaseProfile, design_ideal, design_random, phase_extraction
+from squintsim.phase_design import (
+    PhaseProfile,
+    design_central,
+    design_ideal,
+    design_random,
+    design_subcarrier_covariance,
+    phase_extraction,
+)
 from squintsim.rate_eval import ideal_rate, sum_rate
 
 from reference import (
@@ -236,3 +244,58 @@ def test_stacked_profiles_match_one_call_per_profile(num_subcarriers, num_ris_el
             assert np.array_equal(power[s], gain * np.abs(channels.cascade @ diag) ** 2)
             assert np.array_equal(one_snr[s], sum_rate(channels, profile, snr))
             assert np.array_equal(many_snrs[:, s], sum_rate(channels, profile, snrs))
+
+
+@pytest.mark.parametrize("num_subcarriers", [7, 128, 131])
+@pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
+def test_sizes_match_one_call_per_view(num_paths, num_subcarriers):
+    # One call over unordered surface sizes gives, entry for entry, the bits of
+    # the call on the first m elements with the first m phases of each profile,
+    # for one and for S profiles and for one and for V SNRs.
+    rng = np.random.default_rng(100 * num_paths + num_subcarriers)
+    paths = sample_path_set(rng, num_paths)
+    widest = gen_channels(paths, FrequencyGrid(28e9, 2e9, num_subcarriers), 4, 256)
+    sizes = (37, 1, 256, 16, 100, 64)
+    profiles = [design_random(rng, 256), design_subcarrier_covariance(widest, num_subcarriers // 2)]
+    if num_paths == 1:
+        profiles.append(design_central(paths, 256))
+    for snr in (10.0, np.array([0.1, 1.0, 10.0, 100.0])):
+        ideal = ideal_rate(widest, snr, sizes)
+        one = sum_rate(widest, profiles[0], snr, sizes)
+        many = sum_rate(widest, profiles, snr, sizes)
+        assert ideal.shape == one.shape == np.shape(snr) + (len(sizes),)
+        assert many.shape == ideal.shape + (len(profiles),)
+        for z, m in enumerate(sizes):
+            view = widest.first_elements(m)
+            cut = [PhaseProfile(profile.phases_rad[:m]) for profile in profiles]
+            assert np.array_equal(ideal[..., z], ideal_rate(view, snr))
+            assert np.array_equal(one[..., z], sum_rate(view, cut[0], snr))
+            assert np.array_equal(many[..., z, :], sum_rate(view, cut, snr))
+
+
+def test_sizes_take_one_exponential_and_one_power_call_per_size(monkeypatch):
+    channels, rng, snr = realize(dict(EDGE_CASES[0], num_subcarriers=8, num_ris_elements=32, seed=5))
+    profiles = [design_random(rng, 32) for _ in range(3)]
+    counts = {"exp": 0, "received_power": 0, "aligned_power": 0}
+    exp, received_power, aligned_power = np.exp, type(channels).received_power, type(channels).aligned_power
+
+    def counted(name, inner):
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "exp", counted("exp", exp))
+    monkeypatch.setattr(type(channels), "received_power", counted("received_power", received_power))
+    monkeypatch.setattr(type(channels), "aligned_power", counted("aligned_power", aligned_power))
+    sum_rate(channels, profiles, snr, (4, 32, 8))
+    ideal_rate(channels, snr, (4, 32, 8))
+    assert counts == {"exp": 1, "received_power": 3, "aligned_power": 3}
+
+
+@pytest.mark.parametrize("width", [31, 33])
+def test_sizes_reject_a_profile_that_is_not_m_wide(width):
+    channels, _, snr = realize(dict(EDGE_CASES[0], num_subcarriers=8, num_ris_elements=32))
+    with pytest.raises(ValueError, match=rf"trailing length \({width},\), expected M = 32"):
+        sum_rate(channels, PhaseProfile(np.zeros(width)), snr, (4, 8))
