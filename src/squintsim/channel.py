@@ -108,20 +108,29 @@ class PathSet:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-subcarrier channels for one realization, derived from N, M, the grid and the paths.
+    """Per-subcarrier channels for one realization.
 
-    The BS-to-surface hop is one path, ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k)
-    * outer(a_M[k], conj(a_N[k]))`` with unit-norm responses; its delay phase
-    is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only the
-    power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the modulus-1 element
-    responses ``sqrt(M) * a_M[k]`` reach a rate (the BS delay and departure
-    angle are drawn but never read). It also stores the (K, M) cascade
-    ``h_ris_user * sqrt(M) * a_M``: both hops squint linearly in frequency, so
-    user path l contributes one modulus-1 steering vector at the difference
-    angle ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``, scaled by its gain,
-    delay phase and ``1/sqrt(L)``, and one :func:`_band_table` call builds all L.
-    Both arrays are read-only and ``dataclasses.replace`` rebuilds from the four
-    arguments. No entry depends on M: :meth:`first_elements` is a view.
+    It is built from the N BS antennas, the M surface elements, the grid and
+    the paths, checks the two counts and derives the rest. The BS-to-surface
+    hop is one path, ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k) *
+    outer(a_M[k], conj(a_N[k]))`` at f_k, with unit-norm responses; its delay
+    phase is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only
+    the power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the element responses
+    ``sqrt(M) * a_M[k]``, of modulus 1, are left in any rate. The BS delay and
+    departure angle are still drawn, which keeps every trial's stream, but no
+    rate reads them. Besides that gain it stores the cascaded channel
+    ``cascade = h_ris_user * sqrt(M) * a_M`` (K, M). Both hops squint linearly
+    in frequency, so the cascade of user path l is one modulus-1 steering
+    vector, at the difference angle ``(f_k / 2f_c) * (sin(theta_bs) -
+    sin(theta_l))``, scaled by the path's gain, delay phase and ``1/sqrt(L)``:
+    one :func:`_band_table` call over the L difference angles builds it. The
+    rows ``h_ris_user`` are derived from it on first read (see
+    :attr:`h_ris_user`). Both arrays are read-only, and ``dataclasses.replace``
+    builds a new realization from its four arguments, so no value can be stale.
+
+    No entry depends on M: the realization of the first m elements is the
+    first m columns of this one, bit for bit, and :meth:`first_elements`
+    returns it as a view.
     """
 
     num_bs_antennas: int
@@ -187,11 +196,15 @@ class ChannelRealization:
         for bit the power of that diagonal alone. Raises ValueError when the
         trailing length of ``diag`` is not M.
         """
+        sums = np.matmul(self.cascade, self.check_width(diag)[..., None])[..., 0]
+        return self.bs_ris_power_gain * np.abs(sums) ** 2
+
+    def check_width(self, diag) -> np.ndarray:
+        """``diag`` as an array; raises ValueError when its trailing length is not M."""
         diag = np.asarray(diag)
         if diag.shape[-1:] != (self.num_ris_elements,):
             raise ValueError(f"diagonal has trailing length {diag.shape[-1:]}, expected M = {self.num_ris_elements}")
-        sums = np.matmul(self.cascade, diag[..., None])[..., 0]
-        return self.bs_ris_power_gain * np.abs(sums) ** 2
+        return diag
 
     def aligned_power(self) -> np.ndarray:
         """Largest ``received_power`` any diagonal reaches: all M terms co-phased.
@@ -336,10 +349,15 @@ def gen_channels(
     num_bs_antennas: int,
     num_ris_elements: int,
 ) -> ChannelRealization:
-    """Generate the per-subcarrier channels for one path realization; a pure function of its inputs.
+    """Generate the per-subcarrier channels for one path realization.
 
-    The surface-to-user row is ``sqrt(M/L)`` times the sum of each path's gain,
-    delay phase and conjugate response at f_k; :class:`ChannelRealization`
-    stores its cascade with the BS-to-surface hop and that hop's power gain.
+    The BS-to-surface hop is ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) *
+    a_M(phi_in) * a_N(phi_out)^H`` and the surface-to-user row ``sqrt(M/L)``
+    times the sum of each path's gain, delay phase and conjugate response,
+    every spatial angle evaluated at f_k. The :class:`ChannelRealization`
+    checks the counts and stores the cascade of the two hops, with element
+    responses of modulus 1, and the power gain ``N*|gain|^2``; no rate reads
+    the BS delay or departure angle.
+    Pure function of its inputs.
     """
     return ChannelRealization(num_bs_antennas, num_ris_elements, grid, paths)

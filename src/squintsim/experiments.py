@@ -73,7 +73,9 @@ FIGURES = {
 #: stack) if that is larger. Traced peaks at a quarter of the cap, M = 1024:
 #: 128 MiB at L = 1 for K = 4096, 4078 and 4093; at L = 5, 384 MiB (K = 4096
 #: and 4093, prime) and 478 MiB (4078 = 2*2039). Reading ``h_ris_user`` then
-#: peaks at 130 to 160 MiB. A surface-size sweep peaks as its largest M.
+#: peaks at 130 to 160 MiB. A surface-size sweep holds its widest table for the
+#: whole trial, since every narrower point reads a view of it, so its peak is
+#: that of its largest M.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0
@@ -201,10 +203,11 @@ def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:
 def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: int) -> tuple:
     """The trial's scheme-side draws, made once for all of its sweep points.
 
-    Returns the ``random`` phases at the sweep's largest M, whose prefix is the
-    draw at a smaller size (``Generator.uniform`` fills in order), and the
-    ``random-index`` subcarrier; either is None, its substream unbuilt, when
-    its scheme is not asked for.
+    Returns the ``random`` phases at ``num_ris_elements``, the sweep's largest
+    M (a point with fewer elements takes a prefix: ``Generator.uniform`` fills
+    in order, so the prefix is the draw at that size), and the ``random-index``
+    subcarrier, since K is the same at every point. Either is None when its
+    scheme is not asked for, and its substream is not built.
     """
     phases = index = None
     if "random" in schemes:

@@ -1,13 +1,17 @@
 """Phase-shift profile designers for the reflecting surface.
 
 Every designer returns a :class:`PhaseProfile`: the real phase vector
-``phases_rad`` and the ``degenerate`` flag of the covariance-based designers.
-The angle-based designers (per-subcarrier optimal, carrier-frequency, indexed)
-need a single-path surface-to-user link; the covariance-based ones work on any
-realization. The per-subcarrier one co-phases row k of the cascaded channel.
-:func:`design_mccm` adds a receive part that aligns the incident wave to the
-phases of the principal direction of the mean channel covariance, each step
-taking and returning plain arrays.
+``phases_rad``, whose materialized diagonal has unit modulus by construction,
+and the ``degenerate`` flag of the covariance-based designers. The angle-based
+designers (per-subcarrier optimal, carrier-frequency, indexed) need a
+single-path surface-to-user link. The covariance-based designers work on any
+realization. The per-subcarrier one co-phases row k of the cascaded channel,
+which is the principal direction of that subcarrier's rank-one covariance.
+:func:`design_mccm` splits the profile into a receive part that aligns the
+incident wave and a forward part extracted from the mean channel covariance.
+The steps of that extraction take and return plain arrays: the mean covariance
+(M, M), its principal direction as ``(vector, degenerate)``, and the phases of
+that vector.
 """
 
 from __future__ import annotations
@@ -52,7 +56,12 @@ class PhaseProfile:
 
     def unit_diagonal(self) -> np.ndarray:
         """Diagonal of the reflection matrix; every entry has modulus one."""
-        return np.exp(1j * self.phases_rad)
+        return unit_diagonal(self.phases_rad)
+
+
+def unit_diagonal(phases_rad) -> np.ndarray:
+    """Reflection-matrix diagonals ``exp(j*phases)`` of phases (..., M), as in :meth:`PhaseProfile.unit_diagonal`."""
+    return np.exp(1j * np.asarray(phases_rad, dtype=float))
 
 
 def _require_single_path(paths: PathSet, designer: str) -> None:

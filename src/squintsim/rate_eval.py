@@ -12,15 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelRealization, rate_bits
+from .phase_design import PhaseProfile, unit_diagonal
 # The two designers are unused here; benchmarks/child.py traces them under this module.
-from .phase_design import PhaseProfile, design_ideal, design_subcarrier_covariance  # noqa: F401
+from .phase_design import design_ideal, design_subcarrier_covariance  # noqa: F401
 
 
 def _sized_rates(channels: ChannelRealization, snr, sizes, power) -> np.ndarray:
-    """Mean ``rate_bits`` over the subcarriers of ``power(view)`` for the view of every size, in one pass."""
-    if len(sizes) == 0:
+    """Mean ``rate_bits`` over the subcarriers of ``power(view, m)`` for the view of every size m, in one pass.
+
+    The size axis follows the SNR axes; ``sizes=None`` rates ``channels`` alone,
+    as ``power(channels, None)``, and adds no axis.
+    """
+    if sizes is None:
+        powers = power(channels, None)
+    elif len(sizes) == 0:
         raise ValueError("sizes must hold at least one surface size")
-    return np.mean(rate_bits(snr, np.stack([power(channels.first_elements(m)) for m in sizes])), axis=-1)
+    else:
+        powers = np.stack([power(channels.first_elements(m), m) for m in sizes])
+    return np.mean(rate_bits(snr, powers), axis=-1)
 
 
 def sum_rate(channels: ChannelRealization, profiles, snr, sizes=None):
@@ -37,16 +46,17 @@ def sum_rate(channels: ChannelRealization, profiles, snr, sizes=None):
     call per size, and adds a Z axis before any S axis; every entry equals
     the call on that view alone, bit for bit.
     """
-    single = isinstance(profiles, PhaseProfile)
-    diag = np.exp(1j * (profiles.phases_rad if single else np.stack([p.phases_rad for p in profiles])))
-    if sizes is None:
-        return np.mean(rate_bits(snr, channels.received_power(diag)), axis=-1)
-    if diag.shape[-1] != channels.num_ris_elements:
-        raise ValueError(f"diagonal has trailing length {diag.shape[-1:]}, expected M = {channels.num_ris_elements}")
-    # A contiguous copy of each prefix, so every size's product is the one on that view alone.
-    return _sized_rates(
-        channels, snr, sizes, lambda view: view.received_power(np.ascontiguousarray(diag[..., : view.num_ris_elements]))
-    )
+    phases = profiles.phases_rad if isinstance(profiles, PhaseProfile) else np.stack([p.phases_rad for p in profiles])
+    diag = unit_diagonal(phases)
+    if sizes is not None:
+        # Each view sees only a prefix of the diagonal, so its full width is checked here.
+        channels.check_width(diag)
+
+    def power(view, m):
+        # A contiguous copy of each prefix, so every size's product is the one on that view alone.
+        return view.received_power(diag if m is None else np.ascontiguousarray(diag[..., :m]))
+
+    return _sized_rates(channels, snr, sizes, power)
 
 
 def ideal_rate(channels: ChannelRealization, snr, sizes=None):
@@ -59,6 +69,4 @@ def ideal_rate(channels: ChannelRealization, snr, sizes=None):
     per-subcarrier angle profile of :func:`design_ideal` reaches. ``snr``,
     ``sizes`` and the result are as in :func:`sum_rate` for one profile.
     """
-    if sizes is None:
-        return np.mean(rate_bits(snr, channels.aligned_power()), axis=-1)
-    return _sized_rates(channels, snr, sizes, ChannelRealization.aligned_power)
+    return _sized_rates(channels, snr, sizes, lambda view, m: view.aligned_power())

@@ -28,6 +28,7 @@ from squintsim.phase_design import (
     mean_channel_covariance,
     phase_extraction,
     principal_direction,
+    unit_diagonal,
 )
 from squintsim.rate_eval import sum_rate
 
@@ -589,6 +590,14 @@ class TestProfileProperties:
         with pytest.raises(ValueError, match="read-only"):
             profile.phases_rad[0] = 1.0
         assert PhaseProfile([0.5, 1.5]).phases_rad.tolist() == [0.5, 1.5]
+
+    def test_stacked_unit_diagonal_is_each_profile_s_diagonal(self):
+        rng = np.random.default_rng(14)
+        profiles = [design_random(rng, 9) for _ in range(3)]
+        stacked = unit_diagonal(np.stack([profile.phases_rad for profile in profiles]))
+        assert stacked.shape == (3, 9)
+        for row, profile in zip(stacked, profiles):
+            assert np.array_equal(row, profile.unit_diagonal())
 
     def test_degenerate_is_keyword_only(self):
         # A positional second argument (the old scheme tag) must not pass as the flag.

@@ -353,6 +353,14 @@ class TestWidthChecks:
         with pytest.raises(ValueError, match="expected M = 6"):
             sum_rate(channels, zero_profile(width), SNR)
 
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_check_width_is_the_received_power_check(self, source, width):
+        channels = self.channels(source)
+        diag = np.ones((3, 6), dtype=complex)
+        assert channels.check_width(diag) is diag
+        with pytest.raises(ValueError, match=rf"^diagonal has trailing length \({width},\), expected M = 6$"):
+            channels.check_width(np.ones((3, width), dtype=complex))
+
     def test_received_power_rejects_a_scalar_diagonal(self, source):
         with pytest.raises(ValueError, match=r"trailing length \(\), expected M = 6"):
             self.channels(source).received_power(1.0)
