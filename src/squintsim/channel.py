@@ -9,7 +9,6 @@ designers in :mod:`squintsim.phase_design` try to mitigate.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -123,7 +122,8 @@ class ChannelRealization:
     in frequency, so the cascade of user path l is one modulus-1 steering
     vector, at the difference angle ``(f_k / 2f_c) * (sin(theta_bs) -
     sin(theta_l))``, scaled by the path's gain, delay phase and ``1/sqrt(L)``:
-    one :func:`_band_table` call over the L difference angles builds it. The
+    :func:`_path_sum` builds it from :func:`_band_table` calls over the L
+    difference angles, into one (K, M) table. The
     rows ``h_ris_user`` are derived from it on first read (see
     :attr:`h_ris_user`). Both arrays are read-only, and ``dataclasses.replace``
     builds a new realization from its four arguments, so no value can be stale.
@@ -145,12 +145,12 @@ class ChannelRealization:
             raise ValueError("antenna and element counts must be integers >= 1")
         paths, f = self.source_paths, self.grid.frequencies
         sin_diff = np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad)
-        tables = _band_table(self.num_ris_elements, self.grid, sin_diff)
         coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
-        # Scales the stack in place, in the operand order of coef * table.
-        cascade = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
-        # sqrt(M/L) of the user rows times the 1/sqrt(M) of each unit-norm user response leaves 1/sqrt(L).
-        cascade *= 1.0 / np.sqrt(len(paths.ru_angles_rad))
+        cascade = _path_sum(self.num_ris_elements, self.grid, sin_diff, coef)
+        # sqrt(M/L) of the user rows times the 1/sqrt(M) of each unit-norm user response
+        # leaves 1/sqrt(L), which is 1 for one path.
+        if len(sin_diff) > 1:
+            cascade *= 1.0 / np.sqrt(len(sin_diff))
         cascade.flags.writeable = False
         object.__setattr__(self, "bs_ris_power_gain", self.num_bs_antennas * abs(paths.bs_ris_gain) ** 2)
         object.__setattr__(self, "cascade", cascade)
@@ -162,13 +162,11 @@ class ChannelRealization:
         bit, in every array and rate; ``m`` must be an integer in [1, M].
         The view keeps this realization's table alive.
         """
-        if not (_is_count(m) and m <= self.num_ris_elements):
-            raise ValueError(f"element count must be an integer in [1, {self.num_ris_elements}], got {m!r}")
+        self.check_sizes((m,))
         if m == self.num_ris_elements:
             return self
-        narrow = copy.copy(self)
-        object.__setattr__(narrow, "num_ris_elements", m)
-        object.__setattr__(narrow, "cascade", self.cascade[:, :m])
+        narrow = object.__new__(type(self))
+        vars(narrow).update(vars(self), num_ris_elements=m, cascade=self.cascade[:, :m])
         if "h_ris_user" in vars(self):
             vars(narrow)["h_ris_user"] = self.h_ris_user[:, :m]
         return narrow
@@ -206,12 +204,29 @@ class ChannelRealization:
             raise ValueError(f"diagonal has trailing length {diag.shape[-1:]}, expected M = {self.num_ris_elements}")
         return diag
 
-    def aligned_power(self) -> np.ndarray:
+    def check_sizes(self, sizes):
+        """``sizes`` itself; raises ValueError when it is empty or holds a count that is no integer in [1, M]."""
+        if len(sizes) == 0:
+            raise ValueError("sizes must hold at least one surface size")
+        for m in sizes:
+            if not (_is_count(m) and m <= self.num_ris_elements):
+                raise ValueError(f"element count must be an integer in [1, {self.num_ris_elements}], got {m!r}")
+        return sizes
+
+    def aligned_power(self, sizes=None) -> np.ndarray:
         """Largest ``received_power`` any diagonal reaches: all M terms co-phased.
 
-        It is ``bs_ris_power_gain * (sum_m |cascade[k,m]|)^2``.
+        It is ``bs_ris_power_gain * (sum_m |cascade[k,m]|)^2``, shape (K,). A
+        sequence of Z ``sizes`` in [1, M] gives shape (Z, K), row z the power
+        of ``first_elements(sizes[z])`` bit for bit: each sums a prefix of one
+        ``|cascade|`` table.
         """
-        return self.bs_ris_power_gain * np.sum(np.abs(self.cascade), axis=1) ** 2
+        magnitude = np.abs(self.cascade)
+        if sizes is None:
+            sums = np.sum(magnitude, axis=1)
+        else:
+            sums = np.stack([np.sum(magnitude[:, :m], axis=1) for m in self.check_sizes(sizes)])
+        return self.bs_ris_power_gain * sums**2
 
 
 def rate_bits(snr, power) -> np.ndarray:
@@ -222,7 +237,12 @@ def rate_bits(snr, power) -> np.ndarray:
     """
     if not np.all(np.asarray(snr) > 0):
         raise ValueError(f"snr must be a positive linear value, got {snr!r}")
-    return np.log2(1.0 + np.multiply.outer(snr, power))
+    rates = np.multiply.outer(snr, power)
+    # A scalar pair gives a numpy scalar, which takes no out=; a float array is its own result.
+    if not (isinstance(rates, np.ndarray) and rates.dtype.kind == "f"):
+        return np.log2(1.0 + rates)
+    rates += 1.0
+    return np.log2(rates, out=rates)
 
 
 def spatial_angle(f_hz, theta_rad, carrier_hz: float):
@@ -283,6 +303,37 @@ def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
     table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi), axis=-1))
     product = table[..., :rows, None, :] * table[..., None, rows:, :]
     return product.reshape(sin_theta.shape[:-1] + (k_sub, n_elements))
+
+
+#: Entry budget of the path tables one :func:`_path_sum` chunk builds at once. It holds
+#: every preset's L paths in one chunk, and a chunk is never less than one path.
+_CHUNK_ENTRIES = 1 << 20
+
+
+def _path_sum(n_elements: int, grid: FrequencyGrid, sin_diff, coef) -> np.ndarray:
+    """``sum_l coef[l, :, None] * _band_table(n, grid, sin_diff[l])``, shape (K, n).
+
+    It equals numpy's axis-0 sum of the coefficient-scaled stack, bit for
+    bit: the paths are added in order onto a zero start. The paths are tabled
+    in chunks of at most ``_CHUNK_ENTRIES`` entries, so at most one chunk, its
+    factor rows and the (K, n) sum are held at once, however many paths
+    there are; one path's table is its own sum.
+    """
+    chunk = max(1, _CHUNK_ENTRIES // (grid.num_subcarriers * n_elements))
+    total = None
+    for start in range(0, len(sin_diff), chunk):
+        tables = _band_table(n_elements, grid, sin_diff[start : start + chunk])
+        # Scales the chunk in place, in the operand order of coef * table.
+        np.multiply(coef[start : start + chunk, :, None], tables, out=tables)
+        if total is None:
+            # The sum's zero start turns -0.0 into 0.0. A one-path chunk is the accumulator itself.
+            total = np.add(tables[0], 0.0, out=tables[0] if len(tables) == 1 else None)
+            tables = tables[1:]
+        for row in range(len(tables)):
+            total += tables[row]
+        # Freed before the next chunk is tabled.
+        del tables
+    return total
 
 
 def array_response(n_elements: int, phi) -> np.ndarray:

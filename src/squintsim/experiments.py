@@ -66,16 +66,23 @@ FIGURES = {
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
 #: (K, M) table then takes 256 MiB. A channel point holds ``cascade``, and also
-#: ``h_ris_user`` once ``design_mccm``, its one reader, reads it. The peak comes
-#: while ``cascade`` is built from the (L, K, M) stack of path tables: the stack
-#: plus its sum, or plus its factor table of L*(K/C + C) rows (C the
-#: largest divisor of K not above sqrt(K); at a prime K the factor table is the
-#: stack) if that is larger. Traced peaks at a quarter of the cap, M = 1024:
-#: 128 MiB at L = 1 for K = 4096, 4078 and 4093; at L = 5, 384 MiB (K = 4096
-#: and 4093, prime) and 478 MiB (4078 = 2*2039). Reading ``h_ris_user`` then
-#: peaks at 130 to 160 MiB. A surface-size sweep holds its widest table for the
-#: whole trial, since every narrower point reads a view of it, so its peak is
-#: that of its largest M.
+#: ``h_ris_user`` once ``design_mccm``, its one reader, reads it. ``cascade`` is
+#: summed from chunks of path tables of at most 2^20 entries or one path, each
+#: with its factor table of (K/C + C) rows of M per path (C the largest divisor
+#: of K not above sqrt(K), so about half a table at most; at a prime K the
+#: coarse rows are the table), and one path's table is its own sum. So a build
+#: peaks below about 16 * (K*M + 1.5 * max(K*M, 2^20)) bytes whatever L, 2.5
+#: tables or 640 MiB at the cap, plus the (L, K) path coefficients. Traced
+#: peaks at a quarter of the cap, M = 1024, one table of 64 MiB:
+#:
+#:   K \ L             1      5     20     40
+#:   4096            66.2  130.4  131.4  132.6  MiB
+#:   4078 = 2*2039   95.9  159.9  160.8  162.1
+#:   4093, prime     69.3  133.5  134.4  135.7
+#:
+#: Reading ``h_ris_user`` then peaks at 130 to 160 MiB. A surface-size sweep
+#: holds its widest table for the whole trial, since every narrower point reads
+#: a view of it, so its peak is that of its largest M.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0

@@ -4,7 +4,7 @@ The transmitter steers with a maximum ratio beamformer per subcarrier, so the
 per-subcarrier rate is ``log2(1 + snr * ||h Phi H||^2)`` (:func:`rate_bits`),
 read off the received power of :class:`ChannelRealization`. Every SNR is a
 linear value with unit noise power. Both rates take ``sizes``, surface sizes
-m <= M, each rated on :meth:`ChannelRealization.first_elements`.
+m <= M, each rated as on :meth:`ChannelRealization.first_elements`.
 """
 
 from __future__ import annotations
@@ -15,21 +15,6 @@ from .channel import ChannelRealization, rate_bits
 from .phase_design import PhaseProfile, unit_diagonal
 # The two designers are unused here; benchmarks/child.py traces them under this module.
 from .phase_design import design_ideal, design_subcarrier_covariance  # noqa: F401
-
-
-def _sized_rates(channels: ChannelRealization, snr, sizes, power) -> np.ndarray:
-    """Mean ``rate_bits`` over the subcarriers of ``power(view, m)`` for the view of every size m, in one pass.
-
-    The size axis follows the SNR axes; ``sizes=None`` rates ``channels`` alone,
-    as ``power(channels, None)``, and adds no axis.
-    """
-    if sizes is None:
-        powers = power(channels, None)
-    elif len(sizes) == 0:
-        raise ValueError("sizes must hold at least one surface size")
-    else:
-        powers = np.stack([power(channels.first_elements(m), m) for m in sizes])
-    return np.mean(rate_bits(snr, powers), axis=-1)
 
 
 def sum_rate(channels: ChannelRealization, profiles, snr, sizes=None):
@@ -48,15 +33,15 @@ def sum_rate(channels: ChannelRealization, profiles, snr, sizes=None):
     """
     phases = profiles.phases_rad if isinstance(profiles, PhaseProfile) else np.stack([p.phases_rad for p in profiles])
     diag = unit_diagonal(phases)
-    if sizes is not None:
+    if sizes is None:
+        powers = channels.received_power(diag)
+    else:
         # Each view sees only a prefix of the diagonal, so its full width is checked here.
         channels.check_width(diag)
-
-    def power(view, m):
         # A contiguous copy of each prefix, so every size's product is the one on that view alone.
-        return view.received_power(diag if m is None else np.ascontiguousarray(diag[..., :m]))
-
-    return _sized_rates(channels, snr, sizes, power)
+        views = map(channels.first_elements, channels.check_sizes(sizes))
+        powers = np.stack([v.received_power(np.ascontiguousarray(diag[..., : v.num_ris_elements])) for v in views])
+    return np.mean(rate_bits(snr, powers), axis=-1)
 
 
 def ideal_rate(channels: ChannelRealization, snr, sizes=None):
@@ -67,6 +52,7 @@ def ideal_rate(channels: ChannelRealization, snr, sizes=None):
     and this dominates every common profile subcarrier by subcarrier. On a
     single-path link that power is ``N * M^2 * |g_bs * g_user|^2``, the value the
     per-subcarrier angle profile of :func:`design_ideal` reaches. ``snr``,
-    ``sizes`` and the result are as in :func:`sum_rate` for one profile.
+    ``sizes`` and the result are as in :func:`sum_rate` for one profile; all
+    sizes are summed from one ``|cascade|`` table.
     """
-    return _sized_rates(channels, snr, sizes, lambda view, m: view.aligned_power())
+    return np.mean(rate_bits(snr, channels.aligned_power(sizes)), axis=-1)

@@ -10,7 +10,9 @@ subcarrier rate, plus the single-path element alignment sum ``z_k`` and the
 Jensen upper bound it yields on the mean rate, so the tests can check the
 fast path against the textbook formulas. ``h_ris_user_direct`` and
 ``cascade_direct`` rebuild the two channel tables path by path the same way;
-the package's tables stay within ``TABLE_TOL`` of them.
+the package's tables stay within ``TABLE_TOL`` of them. ``summed_cascade`` is
+the cascade as one summed stack of path tables, which the package's chunked
+build matches bit for bit.
 ``subcarrier_covariance_profile`` is the per-subcarrier covariance designer
 written out as the mean-covariance route: a receive part at f_k and the closed
 form principal direction of the rank-one covariance of ``h_ris_user[k]``.
@@ -25,6 +27,7 @@ from squintsim.channel import (
     ChannelRealization,
     FrequencyGrid,
     PathSet,
+    _band_table,
     _steering_table,
     rate_bits,
     spatial_angle,
@@ -74,6 +77,24 @@ def h_ris_user_direct(channels: ChannelRealization) -> np.ndarray:
 def cascade_direct(channels: ChannelRealization) -> np.ndarray:
     """Cascaded channel ``h_ris_user * sqrt(M) * a_ris`` (K, M), element responses of modulus 1."""
     return h_ris_user_direct(channels) * (a_ris(channels) * np.sqrt(channels.num_ris_elements))
+
+
+def summed_cascade(channels: ChannelRealization) -> np.ndarray:
+    """Cascade (K, M) built as one coefficient-scaled (L, K, M) stack of band tables, summed over
+    axis 0 and scaled by ``1/sqrt(L)``: the package's chunked build must give these bits."""
+    paths, f = channels.source_paths, channels.grid.frequencies
+    sin_diff = np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad)
+    tables = _band_table(channels.num_ris_elements, channels.grid, sin_diff)
+    coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
+    cascade = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
+    cascade *= 1.0 / np.sqrt(len(paths.ru_angles_rad))
+    return cascade
+
+
+def bits(values) -> tuple:
+    """Shape, dtype and bytes of an array or scalar: equal only bit for bit, so ``-0.0`` is not ``0.0``."""
+    values = np.asarray(values)
+    return values.shape, values.dtype, values.tobytes()
 
 
 #: Largest deviation of ``cascade`` and ``h_ris_user`` from the two tables above,

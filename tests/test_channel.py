@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,16 @@ from squintsim.channel import (
     spatial_angle,
 )
 
-from reference import TABLE_TOL, a_bs, a_ris, array_response_direct, h_bs_ris, table_deviation
+from reference import (
+    TABLE_TOL,
+    a_bs,
+    a_ris,
+    array_response_direct,
+    bits,
+    h_bs_ris,
+    summed_cascade,
+    table_deviation,
+)
 
 ORACLE_SIZES = (1, 2, 3, 5, 16, 17, 63, 64, 255, 256, 257, 1000, 1023, 1024)
 
@@ -560,6 +570,51 @@ class TestCascade:
     def test_rows_are_no_constructor_argument(self):
         with pytest.raises(TypeError, match="h_ris_user"):
             dataclasses.replace(self.channels(), h_ris_user=np.ones((8, 6), dtype=complex))
+
+
+class TestPathSum:
+    @staticmethod
+    def build_peak(num_paths, k, m) -> int:
+        """Traced peak bytes of one ``gen_channels`` call with L = ``num_paths`` on K = ``k``, M = ``m``."""
+        paths = sample_path_set(np.random.default_rng(num_paths), num_paths)
+        grid = FrequencyGrid(28e9, 2e9, k)
+        tracemalloc.start()
+        try:
+            gen_channels(paths, grid, 4, m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("budget", ["one", "table", "three-tables", "default"])
+    @pytest.mark.parametrize("m", [37, 64])
+    @pytest.mark.parametrize("k", [7, 128, 131])
+    @pytest.mark.parametrize("num_paths", [1, 2, 5, 9])
+    def test_chunked_build_is_the_summed_stack_bit_for_bit(self, monkeypatch, num_paths, k, m, budget):
+        # Whatever the chunk, from one path to all L, the cascade has the bits
+        # of the summed (L, K, M) stack, signed zeros included: zero gains make
+        # scaled tables of signed zeros, which the sum's zero start turns to 0.0.
+        entries = {"one": 1, "table": k * m, "three-tables": 3 * k * m, "default": channel_module._CHUNK_ENTRIES}
+        monkeypatch.setattr(channel_module, "_CHUNK_ENTRIES", entries[budget])
+        grid = FrequencyGrid(28e9, 2e9, k)
+        drawn = sample_path_set(np.random.default_rng([num_paths, k, m]), num_paths)
+        gains = [drawn.ru_gains, (0j,) * num_paths, (complex(-0.0, -0.0),) + drawn.ru_gains[1:]]
+        for ru_gains in gains:
+            channels = gen_channels(dataclasses.replace(drawn, ru_gains=ru_gains), grid, 4, m)
+            assert bits(channels.cascade) == bits(summed_cascade(channels))
+
+    def test_one_path_peaks_at_one_table_and_its_factor_rows(self):
+        # K = M = 512: one (K, M) table of 4 MiB, and K/C + C = 32 + 16 factor
+        # rows of M entries. The table is scaled and kept as the cascade, with
+        # no second table for a sum; the slack covers ufunc buffers.
+        k = m = 512
+        table, factor_rows = k * m * 16, (32 + 16) * m * 16
+        assert self.build_peak(1, k, m) < table + factor_rows + table // 16
+
+    def test_many_paths_peak_within_one_table_of_each_other(self):
+        # The paths are tabled a bounded chunk at a time, so the peak does not grow with L.
+        k = m = 512
+        peaks = [self.build_peak(num_paths, k, m) for num_paths in (5, 20, 40)]
+        assert max(peaks) - min(peaks) < k * m * 16
 
 
 class TestFirstElements:

@@ -12,7 +12,7 @@ from squintsim.channel import (
 from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random
 from squintsim.rate_eval import ideal_rate, sum_rate
 
-from reference import effective_channel, h_bs_ris, mrt_beamformer, rate_upper_bound, subcarrier_rate, z_factor
+from reference import bits, effective_channel, h_bs_ris, mrt_beamformer, rate_upper_bound, subcarrier_rate, z_factor
 
 SNR = 10.0
 
@@ -36,6 +36,26 @@ class TestSnrCheck:
             sum_rate(channels, zero_profile(4), snr)
         with pytest.raises(ValueError, match="snr must be a positive linear value"):
             ideal_rate(channels, snr)
+
+
+class TestRateBits:
+    @pytest.mark.parametrize(
+        "snr,power",
+        [
+            (10.0, 2.5),
+            (np.float64(10.0), np.array(2.5)),
+            (np.array(10.0), np.array(2.5)),
+            (np.array([0.1, 1.0, 10.0]), np.arange(1.0, 13.0).reshape(4, 3)),
+            (np.array([0.1, 10.0]), np.arange(1.0, 61.0).reshape(5, 4, 3)),
+            (7, np.array([1, 2, 3])),
+        ],
+        ids=["scalars", "scalar-and-0d", "0d-pair", "v-by-s-k", "v-by-z-s-k", "integers"],
+    )
+    def test_is_the_out_of_place_formula_bit_for_bit(self, snr, power):
+        expected = np.log2(1.0 + np.multiply.outer(snr, power))
+        rates = rate_bits(snr, power)
+        assert type(rates) is type(expected)
+        assert bits(rates) == bits(expected)
 
 
 class TestEffectiveChannel:

@@ -28,6 +28,7 @@ from squintsim.rate_eval import ideal_rate, sum_rate
 
 from reference import (
     TABLE_TOL,
+    bits,
     cascade_direct,
     effective_channel,
     h_bs_ris,
@@ -249,28 +250,34 @@ def test_stacked_profiles_match_one_call_per_profile(num_subcarriers, num_ris_el
 @pytest.mark.parametrize("num_subcarriers", [7, 128, 131])
 @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
 def test_sizes_match_one_call_per_view(num_paths, num_subcarriers):
-    # One call over unordered surface sizes gives, entry for entry, the bits of
-    # the call on the first m elements with the first m phases of each profile,
-    # for one and for S profiles and for one and for V SNRs.
+    # One call over surface sizes, unordered, repeated or the full width alone,
+    # gives, entry for entry, the bits of the call on the first m elements with
+    # the first m phases of each profile, for one and for S profiles and for one
+    # and for V SNRs; so does each row of the aligned power, summed from one
+    # |cascade| table.
     rng = np.random.default_rng(100 * num_paths + num_subcarriers)
     paths = sample_path_set(rng, num_paths)
     widest = gen_channels(paths, FrequencyGrid(28e9, 2e9, num_subcarriers), 4, 256)
-    sizes = (37, 1, 256, 16, 100, 64)
     profiles = [design_random(rng, 256), design_subcarrier_covariance(widest, num_subcarriers // 2)]
     if num_paths == 1:
         profiles.append(design_central(paths, 256))
-    for snr in (10.0, np.array([0.1, 1.0, 10.0, 100.0])):
-        ideal = ideal_rate(widest, snr, sizes)
-        one = sum_rate(widest, profiles[0], snr, sizes)
-        many = sum_rate(widest, profiles, snr, sizes)
-        assert ideal.shape == one.shape == np.shape(snr) + (len(sizes),)
-        assert many.shape == ideal.shape + (len(profiles),)
+    for sizes in ((37, 1, 256, 16, 100, 64), (256,), (17, 17, 255, 2)):
+        aligned = widest.aligned_power(sizes)
+        assert aligned.shape == (len(sizes), num_subcarriers)
         for z, m in enumerate(sizes):
-            view = widest.first_elements(m)
-            cut = [PhaseProfile(profile.phases_rad[:m]) for profile in profiles]
-            assert np.array_equal(ideal[..., z], ideal_rate(view, snr))
-            assert np.array_equal(one[..., z], sum_rate(view, cut[0], snr))
-            assert np.array_equal(many[..., z, :], sum_rate(view, cut, snr))
+            assert bits(aligned[z]) == bits(widest.first_elements(m).aligned_power())
+        for snr in (10.0, np.array([0.1, 1.0, 10.0, 100.0])):
+            ideal = ideal_rate(widest, snr, sizes)
+            one = sum_rate(widest, profiles[0], snr, sizes)
+            many = sum_rate(widest, profiles, snr, sizes)
+            assert ideal.shape == one.shape == np.shape(snr) + (len(sizes),)
+            assert many.shape == ideal.shape + (len(profiles),)
+            for z, m in enumerate(sizes):
+                view = widest.first_elements(m)
+                cut = [PhaseProfile(profile.phases_rad[:m]) for profile in profiles]
+                assert np.array_equal(ideal[..., z], ideal_rate(view, snr))
+                assert np.array_equal(one[..., z], sum_rate(view, cut[0], snr))
+                assert np.array_equal(many[..., z, :], sum_rate(view, cut, snr))
 
 
 def test_sizes_take_one_exponential_and_one_power_call_per_size(monkeypatch):
@@ -291,7 +298,8 @@ def test_sizes_take_one_exponential_and_one_power_call_per_size(monkeypatch):
     monkeypatch.setattr(type(channels), "aligned_power", counted("aligned_power", aligned_power))
     sum_rate(channels, profiles, snr, (4, 32, 8))
     ideal_rate(channels, snr, (4, 32, 8))
-    assert counts == {"exp": 1, "received_power": 3, "aligned_power": 3}
+    # aligned_power sums all three prefixes of one |cascade| table in one call.
+    assert counts == {"exp": 1, "received_power": 3, "aligned_power": 1}
 
 
 @pytest.mark.parametrize("width", [31, 33])
