@@ -237,12 +237,11 @@ def rate_bits(snr, power) -> np.ndarray:
     """
     if not np.all(np.asarray(snr) > 0):
         raise ValueError(f"snr must be a positive linear value, got {snr!r}")
-    rates = np.multiply.outer(snr, power)
-    # A scalar pair gives a numpy scalar, which takes no out=; a float array is its own result.
-    if not (isinstance(rates, np.ndarray) and rates.dtype.kind == "f"):
-        return np.log2(1.0 + rates)
+    # The product is its own result: 1 is added and the logarithm taken in
+    # place, and ``[()]`` turns a 0-d result back into a numpy scalar.
+    rates = np.asarray(np.multiply.outer(snr, power), dtype=float)
     rates += 1.0
-    return np.log2(rates, out=rates)
+    return np.log2(rates, out=rates)[()]
 
 
 def spatial_angle(f_hz, theta_rad, carrier_hz: float):
@@ -272,10 +271,17 @@ def _steering_table(n_elements: int, phi) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=float)[..., None]
     block = min(n_elements, _BLOCK)
+    full, rest = divmod(n_elements, block)
     coarse = np.exp(2j * np.pi * (np.arange(0, n_elements, block) * phi))
     fine = np.exp(2j * np.pi * (np.arange(block) * phi))
-    table = coarse[..., :, None] * fine[..., None, :]
-    return table.reshape(phi.shape[:-1] + (-1,))[..., :n_elements]
+    # Filled to exactly n columns: the full blocks are one broadcast product
+    # into a view of the table, a part block one more, so no padding is held.
+    table = np.empty(phi.shape[:-1] + (n_elements,), dtype=complex)
+    blocks = table[..., : full * block].reshape(phi.shape[:-1] + (full, block))
+    np.multiply(coarse[..., :full, None], fine[..., None, :], out=blocks)
+    if rest:
+        np.multiply(coarse[..., full:], fine[..., :rest], out=table[..., full * block :])
+    return table
 
 
 def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:

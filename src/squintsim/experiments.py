@@ -65,7 +65,8 @@ FIGURES = {
 }
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
-#: (K, M) table then takes 256 MiB. A channel point holds ``cascade``, and also
+#: (K, M) table then takes 256 MiB; steering tables are filled to exactly M
+#: columns, so that holds at any M. A channel point holds ``cascade``, and also
 #: ``h_ris_user`` once ``design_mccm``, its one reader, reads it. ``cascade`` is
 #: summed from chunks of path tables of at most 2^20 entries or one path, each
 #: with its factor table of (K/C + C) rows of M per path (C the largest divisor

@@ -610,6 +610,16 @@ class TestPathSum:
         table, factor_rows = k * m * 16, (32 + 16) * m * 16
         assert self.build_peak(1, k, m) < table + factor_rows + table // 16
 
+    @pytest.mark.parametrize("m", [16, 37])
+    @pytest.mark.parametrize("k", [128, 131])
+    def test_one_path_cascade_holds_no_padded_columns(self, k, m):
+        # Steering tables are filled to exactly M columns, so at a prime K, where
+        # the one-path table is kept as the cascade, no part block of 16 is held.
+        channels = gen_channels(sample_path_set(np.random.default_rng(k), 1), FrequencyGrid(28e9, 2e9, k), 4, m)
+        held = channels.cascade if channels.cascade.base is None else channels.cascade.base
+        assert channels.cascade.flags.c_contiguous
+        assert held.nbytes == k * m * 16
+
     def test_many_paths_peak_within_one_table_of_each_other(self):
         # The paths are tabled a bounded chunk at a time, so the peak does not grow with L.
         k = m = 512
