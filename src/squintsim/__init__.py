@@ -5,7 +5,6 @@ from .channel import (
     ChannelRealization,
     FrequencyGrid,
     PathSet,
-    array_response,
     gen_channels,
     rate_bits,
     sample_path_set,
@@ -55,7 +54,6 @@ __all__ = [
     "SWEEP_VARIABLES",
     "ScenarioConfig",
     "SweepRow",
-    "array_response",
     "central_subcarrier_index",
     "design_central",
     "design_ideal",

@@ -128,9 +128,9 @@ class ChannelRealization:
     :attr:`h_ris_user`). Both arrays are read-only, and ``dataclasses.replace``
     builds a new realization from its four arguments, so no value can be stale.
 
-    No entry depends on M: the realization of the first m elements is the
-    first m columns of this one, bit for bit, and :meth:`first_elements`
-    returns it as a view.
+    No entry depends on M: the cascade of the first m elements is the first m
+    columns of this one, bit for bit, so both power methods rate any surface
+    size m <= M from it (their ``sizes``).
     """
 
     num_bs_antennas: int
@@ -155,22 +155,6 @@ class ChannelRealization:
         object.__setattr__(self, "bs_ris_power_gain", self.num_bs_antennas * abs(paths.bs_ris_gain) ** 2)
         object.__setattr__(self, "cascade", cascade)
 
-    def first_elements(self, m: int) -> ChannelRealization:
-        """The realization of the first ``m`` elements, a read-only view of this one's columns.
-
-        It equals ``gen_channels`` at ``m`` on the same paths and grid, bit for
-        bit, in every array and rate; ``m`` must be an integer in [1, M].
-        The view keeps this realization's table alive.
-        """
-        self.check_sizes((m,))
-        if m == self.num_ris_elements:
-            return self
-        narrow = object.__new__(type(self))
-        vars(narrow).update(vars(self), num_ris_elements=m, cascade=self.cascade[:, :m])
-        if "h_ris_user" in vars(self):
-            vars(narrow)["h_ris_user"] = self.h_ris_user[:, :m]
-        return narrow
-
     @cached_property
     def h_ris_user(self) -> np.ndarray:
         """Surface-to-user rows (K, M): ``sqrt(M/L)`` times the sum of each path's gain, delay phase and ``conj(a_M)``.
@@ -185,26 +169,47 @@ class ChannelRealization:
         rows.flags.writeable = False
         return rows
 
-    def received_power(self, diag) -> np.ndarray:
+    def received_power(self, diag, sizes=None) -> np.ndarray:
         """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
 
         ``||a_N[k]|| = 1`` reduces it to ``bs_ris_power_gain * |sum_m cascade[k,m] d_m|^2``.
         ``diag`` has shape (..., M) and the result (..., K): a stack of S
         diagonals is one batched matrix-vector product, and every row is bit
-        for bit the power of that diagonal alone. Raises ValueError when the
+        for bit the power of that diagonal alone. A sequence of Z ``sizes`` in
+        [1, M] gives shape (Z, ..., K), row z the power of the first m =
+        ``sizes[z]`` entries of each diagonal on the first m elements, bit for
+        bit the call on ``gen_channels`` at m. Raises ValueError when the
         trailing length of ``diag`` is not M.
         """
-        sums = np.matmul(self.cascade, self.check_width(diag)[..., None])[..., 0]
-        return self.bs_ris_power_gain * np.abs(sums) ** 2
-
-    def check_width(self, diag) -> np.ndarray:
-        """``diag`` as an array; raises ValueError when its trailing length is not M."""
         diag = np.asarray(diag)
         if diag.shape[-1:] != (self.num_ris_elements,):
             raise ValueError(f"diagonal has trailing length {diag.shape[-1:]}, expected M = {self.num_ris_elements}")
-        return diag
+        if sizes is None:
+            sums = np.matmul(self.cascade, diag[..., None])[..., 0]
+        else:
+            # A contiguous copy of each prefix: the operands of a build at m, so the same bits.
+            sums = np.stack([
+                np.matmul(self.cascade[:, :m], np.ascontiguousarray(diag[..., :m])[..., None])[..., 0]
+                for m in self._check_sizes(sizes)
+            ])
+        return self.bs_ris_power_gain * np.abs(sums) ** 2
 
-    def check_sizes(self, sizes):
+    def aligned_power(self, sizes=None) -> np.ndarray:
+        """Largest ``received_power`` any diagonal reaches: all M terms co-phased.
+
+        It is ``bs_ris_power_gain * (sum_m |cascade[k,m]|)^2``, shape (K,). A
+        sequence of Z ``sizes`` in [1, M] gives shape (Z, K), row z the power
+        of ``gen_channels`` at ``sizes[z]`` bit for bit: each sums a prefix of
+        one ``|cascade|`` table.
+        """
+        magnitude = np.abs(self.cascade)
+        if sizes is None:
+            sums = np.sum(magnitude, axis=1)
+        else:
+            sums = np.stack([np.sum(magnitude[:, :m], axis=1) for m in self._check_sizes(sizes)])
+        return self.bs_ris_power_gain * sums**2
+
+    def _check_sizes(self, sizes):
         """``sizes`` itself; raises ValueError when it is empty or holds a count that is no integer in [1, M]."""
         if len(sizes) == 0:
             raise ValueError("sizes must hold at least one surface size")
@@ -212,21 +217,6 @@ class ChannelRealization:
             if not (_is_count(m) and m <= self.num_ris_elements):
                 raise ValueError(f"element count must be an integer in [1, {self.num_ris_elements}], got {m!r}")
         return sizes
-
-    def aligned_power(self, sizes=None) -> np.ndarray:
-        """Largest ``received_power`` any diagonal reaches: all M terms co-phased.
-
-        It is ``bs_ris_power_gain * (sum_m |cascade[k,m]|)^2``, shape (K,). A
-        sequence of Z ``sizes`` in [1, M] gives shape (Z, K), row z the power
-        of ``first_elements(sizes[z])`` bit for bit: each sums a prefix of one
-        ``|cascade|`` table.
-        """
-        magnitude = np.abs(self.cascade)
-        if sizes is None:
-            sums = np.sum(magnitude, axis=1)
-        else:
-            sums = np.stack([np.sum(magnitude[:, :m], axis=1) for m in self.check_sizes(sizes)])
-        return self.bs_ris_power_gain * sums**2
 
 
 def rate_bits(snr, power) -> np.ndarray:
@@ -340,19 +330,6 @@ def _path_sum(n_elements: int, grid: FrequencyGrid, sin_diff, coef) -> np.ndarra
         # Freed before the next chunk is tabled.
         del tables
     return total
-
-
-def array_response(n_elements: int, phi) -> np.ndarray:
-    """Unit-norm ULA response vector for spatial angle ``phi``.
-
-    Entry m equals ``exp(j*2*pi*m*phi) / sqrt(n)``. A scalar ``phi`` yields a
-    vector of shape (n,), an array of angles yields shape (n, ...). Entries are
-    products of two of about n/16 + 16 exponentials; they agree with the one-exp
-    form to about 1e-12 at n = 1024, the rounding of the phase ``2*pi*m*phi``.
-    """
-    if not _is_count(n_elements):
-        raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
-    return np.moveaxis(_steering_table(n_elements, phi), -1, 0) / np.sqrt(n_elements)
 
 
 def _open_closed_uniform(rng: np.random.Generator, high: float) -> float:

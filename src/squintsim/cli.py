@@ -33,8 +33,8 @@ _CONFIG_FLAGS = (
 )
 
 # glibc mallopt parameters. 32 MiB is glibc's 64-bit ceiling for the mmap
-# threshold, above every preset's largest block: the (5, 128, 64) nlos user
-# stack, 640 KiB.
+# threshold, above every preset's largest block: the nlos chunk of five
+# (128, 64) path tables, 640 KiB.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _HEAP_THRESHOLD_BYTES = 32 << 20
@@ -202,7 +202,7 @@ def _reuse_freed_blocks() -> None:
 
     glibc serves a block at or above its mmap threshold with a fresh mapping,
     and its dynamic threshold only rises to the size of the last freed mapped
-    block, so every same-size (K, M) table or (L, K, M) stack is mapped and
+    block, so every same-size (K, M) table or chunk of path tables is mapped and
     faulted in again. Free memory above the trim threshold at the top of the
     heap goes back to the kernel as well, so both thresholds are raised.
     Library callers keep their allocator as it is. A no-op off Linux and

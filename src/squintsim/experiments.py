@@ -6,12 +6,11 @@ id). The sweep loop is trial-major: each trial draws its paths once, and its
 Points that differ only in SNR or surface size share one channel build per
 trial, at their largest M, whose first m elements are bit for bit the channel
 built at m; a bandwidth sweep builds one per point. A build designs every
-prefix-consistent profile once, on its widest realization, and rates every
-SNR and size with one ``ideal_rate`` call and one stacked ``sum_rate`` call;
-``mccm``, whose profile at m is no prefix of a wider one, joins that call on a
-one-size build and is designed and rated per size otherwise. So all schemes
-and sweep points of a trial see the same paths (common random numbers), and
-a result is a pure function of (configuration, seed).
+profile once and rates every SNR and size with one ``ideal_rate`` call and one
+stacked ``sum_rate`` call. ``mccm``'s profile at m is no prefix of a wider
+one, so a sweep that asks for it builds one channel per surface size as well.
+So all schemes and sweep points of a trial see the same paths (common random
+numbers), and a result is a pure function of (configuration, seed).
 """
 
 from __future__ import annotations
@@ -82,8 +81,7 @@ FIGURES = {
 #:   4093, prime     69.3  133.5  134.4  135.7
 #:
 #: Reading ``h_ris_user`` then peaks at 130 to 160 MiB. A surface-size sweep
-#: holds its widest table for the whole trial, since every narrower point reads
-#: a view of it, so its peak is that of its largest M.
+#: builds at most its largest M at once, so its peak is that of its largest M.
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0
@@ -262,15 +260,10 @@ def _build_rates(out: np.ndarray, config: ScenarioConfig, build: tuple, paths, s
     rates = np.empty((len(snrs), len(sizes), len(schemes)))
     if "ideal" in schemes:
         rates[..., schemes.index("ideal")] = ideal_rate(widest, snrs, sizes)
-    # The mccm profile at m is no prefix of a wider one, so a build of several sizes designs it per size.
-    per_size = [s for s, scheme in enumerate(schemes) if scheme == "mccm" and len(sizes) > 1]
-    shared = [s for s, scheme in enumerate(schemes) if scheme != "ideal" and s not in per_size]
-    if shared:
-        profiles = [_common_profile(config.scenario, widest, schemes[s], draws) for s in shared]
-        rates[..., shared] = sum_rate(widest, profiles, snrs, sizes)
-    for s in per_size:
-        for z, view in enumerate(map(widest.first_elements, sizes)):
-            rates[:, z, s] = sum_rate(view, design_mccm(view), snrs)
+    common = [s for s, scheme in enumerate(schemes) if scheme != "ideal"]
+    if common:
+        profiles = [_common_profile(config.scenario, widest, schemes[s], draws) for s in common]
+        rates[..., common] = sum_rate(widest, profiles, snrs, sizes)
     out[rows] = rates[snr_index, size_index]
 
 
@@ -288,15 +281,17 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     points = (config,) if values is None else sweep_points(config, sweep_variable, values)
     # Points on one grid, which differ only in SNR or surface size, share one channel
     # build per trial; each point reads the (SNR, size) entry of its build's rates.
+    # The mccm profile at m is no prefix of a wider one, so with mccm each size has its own.
     builds = {}
     for row, point in enumerate(points):
         grid = FrequencyGrid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
-        snrs, sizes, cells = builds.setdefault(grid, ({}, {}, []))
+        key = (grid, point.num_ris_elements if "mccm" in schemes else None)
+        snrs, sizes, cells = builds.setdefault(key, ({}, {}, []))
         snr, size = snrs.setdefault(point.snr_db, len(snrs)), sizes.setdefault(point.num_ris_elements, len(sizes))
         cells.append((row, snr, size))
     channel_builds = [
         (grid, np.array([_snr_linear(snr_db) for snr_db in snrs]), tuple(sizes), tuple(map(np.array, zip(*cells))))
-        for grid, (snrs, sizes, cells) in builds.items()
+        for (grid, _), (snrs, sizes, cells) in builds.items()
     ]
     m_max = max(point.num_ris_elements for point in points)
     rates = np.empty((len(points), len(schemes), config.trials))

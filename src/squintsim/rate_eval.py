@@ -4,7 +4,7 @@ The transmitter steers with a maximum ratio beamformer per subcarrier, so the
 per-subcarrier rate is ``log2(1 + snr * ||h Phi H||^2)`` (:func:`rate_bits`),
 read off the received power of :class:`ChannelRealization`. Every SNR is a
 linear value with unit noise power. Both rates take ``sizes``, surface sizes
-m <= M, each rated as on :meth:`ChannelRealization.first_elements`.
+m <= M, each rated as on the channel built at m.
 """
 
 from __future__ import annotations
@@ -27,21 +27,12 @@ def sum_rate(channels: ChannelRealization, profiles, snr, sizes=None):
     every SNR is evaluated from one power vector. Returns a float for one
     profile and one SNR and shape (V,) for V SNRs; a sequence adds a trailing
     S axis, (S,) or (V, S). A sequence of Z ``sizes`` in [1, M] rates the first
-    m phases of each profile on the first m elements, one ``received_power``
-    call per size, and adds a Z axis before any S axis; every entry equals
-    the call on that view alone, bit for bit.
+    m phases of each profile on the first m elements, still in one
+    ``received_power`` call, and adds a Z axis before any S axis; every entry
+    equals the call on ``gen_channels`` at m alone, bit for bit.
     """
     phases = profiles.phases_rad if isinstance(profiles, PhaseProfile) else np.stack([p.phases_rad for p in profiles])
-    diag = unit_diagonal(phases)
-    if sizes is None:
-        powers = channels.received_power(diag)
-    else:
-        # Each view sees only a prefix of the diagonal, so its full width is checked here.
-        channels.check_width(diag)
-        # A contiguous copy of each prefix, so every size's product is the one on that view alone.
-        views = map(channels.first_elements, channels.check_sizes(sizes))
-        powers = np.stack([v.received_power(np.ascontiguousarray(diag[..., : v.num_ris_elements])) for v in views])
-    return np.mean(rate_bits(snr, powers), axis=-1)
+    return np.mean(rate_bits(snr, channels.received_power(unit_diagonal(phases), sizes)), axis=-1)
 
 
 def ideal_rate(channels: ChannelRealization, snr, sizes=None):

@@ -8,7 +8,9 @@ per entry, forms the dense channel explicitly, and chains them through the
 per-subcarrier effective channel, the maximum ratio beamformer and the
 subcarrier rate, plus the single-path element alignment sum ``z_k`` and the
 Jensen upper bound it yields on the mean rate, so the tests can check the
-fast path against the textbook formulas. ``h_ris_user_direct`` and
+fast path against the textbook formulas. ``array_response`` is the package's
+steering table scaled to unit norm, which those tests hold against the
+one-exponential ``array_response_direct``. ``h_ris_user_direct`` and
 ``cascade_direct`` rebuild the two channel tables path by path the same way;
 the package's tables stay within ``TABLE_TOL`` of them. ``summed_cascade`` is
 the cascade as one summed stack of path tables, which the package's chunked
@@ -41,6 +43,16 @@ from squintsim.phase_design import (
     design_subcarrier_covariance,
     phase_extraction,
 )
+
+
+def array_response(n_elements: int, phi) -> np.ndarray:
+    """Unit-norm ULA response ``_steering_table(n, phi) / sqrt(n)`` with the element index first, shape (n, ...).
+
+    Entries are products of two of about n/16 + 16 exponentials; they agree
+    with :func:`array_response_direct` to about 1e-12 at n = 1024, the rounding
+    of the phase ``2*pi*m*phi``.
+    """
+    return np.moveaxis(_steering_table(n_elements, phi), -1, 0) / np.sqrt(n_elements)
 
 
 def array_response_direct(n_elements: int, phi) -> np.ndarray:

@@ -367,11 +367,12 @@ class TestMain:
     @pytest.mark.skipif(not libc_has_mallopt(), reason="needs Linux and a libc with mallopt")
     def test_repeated_figure_run_reuses_freed_heap_blocks(self, tmp_path):
         # A child process, so the allocator state is the CLI's alone. Without the
-        # raised thresholds glibc maps every freed 512 KiB table at M = 256 again;
-        # the second run then took 1,243 to 1,352 faults, against 7 or 8 with them.
+        # raised thresholds glibc maps the freed nlos path and cascade tables again,
+        # or hands them back to the kernel; the second run of figure 5 then took
+        # 387 or 388 page faults, against 9 with them.
         src = str(Path(squintsim.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        argv = ["figure", "--id", "4", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "figure4.csv")]
+        argv = ["figure", "--id", "5", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "figure5.csv")]
         proc = subprocess.run(
             [sys.executable, "-c", FAULT_PROBE, *argv], env=env, check=True, capture_output=True, text=True, timeout=300
         )

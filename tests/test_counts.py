@@ -9,7 +9,6 @@ from squintsim.channel import (
     ChannelRealization,
     FrequencyGrid,
     PathSet,
-    array_response,
     gen_channels,
     sample_path_set,
 )
@@ -33,8 +32,8 @@ ENTRIES = {
     "design_central": lambda n: design_central(PATHS, n),
     "design_ideal": lambda n: design_ideal(PATHS, GRID, n, 0),
     "design_random": lambda n: design_random(np.random.default_rng(0), n),
-    "array_response": lambda n: array_response(n, 0.1),
-    "first_elements": lambda n: CHANNELS.first_elements(n),
+    "received_power-sizes": lambda n: CHANNELS.received_power(np.ones(6), (n,)),
+    "aligned_power-sizes": lambda n: CHANNELS.aligned_power((1, n)),
     "sum_rate-sizes": lambda n: sum_rate(CHANNELS, PhaseProfile(np.zeros(6)), 10.0, (1, n)),
     "ideal_rate-sizes": lambda n: ideal_rate(CHANNELS, 10.0, (n, 1)),
 }
@@ -55,22 +54,26 @@ def test_accepts_a_count(entry, count):
     entry(count)
 
 
+#: The entries that take a sequence of sizes, each called with that sequence.
+SIZED = {
+    "received_power": lambda sizes: CHANNELS.received_power(np.ones(6), sizes),
+    "aligned_power": lambda sizes: CHANNELS.aligned_power(sizes),
+    "sum_rate": lambda sizes: sum_rate(CHANNELS, PhaseProfile(np.zeros(6)), 10.0, sizes),
+    "ideal_rate": lambda sizes: ideal_rate(CHANNELS, 10.0, sizes),
+}
+
+BY_SIZED = pytest.mark.parametrize("entry", list(SIZED.values()), ids=list(SIZED))
+
+
+@BY_SIZED
 @pytest.mark.parametrize("count", [7, 100], ids=["m-plus-one", "far-above-m"])
-def test_first_elements_rejects_more_elements_than_the_realization_has(count):
+def test_sizes_reject_more_elements_than_the_realization_has(entry, count):
     with pytest.raises(ValueError, match=r"integer in \[1, 6\], got " + str(count)):
-        CHANNELS.first_elements(count)
+        entry((1, count))
 
 
-@pytest.mark.parametrize("entry", [ENTRIES["sum_rate-sizes"], ENTRIES["ideal_rate-sizes"]], ids=["sum", "ideal"])
-@pytest.mark.parametrize("count", [7, 100], ids=["m-plus-one", "far-above-m"])
-def test_rate_sizes_reject_more_elements_than_the_realization_has(entry, count):
-    with pytest.raises(ValueError, match=r"integer in \[1, 6\], got " + str(count)):
-        entry(count)
-
-
+@BY_SIZED
 @pytest.mark.parametrize("sizes", [(), [], np.array([], dtype=int)], ids=["tuple", "list", "array"])
-def test_rates_reject_an_empty_sequence_of_sizes(sizes):
+def test_sizes_reject_an_empty_sequence(entry, sizes):
     with pytest.raises(ValueError, match="at least one surface size"):
-        sum_rate(CHANNELS, PhaseProfile(np.zeros(6)), 10.0, sizes)
-    with pytest.raises(ValueError, match="at least one surface size"):
-        ideal_rate(CHANNELS, 10.0, sizes)
+        entry(sizes)

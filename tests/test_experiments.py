@@ -41,6 +41,7 @@ SMALL_NLOS = ScenarioConfig(
     trials=12,
     seed=42,
 )
+NLOS_WITHOUT_MCCM = tuple(s for s in schemes_for(NLOS) if s != "mccm")
 
 
 class TestScenarioConfig:
@@ -271,11 +272,14 @@ class TestTrialMajorLoop:
         assert np.array_equal(rates, oracle_rates(experiments.sweep_points(base, variable, values), schemes))
 
 
-@pytest.mark.parametrize("base", [SMALL_LOS, SMALL_NLOS], ids=["los", "nlos-with-mccm"])
-def test_elements_sweep_matches_per_point_runs(base):
-    # One build per trial at the largest M, read by every point as a prefix,
-    # gives the bits of a run at each point's own M.
-    schemes = schemes_for(base.scenario)
+@pytest.mark.parametrize(
+    "base,schemes",
+    [(SMALL_LOS, schemes_for(LOS)), (SMALL_NLOS, NLOS_WITHOUT_MCCM), (SMALL_NLOS, schemes_for(NLOS))],
+    ids=["los", "nlos", "nlos-with-mccm"],
+)
+def test_elements_sweep_matches_per_point_runs(base, schemes):
+    # One build per trial at the largest M, read by every point as a prefix (or,
+    # with mccm, one build per size), gives the bits of a run at each point's own M.
     values = (16, 4, 37, 8, 1)
     rates = per_trial_rates(base, schemes, "ris_elements", values)
     for value, point_rates in zip(values, rates):
@@ -300,24 +304,27 @@ def test_profiles_designed_on_the_widest_build_are_prefixes(base, scheme):
 
 
 @pytest.mark.parametrize(
-    "base,mccm_calls", [(SMALL_LOS, 0), (SMALL_NLOS, 3)], ids=["los", "nlos-mccm-per-size"]
+    "base,schemes,builds",
+    [(SMALL_LOS, schemes_for(LOS), 1), (SMALL_NLOS, NLOS_WITHOUT_MCCM, 1), (SMALL_NLOS, schemes_for(NLOS), 3)],
+    ids=["los", "nlos", "nlos-mccm-per-size"],
 )
-def test_elements_sweep_rates_each_build_in_one_call_per_rate(monkeypatch, base, mccm_calls):
-    # The sizes of a build share one ideal_rate and one sum_rate call; only
-    # mccm, which is no prefix of a wider design, is designed and rated per size.
+def test_elements_sweep_rates_each_build_in_one_call_per_rate(monkeypatch, base, schemes, builds):
+    # The sizes of a build share one ideal_rate and one sum_rate call. Without
+    # mccm a trial has one build; mccm, which is no prefix of a wider design,
+    # gets one build, design and rate call of every kind per size.
     counts = Counter()
     names = ("gen_channels", "ideal_rate", "sum_rate", "design_mccm")
     for name in names:
         counting(monkeypatch, counts, name)
-    per_trial_rates(base, schemes_for(base.scenario), "ris_elements", (4, 16, 8))
+    per_trial_rates(base, schemes, "ris_elements", (4, 16, 8))
     per_trial = [counts[name] / base.trials for name in names]
-    assert per_trial == [1, 1, 1 + mccm_calls, mccm_calls]
+    assert per_trial == [builds, builds, builds, builds * ("mccm" in schemes)]
 
 
 @pytest.mark.parametrize("variable,values", [("ris_elements", (4, 16, 8)), ("bandwidth_hz", (0.5e9, 4e9))])
 def test_each_channel_build_is_freed_before_the_next(monkeypatch, variable, values):
-    # The widest table of a trial, and every view of it, is gone before the
-    # next build, so a sweep holds one channel at a time.
+    # Each build is gone before the next, so a sweep holds one channel at a
+    # time; with mccm, a surface-size sweep builds once per size too.
     built = []
 
     def tracking(*args):
@@ -328,7 +335,7 @@ def test_each_channel_build_is_freed_before_the_next(monkeypatch, variable, valu
 
     monkeypatch.setattr(experiments, "gen_channels", tracking)
     run_sweep(SMALL_NLOS, schemes_for(NLOS), variable, values)
-    assert len(built) == SMALL_NLOS.trials * (len(values) if variable == "bandwidth_hz" else 1)
+    assert len(built) == SMALL_NLOS.trials * len(values)
 
 
 def counting(monkeypatch, counts, name, owner=experiments):
@@ -352,16 +359,23 @@ def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "variable,values,builds", [("bandwidth_hz", (0.5e9, 1e9, 4e9), 3), ("ris_elements", (4, 16, 8), 1)]
+    "schemes,variable,values,builds",
+    [
+        (schemes_for(NLOS), "bandwidth_hz", (0.5e9, 1e9, 4e9), 3),
+        (schemes_for(NLOS), "ris_elements", (4, 16, 8), 3),
+        (NLOS_WITHOUT_MCCM, "ris_elements", (4, 16, 8), 1),
+    ],
+    ids=["bandwidth", "ris_elements-with-mccm", "ris_elements"],
 )
-def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, variable, values, builds):
-    # A bandwidth sweep builds one channel per point; a surface-size sweep
-    # builds one per trial, at its largest M, which every point reads a prefix of.
+def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, schemes, variable, values, builds):
+    # A bandwidth sweep builds one channel per point, as does a surface-size
+    # sweep with mccm; without it, a surface-size sweep builds one per trial, at
+    # its largest M, which every point reads a prefix of.
     counts = Counter()
     counting(monkeypatch, counts, "sample_path_set")
     counting(monkeypatch, counts, "gen_channels")
-    rows = run_sweep(SMALL_NLOS, schemes_for(NLOS), variable, values)
-    assert len(rows) == len(values) * len(schemes_for(NLOS))
+    rows = run_sweep(SMALL_NLOS, schemes, variable, values)
+    assert len(rows) == len(values) * len(schemes)
     trials = SMALL_NLOS.trials
     assert counts == {"sample_path_set": trials, "gen_channels": trials * builds}
 
@@ -371,10 +385,10 @@ def test_snr_sweep_computes_one_power_vector_per_scheme_and_trial(monkeypatch, b
     counts = Counter()
     received_power = ChannelRealization.received_power
 
-    def counting_rows(self, diag):
+    def counting_rows(self, diag, sizes=None):
         counts["received_power"] += 1
         counts["power_rows"] += int(np.prod(np.shape(diag)[:-1]))
-        return received_power(self, diag)
+        return received_power(self, diag, sizes)
 
     monkeypatch.setattr(ChannelRealization, "received_power", counting_rows)
     counting(monkeypatch, counts, "aligned_power", ChannelRealization)
@@ -428,8 +442,7 @@ def test_only_covariance_designers_derive_the_user_rows(monkeypatch, fig_id, rea
 
 @pytest.mark.parametrize("variable,values", [("snr_db", (0.0, 10.0)), ("bandwidth_hz", (0.5e9, 4e9))])
 def test_nlos_sweep_without_mccm_never_derives_the_user_rows(monkeypatch, variable, values):
-    schemes = tuple(s for s in schemes_for(NLOS) if s != "mccm")
-    assert user_row_derivations(monkeypatch, SMALL_NLOS, schemes, variable, values) == 0
+    assert user_row_derivations(monkeypatch, SMALL_NLOS, NLOS_WITHOUT_MCCM, variable, values) == 0
 
 
 @pytest.mark.parametrize("base", [SMALL_LOS, SMALL_NLOS], ids=["los", "nlos"])

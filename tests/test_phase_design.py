@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from squintsim.channel import (
     FrequencyGrid,
     PathSet,
-    array_response,
     gen_channels,
     rate_bits,
     sample_path_set,
@@ -32,7 +31,14 @@ from squintsim.phase_design import (
 )
 from squintsim.rate_eval import sum_rate
 
-from reference import h_bs_ris, rank_one_direction, rate_upper_bound, subcarrier_covariance_profile, z_factor
+from reference import (
+    array_response,
+    h_bs_ris,
+    rank_one_direction,
+    rate_upper_bound,
+    subcarrier_covariance_profile,
+    z_factor,
+)
 
 SNR = 10.0
 

@@ -7,7 +7,7 @@ These properties pin both to the per-subcarrier reference of the test module
 ``subcarrier_rate``), pin the
 SNR-array form of both to one call per SNR, pin the stacked form of
 ``received_power`` and ``sum_rate`` to one call per profile, and pin the
-``sizes`` form of both rates to one call per surface size.
+``sizes`` form of both rates to one call on the channel built at each size.
 """
 
 import numpy as np
@@ -249,23 +249,25 @@ def test_stacked_profiles_match_one_call_per_profile(num_subcarriers, num_ris_el
 
 @pytest.mark.parametrize("num_subcarriers", [7, 128, 131])
 @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
-def test_sizes_match_one_call_per_view(num_paths, num_subcarriers):
+def test_sizes_match_one_call_per_direct_build(num_paths, num_subcarriers):
     # One call over surface sizes, unordered, repeated or the full width alone,
-    # gives, entry for entry, the bits of the call on the first m elements with
+    # gives, entry for entry, the bits of the call on gen_channels at m with
     # the first m phases of each profile, for one and for S profiles and for one
     # and for V SNRs; so does each row of the aligned power, summed from one
     # |cascade| table.
     rng = np.random.default_rng(100 * num_paths + num_subcarriers)
     paths = sample_path_set(rng, num_paths)
-    widest = gen_channels(paths, FrequencyGrid(28e9, 2e9, num_subcarriers), 4, 256)
+    grid = FrequencyGrid(28e9, 2e9, num_subcarriers)
+    widest = gen_channels(paths, grid, 4, 256)
     profiles = [design_random(rng, 256), design_subcarrier_covariance(widest, num_subcarriers // 2)]
     if num_paths == 1:
         profiles.append(design_central(paths, 256))
+    direct = {m: gen_channels(paths, grid, 4, m) for m in (1, 2, 16, 17, 37, 64, 100, 255, 256)}
     for sizes in ((37, 1, 256, 16, 100, 64), (256,), (17, 17, 255, 2)):
         aligned = widest.aligned_power(sizes)
         assert aligned.shape == (len(sizes), num_subcarriers)
         for z, m in enumerate(sizes):
-            assert bits(aligned[z]) == bits(widest.first_elements(m).aligned_power())
+            assert bits(aligned[z]) == bits(direct[m].aligned_power())
         for snr in (10.0, np.array([0.1, 1.0, 10.0, 100.0])):
             ideal = ideal_rate(widest, snr, sizes)
             one = sum_rate(widest, profiles[0], snr, sizes)
@@ -273,14 +275,13 @@ def test_sizes_match_one_call_per_view(num_paths, num_subcarriers):
             assert ideal.shape == one.shape == np.shape(snr) + (len(sizes),)
             assert many.shape == ideal.shape + (len(profiles),)
             for z, m in enumerate(sizes):
-                view = widest.first_elements(m)
                 cut = [PhaseProfile(profile.phases_rad[:m]) for profile in profiles]
-                assert np.array_equal(ideal[..., z], ideal_rate(view, snr))
-                assert np.array_equal(one[..., z], sum_rate(view, cut[0], snr))
-                assert np.array_equal(many[..., z, :], sum_rate(view, cut, snr))
+                assert bits(ideal[..., z]) == bits(ideal_rate(direct[m], snr))
+                assert bits(one[..., z]) == bits(sum_rate(direct[m], cut[0], snr))
+                assert bits(many[..., z, :]) == bits(sum_rate(direct[m], cut, snr))
 
 
-def test_sizes_take_one_exponential_and_one_power_call_per_size(monkeypatch):
+def test_sizes_take_one_exponential_and_one_call_per_power(monkeypatch):
     channels, rng, snr = realize(dict(EDGE_CASES[0], num_subcarriers=8, num_ris_elements=32, seed=5))
     profiles = [design_random(rng, 32) for _ in range(3)]
     counts = {"exp": 0, "received_power": 0, "aligned_power": 0}
@@ -298,8 +299,8 @@ def test_sizes_take_one_exponential_and_one_power_call_per_size(monkeypatch):
     monkeypatch.setattr(type(channels), "aligned_power", counted("aligned_power", aligned_power))
     sum_rate(channels, profiles, snr, (4, 32, 8))
     ideal_rate(channels, snr, (4, 32, 8))
-    # aligned_power sums all three prefixes of one |cascade| table in one call.
-    assert counts == {"exp": 1, "received_power": 3, "aligned_power": 1}
+    # Each power takes all three prefixes of one table in one call.
+    assert counts == {"exp": 1, "received_power": 1, "aligned_power": 1}
 
 
 @pytest.mark.parametrize("width", [31, 33])
