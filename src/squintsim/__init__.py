@@ -8,7 +8,6 @@ from .channel import (
     gen_channels,
     rate_bits,
     sample_path_set,
-    spatial_angle,
 )
 from .experiments import (
     LOS,
@@ -70,6 +69,5 @@ __all__ = [
     "run_sweep",
     "sample_path_set",
     "schemes_for",
-    "spatial_angle",
     "sum_rate",
 ]

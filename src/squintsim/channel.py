@@ -74,18 +74,17 @@ class FrequencyGrid:
 class PathSet:
     """Geometric description of one channel realization.
 
-    The BS-to-surface hop is always a single path; the surface-to-user hop
-    carries ``L >= 1`` paths (one on a los link). User path l has angle
-    ``ru_angles_rad[l]``, gain ``ru_gains[l]`` and delay ``ru_delays_s[l]``;
-    the three are tuples of length L, so the record keeps ``==`` and hashing.
-    Angles are physical angles in radians, gains are complex amplitudes;
-    every value must be finite.
+    The BS-to-surface hop is one path, kept as its arrival angle and gain:
+    MRT removes its departure angle and delay from every rate. The
+    surface-to-user hop carries ``L >= 1`` paths (one on a los link). User
+    path l has angle ``ru_angles_rad[l]``, gain ``ru_gains[l]`` and delay
+    ``ru_delays_s[l]``; the three are tuples of length L, so the record keeps
+    ``==`` and hashing. Angles are physical angles in radians, gains are
+    complex amplitudes; every value must be finite.
     """
 
     bs_ris_aoa_rad: float
-    bs_ris_aod_rad: float
     bs_ris_gain: complex
-    bs_ris_delay_s: float
     ru_angles_rad: tuple[float, ...]
     ru_gains: tuple[complex, ...]
     ru_delays_s: tuple[float, ...]
@@ -97,12 +96,12 @@ class PathSet:
         if num_paths < 1:
             raise ValueError("at least one surface-to-user path is required")
         # x - x is 0 exactly when x, a real or a complex number, is finite.
-        head = (self.bs_ris_aoa_rad, self.bs_ris_aod_rad, self.bs_ris_gain, self.bs_ris_delay_s)
-        if not all(v - v == 0 for v in (*head, *self.ru_angles_rad, *self.ru_gains, *self.ru_delays_s)):
+        values = (self.bs_ris_aoa_rad, self.bs_ris_gain, *self.ru_angles_rad, *self.ru_gains, *self.ru_delays_s)
+        if not all(v - v == 0 for v in values):
             name, value = next((n, v) for n, v in vars(self).items() if not np.isfinite(v).all())
             raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.bs_ris_delay_s < 0 or any(delay < 0 for delay in self.ru_delays_s):
-            raise ValueError(f"path delays must be nonnegative, got {self.bs_ris_delay_s} and {self.ru_delays_s}")
+        if any(delay < 0 for delay in self.ru_delays_s):
+            raise ValueError(f"path delays must be nonnegative, got {self.ru_delays_s}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,11 @@ class ChannelRealization:
     outer(a_M[k], conj(a_N[k]))`` at f_k, with unit-norm responses; its delay
     phase is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only
     the power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the element responses
-    ``sqrt(M) * a_M[k]``, of modulus 1, are left in any rate. The BS delay and
-    departure angle are still drawn, which keeps every trial's stream, but no
-    rate reads them. Besides that gain it stores the cascaded channel
-    ``cascade = h_ris_user * sqrt(M) * a_M`` (K, M). Both hops squint linearly
-    in frequency, so the cascade of user path l is one modulus-1 steering
-    vector, at the difference angle ``(f_k / 2f_c) * (sin(theta_bs) -
+    ``sqrt(M) * a_M[k]``, of modulus 1, are left in any rate, and the paths
+    hold neither tau nor the departure angle. Besides that gain it stores the
+    cascaded channel ``cascade = h_ris_user * sqrt(M) * a_M`` (K, M). Both
+    hops squint linearly in frequency, so the cascade of user path l is one
+    modulus-1 steering vector, at the difference angle ``(f_k / 2f_c) * (sin(theta_bs) -
     sin(theta_l))``, scaled by the path's gain, delay phase and ``1/sqrt(L)``:
     :func:`_path_sum` builds it from :func:`_band_table` calls over the L
     difference angles, into one (K, M) table. The
@@ -234,18 +232,6 @@ def rate_bits(snr, power) -> np.ndarray:
     return np.log2(rates, out=rates)[()]
 
 
-def spatial_angle(f_hz, theta_rad, carrier_hz: float):
-    """Frequency-dependent spatial angle of a path for half-wavelength spacing.
-
-    The element spacing is fixed to half the carrier wavelength, so the value
-    is ``(f / (2 * carrier)) * sin(theta)``. At ``f == carrier`` this reduces
-    to the familiar frequency-flat ``sin(theta) / 2``; away from the carrier
-    the angle drifts linearly with frequency (beam squint). Accepts scalar or
-    array ``f_hz`` / ``theta_rad``.
-    """
-    return (np.asarray(f_hz, dtype=float) / (2.0 * carrier_hz)) * np.sin(theta_rad)
-
-
 #: Element block of every steering table. It does not depend on n, so the table
 #: of n elements is the first n columns of any wider one, bit for bit.
 _BLOCK = 16
@@ -275,9 +261,10 @@ def _steering_table(n_elements: int, phi) -> np.ndarray:
 
 
 def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
-    """``_steering_table(n, spatial_angle(f_k, theta))`` at every subcarrier, shape ``np.shape(sin_theta) + (K, n)``.
+    """``_steering_table(n, (f_k / 2f_c) * sin(theta))`` at every subcarrier, shape ``np.shape(sin_theta) + (K, n)``.
 
-    The spatial angle is linear in frequency, so on the arithmetic grid it is
+    The spatial angle of half-carrier-wavelength spacing is linear in
+    frequency, so on the arithmetic grid it is
     ``phi_k = phi_0 + k*delta``, with delta the angle of one subcarrier
     spacing. With C the largest divisor of K not above sqrt(K) and
     ``k = p*C + s``, entry (k, m) is ``exp(j*2*pi*m*phi_{pC}) *
@@ -357,16 +344,16 @@ def sample_path_set(
     All angles are i.i.d. uniform on (0, 2*pi], delays uniform on
     (0, 20 ns], and gains are complex standard normal unless
     ``gain_mode='unit'`` pins every gain to 1 (handy for closed-form checks).
-    The draw is a pure function of the generator state, so reusing a seed
-    reproduces the same paths.
+    The BS departure angle and delay are drawn but not kept (no rate reads
+    them), so every later draw keeps its place. The draw is a pure function
+    of the generator state, so reusing a seed reproduces the same paths.
     """
     if not _is_count(num_paths):
         raise ValueError(f"num_paths must be an integer >= 1, got {num_paths!r}")
 
     two_pi = 2.0 * np.pi
     aoa = _open_closed_uniform(rng, two_pi)
-    aod = _open_closed_uniform(rng, two_pi)
-    delay = _open_closed_uniform(rng, DELAY_MAX_S)
+    rng.random(2)  # the BS departure angle and delay
     gain = _sample_gain(rng, gain_mode)
 
     # Each user path draws its angle, then its gain, then its delay.
@@ -374,7 +361,7 @@ def sample_path_set(
         (_open_closed_uniform(rng, two_pi), _sample_gain(rng, gain_mode), _open_closed_uniform(rng, DELAY_MAX_S))
         for _ in range(num_paths)
     ]
-    return PathSet(aoa, aod, gain, delay, *zip(*draws))
+    return PathSet(aoa, gain, *zip(*draws))
 
 
 def gen_channels(
@@ -390,8 +377,8 @@ def gen_channels(
     times the sum of each path's gain, delay phase and conjugate response,
     every spatial angle evaluated at f_k. The :class:`ChannelRealization`
     checks the counts and stores the cascade of the two hops, with element
-    responses of modulus 1, and the power gain ``N*|gain|^2``; no rate reads
-    the BS delay or departure angle.
+    responses of modulus 1, and the power gain ``N*|gain|^2``, which is all
+    MRT leaves of the BS hop: neither tau nor phi_out enters a rate.
     Pure function of its inputs.
     """
     return ChannelRealization(num_bs_antennas, num_ris_elements, grid, paths)

@@ -136,8 +136,6 @@ def parse_args(argv) -> tuple:
             job = experiments.figure_sweep(ns.id, ns.trials, ns.seed, ns.gain_mode)
         except ConfigError as exc:
             raise _config_usage_error(exc) from None
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         return job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
 
     schemes = schemes_for(ns.scenario)

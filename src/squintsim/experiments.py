@@ -24,7 +24,7 @@ import numpy as np
 from .channel import FrequencyGrid, _is_count, _is_real, gen_channels, sample_path_set
 from .phase_design import PhaseProfile, design_central, design_mccm, design_random, design_subcarrier_covariance
 # Unused here; benchmarks/child.py traces it under this module.
-from .phase_design import design_indexed  # noqa: F401
+from .phase_design import design_ideal as design_indexed  # noqa: F401
 from .rate_eval import ideal_rate, sum_rate
 
 #: The two scenarios; they differ only in the user-side path count, which is

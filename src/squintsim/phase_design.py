@@ -3,8 +3,8 @@
 Every designer returns a :class:`PhaseProfile`: the real phase vector
 ``phases_rad``, whose materialized diagonal has unit modulus by construction,
 and the ``degenerate`` flag of the covariance-based designers. The angle-based
-designers (per-subcarrier optimal, carrier-frequency, indexed) need a
-single-path surface-to-user link. The covariance-based designers work on any
+designers (per-subcarrier optimal, carrier-frequency) need a single-path
+surface-to-user link. The covariance-based designers work on any
 realization. The per-subcarrier one co-phases row k of the cascaded channel,
 which is the principal direction of that subcarrier's rank-one covariance.
 :func:`design_mccm` splits the profile into a receive part that aligns the
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, FrequencyGrid, PathSet, _is_count, _is_real, rate_bits, spatial_angle
+from .channel import ChannelRealization, FrequencyGrid, PathSet, _is_count, _is_real, rate_bits
 
 logger = logging.getLogger(__name__)
 
@@ -83,15 +83,15 @@ def design_ideal(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: 
     """Optimal profile for one subcarrier of a single-path link.
 
     Element m gets ``2*pi*m*(phi_user - phi_bs)`` with both spatial angles
-    evaluated at subcarrier k, which puts all M reflected contributions
-    exactly in phase at that subcarrier.
+    ``(f_k / 2f_c) * sin(theta)`` at subcarrier k, which puts all M reflected
+    contributions exactly in phase at that subcarrier.
     """
     _require_single_path(paths, "design_ideal")
     _check_elements(num_ris_elements)
     _check_subcarrier(grid, k)
-    f_k = grid.frequencies[k]
-    phi_bs = spatial_angle(f_k, paths.bs_ris_aoa_rad, grid.carrier_hz)
-    phi_user = spatial_angle(f_k, paths.ru_angles_rad[0], grid.carrier_hz)
+    scale = grid.frequencies[k] / (2.0 * grid.carrier_hz)
+    phi_bs = scale * np.sin(paths.bs_ris_aoa_rad)
+    phi_user = scale * np.sin(paths.ru_angles_rad[0])
     phases = 2.0 * np.pi * np.arange(num_ris_elements) * (phi_user - phi_bs)
     return PhaseProfile(phases)
 
@@ -114,11 +114,6 @@ def design_central(paths: PathSet, num_ris_elements: int) -> PhaseProfile:
     delta = np.sin(paths.ru_angles_rad[0]) - np.sin(paths.bs_ris_aoa_rad)
     phases = np.pi * np.arange(num_ris_elements) * delta
     return PhaseProfile(phases)
-
-
-def design_indexed(paths: PathSet, grid: FrequencyGrid, num_ris_elements: int, k: int) -> PhaseProfile:
-    """Profile that is optimal at subcarrier k but applied to all subcarriers."""
-    return design_ideal(paths, grid, num_ris_elements, k)
 
 
 def design_random(rng: np.random.Generator, num_ris_elements: int) -> PhaseProfile:
@@ -148,16 +143,18 @@ def _canonical_phase(vector: np.ndarray) -> np.ndarray:
 def principal_direction(covariance) -> tuple[np.ndarray, bool]:
     """Unit-norm eigenvector of the largest eigenvalue, and whether that eigenvalue is not unique.
 
-    ``covariance`` must be square, Hermitian and positive semidefinite. The
-    global phase is canonicalized so the largest-magnitude entry is real and
-    nonnegative, making the result invariant under positive rescaling of the
-    covariance. A top eigenvalue that is not unique (to 1e-9 relative) is
+    ``covariance`` must be square, finite, Hermitian and positive
+    semidefinite. The global phase is canonicalized so the largest-magnitude
+    entry is real and nonnegative, making the result invariant under positive
+    rescaling of the covariance. A top eigenvalue that is not unique (to 1e-9 relative) is
     reported through the returned flag rather than as an error. Where ``eigh``
     does not converge, ``eigvalsh`` and the SVD stand in, under the same checks.
     """
     matrix = np.asarray(covariance)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"covariance must be square, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("covariance must be finite")
     trace = np.trace(matrix)
     if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10 * max(1.0, float(abs(trace))):
         raise ValueError("covariance matrix is not Hermitian")
@@ -188,9 +185,8 @@ def phase_extraction(v) -> np.ndarray:
 
 
 def _receive_phases(channels: ChannelRealization) -> np.ndarray:
-    # Cancels the incident steering progression at the carrier so the reflected wavefront is flat.
-    grid = channels.grid
-    phi_incident = spatial_angle(grid.carrier_hz, channels.source_paths.bs_ris_aoa_rad, grid.carrier_hz)
+    # Flattens the reflected wavefront at the carrier, where the spatial angle is 0.5 * sin(theta).
+    phi_incident = 0.5 * np.sin(channels.source_paths.bs_ris_aoa_rad)
     return -2.0 * np.pi * np.arange(channels.num_ris_elements) * phi_incident
 
 
@@ -208,7 +204,7 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     receive = _receive_phases(channels)
     vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
     candidates = np.stack([receive + phase_extraction(v) for v in (vector, np.conj(vector))])
-    rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * candidates))), axis=-1)
+    rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(unit_diagonal(candidates))), axis=-1)
     best_phases = candidates[int(np.argmax(rates))]  # argmax keeps the first of tied candidates
     return PhaseProfile(best_phases, degenerate=degenerate)
 

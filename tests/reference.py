@@ -12,7 +12,11 @@ fast path against the textbook formulas. ``array_response`` is the package's
 steering table scaled to unit norm, which those tests hold against the
 one-exponential ``array_response_direct``. ``h_ris_user_direct`` and
 ``cascade_direct`` rebuild the two channel tables path by path the same way;
-the package's tables stay within ``TABLE_TOL`` of them. ``summed_cascade`` is
+the package's tables stay within ``TABLE_TOL`` of them. ``spatial_angle`` is
+the textbook spatial angle of a path, which the package writes inline.
+The paths hold no BS departure angle or delay, since no rate reads them, so
+``a_bs`` and ``h_bs_ris`` take both as arguments, and the dense-chain tests
+run at every pair of ``BS_DEPARTURES``. ``summed_cascade`` is
 the cascade as one summed stack of path tables, which the package's chunked
 build matches bit for bit.
 ``subcarrier_covariance_profile`` is the per-subcarrier covariance designer
@@ -32,7 +36,6 @@ from squintsim.channel import (
     _band_table,
     _steering_table,
     rate_bits,
-    spatial_angle,
 )
 from squintsim.phase_design import (
     PhaseProfile,
@@ -43,6 +46,23 @@ from squintsim.phase_design import (
     design_subcarrier_covariance,
     phase_extraction,
 )
+
+
+#: (departure angle in radians, delay in seconds) pairs of the BS-to-surface
+#: hop; every dense-chain test gives the same rates at each.
+BS_DEPARTURES = ((1.1, 5e-9), (4.4, 17e-9))
+
+
+def spatial_angle(f_hz, theta_rad, carrier_hz: float):
+    """Frequency-dependent spatial angle of a path for half-wavelength spacing.
+
+    The element spacing is fixed to half the carrier wavelength, so the value
+    is ``(f / (2 * carrier)) * sin(theta)``. At ``f == carrier`` this reduces
+    to the familiar frequency-flat ``sin(theta) / 2``; away from the carrier
+    the angle drifts linearly with frequency (beam squint). Accepts scalar or
+    array ``f_hz`` / ``theta_rad``.
+    """
+    return (np.asarray(f_hz, dtype=float) / (2.0 * carrier_hz)) * np.sin(theta_rad)
 
 
 def array_response(n_elements: int, phi) -> np.ndarray:
@@ -62,10 +82,10 @@ def array_response_direct(n_elements: int, phi) -> np.ndarray:
     return np.exp(phase) / np.sqrt(n_elements)
 
 
-def a_bs(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
-    """BS steering vectors at the departure angle: (K, N), or (N,) at subcarrier k."""
+def a_bs(channels: ChannelRealization, aod_rad: float, k: int | None = None) -> np.ndarray:
+    """BS steering vectors at departure angle ``aod_rad``: (K, N), or (N,) at subcarrier k."""
     f = channels.grid.frequencies if k is None else channels.grid.frequencies[k]
-    phi_out = spatial_angle(f, channels.source_paths.bs_ris_aod_rad, channels.grid.carrier_hz)
+    phi_out = spatial_angle(f, aod_rad, channels.grid.carrier_hz)
     return array_response_direct(channels.num_bs_antennas, phi_out).T
 
 
@@ -127,18 +147,19 @@ def table_deviation(channels: ChannelRealization) -> tuple[float, float]:
     return cascade / unit, rows / unit
 
 
-def h_bs_ris(channels: ChannelRealization, k: int | None = None) -> np.ndarray:
-    """Dense BS-to-surface channel: (K, M, N), or the (M, N) slice of subcarrier k.
+def h_bs_ris(channels: ChannelRealization, aod_rad: float, delay_s: float, k: int | None = None) -> np.ndarray:
+    """Dense BS-to-surface channel at departure angle ``aod_rad`` and delay ``delay_s``: (K, M, N), or slice k (M, N).
 
     Slice k is ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) * outer(a_ris[k],
-    conj(a_bs[k]))``, built from the paths alone: the realization stores only
-    the hop's power gain. A single slice takes the steering vectors of f_k alone.
+    conj(a_bs[k]))``, built from the paths and the two arguments: the
+    realization stores only the hop's power gain. A single slice takes the
+    steering vectors of f_k alone.
     """
     paths, f = channels.source_paths, channels.grid.frequencies
     index = slice(None) if k is None else k
     gain = np.sqrt(channels.num_ris_elements * channels.num_bs_antennas) * paths.bs_ris_gain
-    scale = gain * np.exp(-2j * np.pi * paths.bs_ris_delay_s * f)
-    return np.einsum("...,...m,...n->...mn", scale[index], a_ris(channels)[index], np.conj(a_bs(channels, k)))
+    scale = gain * np.exp(-2j * np.pi * delay_s * f)
+    return np.einsum("...,...m,...n->...mn", scale[index], a_ris(channels)[index], np.conj(a_bs(channels, aod_rad, k)))
 
 
 def effective_channel(h_ru_k, profile: PhaseProfile, h_br_k) -> np.ndarray:

@@ -22,13 +22,22 @@ from squintsim.experiments import (
 
 DATA_DIR = Path(__file__).parent / "data"
 
-# Runs the CLI twice in one process and prints the minor page faults of the second run.
+# Runs the CLI once, then allocates, writes and frees one 4 MiB block twice and
+# prints the minor page faults of the second time. The count reads the
+# allocator's thresholds, not the order in which the run freed its blocks.
 FAULT_PROBE = """
 import resource, sys
+import numpy as np
 from squintsim import cli
 cli.main(sys.argv[1:])
+
+def touch_block():
+    block = np.ones(1 << 19)
+    del block
+
+touch_block()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-cli.main(sys.argv[1:])
+touch_block()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -270,9 +279,10 @@ class TestMain:
 
         monkeypatch.setattr(cli.experiments, "sample_path_set", no_trials)
         out = tmp_path / "fig.csv"
-        assert main(["figure", "--id", "7", "--trials", "1", "--out", str(out)]) == 1
-        assert "--id" in capsys.readouterr().err
-        assert not out.exists()
+        for fig_id in ("7", "9"):
+            assert main(["figure", "--id", fig_id, "--trials", "1", "--out", str(out)]) == 1
+            assert "--id" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_figure_seed_exits_1(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"
@@ -367,9 +377,9 @@ class TestMain:
     @pytest.mark.skipif(not libc_has_mallopt(), reason="needs Linux and a libc with mallopt")
     def test_repeated_figure_run_reuses_freed_heap_blocks(self, tmp_path):
         # A child process, so the allocator state is the CLI's alone. Without the
-        # raised thresholds glibc maps the freed nlos path and cascade tables again,
-        # or hands them back to the kernel; the second run of figure 5 then took
-        # 387 or 388 page faults, against 9 with them.
+        # raised thresholds glibc maps a freed 4 MiB block again, or hands it back
+        # to the kernel, and writing it anew took 233 to 960 page faults after
+        # figure 2, 4 or 5, against 0 with them.
         src = str(Path(squintsim.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         argv = ["figure", "--id", "5", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "figure5.csv")]

@@ -16,7 +16,7 @@ from squintsim.phase_design import PhaseProfile, design_central, design_ideal, d
 from squintsim.rate_eval import ideal_rate, sum_rate
 
 GRID = FrequencyGrid(28e9, 2e9, 8)
-PATHS = PathSet(0.4, 1.1, 0.8 - 0.3j, 5e-9, (2.0,), (1.0 + 0j,), (3e-9,))
+PATHS = PathSet(0.4, 0.8 - 0.3j, (2.0,), (1.0 + 0j,), (3e-9,))
 CHANNELS = gen_channels(PATHS, GRID, 4, 6)
 
 #: Each entry called with one count n in the place of a count.

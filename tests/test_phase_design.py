@@ -11,7 +11,6 @@ from squintsim.channel import (
     gen_channels,
     rate_bits,
     sample_path_set,
-    spatial_angle,
 )
 from squintsim.experiments import _CHANNEL_STREAM, SWEEP_GRIDS, _substream
 from squintsim.phase_design import (
@@ -20,7 +19,6 @@ from squintsim.phase_design import (
     _receive_phases,
     design_central,
     design_ideal,
-    design_indexed,
     design_mccm,
     design_random,
     design_subcarrier_covariance,
@@ -32,10 +30,12 @@ from squintsim.phase_design import (
 from squintsim.rate_eval import sum_rate
 
 from reference import (
+    BS_DEPARTURES,
     array_response,
     h_bs_ris,
     rank_one_direction,
     rate_upper_bound,
+    spatial_angle,
     subcarrier_covariance_profile,
     z_factor,
 )
@@ -60,12 +60,10 @@ def jensen_kernel(paths, grid, num_ris_elements):
     return np.cos(np.pi * s * np.multiply.outer(np.arange(num_ris_elements), offsets)).sum(axis=1)
 
 
-def los_paths(aoa, ru_angle, aod=1.1, gain=1.0 + 0j):
+def los_paths(aoa, ru_angle, gain=1.0 + 0j):
     return PathSet(
         bs_ris_aoa_rad=aoa,
-        bs_ris_aod_rad=aod,
         bs_ris_gain=gain,
-        bs_ris_delay_s=4e-9,
         ru_angles_rad=(ru_angle,),
         ru_gains=(gain,),
         ru_delays_s=(2e-9,),
@@ -95,6 +93,21 @@ class TestDesignIdeal:
             k = int(rng.integers(32))
             profile = design_ideal(paths, grid, 16, k)
             assert abs(z_factor(paths, profile, grid, 16, k)) == pytest.approx(16.0, abs=1e-9)
+
+    def test_center_index_matches_central_on_odd_grid(self):
+        grid = FrequencyGrid(28e9, 2e9, 11)
+        paths = los_paths(aoa=0.8, ru_angle=4.4)
+        indexed = design_ideal(paths, grid, 8, 5)
+        assert grid.frequencies[5] == grid.carrier_hz
+        assert_phases_equal(indexed.phases_rad, design_central(paths, 8).phases_rad, atol=1e-12)
+
+    def test_uses_edge_frequency(self):
+        grid = FrequencyGrid(28e9, 2e9, 128)
+        paths = los_paths(aoa=0.8, ru_angle=4.4)
+        indexed = design_ideal(paths, grid, 8, 0)
+        f0 = 27.0078125e9
+        delta = spatial_angle(f0, 4.4, 28e9) - spatial_angle(f0, 0.8, 28e9)
+        assert np.allclose(indexed.phases_rad, 2 * np.pi * np.arange(8) * delta, atol=1e-12)
 
     def test_rejects_multipath(self):
         grid = FrequencyGrid(28e9, 2e9, 16)
@@ -175,29 +188,6 @@ class TestDesignCentral:
         central = rate_upper_bound(paths, design_central(paths, 64), grid, 64, 4, SNR)
         indexed = rate_upper_bound(paths, design_ideal(paths, grid, 64, 43), grid, 64, 4, SNR)
         assert indexed - central == pytest.approx(0.018861, abs=1e-6)
-
-
-class TestDesignIndexed:
-    def test_center_index_matches_central_on_odd_grid(self):
-        grid = FrequencyGrid(28e9, 2e9, 11)
-        paths = los_paths(aoa=0.8, ru_angle=4.4)
-        indexed = design_indexed(paths, grid, 8, 5)
-        assert grid.frequencies[5] == grid.carrier_hz
-        assert_phases_equal(indexed.phases_rad, design_central(paths, 8).phases_rad, atol=1e-12)
-
-    def test_uses_edge_frequency(self):
-        grid = FrequencyGrid(28e9, 2e9, 128)
-        paths = los_paths(aoa=0.8, ru_angle=4.4)
-        indexed = design_indexed(paths, grid, 8, 0)
-        f0 = 27.0078125e9
-        delta = spatial_angle(f0, 4.4, 28e9) - spatial_angle(f0, 0.8, 28e9)
-        assert np.allclose(indexed.phases_rad, 2 * np.pi * np.arange(8) * delta, atol=1e-12)
-
-    def test_optimal_at_its_own_index(self):
-        grid = FrequencyGrid(28e9, 2e9, 16)
-        paths = los_paths(aoa=2.2, ru_angle=0.4)
-        profile = design_indexed(paths, grid, 8, 9)
-        assert abs(z_factor(paths, profile, grid, 8, 9)) == pytest.approx(8.0, abs=1e-9)
 
 
 class TestDesignRandom:
@@ -531,20 +521,21 @@ class TestDesignSubcarrierCovariance:
         channels = gen_channels(paths, grid, 4, 6)
         k = 3
         profile = design_subcarrier_covariance(channels, k)
-        h_bs_k = h_bs_ris(channels, k)
-        eff = (channels.h_ris_user[k] * np.exp(1j * profile.phases_rad)) @ h_bs_k
-        achieved = float(np.sum(np.abs(eff) ** 2))
-        best = float(np.sum(np.abs(channels.h_ris_user[k]) * np.linalg.norm(h_bs_k, axis=1)) ** 2)
-        assert achieved == pytest.approx(best, rel=1e-9)
+        for aod, delay in BS_DEPARTURES:
+            h_bs_k = h_bs_ris(channels, aod, delay, k)
+            eff = (channels.h_ris_user[k] * np.exp(1j * profile.phases_rad)) @ h_bs_k
+            achieved = float(np.sum(np.abs(eff) ** 2))
+            best = float(np.sum(np.abs(channels.h_ris_user[k]) * np.linalg.norm(h_bs_k, axis=1)) ** 2)
+            assert achieved == pytest.approx(best, rel=1e-9)
 
 
 @pytest.mark.parametrize("k", [2.5, True, 3.0, None], ids=["fraction", "bool", "integral-float", "none"])
-@pytest.mark.parametrize("designer", ["indexed", "subcarrier-covariance"])
+@pytest.mark.parametrize("designer", ["ideal", "subcarrier-covariance"])
 def test_indexed_designers_reject_index_that_is_no_integer(designer, k):
     grid = FrequencyGrid(28e9, 2e9, 16)
     paths = los_paths(0.3, 0.9)
     design = {
-        "indexed": lambda: design_indexed(paths, grid, 8, k),
+        "ideal": lambda: design_ideal(paths, grid, 8, k),
         "subcarrier-covariance": lambda: design_subcarrier_covariance(gen_channels(paths, grid, 4, 8), k),
     }[designer]
     with pytest.raises(ValueError, match=rf"^subcarrier index must be an integer in \[0, 16\), got {k!r}$"):
@@ -556,7 +547,7 @@ def test_indexed_designers_take_numpy_integer_index():
     paths = los_paths(0.3, 0.9)
     channels = gen_channels(paths, grid, 4, 8)
     for k in (np.int64(3), np.uint8(3)):
-        assert np.array_equal(design_indexed(paths, grid, 8, k).phases_rad, design_indexed(paths, grid, 8, 3).phases_rad)
+        assert np.array_equal(design_ideal(paths, grid, 8, k).phases_rad, design_ideal(paths, grid, 8, 3).phases_rad)
         assert np.array_equal(
             design_subcarrier_covariance(channels, k).phases_rad, design_subcarrier_covariance(channels, 3).phases_rad
         )
@@ -580,13 +571,6 @@ class TestProfileProperties:
         assert np.array_equal(
             design_ideal(paths, grid, 8, 2).phases_rad, design_ideal(scaled, grid, 8, 2).phases_rad
         )
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_profile_rejects_a_non_finite_phase(self, bad):
-        phases = np.zeros(8)
-        phases[3] = bad
-        with pytest.raises(ValueError, match="phases_rad must be finite"):
-            PhaseProfile(phases)
 
     def test_profile_keeps_a_read_only_float_copy(self):
         phases = np.arange(4)

@@ -12,7 +12,16 @@ from squintsim.channel import (
 from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random
 from squintsim.rate_eval import ideal_rate, sum_rate
 
-from reference import bits, effective_channel, h_bs_ris, mrt_beamformer, rate_upper_bound, subcarrier_rate, z_factor
+from reference import (
+    BS_DEPARTURES,
+    bits,
+    effective_channel,
+    h_bs_ris,
+    mrt_beamformer,
+    rate_upper_bound,
+    subcarrier_rate,
+    z_factor,
+)
 
 SNR = 10.0
 
@@ -126,8 +135,9 @@ class TestSubcarrierRate:
         channels = gen_channels(paths, grid, 64, 64)
         k = 17
         profile = design_ideal(paths, grid, 64, k)
-        eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
-        assert subcarrier_rate(eff, SNR) == pytest.approx(np.log2(2621441), rel=1e-9)
+        for aod, delay in BS_DEPARTURES:
+            eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k))
+            assert subcarrier_rate(eff, SNR) == pytest.approx(np.log2(2621441), rel=1e-9)
 
 
 class TestSumRate:
@@ -137,8 +147,9 @@ class TestSumRate:
         channels = gen_channels(paths, grid, 4, 8)
         profile = design_central(paths, 8)
         rate = sum_rate(channels, profile, SNR)
-        eff = effective_channel(channels.h_ris_user[0], profile, h_bs_ris(channels, 0))
-        assert rate == pytest.approx(subcarrier_rate(eff, SNR), rel=1e-12)
+        for aod, delay in BS_DEPARTURES:
+            eff = effective_channel(channels.h_ris_user[0], profile, h_bs_ris(channels, aod, delay, 0))
+            assert rate == pytest.approx(subcarrier_rate(eff, SNR), rel=1e-12)
         assert len(per_subcarrier(channels, profile)) == 1
 
     def test_mean_matches_per_subcarrier(self):
@@ -320,15 +331,19 @@ class TestPhysicalConsistency:
     def test_los_rate_ignores_delays(self):
         grid = FrequencyGrid(28e9, 2e9, 8)
         paths = sample_path_set(np.random.default_rng(28), 1)
-        moved = dataclasses.replace(
-            paths,
-            bs_ris_delay_s=17e-9,
-            ru_delays_s=(11e-9,),
-        )
+        moved = dataclasses.replace(paths, ru_delays_s=(11e-9,))
         profile = design_random(np.random.default_rng(29), 8)
-        a = per_subcarrier(gen_channels(paths, grid, 4, 8), profile)
+        channels = gen_channels(paths, grid, 4, 8)
+        a = per_subcarrier(channels, profile)
         b = per_subcarrier(gen_channels(moved, grid, 4, 8), profile)
         assert np.allclose(a, b, atol=1e-12)
+        # The BS delay (and departure angle) of the dense chain moves no rate either.
+        for aod, delay in BS_DEPARTURES:
+            dense = [
+                subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k)), SNR)
+                for k in range(8)
+            ]
+            assert np.allclose(dense, a, atol=1e-12)
 
     def test_mrt_receive_chain_matches_closed_form(self):
         grid = FrequencyGrid(28e9, 2e9, 8)
@@ -338,10 +353,12 @@ class TestPhysicalConsistency:
             channels = gen_channels(paths, grid, 4, 8)
             profile = design_random(rng, 8)
             k = int(rng.integers(8))
-            eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
-            f = mrt_beamformer(eff, SNR)  # unit noise power: the transmit power is the SNR
-            explicit = np.log2(1.0 + abs(eff @ f) ** 2)
-            assert explicit == pytest.approx(subcarrier_rate(eff, SNR), abs=1e-10)
+            for aod, delay in BS_DEPARTURES:
+                eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k))
+                f = mrt_beamformer(eff, SNR)  # unit noise power: the transmit power is the SNR
+                explicit = np.log2(1.0 + abs(eff @ f) ** 2)
+                assert explicit == pytest.approx(subcarrier_rate(eff, SNR), abs=1e-10)
+                assert explicit == pytest.approx(per_subcarrier(channels, profile)[k], rel=1e-9)
 
     def test_global_phase_neutrality(self):
         grid = FrequencyGrid(28e9, 2e9, 8)

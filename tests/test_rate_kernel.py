@@ -4,7 +4,8 @@
 and ``aligned_power``, which never form the (K, M, N) BS-to-surface tensor.
 These properties pin both to the per-subcarrier reference of the test module
 ``reference`` (the dense ``h_bs_ris`` view, ``effective_channel`` and
-``subcarrier_rate``), pin the
+``subcarrier_rate``) at every BS departure angle and delay of
+``BS_DEPARTURES``, pin the
 SNR-array form of both to one call per SNR, pin the stacked form of
 ``received_power`` and ``sum_rate`` to one call per profile, and pin the
 ``sizes`` form of both rates to one call on the channel built at each size.
@@ -27,6 +28,7 @@ from squintsim.phase_design import (
 from squintsim.rate_eval import ideal_rate, sum_rate
 
 from reference import (
+    BS_DEPARTURES,
     TABLE_TOL,
     bits,
     cascade_direct,
@@ -78,8 +80,8 @@ def realize(case):
     return channels, rng, 10.0 ** (case["snr_db"] / 10.0)
 
 
-def dense_rates(channels, profile, snr):
-    dense = h_bs_ris(channels)
+def dense_rates(channels, profile, snr, aod, delay):
+    dense = h_bs_ris(channels, aod, delay)
     return np.array(
         [
             subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, dense[k]), snr)
@@ -88,7 +90,7 @@ def dense_rates(channels, profile, snr):
     )
 
 
-def covariance_profile_by_power(channels, k):
+def covariance_profile_by_power(channels, k, aod, delay):
     """The oracle's per-subcarrier covariance profile with its conjugate candidate.
 
     Both phase-extraction candidates of the rank-one covariance are scored by
@@ -96,7 +98,7 @@ def covariance_profile_by_power(channels, k):
     """
     receive = receive_phases_at(channels, channels.grid.frequencies[k])
     vector, _ = rank_one_direction(channels.h_ris_user[k])
-    h_bs_k = h_bs_ris(channels, k)
+    h_bs_k = h_bs_ris(channels, aod, delay, k)
     best_phases, best_power = None, -np.inf
     for candidate in (vector, np.conj(vector)):
         phases = receive + phase_extraction(candidate)
@@ -107,7 +109,7 @@ def covariance_profile_by_power(channels, k):
     return PhaseProfile(best_phases)
 
 
-def reference_ideal_rates(channels, snr):
+def reference_ideal_rates(channels, snr, aod, delay):
     """Per-subcarrier designer loop: redesign the surface at every subcarrier."""
     paths = channels.source_paths
     per_k = np.empty(channels.grid.num_subcarriers)
@@ -115,8 +117,8 @@ def reference_ideal_rates(channels, snr):
         if len(paths.ru_angles_rad) == 1:
             profile = design_ideal(paths, channels.grid, channels.num_ris_elements, k)
         else:
-            profile = covariance_profile_by_power(channels, k)
-        eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, k))
+            profile = covariance_profile_by_power(channels, k, aod, delay)
+        eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k))
         per_k[k] = subcarrier_rate(eff, snr)
     return per_k
 
@@ -126,7 +128,8 @@ def test_sum_rate_matches_dense_reference(case):
     channels, rng, snr = realize(case)
     profile = design_random(rng, channels.num_ris_elements)
     per_k = rate_bits(snr, channels.received_power(profile.unit_diagonal()))
-    np.testing.assert_allclose(per_k, dense_rates(channels, profile, snr), RTOL, ATOL)
+    for aod, delay in BS_DEPARTURES:
+        np.testing.assert_allclose(per_k, dense_rates(channels, profile, snr, aod, delay), RTOL, ATOL)
     assert sum_rate(channels, profile, snr) == pytest.approx(np.mean(per_k), rel=1e-15)
 
 
@@ -134,7 +137,8 @@ def test_sum_rate_matches_dense_reference(case):
 def test_ideal_rate_matches_per_subcarrier_designer_loop(case):
     channels, _, snr = realize(case)
     per_k = rate_bits(snr, channels.aligned_power())
-    np.testing.assert_allclose(per_k, reference_ideal_rates(channels, snr), RTOL, ATOL)
+    for aod, delay in BS_DEPARTURES:
+        np.testing.assert_allclose(per_k, reference_ideal_rates(channels, snr, aod, delay), RTOL, ATOL)
     assert ideal_rate(channels, snr) == pytest.approx(np.mean(per_k), rel=1e-15)
 
 
@@ -217,8 +221,9 @@ def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_
     sum_error = num_ris_elements * TABLE_TOL * sum(map(abs, gains)) / np.sqrt(num_paths)
     for sums, got in ((np.abs(oracle @ diag), power), (np.sum(np.abs(oracle), axis=1), aligned)):
         assert np.all(np.abs(got - gain * sums**2) <= gain * (2 * sums + sum_error) * sum_error)
-    np.testing.assert_allclose(rate_bits(snr, power), dense_rates(channels, profile, snr), RTOL, ATOL)
-    np.testing.assert_allclose(rate_bits(snr, aligned), reference_ideal_rates(channels, snr), RTOL, ATOL)
+    for aod, delay in BS_DEPARTURES:
+        np.testing.assert_allclose(rate_bits(snr, power), dense_rates(channels, profile, snr, aod, delay), RTOL, ATOL)
+        np.testing.assert_allclose(rate_bits(snr, aligned), reference_ideal_rates(channels, snr, aod, delay), RTOL, ATOL)
 
 
 @pytest.mark.parametrize("num_subcarriers", [1, 7, 128])
