@@ -176,21 +176,19 @@ class ChannelRealization:
         for bit the power of that diagonal alone. A sequence of Z ``sizes`` in
         [1, M] gives shape (Z, ..., K), row z the power of the first m =
         ``sizes[z]`` entries of each diagonal on the first m elements, bit for
-        bit the call on ``gen_channels`` at m. Raises ValueError when the
-        trailing length of ``diag`` is not M.
+        bit the call on ``gen_channels`` at m; ``sizes=None`` is ``(M,)``
+        without the size axis. Raises ValueError when the trailing length of
+        ``diag`` is not M or an entry is not finite.
         """
         diag = np.asarray(diag)
         if diag.shape[-1:] != (self.num_ris_elements,):
             raise ValueError(f"diagonal has trailing length {diag.shape[-1:]}, expected M = {self.num_ris_elements}")
-        if sizes is None:
-            sums = np.matmul(self.cascade, diag[..., None])[..., 0]
-        else:
-            # A contiguous copy of each prefix: the operands of a build at m, so the same bits.
-            sums = np.stack([
-                np.matmul(self.cascade[:, :m], np.ascontiguousarray(diag[..., :m])[..., None])[..., 0]
-                for m in self._check_sizes(sizes)
-            ])
-        return self.bs_ris_power_gain * np.abs(sums) ** 2
+        if not np.isfinite(diag).all():
+            raise ValueError(f"diagonal must be finite, got {diag!r}")
+        # A contiguous copy of each prefix: the operands of a build at m, so the same bits.
+        prefixes = ((self.cascade[:, :m], np.ascontiguousarray(diag[..., :m])) for m in self._check_sizes(sizes))
+        sums = [np.matmul(table, rows[..., None])[..., 0] for table, rows in prefixes]
+        return self.bs_ris_power_gain * np.abs(sums[0] if sizes is None else np.stack(sums)) ** 2
 
     def aligned_power(self, sizes=None) -> np.ndarray:
         """Largest ``received_power`` any diagonal reaches: all M terms co-phased.
@@ -198,17 +196,16 @@ class ChannelRealization:
         It is ``bs_ris_power_gain * (sum_m |cascade[k,m]|)^2``, shape (K,). A
         sequence of Z ``sizes`` in [1, M] gives shape (Z, K), row z the power
         of ``gen_channels`` at ``sizes[z]`` bit for bit: each sums a prefix of
-        one ``|cascade|`` table.
+        one ``|cascade|`` table. ``sizes=None`` is ``(M,)`` without the size axis.
         """
         magnitude = np.abs(self.cascade)
-        if sizes is None:
-            sums = np.sum(magnitude, axis=1)
-        else:
-            sums = np.stack([np.sum(magnitude[:, :m], axis=1) for m in self._check_sizes(sizes)])
-        return self.bs_ris_power_gain * sums**2
+        sums = [np.sum(magnitude[:, :m], axis=1) for m in self._check_sizes(sizes)]
+        return self.bs_ris_power_gain * (sums[0] if sizes is None else np.stack(sums)) ** 2
 
     def _check_sizes(self, sizes):
-        """``sizes`` itself; raises ValueError when it is empty or holds a count that is no integer in [1, M]."""
+        """``sizes``, ``(M,)`` for None; raises ValueError when it is empty or a count is no integer in [1, M]."""
+        if sizes is None:
+            return (self.num_ris_elements,)
         if len(sizes) == 0:
             raise ValueError("sizes must hold at least one surface size")
         for m in sizes:
@@ -221,10 +218,13 @@ def rate_bits(snr, power) -> np.ndarray:
     """Rate ``log2(1 + snr * power)`` in bits/s/Hz of every SNR at every power.
 
     ``snr`` is one linear SNR (unit noise power) or an array of them; the
-    result has shape ``np.shape(snr) + np.shape(power)``.
+    result has shape ``np.shape(snr) + np.shape(power)``. Raises ValueError
+    on an SNR that is not finite and positive or a power that is not finite.
     """
-    if not np.all(np.asarray(snr) > 0):
-        raise ValueError(f"snr must be a positive linear value, got {snr!r}")
+    if not ((np.asarray(snr) > 0) & np.isfinite(snr)).all():
+        raise ValueError(f"snr must be a positive linear value and finite, got {snr!r}")
+    if not np.isfinite(power).all():
+        raise ValueError(f"power must be finite, got {power!r}")
     # The product is its own result: 1 is added and the logarithm taken in
     # place, and ``[()]`` turns a 0-d result back into a numpy scalar.
     rates = np.asarray(np.multiply.outer(snr, power), dtype=float)

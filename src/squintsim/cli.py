@@ -141,23 +141,23 @@ def parse_args(argv) -> tuple:
     schemes = schemes_for(ns.scenario)
     if ns.schemes is not None:
         schemes = tuple(token.strip() for token in ns.schemes.split(",") if token.strip())
-    try:
-        experiments.check_schemes(schemes, ns.scenario)
-    except ValueError as exc:
-        raise UsageError(f"argument --schemes: {exc}") from None
     values = _split_floats(ns.values, "--values") if ns.values is not None else SWEEP_GRIDS[ns.var]
     try:
         config = ScenarioConfig(**{name: getattr(ns, name) for name in _DEFAULTS})
     except ConfigError as exc:
         raise _config_usage_error(exc) from None
     try:
-        experiments.sweep_points(config, ns.var, values)
+        points = experiments.sweep_points(config, ns.var, values)
     except ValueError as exc:
         # No one flag is at fault for a built-in grid value: --subcarriers can
         # push a ris_elements value past the size cap, --carrier-hz a bandwidth.
         if ns.values is not None:
             raise UsageError(f"argument --values: {exc}") from None
         raise UsageError(f"argument --var: {exc} (a value of the built-in {ns.var} grid)") from None
+    try:
+        experiments.check_schemes(schemes, ns.scenario, max(point.num_ris_elements for point in points))
+    except ValueError as exc:
+        raise UsageError(f"argument --schemes: {exc}") from None
     return (config, schemes, ns.var, values), ns.out
 
 

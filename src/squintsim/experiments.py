@@ -6,11 +6,12 @@ id). The sweep loop is trial-major: each trial draws its paths once, and its
 Points that differ only in SNR or surface size share one channel build per
 trial, at their largest M, whose first m elements are bit for bit the channel
 built at m; a bandwidth sweep builds one per point. A build designs every
-profile once and rates every SNR and size with one ``ideal_rate`` call and one
-stacked ``sum_rate`` call. ``mccm``'s profile at m is no prefix of a wider
-one, so a sweep that asks for it builds one channel per surface size as well.
-So all schemes and sweep points of a trial see the same paths (common random
-numbers), and a result is a pure function of (configuration, seed).
+profile once, and ``mccm``, whose profile at m is no prefix of a wider one,
+once per surface size on the first m elements of that build. It rates every
+SNR, size and profile with one ``ideal_rate`` call and one stacked
+``sum_rate`` call. So all schemes and sweep points of a trial see the same
+paths (common random numbers), and a result is a pure function of
+(configuration, seed).
 """
 
 from __future__ import annotations
@@ -81,7 +82,15 @@ FIGURES = {
 #:   4093, prime     69.3  133.5  134.4  135.7
 #:
 #: Reading ``h_ris_user`` then peaks at 130 to 160 MiB. A surface-size sweep
-#: builds at most its largest M at once, so its peak is that of its largest M.
+#: builds once, at its largest M, so its peak is that of its largest M. An
+#: ``mccm`` design at size m < M adds the (K, m) contiguous prefix copy of
+#: ``h_ris_user``, and any design the conjugate of what it reads and the (m, m)
+#: covariance, which ``check_schemes`` bounds by M**2 <= MAX_TABLE_ENTRIES
+#: (M <= 4096), one table at most. So an ``mccm`` sweep holds at most four
+#: tables and the covariance, 1.25 GiB at both caps. Traced peaks of an
+#: ``mccm`` sweep at M = 1024 (the covariance a quarter table), for L of 1, 5
+#: and 20 and K of 4096, 4078 and 4093: 207 to 209 MiB with sizes (1024,), and
+#: 271 to 272 MiB with (1023, 1024).
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0
@@ -193,8 +202,9 @@ def central_subcarrier_index(grid: FrequencyGrid) -> int:
     return (grid.num_subcarriers - 1) // 2
 
 
-def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:
-    """Raise ValueError unless ``schemes`` is a non-empty list of distinct schemes the scenario offers."""
+def check_schemes(schemes: tuple[str, ...], scenario: str, num_ris_elements: int) -> None:
+    """Raise ValueError unless ``schemes`` is a non-empty list of distinct schemes the scenario offers,
+    and without ``mccm`` if the sweep's largest M, ``num_ris_elements``, has M**2 > ``MAX_TABLE_ENTRIES``."""
     if not schemes:
         raise ValueError("need at least one scheme")
     for i, scheme in enumerate(schemes):
@@ -204,6 +214,9 @@ def check_schemes(schemes: tuple[str, ...], scenario: str) -> None:
             raise ValueError(f"scheme {scheme!r} is not available in the {scenario!r} scenario")
         if scheme in schemes[:i]:
             raise ValueError(f"scheme {scheme!r} is named twice")
+        if scheme == "mccm" and num_ris_elements**2 > MAX_TABLE_ENTRIES:
+            bound = f"M**2 <= MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+            raise ValueError(f"scheme 'mccm' forms an (M, M) covariance and needs {bound}, got M = {num_ris_elements}")
 
 
 def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: int) -> tuple:
@@ -224,18 +237,16 @@ def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: 
 
 
 def _common_profile(scenario: str, channels, scheme: str, draws: tuple) -> PhaseProfile:
-    """The profile of a scheme other than ``ideal``, common to all subcarriers.
+    """The profile of a scheme other than ``ideal`` and ``mccm``, common to all subcarriers.
 
     Every indexed scheme co-phases its subcarrier's cascade row; only the los
-    ``central`` profile has a closed form of its own. Every profile but
-    ``mccm``'s is prefix-consistent: its first m phases are the profile on
-    the first m elements, bit for bit.
+    ``central`` profile has a closed form of its own. Each of these profiles
+    is prefix-consistent: its first m phases are the profile on the first m
+    elements, bit for bit.
     """
     random_phases, random_index = draws
     if scheme == "random":
         return PhaseProfile(random_phases[: channels.num_ris_elements])
-    if scheme == "mccm":
-        return design_mccm(channels)
     if scheme == "central" and scenario == LOS:
         return design_central(channels.source_paths, channels.num_ris_elements)
     if scheme == "central":
@@ -252,18 +263,25 @@ def _build_rates(out: np.ndarray, config: ScenarioConfig, build: tuple, paths, s
 
     ``build`` holds the grid, the linear SNRs, the surface sizes and the
     (row, SNR index, size index) arrays of its points; the channel is built
-    at the largest size. A function of its own so that each trial's widest
-    table is freed before the next build.
+    at the largest size. ``mccm`` is designed once per size m on the first m
+    elements of that build, and its Z profiles are rated in the same stacked
+    ``sum_rate`` call as the shared ones, profile z read at size z. A
+    function of its own so that each trial's widest table is freed before
+    the next build.
     """
     grid, snrs, sizes, (rows, snr_index, size_index) = build
     widest = gen_channels(paths, grid, config.num_bs_antennas, max(sizes))
     rates = np.empty((len(snrs), len(sizes), len(schemes)))
     if "ideal" in schemes:
         rates[..., schemes.index("ideal")] = ideal_rate(widest, snrs, sizes)
-    common = [s for s, scheme in enumerate(schemes) if scheme != "ideal"]
-    if common:
-        profiles = [_common_profile(config.scenario, widest, schemes[s], draws) for s in common]
-        rates[..., common] = sum_rate(widest, profiles, snrs, sizes)
+    shared = [s for s, scheme in enumerate(schemes) if scheme not in ("ideal", "mccm")]
+    mccm = [design_mccm(widest, m) for m in sizes] if "mccm" in schemes else []
+    profiles = [_common_profile(config.scenario, widest, schemes[s], draws) for s in shared] + mccm
+    if profiles:
+        table = sum_rate(widest, profiles, snrs, sizes)
+        rates[..., shared] = table[..., : len(shared)]
+        if mccm:
+            rates[..., schemes.index("mccm")] = np.diagonal(table[..., len(shared) :], axis1=1, axis2=2)
     out[rows] = rates[snr_index, size_index]
 
 
@@ -277,23 +295,21 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     draws once for all sweep values.
     """
     schemes = tuple(schemes)
-    check_schemes(schemes, config.scenario)
     points = (config,) if values is None else sweep_points(config, sweep_variable, values)
+    m_max = max(point.num_ris_elements for point in points)
+    check_schemes(schemes, config.scenario, m_max)
     # Points on one grid, which differ only in SNR or surface size, share one channel
     # build per trial; each point reads the (SNR, size) entry of its build's rates.
-    # The mccm profile at m is no prefix of a wider one, so with mccm each size has its own.
     builds = {}
     for row, point in enumerate(points):
         grid = FrequencyGrid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
-        key = (grid, point.num_ris_elements if "mccm" in schemes else None)
-        snrs, sizes, cells = builds.setdefault(key, ({}, {}, []))
+        snrs, sizes, cells = builds.setdefault(grid, ({}, {}, []))
         snr, size = snrs.setdefault(point.snr_db, len(snrs)), sizes.setdefault(point.num_ris_elements, len(sizes))
         cells.append((row, snr, size))
     channel_builds = [
         (grid, np.array([_snr_linear(snr_db) for snr_db in snrs]), tuple(sizes), tuple(map(np.array, zip(*cells))))
-        for (grid, _), (snrs, sizes, cells) in builds.items()
+        for grid, (snrs, sizes, cells) in builds.items()
     ]
-    m_max = max(point.num_ris_elements for point in points)
     rates = np.empty((len(points), len(schemes), config.trials))
     for trial in range(config.trials):
         rng = _substream(config.seed, trial, _CHANNEL_STREAM)

@@ -124,17 +124,16 @@ def design_random(rng: np.random.Generator, num_ris_elements: int) -> PhaseProfi
 
 
 def mean_channel_covariance(h_ris_user) -> np.ndarray:
-    """Average of ``h_k^H h_k`` over the subcarriers, an M x M Hermitian PSD matrix."""
+    """Average of ``h_k^H h_k`` over the subcarriers, an M x M Hermitian PSD matrix; every entry must be finite."""
     h = np.atleast_2d(np.asarray(h_ris_user, dtype=complex))
-    if h.shape[0] == 0 or h.shape[1] == 0:
-        raise ValueError("need at least one nonempty channel row vector")
+    if h.shape[0] == 0 or h.shape[1] == 0 or not np.isfinite(h).all():
+        raise ValueError(f"need at least one nonempty channel row vector, every entry finite, got {h!r}")
     return (h.conj().T @ h) / h.shape[0]
 
 
 def _canonical_phase(vector: np.ndarray) -> np.ndarray:
     # Rotate the global phase so the largest-magnitude entry is real nonnegative.
-    anchor = int(np.argmax(np.abs(vector)))
-    pivot = vector[anchor]
+    pivot = vector[np.argmax(np.abs(vector))]
     if pivot != 0:
         vector = vector * (np.conj(pivot) / abs(pivot))
     return vector
@@ -165,19 +164,18 @@ def principal_direction(covariance) -> tuple[np.ndarray, bool]:
     if eigenvalues[0] < -1e-10 * max(float(trace.real), np.finfo(float).tiny):
         raise ValueError(f"covariance is not positive semidefinite (min eigenvalue {eigenvalues[0]:.3e})")
     top = float(eigenvalues[-1])
-    degenerate = False
-    if len(matrix) >= 2:
-        gap = top - float(eigenvalues[-2])
-        degenerate = gap <= 1e-9 * max(abs(top), np.finfo(float).tiny)
+    degenerate = len(matrix) >= 2 and top - float(eigenvalues[-2]) <= 1e-9 * max(abs(top), np.finfo(float).tiny)
     return _canonical_phase(eigenvectors[:, -1]), degenerate
 
 
 def phase_extraction(v) -> np.ndarray:
     """Phases of the entries of ``v``, discarding magnitudes.
 
-    Entries that are exactly zero get phase 0 by convention.
+    Entries that are exactly zero get phase 0 by convention; every entry must be finite.
     """
     vec = np.asarray(v, dtype=complex)
+    if not np.isfinite(vec).all():
+        raise ValueError(f"vector must be finite, got {vec!r}")
     zeros = int(np.count_nonzero(vec == 0))
     if zeros:
         logger.warning("phase extraction hit %d exactly-zero entries; their phase is set to 0", zeros)
@@ -190,7 +188,7 @@ def _receive_phases(channels: ChannelRealization) -> np.ndarray:
     return -2.0 * np.pi * np.arange(channels.num_ris_elements) * phi_incident
 
 
-def design_mccm(channels: ChannelRealization) -> PhaseProfile:
+def design_mccm(channels: ChannelRealization, num_ris_elements: int | None = None) -> PhaseProfile:
     """Covariance-based common profile for an arbitrary number of user paths.
 
     The profile is the elementwise sum of a receive part, which flattens the
@@ -200,13 +198,20 @@ def design_mccm(channels: ChannelRealization) -> PhaseProfile:
     conjugation, both extraction candidates are scored, in one stacked
     ``received_power`` call, by their mean rate at a fixed reference SNR and
     the better one is kept (ties keep the unconjugated candidate).
+
+    ``num_ris_elements``, m in [1, M] (default M), designs on the first m
+    elements: a contiguous copy of ``h_ris_user[:, :m]``, its covariance, and
+    candidates scored with ``sizes=(m,)``. So the first m phases are bit for
+    bit ``design_mccm`` of ``gen_channels`` at m; phases m onward are the
+    receive part alone, which no size up to m reads.
     """
-    receive = _receive_phases(channels)
-    vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
-    candidates = np.stack([receive + phase_extraction(v) for v in (vector, np.conj(vector))])
-    rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(unit_diagonal(candidates))), axis=-1)
-    best_phases = candidates[int(np.argmax(rates))]  # argmax keeps the first of tied candidates
-    return PhaseProfile(best_phases, degenerate=degenerate)
+    (m,) = channels._check_sizes(None if num_ris_elements is None else (num_ris_elements,))
+    vector, degenerate = principal_direction(mean_channel_covariance(np.ascontiguousarray(channels.h_ris_user[:, :m])))
+    candidates = np.stack([_receive_phases(channels)] * 2)
+    candidates[:, :m] += [phase_extraction(v) for v in (vector, np.conj(vector))]
+    rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(unit_diagonal(candidates), (m,))[0]), axis=-1)
+    # argmax keeps the first of tied candidates.
+    return PhaseProfile(candidates[int(np.argmax(rates))], degenerate=degenerate)
 
 
 def design_subcarrier_covariance(channels: ChannelRealization, k: int) -> PhaseProfile:

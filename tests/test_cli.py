@@ -258,6 +258,29 @@ class TestMain:
         assert capsys.readouterr().err == f"squintsim: error: {message}\n"
 
     @pytest.mark.parametrize(
+        "flags,at_bound",
+        [(["--ris-elements"], "4096"), (["--var", "ris_elements", "--values"], "16,4096")],
+        ids=["fixed-size", "size-sweep"],
+    )
+    def test_mccm_past_the_covariance_bound_exits_1_before_any_trial(
+        self, flags, at_bound, tmp_path, capsys, monkeypatch
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the input was rejected")
+
+        monkeypatch.setattr(cli.experiments, "sample_path_set", no_trials)
+        argv = ["sweep", "--scenario", "nlos", "--subcarriers", "1", "--trials", "1", *flags]
+        past_bound = at_bound.replace("4096", "4097")
+        assert main([*argv, past_bound, "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "squintsim: error: argument --schemes: scheme 'mccm' forms an (M, M) covariance and needs "
+            "M**2 <= MAX_TABLE_ENTRIES = 16777216, got M = 4097\n"
+        )
+        # Without mccm that size is within the table bound; at M = 4096 mccm is too.
+        assert parse_args([*argv, past_bound, "--schemes", "central"])[0][1] == ("central",)
+        assert "mccm" in parse_args([*argv, at_bound])[0][1]
+
+    @pytest.mark.parametrize(
         "flags,message",
         [
             (["--var", "bandwidth_hz", "--values", "1e9,1e12"],

@@ -12,7 +12,8 @@ from squintsim.channel import (
     gen_channels,
     sample_path_set,
 )
-from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random
+from squintsim import phase_design
+from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_mccm, design_random
 from squintsim.rate_eval import ideal_rate, sum_rate
 
 GRID = FrequencyGrid(28e9, 2e9, 8)
@@ -32,6 +33,7 @@ ENTRIES = {
     "design_central": lambda n: design_central(PATHS, n),
     "design_ideal": lambda n: design_ideal(PATHS, GRID, n, 0),
     "design_random": lambda n: design_random(np.random.default_rng(0), n),
+    "design_mccm": lambda n: design_mccm(CHANNELS, n),
     "received_power-sizes": lambda n: CHANNELS.received_power(np.ones(6), (n,)),
     "aligned_power-sizes": lambda n: CHANNELS.aligned_power((1, n)),
     "sum_rate-sizes": lambda n: sum_rate(CHANNELS, PhaseProfile(np.zeros(6)), 10.0, (1, n)),
@@ -77,3 +79,15 @@ def test_sizes_reject_more_elements_than_the_realization_has(entry, count):
 def test_sizes_reject_an_empty_sequence(entry, sizes):
     with pytest.raises(ValueError, match="at least one surface size"):
         entry(sizes)
+
+
+@pytest.mark.parametrize(
+    "count", [0, 2.5, True, -3, 7], ids=["zero", "fraction", "bool", "negative", "m-plus-one"]
+)
+def test_design_mccm_rejects_a_count_before_forming_a_covariance(monkeypatch, count):
+    def no_covariance(*args):
+        raise AssertionError("a covariance was formed before the count was checked")
+
+    monkeypatch.setattr(phase_design, "mean_channel_covariance", no_covariance)
+    with pytest.raises(ValueError, match=r"integer in \[1, 6\], got " + str(count)):
+        design_mccm(CHANNELS, count)

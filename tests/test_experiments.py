@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -165,6 +166,24 @@ class TestScenarioConfig:
             ScenarioConfig(num_subcarriers=1, num_ris_elements=limit + 1)
 
 
+@pytest.mark.parametrize("variable,values", [("snr_db", None), ("ris_elements", (16, 4097))])
+def test_mccm_covariance_bound_is_checked_before_any_allocation(monkeypatch, variable, values):
+    # M = 4097 at K = 1 is a table of 4097 entries, but its (M, M) covariance
+    # would hold more than MAX_TABLE_ENTRIES.
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the input was rejected")
+
+    monkeypatch.setattr(experiments, "sample_path_set", no_trials)
+    config = ScenarioConfig(scenario=NLOS, num_subcarriers=1, num_ris_elements=4097, trials=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"'mccm' .* M\*\*2 <= MAX_TABLE_ENTRIES = 16777216, got M = 4097$"):
+            per_trial_rates(config, ("central", "mccm"), variable, values)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def point_stats(config, scheme):
     """Mean rate and standard error of one (scheme, sweep point) cell."""
     (row,) = run_sweep(config, (scheme,), "snr_db", (config.snr_db,))
@@ -304,27 +323,28 @@ def test_profiles_designed_on_the_widest_build_are_prefixes(base, scheme):
 
 
 @pytest.mark.parametrize(
-    "base,schemes,builds",
-    [(SMALL_LOS, schemes_for(LOS), 1), (SMALL_NLOS, NLOS_WITHOUT_MCCM, 1), (SMALL_NLOS, schemes_for(NLOS), 3)],
+    "base,schemes,mccm_designs",
+    [(SMALL_LOS, schemes_for(LOS), 0), (SMALL_NLOS, NLOS_WITHOUT_MCCM, 0), (SMALL_NLOS, schemes_for(NLOS), 3)],
     ids=["los", "nlos", "nlos-mccm-per-size"],
 )
-def test_elements_sweep_rates_each_build_in_one_call_per_rate(monkeypatch, base, schemes, builds):
-    # The sizes of a build share one ideal_rate and one sum_rate call. Without
-    # mccm a trial has one build; mccm, which is no prefix of a wider design,
-    # gets one build, design and rate call of every kind per size.
+def test_elements_sweep_rates_each_build_in_one_call_per_rate(monkeypatch, base, schemes, mccm_designs):
+    # A trial has one build, whose sizes share one ideal_rate and one sum_rate
+    # call; mccm, which is no prefix of a wider design, is designed once per
+    # size on that build and rated in the same sum_rate call.
     counts = Counter()
     names = ("gen_channels", "ideal_rate", "sum_rate", "design_mccm")
     for name in names:
         counting(monkeypatch, counts, name)
     per_trial_rates(base, schemes, "ris_elements", (4, 16, 8))
     per_trial = [counts[name] / base.trials for name in names]
-    assert per_trial == [builds, builds, builds, builds * ("mccm" in schemes)]
+    assert per_trial == [1, 1, 1, mccm_designs]
 
 
 @pytest.mark.parametrize("variable,values", [("ris_elements", (4, 16, 8)), ("bandwidth_hz", (0.5e9, 4e9))])
 def test_each_channel_build_is_freed_before_the_next(monkeypatch, variable, values):
     # Each build is gone before the next, so a sweep holds one channel at a
-    # time; with mccm, a surface-size sweep builds once per size too.
+    # time: one per trial on a surface-size sweep, mccm included, one per
+    # point on a bandwidth sweep.
     built = []
 
     def tracking(*args):
@@ -335,7 +355,7 @@ def test_each_channel_build_is_freed_before_the_next(monkeypatch, variable, valu
 
     monkeypatch.setattr(experiments, "gen_channels", tracking)
     run_sweep(SMALL_NLOS, schemes_for(NLOS), variable, values)
-    assert len(built) == SMALL_NLOS.trials * len(values)
+    assert len(built) == SMALL_NLOS.trials * (len(values) if variable == "bandwidth_hz" else 1)
 
 
 def counting(monkeypatch, counts, name, owner=experiments):
@@ -362,15 +382,15 @@ def test_snr_sweep_builds_each_channel_and_mccm_profile_once(monkeypatch):
     "schemes,variable,values,builds",
     [
         (schemes_for(NLOS), "bandwidth_hz", (0.5e9, 1e9, 4e9), 3),
-        (schemes_for(NLOS), "ris_elements", (4, 16, 8), 3),
+        (schemes_for(NLOS), "ris_elements", (4, 16, 8), 1),
         (NLOS_WITHOUT_MCCM, "ris_elements", (4, 16, 8), 1),
     ],
     ids=["bandwidth", "ris_elements-with-mccm", "ris_elements"],
 )
 def test_other_sweeps_sample_paths_once_per_trial(monkeypatch, schemes, variable, values, builds):
-    # A bandwidth sweep builds one channel per point, as does a surface-size
-    # sweep with mccm; without it, a surface-size sweep builds one per trial, at
-    # its largest M, which every point reads a prefix of.
+    # A bandwidth sweep builds one channel per point; a surface-size sweep,
+    # with or without mccm, builds one per trial, at its largest M, which
+    # every point reads a prefix of.
     counts = Counter()
     counting(monkeypatch, counts, "sample_path_set")
     counting(monkeypatch, counts, "gen_channels")

@@ -10,15 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from squintsim.channel import FrequencyGrid, PathSet, rate_bits
+from squintsim.channel import FrequencyGrid, PathSet, gen_channels, rate_bits
 from squintsim.experiments import ScenarioConfig
-from squintsim.phase_design import PhaseProfile, principal_direction
+from squintsim.phase_design import PhaseProfile, mean_channel_covariance, phase_extraction, principal_direction
 
 NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 #: Gains are complex: a part that is not finite is enough.
 NONFINITE_GAINS = {**NONFINITE, "nan-imag": complex(1.0, math.nan), "inf-real": complex(math.inf, 0.0)}
 
 PATHS = PathSet(0.4, 0.8 - 0.3j, (2.0, 0.7), (1.0 + 0j, 0.5j), (3e-9, 1e-9))
+CHANNELS = gen_channels(PATHS, FrequencyGrid(28e9, 2e9, 4), 2, 8)
 
 
 def phases_with(value):
@@ -48,10 +49,15 @@ ENTRIES = {
     "ScenarioConfig-carrier": (lambda v: ScenarioConfig(carrier_hz=v), NONFINITE, "^carrier_hz must be"),
     "ScenarioConfig-bandwidth": (lambda v: ScenarioConfig(bandwidth_hz=v), NONFINITE, "^bandwidth_hz must be"),
     "ScenarioConfig-snr": (lambda v: ScenarioConfig(snr_db=v), NONFINITE, "^snr_db must be"),
-    # An infinite SNR passes the positivity check; only the values it rejects are rows.
-    "rate_bits-snr": (
-        lambda v: rate_bits(v, np.ones(4)), {"nan": math.nan, "-inf": -math.inf}, "^snr must be a positive"
+    "rate_bits-snr": (lambda v: rate_bits(v, np.ones(4)), NONFINITE, "^snr must be a positive linear value and finite"),
+    "rate_bits-power": (lambda v: rate_bits(1.0, phases_with(v)), NONFINITE, "^power must be finite"),
+    "received_power": (
+        lambda v: CHANNELS.received_power(np.array([1.0] * 7 + [v])), NONFINITE_GAINS, "^diagonal must be finite"
     ),
+    "mean_channel_covariance": (
+        lambda v: mean_channel_covariance([[v, 1.0]]), NONFINITE_GAINS, "every entry finite, got array"
+    ),
+    "phase_extraction": (lambda v: phase_extraction([v, 1.0]), NONFINITE_GAINS, "^vector must be finite"),
     "principal_direction": (
         principal_direction,
         {

@@ -440,6 +440,38 @@ class TestDesignMccm:
         channels = RowsStandIn(gen_channels(paths, grid, 4, 2), np.eye(2, dtype=complex))
         assert design_mccm(channels).degenerate
 
+    @pytest.mark.parametrize(
+        "num_subcarriers,num_paths,widest",
+        [(7, 1, 256), (7, 5, 256), (128, 1, 256), (128, 5, 256), (131, 1, 256), (131, 5, 256), (128, 20, 512)],
+    )
+    def test_design_at_a_size_is_the_design_of_the_build_at_that_size(self, num_subcarriers, num_paths, widest):
+        # The first m phases are the design of a build at m bit for bit, and
+        # the rest is the receive part; M = 512 at L = 20 tables two path chunks.
+        grid = FrequencyGrid(28e9, 2e9, num_subcarriers)
+        paths = sample_path_set(np.random.default_rng(num_subcarriers * num_paths), num_paths)
+        wide = gen_channels(paths, grid, 8, widest)
+        receive = _receive_phases(wide)
+        for m in (1, 16, 17, 37, 64, 100, 255):
+            profile = design_mccm(wide, m)
+            direct = design_mccm(gen_channels(paths, grid, 8, m))
+            assert np.array_equal(profile.phases_rad[:m], direct.phases_rad)
+            assert profile.degenerate == direct.degenerate
+            assert np.array_equal(profile.phases_rad[m:], receive[m:])
+
+    def test_design_at_a_size_keeps_a_degenerate_draw(self):
+        # Trial 6 of the 8 GHz, seed-21 sweep has a repeated top eigenvalue at M = 255.
+        grid = FrequencyGrid(28e9, 8e9, 128)
+        paths = sample_path_set(_substream(21, 6, _CHANNEL_STREAM), 5)
+        wide = gen_channels(paths, grid, 64, 256)
+        profile, direct = design_mccm(wide, 255), design_mccm(gen_channels(paths, grid, 64, 255))
+        assert profile.degenerate and direct.degenerate
+        assert np.array_equal(profile.phases_rad[:255], direct.phases_rad)
+        assert np.array_equal(profile.phases_rad[255:], _receive_phases(wide)[255:])
+
+    def test_design_at_full_width_is_the_default(self):
+        channels = gen_channels(sample_path_set(np.random.default_rng(16), 5), FrequencyGrid(28e9, 2e9, 16), 4, 37)
+        assert np.array_equal(design_mccm(channels, 37).phases_rad, design_mccm(channels).phases_rad)
+
     def test_gain_scale_invariance(self):
         grid = FrequencyGrid(28e9, 2e9, 8)
         paths = sample_path_set(np.random.default_rng(15), 4)
