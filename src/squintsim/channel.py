@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -115,16 +114,17 @@ class ChannelRealization:
     phase is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only
     the power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the element responses
     ``sqrt(M) * a_M[k]``, of modulus 1, are left in any rate, and the paths
-    hold neither tau nor the departure angle. Besides that gain it stores the
-    cascaded channel ``cascade = h_ris_user * sqrt(M) * a_M`` (K, M). Both
-    hops squint linearly in frequency, so the cascade of user path l is one
-    modulus-1 steering vector, at the difference angle ``(f_k / 2f_c) * (sin(theta_bs) -
-    sin(theta_l))``, scaled by the path's gain, delay phase and ``1/sqrt(L)``:
-    :func:`_path_sum` builds it from :func:`_band_table` calls over the L
-    difference angles, into one (K, M) table. The
-    rows ``h_ris_user`` are derived from it on first read (see
-    :attr:`h_ris_user`). Both arrays are read-only, and ``dataclasses.replace``
-    builds a new realization from its four arguments, so no value can be stale.
+    hold neither tau nor the departure angle. Besides that gain it stores one
+    table, the cascaded channel ``cascade`` (K, M): the surface-to-user rows
+    times ``sqrt(M) * a_M``. Both hops squint linearly in frequency, so the
+    cascade of user path l is one modulus-1 steering vector, at the difference
+    angle ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``, scaled by the
+    path's gain, delay phase and ``1/sqrt(L)``: :func:`_path_sum` builds it
+    from :func:`_band_table` calls over the L difference angles. The
+    surface-to-user rows are not kept; ``design_mccm``, their one reader, forms
+    the rows of the elements it designs on from the cascade. The cascade is
+    read-only, and ``dataclasses.replace`` builds a new realization from its
+    four arguments, so no value can be stale.
 
     No entry depends on M: the cascade of the first m elements is the first m
     columns of this one, bit for bit, so both power methods rate any surface
@@ -152,20 +152,6 @@ class ChannelRealization:
         cascade.flags.writeable = False
         object.__setattr__(self, "bs_ris_power_gain", self.num_bs_antennas * abs(paths.bs_ris_gain) ** 2)
         object.__setattr__(self, "cascade", cascade)
-
-    @cached_property
-    def h_ris_user(self) -> np.ndarray:
-        """Surface-to-user rows (K, M): ``sqrt(M/L)`` times the sum of each path's gain, delay phase and ``conj(a_M)``.
-
-        Derived from ``cascade`` as ``cascade * conj(sqrt(M) * a_M)``, since
-        ``sqrt(M) * a_M`` has entries of modulus 1, with one :func:`_band_table`
-        call at ``-sin(theta_bs)``. It is computed on first read and cached, read-only.
-        Only ``design_mccm`` reads it; every other designer and rate reads ``cascade``.
-        """
-        rows = _band_table(self.num_ris_elements, self.grid, -np.sin(self.source_paths.bs_ris_aoa_rad))
-        rows *= self.cascade
-        rows.flags.writeable = False
-        return rows
 
     def received_power(self, diag, sizes=None) -> np.ndarray:
         """MRT power ``||h_ru[k] diag(d) H_k||^2`` per subcarrier for surface diagonal ``d``.
@@ -328,10 +314,8 @@ def _open_closed_uniform(rng: np.random.Generator, high: float) -> float:
 def _sample_gain(rng: np.random.Generator, gain_mode: str) -> complex:
     if gain_mode == "unit":
         return 1.0 + 0.0j
-    if gain_mode == "random":
-        # Two scalar draws are the draw standard_normal(2) makes, bit for bit, without the array.
-        return complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-    raise ValueError(f"gain_mode must be 'unit' or 'random', got {gain_mode!r}")
+    # Two scalar draws are the draw standard_normal(2) makes, bit for bit, without the array.
+    return complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
 
 
 def sample_path_set(
@@ -346,10 +330,13 @@ def sample_path_set(
     ``gain_mode='unit'`` pins every gain to 1 (handy for closed-form checks).
     The BS departure angle and delay are drawn but not kept (no rate reads
     them), so every later draw keeps its place. The draw is a pure function
-    of the generator state, so reusing a seed reproduces the same paths.
+    of the generator state, so reusing a seed reproduces the same paths. A
+    count or gain mode that is not valid raises ValueError before any draw.
     """
     if not _is_count(num_paths):
         raise ValueError(f"num_paths must be an integer >= 1, got {num_paths!r}")
+    if gain_mode not in ("unit", "random"):
+        raise ValueError(f"gain_mode must be 'unit' or 'random', got {gain_mode!r}")
 
     two_pi = 2.0 * np.pi
     aoa = _open_closed_uniform(rng, two_pi)

@@ -66,8 +66,7 @@ FIGURES = {
 
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
 #: (K, M) table then takes 256 MiB; steering tables are filled to exactly M
-#: columns, so that holds at any M. A channel point holds ``cascade``, and also
-#: ``h_ris_user`` once ``design_mccm``, its one reader, reads it. ``cascade`` is
+#: columns, so that holds at any M. A channel point holds one table, ``cascade``,
 #: summed from chunks of path tables of at most 2^20 entries or one path, each
 #: with its factor table of (K/C + C) rows of M per path (C the largest divisor
 #: of K not above sqrt(K), so about half a table at most; at a prime K the
@@ -81,16 +80,14 @@ FIGURES = {
 #:   4078 = 2*2039   95.9  159.9  160.8  162.1
 #:   4093, prime     69.3  133.5  134.4  135.7
 #:
-#: Reading ``h_ris_user`` then peaks at 130 to 160 MiB. A surface-size sweep
-#: builds once, at its largest M, so its peak is that of its largest M. An
-#: ``mccm`` design at size m < M adds the (K, m) contiguous prefix copy of
-#: ``h_ris_user``, and any design the conjugate of what it reads and the (m, m)
-#: covariance, which ``check_schemes`` bounds by M**2 <= MAX_TABLE_ENTRIES
-#: (M <= 4096), one table at most. So an ``mccm`` sweep holds at most four
-#: tables and the covariance, 1.25 GiB at both caps. Traced peaks of an
-#: ``mccm`` sweep at M = 1024 (the covariance a quarter table), for L of 1, 5
-#: and 20 and K of 4096, 4078 and 4093: 207 to 209 MiB with sizes (1024,), and
-#: 271 to 272 MiB with (1023, 1024).
+#: A surface-size sweep builds once, at its largest M. An ``mccm`` design at
+#: size m adds, only while it runs, the (K, m) user rows it forms from the
+#: cascade, their conjugate and the (m, m) covariance, which ``check_schemes``
+#: bounds by M**2 <= MAX_TABLE_ENTRIES (M <= 4096), one table at most. So an
+#: ``mccm`` sweep holds at most four tables, 1 GiB at both caps. Traced peaks
+#: of a one-trial ``mccm`` sweep at M = 1024 (the covariance a quarter table),
+#: for L of 1, 5 and 20 and K of 4096, 4078 and 4093: 207 to 209 MiB with
+#: sizes (1024,) and with (1023, 1024).
 MAX_TABLE_ENTRIES = 1 << 24
 
 _CHANNEL_STREAM = 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, FrequencyGrid, PathSet, _is_count, _is_real, rate_bits
+from .channel import ChannelRealization, FrequencyGrid, PathSet, _band_table, _is_count, _is_real, rate_bits
 
 logger = logging.getLogger(__name__)
 
@@ -188,25 +188,35 @@ def _receive_phases(channels: ChannelRealization) -> np.ndarray:
     return -2.0 * np.pi * np.arange(channels.num_ris_elements) * phi_incident
 
 
+def _user_rows(channels: ChannelRealization, m: int) -> np.ndarray:
+    # The surface-to-user rows of the first m elements, (K, m): the cascade times
+    # conj(sqrt(m) * a_m), whose entries have modulus 1. A fresh, contiguous table.
+    rows = _band_table(m, channels.grid, -np.sin(channels.source_paths.bs_ris_aoa_rad))
+    rows *= channels.cascade[:, :m]
+    return rows
+
+
 def design_mccm(channels: ChannelRealization, num_ris_elements: int | None = None) -> PhaseProfile:
     """Covariance-based common profile for an arbitrary number of user paths.
 
     The profile is the elementwise sum of a receive part, which flattens the
     incident wave of the carrier-frequency BS-to-surface channel, and a
     forward part obtained by phase extraction of the principal direction of
-    the mean channel covariance. Because an eigenvector is only defined up to
-    conjugation, both extraction candidates are scored, in one stacked
-    ``received_power`` call, by their mean rate at a fixed reference SNR and
-    the better one is kept (ties keep the unconjugated candidate).
+    the mean channel covariance of the surface-to-user rows. Because an
+    eigenvector is only defined up to conjugation, both extraction candidates
+    are scored, in one stacked ``received_power`` call, by their mean rate at
+    a fixed reference SNR and the better one is kept (ties keep the
+    unconjugated candidate).
 
     ``num_ris_elements``, m in [1, M] (default M), designs on the first m
-    elements: a contiguous copy of ``h_ris_user[:, :m]``, its covariance, and
+    elements: their rows (K, m), formed from the first m columns of
+    ``cascade`` and held only during the call, their covariance, and
     candidates scored with ``sizes=(m,)``. So the first m phases are bit for
     bit ``design_mccm`` of ``gen_channels`` at m; phases m onward are the
     receive part alone, which no size up to m reads.
     """
     (m,) = channels._check_sizes(None if num_ris_elements is None else (num_ris_elements,))
-    vector, degenerate = principal_direction(mean_channel_covariance(np.ascontiguousarray(channels.h_ris_user[:, :m])))
+    vector, degenerate = principal_direction(mean_channel_covariance(_user_rows(channels, m)))
     candidates = np.stack([_receive_phases(channels)] * 2)
     candidates[:, :m] += [phase_extraction(v) for v in (vector, np.conj(vector))]
     rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(unit_diagonal(candidates), (m,))[0]), axis=-1)

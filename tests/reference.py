@@ -11,8 +11,9 @@ Jensen upper bound it yields on the mean rate, so the tests can check the
 fast path against the textbook formulas. ``array_response`` is the package's
 steering table scaled to unit norm, which those tests hold against the
 one-exponential ``array_response_direct``. ``h_ris_user_direct`` and
-``cascade_direct`` rebuild the two channel tables path by path the same way;
-the package's tables stay within ``TABLE_TOL`` of them. ``spatial_angle`` is
+``cascade_direct`` rebuild the surface-to-user rows and the cascade path by
+path the same way; the package's cascade, and the rows ``user_rows`` forms
+from it as ``design_mccm`` does, stay within ``TABLE_TOL`` of them. ``spatial_angle`` is
 the textbook spatial angle of a path, which the package writes inline.
 The paths hold no BS departure angle or delay, since no rate reads them, so
 ``a_bs`` and ``h_bs_ris`` take both as arguments, and the dense-chain tests
@@ -21,7 +22,7 @@ the cascade as one summed stack of path tables, which the package's chunked
 build matches bit for bit.
 ``subcarrier_covariance_profile`` is the per-subcarrier covariance designer
 written out as the mean-covariance route: a receive part at f_k and the closed
-form principal direction of the rank-one covariance of ``h_ris_user[k]``.
+form principal direction of the rank-one covariance of the user row k.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from squintsim.channel import (
 from squintsim.phase_design import (
     PhaseProfile,
     _canonical_phase,
+    _user_rows,
     design_central,
     design_mccm,
     design_random,
@@ -106,8 +108,13 @@ def h_ris_user_direct(channels: ChannelRealization) -> np.ndarray:
     return rows * np.sqrt(m / len(paths.ru_angles_rad))
 
 
+def user_rows(channels: ChannelRealization, m: int | None = None) -> np.ndarray:
+    """Surface-to-user rows (K, m) of the first m elements (default M), formed as ``design_mccm`` forms them."""
+    return _user_rows(channels, channels.num_ris_elements if m is None else m)
+
+
 def cascade_direct(channels: ChannelRealization) -> np.ndarray:
-    """Cascaded channel ``h_ris_user * sqrt(M) * a_ris`` (K, M), element responses of modulus 1."""
+    """Cascaded channel ``h_ris_user_direct * sqrt(M) * a_ris`` (K, M), element responses of modulus 1."""
     return h_ris_user_direct(channels) * (a_ris(channels) * np.sqrt(channels.num_ris_elements))
 
 
@@ -129,7 +136,7 @@ def bits(values) -> tuple:
     return values.shape, values.dtype, values.tobytes()
 
 
-#: Largest deviation of ``cascade`` and ``h_ris_user`` from the two tables above,
+#: Largest deviation of ``cascade`` and ``user_rows`` from the two tables above,
 #: in units of ``sum_l |gain_l| / sqrt(L)``, the largest magnitude an entry of
 #: either can reach. A single steering table stays within 2e-12 of the
 #: one-exponential form in its unit, 1, up to M = 1024; ``cascade`` takes its
@@ -139,11 +146,11 @@ TABLE_TOL = 4e-12
 
 
 def table_deviation(channels: ChannelRealization) -> tuple[float, float]:
-    """Deviation of ``cascade`` and of ``h_ris_user`` from the direct tables, in the units of ``TABLE_TOL``."""
+    """Deviation of ``cascade`` and of ``user_rows`` from the direct tables, in the units of ``TABLE_TOL``."""
     paths = channels.source_paths
     unit = sum(abs(g) for g in paths.ru_gains) / np.sqrt(len(paths.ru_angles_rad))
     cascade = np.max(np.abs(channels.cascade - cascade_direct(channels)))
-    rows = np.max(np.abs(channels.h_ris_user - h_ris_user_direct(channels)))
+    rows = np.max(np.abs(user_rows(channels) - h_ris_user_direct(channels)))
     return cascade / unit, rows / unit
 
 
@@ -272,10 +279,10 @@ def subcarrier_covariance_profile(channels: ChannelRealization, k: int) -> Phase
     """Subcarrier k's covariance profile by the mean-covariance route.
 
     The receive part flattens the incident wave at f_k, and the forward part
-    is the phase of the principal direction of ``h_ris_user[k]^H h_ris_user[k]``.
+    is the phase of the principal direction of ``h_k^H h_k``, h_k the user row k.
     """
     receive = receive_phases_at(channels, channels.grid.frequencies[k])
-    vector, degenerate = rank_one_direction(channels.h_ris_user[k])
+    vector, degenerate = rank_one_direction(user_rows(channels)[k])
     return PhaseProfile(receive + phase_extraction(vector), degenerate=degenerate)
 
 

@@ -27,6 +27,7 @@ from reference import (
     rate_upper_bound,
     spatial_angle,
     subcarrier_rate,
+    user_rows,
     z_factor,
 )
 
@@ -62,8 +63,9 @@ def test_criterion_1_per_subcarrier_optimality_is_exact():
         z = z_factor(paths, profile, DEFAULT_GRID, M_RIS, k)
         worst_z = max(worst_z, abs(abs(z) - M_RIS))
         channels = gen_channels(paths, DEFAULT_GRID, N_BS, M_RIS)
+        row = user_rows(channels)[k]
         for aod, delay in BS_DEPARTURES:
-            eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k))
+            eff = effective_channel(row, profile, h_bs_ris(channels, aod, delay, k))
             rate = subcarrier_rate(eff, SNR_10DB)
             worst_rate = max(worst_rate, abs(rate - expected) / expected)
     elapsed = time.monotonic() - started

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import squintsim.channel as channel_module
+from squintsim import phase_design
 from squintsim.channel import (
     DELAY_MAX_S,
     FrequencyGrid,
@@ -15,6 +17,8 @@ from squintsim.channel import (
     gen_channels,
     sample_path_set,
 )
+from squintsim.phase_design import design_mccm
+from squintsim.rate_eval import ideal_rate, sum_rate
 
 from reference import (
     BS_DEPARTURES,
@@ -28,6 +32,7 @@ from reference import (
     spatial_angle,
     summed_cascade,
     table_deviation,
+    user_rows,
 )
 
 ORACLE_SIZES = (1, 2, 3, 5, 16, 17, 63, 64, 255, 256, 257, 1000, 1023, 1024)
@@ -250,6 +255,14 @@ class TestSamplePathSet:
         with pytest.raises(ValueError, match="num_paths must be an integer >= 1"):
             sample_path_set(np.random.default_rng(0), num_paths)
 
+    @pytest.mark.parametrize("gain_mode", ["bogus", "Unit", None])
+    def test_rejects_gain_mode_before_any_draw(self, gain_mode):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(f"gain_mode must be 'unit' or 'random', got {gain_mode!r}")):
+            sample_path_set(rng, 1, gain_mode=gain_mode)
+        assert rng.bit_generator.state == state
+
     def test_delay_moments(self):
         # U(0, 20 ns] has mean 10 ns and sd 20ns/sqrt(12).
         rng = np.random.default_rng(3)
@@ -310,17 +323,18 @@ class TestGenChannels:
     def test_los_user_link_norm(self):
         grid = FrequencyGrid(28e9, 2e9, 8)
         channels = gen_channels(los_paths(), grid, 4, 16)
-        norms = np.linalg.norm(channels.h_ris_user, axis=1)
+        norms = np.linalg.norm(user_rows(channels), axis=1)
         assert np.allclose(norms, 4.0, rtol=1e-12)
 
     def test_zero_bandwidth_freezes_all_subcarriers(self):
         grid = FrequencyGrid(28e9, 0.0, 8)
         paths = sample_path_set(np.random.default_rng(8), 3)
         channels = gen_channels(paths, grid, 4, 6)
+        rows = user_rows(channels)
         for k in range(1, 8):
             for aod, delay in BS_DEPARTURES:
                 assert np.array_equal(h_bs_ris(channels, aod, delay, k), h_bs_ris(channels, aod, delay, 0))
-            assert np.array_equal(channels.h_ris_user[k], channels.h_ris_user[0])
+            assert np.array_equal(rows[k], rows[0])
 
     def test_pure_function_of_inputs(self):
         grid = FrequencyGrid(28e9, 2e9, 8)
@@ -329,13 +343,13 @@ class TestGenChannels:
         b = gen_channels(paths, grid, 4, 6)
         for aod, delay in BS_DEPARTURES:
             assert np.array_equal(h_bs_ris(a, aod, delay), h_bs_ris(b, aod, delay))
-        assert np.array_equal(a.h_ris_user, b.h_ris_user)
+        assert np.array_equal(user_rows(a), user_rows(b))
 
     def test_shapes(self):
         grid = FrequencyGrid(28e9, 2e9, 3)
         channels = gen_channels(los_paths(), grid, 4, 6)
         assert h_bs_ris(channels, *BS_DEPARTURES[0]).shape == (3, 6, 4)
-        assert channels.h_ris_user.shape == (3, 6)
+        assert user_rows(channels).shape == (3, 6)
         assert channels.grid.num_subcarriers == 3
         assert not hasattr(channels, "num_subcarriers")
         assert channels.num_ris_elements == 6
@@ -377,7 +391,7 @@ class TestGenChannels:
             h_ris_user += (gain * delay)[:, None] * np.conj(a_ru)
         h_ris_user *= np.sqrt(m / num_paths)
         cascade = h_ris_user * oracle_a_ris * np.sqrt(m)
-        for table, oracle in ((channels.h_ris_user, h_ris_user), (channels.cascade, cascade)):
+        for table, oracle in ((user_rows(channels), h_ris_user), (channels.cascade, cascade)):
             assert table.shape == (32, m)
             assert np.allclose(table, oracle, rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
 
@@ -419,14 +433,15 @@ class TestGenChannels:
     @pytest.mark.parametrize("num_paths", [1, 5, 9])
     @pytest.mark.parametrize("m", [16, 37, 100])
     def test_user_rows_are_the_coefficient_first_products(self, m, num_paths):
-        # h_ris_user, derived from the cascade, against the sum over paths of
+        # The user rows, formed from the cascade, against the sum over paths of
         # gain * delay phase * conj(a(theta_l)) accumulated path by path, one
         # exponential per entry. The rows vary across the band.
         paths = sample_path_set(np.random.default_rng(21), num_paths)
         channels = gen_channels(paths, FrequencyGrid(28e9, 2e9, 32), 4, m)
-        assert channels.h_ris_user.shape == (32, m)
+        rows = user_rows(channels)
+        assert rows.shape == (32, m)
         assert table_deviation(channels)[1] <= TABLE_TOL
-        assert not np.allclose(channels.h_ris_user[0], channels.h_ris_user[-1])
+        assert not np.allclose(rows[0], rows[-1])
 
     @pytest.mark.parametrize("bandwidth", [0.0, 2e9, 8e9])
     @pytest.mark.parametrize("num_paths", [1, 5, 9])
@@ -439,15 +454,15 @@ class TestGenChannels:
         paths = sample_path_set(np.random.default_rng([k, m, num_paths]), num_paths)
         channels = gen_channels(paths, FrequencyGrid(28e9, bandwidth, k), 4, m)
         cascade_error, rows_error = table_deviation(channels)
-        assert channels.cascade.shape == channels.h_ris_user.shape == (k, m)
+        assert channels.cascade.shape == user_rows(channels).shape == (k, m)
         assert cascade_error <= TABLE_TOL and rows_error <= TABLE_TOL
 
     @pytest.mark.parametrize("num_paths", [1, 1, 5], ids=["los-1", "nlos-1", "nlos-5"])
-    def test_two_steering_table_calls_for_any_path_count(self, monkeypatch, num_paths):
+    def test_one_steering_table_call_per_build_and_per_design(self, monkeypatch, num_paths):
         # gen_channels makes one band table, over the L difference angles of the
-        # cascade; the rows h_ris_user make the second when first read, and a
-        # second read makes none. Each makes one steering-table call over
-        # K/C + C = 4 + 4 angles, not K = 16.
+        # cascade. The realization keeps no user rows, so each design_mccm call
+        # forms its own with one more, at -sin(theta_bs). Each makes one
+        # steering-table call over K/C + C = 4 + 4 angles, not K = 16.
         band_shapes, angle_shapes = [], []
 
         def counting_band(n_elements, grid, sin_theta):
@@ -461,14 +476,15 @@ class TestGenChannels:
         paths = sample_path_set(np.random.default_rng(22), num_paths)
         grid = FrequencyGrid(28e9, 2e9, 16)
         monkeypatch.setattr(channel_module, "_band_table", counting_band)
+        monkeypatch.setattr(phase_design, "_band_table", counting_band)
         monkeypatch.setattr(channel_module, "_steering_table", counting_table)
         channels = gen_channels(paths, grid, 4, 8)
         assert band_shapes == [(num_paths,)]
         assert angle_shapes == [(num_paths, 8)]
-        rows = channels.h_ris_user
-        assert channels.h_ris_user is rows
-        assert band_shapes == [(num_paths,), ()]
-        assert angle_shapes == [(num_paths, 8), (8,)]
+        design_mccm(channels)
+        design_mccm(channels, 3)
+        assert band_shapes == [(num_paths,), (), ()]
+        assert angle_shapes == [(num_paths, 8), (8,), (8,)]
 
 
 class TestCascade:
@@ -479,9 +495,9 @@ class TestCascade:
 
     def test_replace_recomputes_cascade_and_powers(self):
         # New user paths through replace must give the cascade, powers and rows
-        # of those paths: nothing built, or cached, for the old ones is kept.
+        # of those paths: nothing built for the old ones is kept.
         channels = self.channels()
-        old_rows = channels.h_ris_user
+        old_rows = user_rows(channels)
         rng = np.random.default_rng(24)
         paths = sample_path_set(rng, 3)
         diag = np.exp(2j * np.pi * rng.uniform(size=6))
@@ -490,8 +506,8 @@ class TestCascade:
         cascade, gain = moved.cascade, moved.bs_ris_power_gain
         assert np.array_equal(cascade, fresh.cascade)
         assert gain == fresh.bs_ris_power_gain != channels.bs_ris_power_gain
-        assert np.array_equal(moved.h_ris_user, fresh.h_ris_user)
-        assert not np.allclose(moved.h_ris_user, old_rows)
+        assert np.array_equal(user_rows(moved), user_rows(fresh))
+        assert not np.allclose(user_rows(moved), old_rows)
         assert max(table_deviation(moved)) <= TABLE_TOL
         assert np.array_equal(moved.received_power(diag), gain * np.abs(cascade @ diag) ** 2)
         assert np.array_equal(moved.aligned_power(), gain * np.sum(np.abs(cascade), axis=1) ** 2)
@@ -513,19 +529,27 @@ class TestCascade:
         assert not np.allclose(moved.cascade, channels.cascade)
 
     @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
-    def test_stores_two_tables_and_the_scale(self, num_paths):
-        # Its fields hold cascade (K, M), complex128, and the one float
-        # bs_ris_power_gain; the rows h_ris_user (K, M) join them once read, as
-        # the one cached value.
+    def test_stores_one_table_and_the_scale(self, num_paths):
+        # Its fields hold cascade (K, M), complex128, and the one float bs_ris_power_gain.
         k, m = 16, 12
         grid = FrequencyGrid(28e9, 2e9, k)
         channels = gen_channels(sample_path_set(np.random.default_rng(26), num_paths), grid, 4, m)
         stored = sum(getattr(getattr(channels, f.name), "nbytes", 0) for f in dataclasses.fields(channels))
         assert stored == k * m * 16
         assert isinstance(channels.bs_ris_power_gain, float)
-        assert "h_ris_user" not in vars(channels)
-        assert channels.h_ris_user.nbytes == k * m * 16
-        assert list(vars(channels)) == [f.name for f in dataclasses.fields(channels)] + ["h_ris_user"]
+
+    @pytest.mark.parametrize("num_paths", [1, 5], ids=["los", "nlos"])
+    def test_a_size_sweep_adds_no_attribute(self, num_paths):
+        # The designs and rates of a whole size sweep read the realization and
+        # leave it as built: no rows or other table is kept on it.
+        sizes = (16, 4, 37, 8, 1, 64)
+        grid = FrequencyGrid(28e9, 2e9, 16)
+        channels = gen_channels(sample_path_set(np.random.default_rng(25), num_paths), grid, 4, max(sizes))
+        snrs = np.array([0.1, 10.0])
+        profiles = [design_mccm(channels, m) for m in sizes]
+        assert sum_rate(channels, profiles, snrs, sizes).shape == (2, len(sizes), len(sizes))
+        assert ideal_rate(channels, snrs, sizes).shape == (2, len(sizes))
+        assert list(vars(channels)) == [f.name for f in dataclasses.fields(channels)]
 
     @pytest.mark.parametrize("num_bs_antennas,num_ris_elements", [(1, 1), (4, 6), (64, 256), (7, 1000)])
     @pytest.mark.parametrize("gain", [None, 1.0 + 0j, 0.8 - 0.3j, 0j], ids=["drawn", "unit", "fixed", "zero"])
@@ -546,10 +570,9 @@ class TestCascade:
             np.testing.assert_allclose(delayed, expected, rtol=1e-14, atol=0)
         assert np.all(np.isfinite(channels.aligned_power()))
 
-    @pytest.mark.parametrize("name", ["h_ris_user", "cascade"])
-    def test_arrays_are_read_only(self, name):
+    def test_cascade_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(self.channels(), name)[0] *= 2
+            self.channels().cascade[0] *= 2
 
     def test_rows_are_no_constructor_argument(self):
         with pytest.raises(TypeError, match="h_ris_user"):

@@ -289,8 +289,9 @@ class TestMain:
             (["--subcarriers", "100000", "--var", "ris_elements"],
              "argument --var: num_ris_elements must be an integer >= 1 with num_subcarriers * num_ris_elements"
              " <= 16777216, got 256 (a value of the built-in ris_elements grid)"),
+            (["--values", ","], "argument --values: expected at least one value"),
         ],
-        ids=["bad-value", "repeated-value", "built-in-grid-value"],
+        ids=["bad-value", "repeated-value", "built-in-grid-value", "empty-values"],
     )
     def test_sweep_value_error_names_the_flag(self, flags, message, tmp_path, capsys):
         assert main(["sweep", *flags, "--trials", "1", "--out", str(tmp_path / "out.csv")]) == 1

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from squintsim import experiments
+from squintsim import experiments, phase_design
 from squintsim.channel import ChannelRealization, FrequencyGrid, gen_channels, sample_path_set
 from squintsim.experiments import (
     FIGURES,
@@ -297,8 +297,8 @@ class TestTrialMajorLoop:
     ids=["los", "nlos", "nlos-with-mccm"],
 )
 def test_elements_sweep_matches_per_point_runs(base, schemes):
-    # One build per trial at the largest M, read by every point as a prefix (or,
-    # with mccm, one build per size), gives the bits of a run at each point's own M.
+    # One build per trial at the largest M, read by every point as a prefix (mccm
+    # designed on the first m elements of it), gives the bits of a run at each point's own M.
     values = (16, 4, 37, 8, 1)
     rates = per_trial_rates(base, schemes, "ris_elements", values)
     for value, point_rates in zip(values, rates):
@@ -440,24 +440,19 @@ def test_elements_sweep_builds_each_substream_once_per_trial(monkeypatch, scheme
 
 
 def user_row_derivations(monkeypatch, *sweep) -> int:
-    """How many times ``run_sweep(*sweep)`` derives ``h_ris_user``."""
+    """How many times ``run_sweep(*sweep)`` forms surface-to-user rows."""
     counts = Counter()
-    derive = ChannelRealization.h_ris_user.func
-
-    def counting_rows(self):
-        counts["h_ris_user"] += 1
-        return derive(self)
-
-    monkeypatch.setattr(ChannelRealization, "h_ris_user", property(counting_rows))
+    counting(monkeypatch, counts, "_user_rows", phase_design)
     run_sweep(*sweep)
-    return counts["h_ris_user"]
+    return counts["_user_rows"]
 
 
-@pytest.mark.parametrize("fig_id,reads", [(2, False), (4, False), (5, True)])
-def test_only_covariance_designers_derive_the_user_rows(monkeypatch, fig_id, reads):
+@pytest.mark.parametrize("fig_id,calls", [(2, 0), (4, 0), (5, 2)])
+def test_only_covariance_designers_derive_the_user_rows(monkeypatch, fig_id, calls):
     # Every designer but design_mccm and every rate read the cascade, so only a
-    # sweep with mccm, offered on nlos alone, derives h_ris_user.
-    assert (user_row_derivations(monkeypatch, *figure_sweep(fig_id, trials=2, seed=3)) > 0) == reads
+    # sweep with mccm, offered on nlos alone, forms user rows: once per trial
+    # on an SNR sweep, in its one design.
+    assert user_row_derivations(monkeypatch, *figure_sweep(fig_id, trials=2, seed=3)) == calls
 
 
 @pytest.mark.parametrize("variable,values", [("snr_db", (0.0, 10.0)), ("bandwidth_hz", (0.5e9, 4e9))])

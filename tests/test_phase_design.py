@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from squintsim import phase_design
 from squintsim.channel import (
     FrequencyGrid,
     PathSet,
@@ -32,11 +33,13 @@ from squintsim.rate_eval import sum_rate
 from reference import (
     BS_DEPARTURES,
     array_response,
+    bits,
     h_bs_ris,
     rank_one_direction,
     rate_upper_bound,
     spatial_angle,
     subcarrier_covariance_profile,
+    user_rows,
     z_factor,
 )
 
@@ -233,7 +236,7 @@ class TestMeanChannelCovariance:
         grid = FrequencyGrid(28e9, 2e9, 16)
         paths = sample_path_set(np.random.default_rng(7), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 12)
-        cov = mean_channel_covariance(channels.h_ris_user)
+        cov = mean_channel_covariance(user_rows(channels))
         assert np.trace(cov).real == pytest.approx(12.0, rel=1e-12)
 
     def test_hermitian_by_construction(self):
@@ -252,7 +255,7 @@ class TestPrincipalDirection:
         grid = FrequencyGrid(28e9, 2e9, 1)
         paths = sample_path_set(np.random.default_rng(9), 1, gain_mode="unit")
         channels = gen_channels(paths, grid, 4, 16)
-        vector, degenerate = principal_direction(mean_channel_covariance(channels.h_ris_user))
+        vector, degenerate = principal_direction(mean_channel_covariance(user_rows(channels)))
         phi = spatial_angle(grid.frequencies[0], paths.ru_angles_rad[0], grid.carrier_hz)
         steering = array_response(16, phi)
         assert abs(np.vdot(vector, steering)) == pytest.approx(1.0, abs=1e-9)
@@ -372,16 +375,6 @@ class TestPhaseExtraction:
         assert np.array_equal(signed, [0.0, 0.0, 0.0])
 
 
-class RowsStandIn:
-    """Reads as ``channels``, except that its surface-to-user rows are the given ones."""
-
-    def __init__(self, channels, h_ris_user):
-        self.channels, self.h_ris_user = channels, h_ris_user
-
-    def __getattr__(self, name):
-        return getattr(self.channels, name)
-
-
 class TestDesignMccm:
     def test_matches_ideal_on_rank_one_link(self):
         grid = FrequencyGrid(28e9, 2e9, 1)
@@ -400,7 +393,7 @@ class TestDesignMccm:
         for _ in range(20):
             channels = gen_channels(sample_path_set(rng, num_paths), grid, 4, 16)
             receive = _receive_phases(channels)
-            vector, _ = principal_direction(mean_channel_covariance(channels.h_ris_user))
+            vector, _ = principal_direction(mean_channel_covariance(user_rows(channels)))
             candidates = [receive + phase_extraction(v) for v in (vector, np.conj(vector))]
             rates = [np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(np.exp(1j * p)))) for p in candidates]
             assert np.array_equal(design_mccm(channels).phases_rad, candidates[int(np.argmax(rates))])
@@ -425,7 +418,7 @@ class TestDesignMccm:
             sample_path_set(np.random.default_rng(13), 1), ru_angles_rad=(0.0,), ru_gains=(1.0,), ru_delays_s=(0.0,)
         )
         channels = gen_channels(paths, grid, 4, 6)
-        assert np.allclose(channels.h_ris_user, 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(user_rows(channels), 1.0, rtol=0, atol=1e-14)
         profile = design_mccm(channels)
         receive = -2 * np.pi * np.arange(6) * spatial_angle(
             grid.carrier_hz, paths.bs_ris_aoa_rad, grid.carrier_hz
@@ -433,12 +426,12 @@ class TestDesignMccm:
         forward = profile.phases_rad - receive
         assert_phases_equal(forward, np.full(6, forward[0]), atol=1e-9)
 
-    def test_propagates_degeneracy_flag(self):
+    def test_propagates_degeneracy_flag(self, monkeypatch):
         # Orthonormal rows give the covariance I/2, whose top eigenvalue is double.
         grid = FrequencyGrid(28e9, 2e9, 2)
         paths = sample_path_set(np.random.default_rng(14), 2)
-        channels = RowsStandIn(gen_channels(paths, grid, 4, 2), np.eye(2, dtype=complex))
-        assert design_mccm(channels).degenerate
+        monkeypatch.setattr(phase_design, "_user_rows", lambda channels, m: np.eye(2, dtype=complex))
+        assert design_mccm(gen_channels(paths, grid, 4, 2)).degenerate
 
     @pytest.mark.parametrize(
         "num_subcarriers,num_paths,widest",
@@ -467,6 +460,19 @@ class TestDesignMccm:
         assert profile.degenerate and direct.degenerate
         assert np.array_equal(profile.phases_rad[:255], direct.phases_rad)
         assert np.array_equal(profile.phases_rad[255:], _receive_phases(wide)[255:])
+
+    @pytest.mark.parametrize("num_subcarriers", [7, 128, 131])
+    @pytest.mark.parametrize("num_paths", [1, 5, 20])
+    def test_rows_at_a_size_are_the_rows_of_the_build_at_that_size(self, num_subcarriers, num_paths):
+        # The rows a design forms from the first m cascade columns are a fresh,
+        # contiguous table, bit for bit (signed zeros included) those of a build at m.
+        grid = FrequencyGrid(28e9, 2e9, num_subcarriers)
+        paths = sample_path_set(np.random.default_rng([num_subcarriers, num_paths]), num_paths)
+        wide = gen_channels(paths, grid, 4, 256)
+        for m in (1, 2, 15, 16, 17, 37, 100, 255, 256):
+            rows = user_rows(wide, m)
+            assert rows.flags.c_contiguous and not np.shares_memory(rows, wide.cascade)
+            assert bits(rows) == bits(user_rows(gen_channels(paths, grid, 4, m)))
 
     def test_design_at_full_width_is_the_default(self):
         channels = gen_channels(sample_path_set(np.random.default_rng(16), 5), FrequencyGrid(28e9, 2e9, 16), 4, 37)
@@ -499,7 +505,7 @@ class TestDesignSubcarrierCovariance:
     )
     def test_matches_covariance_route_and_aligns_every_term(self, num_paths, num_subcarriers, num_ris_elements):
         # The designer reads cascade row k alone; the oracle takes the receive
-        # part at f_k and the rank-one direction of h_ris_user[k]. K = 131 and
+        # part at f_k and the rank-one direction of user row k. K = 131 and
         # 7 are prime, and 8 GHz is the widest sweep bandwidth.
         grid = FrequencyGrid(28e9, 8e9, num_subcarriers)
         rng = np.random.default_rng(1000 * num_paths + num_subcarriers + num_ris_elements)
@@ -553,11 +559,12 @@ class TestDesignSubcarrierCovariance:
         channels = gen_channels(paths, grid, 4, 6)
         k = 3
         profile = design_subcarrier_covariance(channels, k)
+        row = user_rows(channels)[k]
         for aod, delay in BS_DEPARTURES:
             h_bs_k = h_bs_ris(channels, aod, delay, k)
-            eff = (channels.h_ris_user[k] * np.exp(1j * profile.phases_rad)) @ h_bs_k
+            eff = (row * np.exp(1j * profile.phases_rad)) @ h_bs_k
             achieved = float(np.sum(np.abs(eff) ** 2))
-            best = float(np.sum(np.abs(channels.h_ris_user[k]) * np.linalg.norm(h_bs_k, axis=1)) ** 2)
+            best = float(np.sum(np.abs(row) * np.linalg.norm(h_bs_k, axis=1)) ** 2)
             assert achieved == pytest.approx(best, rel=1e-9)
 
 

@@ -20,6 +20,7 @@ from reference import (
     mrt_beamformer,
     rate_upper_bound,
     subcarrier_rate,
+    user_rows,
     z_factor,
 )
 
@@ -136,7 +137,7 @@ class TestSubcarrierRate:
         k = 17
         profile = design_ideal(paths, grid, 64, k)
         for aod, delay in BS_DEPARTURES:
-            eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k))
+            eff = effective_channel(user_rows(channels)[k], profile, h_bs_ris(channels, aod, delay, k))
             assert subcarrier_rate(eff, SNR) == pytest.approx(np.log2(2621441), rel=1e-9)
 
 
@@ -148,7 +149,7 @@ class TestSumRate:
         profile = design_central(paths, 8)
         rate = sum_rate(channels, profile, SNR)
         for aod, delay in BS_DEPARTURES:
-            eff = effective_channel(channels.h_ris_user[0], profile, h_bs_ris(channels, aod, delay, 0))
+            eff = effective_channel(user_rows(channels)[0], profile, h_bs_ris(channels, aod, delay, 0))
             assert rate == pytest.approx(subcarrier_rate(eff, SNR), rel=1e-12)
         assert len(per_subcarrier(channels, profile)) == 1
 
@@ -338,9 +339,10 @@ class TestPhysicalConsistency:
         b = per_subcarrier(gen_channels(moved, grid, 4, 8), profile)
         assert np.allclose(a, b, atol=1e-12)
         # The BS delay (and departure angle) of the dense chain moves no rate either.
+        rows = user_rows(channels)
         for aod, delay in BS_DEPARTURES:
             dense = [
-                subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k)), SNR)
+                subcarrier_rate(effective_channel(rows[k], profile, h_bs_ris(channels, aod, delay, k)), SNR)
                 for k in range(8)
             ]
             assert np.allclose(dense, a, atol=1e-12)
@@ -354,7 +356,7 @@ class TestPhysicalConsistency:
             profile = design_random(rng, 8)
             k = int(rng.integers(8))
             for aod, delay in BS_DEPARTURES:
-                eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k))
+                eff = effective_channel(user_rows(channels)[k], profile, h_bs_ris(channels, aod, delay, k))
                 f = mrt_beamformer(eff, SNR)  # unit noise power: the transmit power is the SNR
                 explicit = np.log2(1.0 + abs(eff @ f) ** 2)
                 assert explicit == pytest.approx(subcarrier_rate(eff, SNR), abs=1e-10)

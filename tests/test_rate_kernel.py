@@ -37,6 +37,7 @@ from reference import (
     rank_one_direction,
     receive_phases_at,
     subcarrier_rate,
+    user_rows,
 )
 
 RTOL = 1e-9
@@ -81,10 +82,10 @@ def realize(case):
 
 
 def dense_rates(channels, profile, snr, aod, delay):
-    dense = h_bs_ris(channels, aod, delay)
+    dense, rows = h_bs_ris(channels, aod, delay), user_rows(channels)
     return np.array(
         [
-            subcarrier_rate(effective_channel(channels.h_ris_user[k], profile, dense[k]), snr)
+            subcarrier_rate(effective_channel(rows[k], profile, dense[k]), snr)
             for k in range(channels.grid.num_subcarriers)
         ]
     )
@@ -97,12 +98,13 @@ def covariance_profile_by_power(channels, k, aod, delay):
     their dense reflected power at subcarrier k; ties keep the unconjugated one.
     """
     receive = receive_phases_at(channels, channels.grid.frequencies[k])
-    vector, _ = rank_one_direction(channels.h_ris_user[k])
+    row = user_rows(channels)[k]
+    vector, _ = rank_one_direction(row)
     h_bs_k = h_bs_ris(channels, aod, delay, k)
     best_phases, best_power = None, -np.inf
     for candidate in (vector, np.conj(vector)):
         phases = receive + phase_extraction(candidate)
-        eff = (channels.h_ris_user[k] * np.exp(1j * phases)) @ h_bs_k
+        eff = (row * np.exp(1j * phases)) @ h_bs_k
         power = float(np.sum(np.abs(eff) ** 2))
         if power > best_power:
             best_phases, best_power = phases, power
@@ -111,14 +113,14 @@ def covariance_profile_by_power(channels, k, aod, delay):
 
 def reference_ideal_rates(channels, snr, aod, delay):
     """Per-subcarrier designer loop: redesign the surface at every subcarrier."""
-    paths = channels.source_paths
+    paths, rows = channels.source_paths, user_rows(channels)
     per_k = np.empty(channels.grid.num_subcarriers)
     for k in range(channels.grid.num_subcarriers):
         if len(paths.ru_angles_rad) == 1:
             profile = design_ideal(paths, channels.grid, channels.num_ris_elements, k)
         else:
             profile = covariance_profile_by_power(channels, k, aod, delay)
-        eff = effective_channel(channels.h_ris_user[k], profile, h_bs_ris(channels, aod, delay, k))
+        eff = effective_channel(rows[k], profile, h_bs_ris(channels, aod, delay, k))
         per_k[k] = subcarrier_rate(eff, snr)
     return per_k
 
@@ -202,7 +204,7 @@ def test_snr_array_matches_one_call_per_snr(case):
 def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_paths, gain_mode):
     # The powers read the cascade stored at construction: bit for bit the
     # products formed from it per call, within the bound TABLE_TOL implies of
-    # those formed from the one-exponential h_ris_user * a_ris, and near the dense path.
+    # those formed from the one-exponential h_ris_user_direct * a_ris, and near the dense path.
     case = dict(
         num_paths=num_paths, bandwidth_hz=2e9, num_subcarriers=8, num_bs_antennas=4,
         num_ris_elements=num_ris_elements, gain_mode=gain_mode, seed=31, snr_db=10.0,

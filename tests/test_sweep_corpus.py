@@ -4,11 +4,13 @@ Every file in ``tests/data/sweeps`` is one row of ``SWEEPS``, recorded in a
 fresh process at one BLAS thread with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m squintsim.cli sweep \\
-        --scenario nlos --var ris_elements <flags> --out tests/data/sweeps/<name>.csv
+        <flags> --out tests/data/sweeps/<name>.csv
 
-The rows cover what the preset goldens do not: surface sizes out of order and
-not multiples of 16, a prime subcarrier count, a widest build of two path
-chunks, and draws whose mean covariance has a repeated top eigenvalue.
+where ``<flags>`` is the row's full ``sweep`` argument list. The rows cover
+what the preset goldens do not: surface sizes out of order and not multiples
+of 16, a prime subcarrier count on both scenarios, unit gains, a widest build
+of two path chunks, ``mccm`` at full width on an SNR sweep, and draws whose
+mean covariance has a repeated top eigenvalue.
 """
 
 import os
@@ -22,14 +24,22 @@ import squintsim
 
 SWEEP_DIR = Path(__file__).parent / "data" / "sweeps"
 
-#: File name -> the flags of its sweep, after ``--scenario nlos --var ris_elements``.
+_NLOS_ELEMENTS = "--scenario nlos --var ris_elements"
+
+#: File name -> the ``sweep`` flags that write it, all but ``--out``.
 SWEEPS = {
-    "nlos-elements-unordered": "--values 16,4,37,8,1,64 --trials 4 --seed 3",
-    "nlos-elements-k131": "--values 37,17,100 --subcarriers 131 --trials 4 --seed 4",
+    "nlos-elements-unordered": f"{_NLOS_ELEMENTS} --values 16,4,37,8,1,64 --trials 4 --seed 3",
+    "nlos-elements-k131": f"{_NLOS_ELEMENTS} --values 37,17,100 --subcarriers 131 --trials 4 --seed 4",
     # At M = 512 the 20 paths are tabled in two chunks.
-    "nlos-elements-two-chunks": "--values 512,64,100 --paths 20 --trials 2 --seed 1",
+    "nlos-elements-two-chunks": f"{_NLOS_ELEMENTS} --values 512,64,100 --paths 20 --trials 2 --seed 1",
     # Trial 6 has an 8-fold top eigenvalue of the mean covariance at M = 255 and 256.
-    "nlos-elements-degenerate": "--values 255,256 --bandwidth-hz 8e9 --trials 7 --seed 21",
+    "nlos-elements-degenerate": f"{_NLOS_ELEMENTS} --values 255,256 --bandwidth-hz 8e9 --trials 7 --seed 21",
+    "los-elements-k131-unit": (
+        "--scenario los --var ris_elements --values 16,4,37,8,1,64 --subcarriers 131 --gain-mode unit "
+        "--trials 4 --seed 1"
+    ),
+    # One mccm design per trial, on all M = 256 elements.
+    "nlos-snr-k131-m256": "--scenario nlos --subcarriers 131 --ris-elements 256 --trials 4 --seed 1",
 }
 
 
@@ -39,7 +49,7 @@ def run_sweep(name: str, threads: int, tmp_path: Path) -> bytes:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = tmp_path / f"{name}-threads{threads}.csv"
-    argv = ["sweep", "--scenario", "nlos", "--var", "ris_elements", *SWEEPS[name].split(), "--out", str(out)]
+    argv = ["sweep", *SWEEPS[name].split(), "--out", str(out)]
     cmd = [sys.executable, "-m", "squintsim.cli", *argv]
     subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=300)
     return out.read_bytes()
@@ -60,6 +70,8 @@ def test_every_recorded_csv_has_a_sweep():
         "nlos-elements-unordered",
         "nlos-elements-k131",
         "nlos-elements-two-chunks",
+        "los-elements-k131-unit",
+        "nlos-snr-k131-m256",
         pytest.param(
             "nlos-elements-degenerate",
             marks=pytest.mark.xfail(
