@@ -14,7 +14,6 @@ from .experiments import (
     NLOS,
     SCHEMES,
     SWEEP_GRIDS,
-    SWEEP_VARIABLES,
     ScenarioConfig,
     SweepRow,
     central_subcarrier_index,
@@ -50,7 +49,6 @@ __all__ = [
     "PhaseProfile",
     "SCHEMES",
     "SWEEP_GRIDS",
-    "SWEEP_VARIABLES",
     "ScenarioConfig",
     "SweepRow",
     "central_subcarrier_index",

@@ -18,6 +18,9 @@ import numpy as np
 #: Path delays are sampled from (0, DELAY_MAX_S].
 DELAY_MAX_S = 20e-9
 
+#: Path-gain modes of :func:`sample_path_set`: pinned to 1, or complex standard normal.
+GAIN_MODES = ("unit", "random")
+
 
 def _is_real(value) -> bool:
     # bool is a numbers.Integral, but True is no count, seed or frequency.
@@ -335,8 +338,8 @@ def sample_path_set(
     """
     if not _is_count(num_paths):
         raise ValueError(f"num_paths must be an integer >= 1, got {num_paths!r}")
-    if gain_mode not in ("unit", "random"):
-        raise ValueError(f"gain_mode must be 'unit' or 'random', got {gain_mode!r}")
+    if gain_mode not in GAIN_MODES:
+        raise ValueError(f"gain_mode must be {' or '.join(map(repr, GAIN_MODES))}, got {gain_mode!r}")
 
     two_pi = 2.0 * np.pi
     aoa = _open_closed_uniform(rng, two_pi)

@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import ctypes
 import os
+import re
 import sys
 from dataclasses import fields
 
 from . import experiments
+from .channel import GAIN_MODES
 from .experiments import FIGURES, LOS, NLOS, SCHEMES, SWEEP_GRIDS, ConfigError, ScenarioConfig, SweepRow, schemes_for
 
-CSV_HEADER = "scenario,scheme,sweep_variable,sweep_value,mean_rate_bits,std_error_bits,trials,seed"
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
@@ -30,6 +32,15 @@ _CONFIG_FLAGS = (
     ("--ris-elements", "num_ris_elements", int, "surface elements"),
     ("--paths", "num_paths", int, f"user-side paths (default: 1 on {LOS}, {experiments.NLOS_PATHS} on {NLOS})"),
     ("--snr-db", "snr_db", float, "SNR in dB for non-SNR sweeps"),
+)
+
+#: Exactly the stripped strings float() accepts: decimal digits with single
+#: underscores between them, with an optional point and exponent, or inf,
+#: infinity or nan in any case; each with an optional sign.
+_DIGITS = r"\d(?:_?\d)*"
+_NUMBER = re.compile(
+    rf"[+-]?(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][+-]?{_DIGITS})?"
+    r"|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN])"
 )
 
 # glibc mallopt parameters. 32 MiB is glibc's 64-bit ceiling for the mmap
@@ -54,26 +65,28 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
-def _config_usage_error(exc: ConfigError) -> UsageError:
-    """The error of a bad config value, under the flag that set it: the table's
-    flag, else the field's own name as a flag (``--trials``, ``--gain-mode``)."""
+def _config_usage_error(exc: ConfigError, ns: argparse.Namespace) -> UsageError:
+    """The error of a bad input, under the flag that set it: the table's flag, else
+    the field's own name as a flag (``--values``, ``--schemes``, ``--trials``).
+
+    A value of the built-in grid goes under ``--var``, since no one flag is at
+    fault for it: --subcarriers can push a ris_elements value past the size
+    cap, --carrier-hz a bandwidth.
+    """
+    if exc.field == "values" and ns.values is None:
+        return UsageError(f"argument --var: {exc} (a value of the built-in {ns.var} grid)")
     flag = next((f for f, name, *_ in _CONFIG_FLAGS if name == exc.field), "--" + exc.field.replace("_", "-"))
     return UsageError(f"argument {flag}: {exc}")
 
 
 def _split_floats(raw: str, flag: str) -> tuple[float, ...]:
-    values = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise UsageError(f"argument {flag}: invalid number {token!r}") from None
-    if not values:
+    tokens = [token.strip() for token in raw.split(",") if token.strip()]
+    for token in tokens:
+        if not _NUMBER.fullmatch(token):
+            raise UsageError(f"argument {flag}: invalid number {token!r}")
+    if not tokens:
         raise UsageError(f"argument {flag}: expected at least one value")
-    return tuple(values)
+    return tuple(map(float, tokens))
 
 
 def _build_parser() -> _Parser:
@@ -89,7 +102,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="base seed of the trial substreams")
         p.add_argument(
             "--gain-mode",
-            choices=("unit", "random"),
+            choices=GAIN_MODES,
             default=_DEFAULTS["gain_mode"],
             help="path gains: complex standard normal or pinned to 1",
         )
@@ -114,7 +127,7 @@ def _build_parser() -> _Parser:
         "--scenario", choices=(LOS, NLOS), default=_DEFAULTS["scenario"], help="surface-to-user propagation"
     )
     swp.add_argument("--schemes", help=f"comma-separated list of {', '.join(SCHEMES)} (default: all of the scenario)")
-    swp.add_argument("--var", choices=experiments.SWEEP_VARIABLES, default="snr_db", help="sweep variable")
+    swp.add_argument("--var", choices=tuple(SWEEP_GRIDS), default="snr_db", help="sweep variable")
     swp.add_argument("--values", default=None, help="comma-separated sweep values (default: built-in grid)")
     for flag, name, kind, description in _CONFIG_FLAGS:
         swp.add_argument(flag, dest=name, type=kind, default=_DEFAULTS[name], help=description)
@@ -126,38 +139,23 @@ def _build_parser() -> _Parser:
 def parse_args(argv) -> tuple:
     """Parse flags into ``(run_sweep arguments, output path)``.
 
-    Raises UsageError on any bad flag or configuration value, before a trial
-    runs.
+    Raises UsageError on any bad flag or input, before a trial runs; an input
+    that ``experiments`` rejects raises ConfigError, whose field names the flag.
     """
     ns = _build_parser().parse_args(argv)
-
-    if ns.subcommand == "figure":
-        try:
+    try:
+        if ns.subcommand == "figure":
             job = experiments.figure_sweep(ns.id, ns.trials, ns.seed, ns.gain_mode)
-        except ConfigError as exc:
-            raise _config_usage_error(exc) from None
-        return job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
-
-    schemes = schemes_for(ns.scenario)
-    if ns.schemes is not None:
-        schemes = tuple(token.strip() for token in ns.schemes.split(",") if token.strip())
-    values = _split_floats(ns.values, "--values") if ns.values is not None else SWEEP_GRIDS[ns.var]
-    try:
+            return job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
+        schemes = schemes_for(ns.scenario)
+        if ns.schemes is not None:
+            schemes = tuple(token.strip() for token in ns.schemes.split(",") if token.strip())
+        values = _split_floats(ns.values, "--values") if ns.values is not None else SWEEP_GRIDS[ns.var]
         config = ScenarioConfig(**{name: getattr(ns, name) for name in _DEFAULTS})
-    except ConfigError as exc:
-        raise _config_usage_error(exc) from None
-    try:
         points = experiments.sweep_points(config, ns.var, values)
-    except ValueError as exc:
-        # No one flag is at fault for a built-in grid value: --subcarriers can
-        # push a ris_elements value past the size cap, --carrier-hz a bandwidth.
-        if ns.values is not None:
-            raise UsageError(f"argument --values: {exc}") from None
-        raise UsageError(f"argument --var: {exc} (a value of the built-in {ns.var} grid)") from None
-    try:
         experiments.check_schemes(schemes, ns.scenario, max(point.num_ris_elements for point in points))
-    except ValueError as exc:
-        raise UsageError(f"argument --schemes: {exc}") from None
+    except ConfigError as exc:
+        raise _config_usage_error(exc, ns) from None
     return (config, schemes, ns.var, values), ns.out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import FrequencyGrid, _is_count, _is_real, gen_channels, sample_path_set
+from .channel import GAIN_MODES, FrequencyGrid, _is_count, _is_real, gen_channels, sample_path_set
 from .phase_design import PhaseProfile, design_central, design_mccm, design_random, design_subcarrier_covariance
 # Unused here; benchmarks/child.py traces it under this module.
 from .phase_design import design_ideal as design_indexed  # noqa: F401
@@ -52,7 +52,6 @@ SWEEP_GRIDS = {
     "bandwidth_hz": (0.25e9, 0.5e9, 1e9, 2e9, 4e9),
     "ris_elements": (16, 32, 64, 128, 256),
 }
-SWEEP_VARIABLES = tuple(SWEEP_GRIDS)
 
 #: Preset comparisons, figure id -> (scenario, sweep variable); each runs every
 #: scheme of its scenario over the variable's default grid, at 10 dB off the SNR axis.
@@ -110,7 +109,9 @@ def _has_linear_snr(snr_db) -> bool:
 
 
 class ConfigError(ValueError):
-    """A :class:`ScenarioConfig` value that breaks its field's rule; ``field`` names the field."""
+    """An input rejected before the first trial; ``field`` names it: a
+    :class:`ScenarioConfig` field, ``values`` (a sweep value), ``schemes``, or
+    ``sweep_variable``."""
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
@@ -166,7 +167,7 @@ class ScenarioConfig:
                 _is_real(self.seed) and isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64,
                 "an integer in [0, 2**64)",
             ),
-            "gain_mode": (self.gain_mode in ("unit", "random"), "'unit' or 'random'"),
+            "gain_mode": (self.gain_mode in GAIN_MODES, " or ".join(map(repr, GAIN_MODES))),
         }
         for name, (ok, expected) in rules.items():
             if not ok:
@@ -200,20 +201,22 @@ def central_subcarrier_index(grid: FrequencyGrid) -> int:
 
 
 def check_schemes(schemes: tuple[str, ...], scenario: str, num_ris_elements: int) -> None:
-    """Raise ValueError unless ``schemes`` is a non-empty list of distinct schemes the scenario offers,
-    and without ``mccm`` if the sweep's largest M, ``num_ris_elements``, has M**2 > ``MAX_TABLE_ENTRIES``."""
+    """Raise ConfigError (field ``schemes``) unless ``schemes`` is a non-empty list of distinct schemes the
+    scenario offers, and without ``mccm`` if the sweep's largest M, ``num_ris_elements``, has
+    M**2 > ``MAX_TABLE_ENTRIES``."""
     if not schemes:
-        raise ValueError("need at least one scheme")
+        raise ConfigError("schemes", "need at least one scheme")
     for i, scheme in enumerate(schemes):
         if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; known schemes: {', '.join(SCHEMES)}")
+            raise ConfigError("schemes", f"unknown scheme {scheme!r}; known schemes: {', '.join(SCHEMES)}")
         if scenario not in SCHEMES[scheme]:
-            raise ValueError(f"scheme {scheme!r} is not available in the {scenario!r} scenario")
+            raise ConfigError("schemes", f"scheme {scheme!r} is not available in the {scenario!r} scenario")
         if scheme in schemes[:i]:
-            raise ValueError(f"scheme {scheme!r} is named twice")
+            raise ConfigError("schemes", f"scheme {scheme!r} is named twice")
         if scheme == "mccm" and num_ris_elements**2 > MAX_TABLE_ENTRIES:
             bound = f"M**2 <= MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
-            raise ValueError(f"scheme 'mccm' forms an (M, M) covariance and needs {bound}, got M = {num_ris_elements}")
+            message = f"scheme 'mccm' forms an (M, M) covariance and needs {bound}, got M = {num_ris_elements}"
+            raise ConfigError("schemes", message)
 
 
 def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: int) -> tuple:
@@ -258,15 +261,16 @@ def _common_profile(scenario: str, channels, scheme: str, draws: tuple) -> Phase
 def _build_rates(out: np.ndarray, config: ScenarioConfig, build: tuple, paths, schemes, draws: tuple) -> None:
     """Fill the (point, scheme) rows ``out`` of every point that shares one channel build.
 
-    ``build`` holds the grid, the linear SNRs, the surface sizes and the
-    (row, SNR index, size index) arrays of its points; the channel is built
+    ``build`` holds the grid, the linear SNRs, the surface sizes and the rows
+    of its points, which differ in SNR or in size, never in both, so the
+    (SNR, size) rates in order are the rows in order. The channel is built
     at the largest size. ``mccm`` is designed once per size m on the first m
     elements of that build, and its Z profiles are rated in the same stacked
     ``sum_rate`` call as the shared ones, profile z read at size z. A
     function of its own so that each trial's widest table is freed before
     the next build.
     """
-    grid, snrs, sizes, (rows, snr_index, size_index) = build
+    grid, snrs, sizes, rows = build
     widest = gen_channels(paths, grid, config.num_bs_antennas, max(sizes))
     rates = np.empty((len(snrs), len(sizes), len(schemes)))
     if "ideal" in schemes:
@@ -279,14 +283,16 @@ def _build_rates(out: np.ndarray, config: ScenarioConfig, build: tuple, paths, s
         rates[..., shared] = table[..., : len(shared)]
         if mccm:
             rates[..., schemes.index("mccm")] = np.diagonal(table[..., len(shared) :], axis1=1, axis2=2)
-    out[rows] = rates[snr_index, size_index]
+    out[rows] = rates.reshape(len(rows), len(schemes))
 
 
 def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_db", values=None) -> np.ndarray:
     """Mean rate of every (sweep value, scheme, trial), shape (len(values), len(schemes), trials).
 
-    ``values=None`` evaluates the config's own point alone. Every value is
-    validated before the first trial. Trials run in ascending order; each
+    ``values=None`` evaluates the config's own point alone. A bad sweep value
+    or scheme list raises ConfigError, whose ``field`` names the input, before
+    the first trial. Points that share a grid share one channel build per
+    trial and take its rates in order. Trials run in ascending order; each
     draws its paths from a substream of (seed, trial) only, so every scheme
     and sweep value is evaluated on the same paths, and makes its scheme-side
     draws once for all sweep values.
@@ -295,17 +301,18 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     points = (config,) if values is None else sweep_points(config, sweep_variable, values)
     m_max = max(point.num_ris_elements for point in points)
     check_schemes(schemes, config.scenario, m_max)
-    # Points on one grid, which differ only in SNR or surface size, share one channel
-    # build per trial; each point reads the (SNR, size) entry of its build's rates.
+    # Points on one grid differ only in SNR or only in surface size, and no two are
+    # equal, so they share one channel build per trial and take its rates in order.
+    # SNRs are keyed by dB value, since two distinct dB values can round to one linear SNR.
     builds = {}
     for row, point in enumerate(points):
         grid = FrequencyGrid(point.carrier_hz, point.bandwidth_hz, point.num_subcarriers)
-        snrs, sizes, cells = builds.setdefault(grid, ({}, {}, []))
-        snr, size = snrs.setdefault(point.snr_db, len(snrs)), sizes.setdefault(point.num_ris_elements, len(sizes))
-        cells.append((row, snr, size))
+        snrs, sizes, rows = builds.setdefault(grid, ({}, {}, []))
+        snrs[point.snr_db] = sizes[point.num_ris_elements] = None
+        rows.append(row)
     channel_builds = [
-        (grid, np.array([_snr_linear(snr_db) for snr_db in snrs]), tuple(sizes), tuple(map(np.array, zip(*cells))))
-        for grid, (snrs, sizes, cells) in builds.items()
+        (grid, np.array([_snr_linear(snr_db) for snr_db in snrs]), tuple(sizes), rows)
+        for grid, (snrs, sizes, rows) in builds.items()
     ]
     rates = np.empty((len(points), len(schemes), config.trials))
     for trial in range(config.trials):
@@ -318,21 +325,28 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
 
 
 def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[ScenarioConfig, ...]:
-    """The config of every sweep point; raises ValueError on any bad value."""
+    """The config of every sweep point.
+
+    Raises ConfigError on any bad value with field ``values``, keeping the
+    message of the config field the value breaks, and on an unknown variable
+    with field ``sweep_variable``.
+    """
     if len(values) == 0:
-        raise ValueError("need at least one sweep value")
+        raise ConfigError("values", "need at least one sweep value")
     if sweep_variable not in SWEEP_GRIDS:
-        raise ValueError(f"unknown sweep variable {sweep_variable!r}; known: {', '.join(SWEEP_VARIABLES)}")
+        known = ", ".join(SWEEP_GRIDS)
+        raise ConfigError("sweep_variable", f"unknown sweep variable {sweep_variable!r}; known: {known}")
     points = []
     for i, value in enumerate(values):
         if float(value) in map(float, values[:i]):
-            raise ValueError(f"{sweep_variable} value {value:g} is named twice")
-        if sweep_variable == "ris_elements":
-            if not float(value).is_integer():
-                raise ValueError(f"ris_elements must be an integer, got {value}")
-            points.append(replace(config, num_ris_elements=int(value)))
-        else:
-            points.append(replace(config, **{sweep_variable: float(value)}))
+            raise ConfigError("values", f"{sweep_variable} value {value:g} is named twice")
+        if sweep_variable == "ris_elements" and not float(value).is_integer():
+            raise ConfigError("values", f"ris_elements must be an integer, got {value}")
+        field, kind = ("num_ris_elements", int) if sweep_variable == "ris_elements" else (sweep_variable, float)
+        try:
+            points.append(replace(config, **{field: kind(value)}))
+        except ConfigError as exc:
+            raise ConfigError("values", str(exc)) from exc
     return tuple(points)
 
 

@@ -54,13 +54,9 @@ class PhaseProfile:
         phases.flags.writeable = False
         object.__setattr__(self, "phases_rad", phases)
 
-    def unit_diagonal(self) -> np.ndarray:
-        """Diagonal of the reflection matrix; every entry has modulus one."""
-        return unit_diagonal(self.phases_rad)
-
 
 def unit_diagonal(phases_rad) -> np.ndarray:
-    """Reflection-matrix diagonals ``exp(j*phases)`` of phases (..., M), as in :meth:`PhaseProfile.unit_diagonal`."""
+    """Reflection-matrix diagonals ``exp(j*phases)`` of phases (..., M); every entry has modulus one."""
     return np.exp(1j * np.asarray(phases_rad, dtype=float))
 
 

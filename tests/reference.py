@@ -47,6 +47,7 @@ from squintsim.phase_design import (
     design_random,
     design_subcarrier_covariance,
     phase_extraction,
+    unit_diagonal,
 )
 
 
@@ -177,7 +178,7 @@ def effective_channel(h_ru_k, profile: PhaseProfile, h_br_k) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: h_ru {h_ru.shape}, profile {len(profile.phases_rad)}, h_br {h_br.shape}"
         )
-    return (h_ru * profile.unit_diagonal()) @ h_br
+    return (h_ru * unit_diagonal(profile.phases_rad)) @ h_br
 
 
 def mrt_beamformer(effective, transmit_power: float) -> np.ndarray:
@@ -248,7 +249,7 @@ def rate_upper_bound(
     # z_k is the alignment sum of subcarrier k.
     phi_bs = spatial_angle(grid.frequencies, paths.bs_ris_aoa_rad, grid.carrier_hz)
     phi_user = spatial_angle(grid.frequencies, paths.ru_angles_rad[0], grid.carrier_hz)
-    z = _steering_table(num_ris_elements, phi_bs - phi_user) @ profile.unit_diagonal()
+    z = _steering_table(num_ris_elements, phi_bs - phi_user) @ unit_diagonal(profile.phases_rad)
     mean_z_sq = float(np.mean(np.abs(z) ** 2))
     return float(rate_bits(snr, num_bs_antennas * mean_z_sq))
 

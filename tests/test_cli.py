@@ -1,9 +1,12 @@
+import argparse
 import ctypes
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squintsim
@@ -15,6 +18,8 @@ from squintsim.experiments import (
     NLOS,
     SCHEMES,
     SWEEP_GRIDS,
+    ConfigError,
+    ScenarioConfig,
     SweepRow,
     figure_sweep,
     schemes_for,
@@ -138,6 +143,35 @@ class TestParseArgs:
     def test_missing_figure_id(self):
         with pytest.raises(UsageError):
             parse_args(["figure"])
+
+    @pytest.mark.parametrize(
+        "token",
+        ["12", "-1e-3", "+.5", "5.", "1_000.2_5e1_0", "1E+05", "inf", "-Infinity", "NaN", "\u0661\u0662",
+         "two", "1__0", "_1", "1_", "1_.5", "e5", ".", "1e", "1e+", "0x10", "1j", "infinit", "nann", "\u0131nf"],
+    )
+    def test_value_list_takes_exactly_the_numbers_float_takes(self, token):
+        try:
+            expected = float(token)
+        except ValueError:
+            with pytest.raises(UsageError) as info:
+                cli._split_floats(f"1,{token},3", "--values")
+            assert str(info.value) == f"argument --values: invalid number {token!r}"
+        else:
+            parsed = cli._split_floats(f"1, {token} ,3", "--values")
+            assert np.array_equal(parsed, (1.0, expected, 3.0), equal_nan=True)
+
+    @pytest.mark.parametrize("field", [*(f.name for f in fields(ScenarioConfig)), "values", "schemes"])
+    def test_every_input_maps_to_the_sweep_flag_that_sets_it(self, field):
+        sweep = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {flag: action.dest for action in sweep.choices["sweep"]._actions for flag in action.option_strings}
+        for argv in (["sweep"], ["sweep", "--values", "1"]):
+            ns = cli._build_parser().parse_args(argv)
+            message = str(cli._config_usage_error(ConfigError(field, "bad"), ns))
+            if field == "values" and ns.values is None:
+                assert message == f"argument --var: bad (a value of the built-in {ns.var} grid)"
+                continue
+            flag, text = message.removeprefix("argument ").split(": ")
+            assert (dests[flag], text) == (field, "bad")
 
 
 class TestEmitCsv:

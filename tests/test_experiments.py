@@ -283,6 +283,14 @@ class TestTrialMajorLoop:
         expected = oracle_rates([replace(base, snr_db=snr) for snr in snrs], schemes)
         assert np.array_equal(rates, expected)
 
+    def test_snr_values_with_one_linear_snr_keep_a_row_each(self, base):
+        # 0 dB and the smallest subnormal dB value are two points but one linear SNR.
+        snrs = (20.0, 0.0, 5e-324)
+        assert experiments._snr_linear(snrs[1]) == experiments._snr_linear(snrs[2])
+        schemes = schemes_for(base.scenario)
+        rates = per_trial_rates(base, schemes, "snr_db", snrs)
+        assert np.array_equal(rates, oracle_rates([replace(base, snr_db=snr) for snr in snrs], schemes))
+
     @pytest.mark.parametrize("variable,values", [("bandwidth_hz", (0.5e9, 4e9)), ("ris_elements", (4, 16))])
     def test_other_sweeps_match_per_point_oracle(self, base, variable, values):
         schemes = schemes_for(base.scenario)
@@ -555,6 +563,31 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "sample_path_set", no_trials)
         with pytest.raises(ValueError):
             run_sweep(SMALL_LOS, ("central",), variable, values)
+
+    @pytest.mark.parametrize(
+        "schemes,variable,values,field,message",
+        [
+            (("central",), "snr_db", (), "values", "need at least one sweep value"),
+            (("central",), "carrier_hz", (28e9,), "sweep_variable", "unknown sweep variable 'carrier_hz'; known: "),
+            (("central",), "snr_db", (5.0, 5.0), "values", "snr_db value 5 is named twice"),
+            (("central",), "ris_elements", (8.5,), "values", "ris_elements must be an integer, got 8.5"),
+            (("central",), "bandwidth_hz", (1e9, 1e12), "values", "bandwidth_hz must be in [0, 2*carrier_hz), got"),
+            (("central",), "ris_elements", (4, 1 << 21), "values", "num_ris_elements must be an integer >= 1 with "),
+            ((), "snr_db", (0.0,), "schemes", "need at least one scheme"),
+            (("waterfilling",), "snr_db", (0.0,), "schemes", "unknown scheme 'waterfilling'; known schemes: "),
+            (("mccm",), "snr_db", (0.0,), "schemes", "scheme 'mccm' is not available in the 'los' scenario"),
+            (("central", "central"), "snr_db", (0.0,), "schemes", "scheme 'central' is named twice"),
+        ],
+    )
+    def test_rejection_is_a_config_error_naming_the_input(self, schemes, variable, values, field, message, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the sweep was validated")
+
+        monkeypatch.setattr(experiments, "sample_path_set", no_trials)
+        with pytest.raises(experiments.ConfigError) as info:
+            run_sweep(SMALL_LOS, schemes, variable, values)
+        assert info.value.field == field
+        assert str(info.value).startswith(message)
 
     def test_rejects_non_finite_row(self):
         # Unit gains give the ideal scheme a power of N*M^2 = 256 on SMALL_LOS,

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -374,6 +375,21 @@ class TestPhaseExtraction:
         signed = phase_extraction(np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]))
         assert np.array_equal(signed, [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "vector,zeros",
+        [([0.0, 1j, 0.0], 2), ([complex(-0.0, 0.0), 1.0], 1), ([1j, -2.0], 0)],
+        ids=["two-zeros", "signed-zero", "no-zeros"],
+    )
+    def test_zero_entries_log_one_warning_naming_their_count(self, vector, zeros, caplog):
+        with caplog.at_level(logging.WARNING, logger=phase_design.__name__):
+            phase_extraction(np.array(vector))
+        records = [record for record in caplog.records if record.name == phase_design.__name__]
+        assert [(record.levelno, record.getMessage()) for record in records] == (
+            [(logging.WARNING, f"phase extraction hit {zeros} exactly-zero entries; their phase is set to 0")]
+            if zeros
+            else []
+        )
+
 
 class TestDesignMccm:
     def test_matches_ideal_on_rank_one_link(self):
@@ -520,7 +536,7 @@ class TestDesignSubcarrierCovariance:
             if num_paths == 1:
                 ideal = design_ideal(paths, grid, num_ris_elements, k)
                 assert_same_up_to_global_phase(profile.phases_rad, ideal.phases_rad, atol=1e-11)
-            power = channels.received_power(profile.unit_diagonal())[k]
+            power = channels.received_power(unit_diagonal(profile.phases_rad))[k]
             assert power == pytest.approx(aligned[k], rel=1e-12)
 
     @pytest.mark.parametrize("num_paths", [1, 3])
@@ -596,7 +612,7 @@ class TestProfileProperties:
     def test_unit_modulus_diagonal(self):
         rng = np.random.default_rng(18)
         profile = design_random(rng, 32)
-        assert np.allclose(np.abs(profile.unit_diagonal()), 1.0, atol=1e-15)
+        assert np.allclose(np.abs(unit_diagonal(profile.phases_rad)), 1.0, atol=1e-15)
 
     def test_angle_designers_ignore_gain_scale(self):
         grid = FrequencyGrid(28e9, 2e9, 8)
@@ -626,7 +642,7 @@ class TestProfileProperties:
         stacked = unit_diagonal(np.stack([profile.phases_rad for profile in profiles]))
         assert stacked.shape == (3, 9)
         for row, profile in zip(stacked, profiles):
-            assert np.array_equal(row, profile.unit_diagonal())
+            assert np.array_equal(row, unit_diagonal(profile.phases_rad))
 
     def test_degenerate_is_keyword_only(self):
         # A positional second argument (the old scheme tag) must not pass as the flag.

@@ -9,7 +9,7 @@ from squintsim.channel import (
     rate_bits,
     sample_path_set,
 )
-from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random
+from squintsim.phase_design import PhaseProfile, design_central, design_ideal, design_random, unit_diagonal
 from squintsim.rate_eval import ideal_rate, sum_rate
 
 from reference import (
@@ -32,7 +32,7 @@ def zero_profile(m):
 
 
 def per_subcarrier(channels, profile):
-    return rate_bits(SNR, channels.received_power(profile.unit_diagonal()))
+    return rate_bits(SNR, channels.received_power(unit_diagonal(profile.phases_rad)))
 
 
 class TestSnrCheck:
@@ -186,7 +186,7 @@ class TestSumRate:
         a = sum_rate(channels, profile, SNR)
         b = sum_rate(Shuffled, profile, SNR)
         assert a == pytest.approx(b, rel=1e-12)
-        diag = profile.unit_diagonal()
+        diag = unit_diagonal(profile.phases_rad)
         assert not np.array_equal(Shuffled.received_power(diag), channels.received_power(diag))
 
     def test_strictly_increasing_in_snr(self):

@@ -24,6 +24,7 @@ from squintsim.phase_design import (
     design_random,
     design_subcarrier_covariance,
     phase_extraction,
+    unit_diagonal,
 )
 from squintsim.rate_eval import ideal_rate, sum_rate
 
@@ -129,7 +130,7 @@ def reference_ideal_rates(channels, snr, aod, delay):
 def test_sum_rate_matches_dense_reference(case):
     channels, rng, snr = realize(case)
     profile = design_random(rng, channels.num_ris_elements)
-    per_k = rate_bits(snr, channels.received_power(profile.unit_diagonal()))
+    per_k = rate_bits(snr, channels.received_power(unit_diagonal(profile.phases_rad)))
     for aod, delay in BS_DEPARTURES:
         np.testing.assert_allclose(per_k, dense_rates(channels, profile, snr, aod, delay), RTOL, ATOL)
     assert sum_rate(channels, profile, snr) == pytest.approx(np.mean(per_k), rel=1e-15)
@@ -147,7 +148,7 @@ def test_ideal_rate_matches_per_subcarrier_designer_loop(case):
 @with_edge_cases
 def test_received_power_never_exceeds_aligned_power(case):
     channels, rng, _ = realize(case)
-    diag = design_random(rng, channels.num_ris_elements).unit_diagonal()
+    diag = unit_diagonal(design_random(rng, channels.num_ris_elements).phases_rad)
     aligned = channels.aligned_power()
     assert np.all(channels.received_power(diag) <= aligned * (1 + RTOL) + ATOL)
 
@@ -193,7 +194,7 @@ def test_snr_array_matches_one_call_per_snr(case):
     snrs = np.array([10.0 ** (snr / 10.0) for snr in case["snrs_db"]])
     profile = design_random(rng, channels.num_ris_elements)
 
-    power = channels.received_power(profile.unit_diagonal())
+    power = channels.received_power(unit_diagonal(profile.phases_rad))
     assert_rows_match_single_snr_calls(snrs, power, lambda snr: sum_rate(channels, profile, snr))
     assert_rows_match_single_snr_calls(snrs, channels.aligned_power(), lambda snr: ideal_rate(channels, snr))
 
@@ -211,7 +212,7 @@ def test_stored_cascade_powers_match_the_per_call_product(num_ris_elements, num_
     )
     channels, rng, snr = realize(case)
     profile = design_random(rng, num_ris_elements)
-    diag = profile.unit_diagonal()
+    diag = unit_diagonal(profile.phases_rad)
     cascade, oracle = channels.cascade, cascade_direct(channels)
     gain = channels.bs_ris_power_gain
     power, aligned = channels.received_power(diag), channels.aligned_power()
@@ -242,7 +243,7 @@ def test_stacked_profiles_match_one_call_per_profile(num_subcarriers, num_ris_el
     gain = channels.bs_ris_power_gain
     for count in range(1, 7):
         profiles = [design_random(rng, num_ris_elements) for _ in range(count)]
-        diags = np.stack([profile.unit_diagonal() for profile in profiles])
+        diags = np.stack([unit_diagonal(profile.phases_rad) for profile in profiles])
         power = channels.received_power(diags)
         one_snr, many_snrs = sum_rate(channels, profiles, snr), sum_rate(channels, profiles, snrs)
         assert power.shape == (count, num_subcarriers)
