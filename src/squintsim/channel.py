@@ -277,34 +277,27 @@ def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
     return product.reshape(sin_theta.shape[:-1] + (k_sub, n_elements))
 
 
-#: Entry budget of the path tables one :func:`_path_sum` chunk builds at once. It holds
-#: every preset's L paths in one chunk, and a chunk is never less than one path.
-_CHUNK_ENTRIES = 1 << 20
-
-
 def _path_sum(n_elements: int, grid: FrequencyGrid, sin_diff, coef) -> np.ndarray:
     """``sum_l coef[l, :, None] * _band_table(n, grid, sin_diff[l])``, shape (K, n).
 
     It equals numpy's axis-0 sum of the coefficient-scaled stack, bit for
-    bit: the paths are added in order onto a zero start. The paths are tabled
-    in chunks of at most ``_CHUNK_ENTRIES`` entries, so at most one chunk, its
-    factor rows and the (K, n) sum are held at once, however many paths
-    there are; one path's table is its own sum.
+    bit: the paths are added in order onto a zero start. Each path is tabled
+    by its own call, so at most one path table, its factor rows and the
+    (K, n) sum are held at once, however many paths there are; the first
+    path's table is the sum itself.
     """
-    chunk = max(1, _CHUNK_ENTRIES // (grid.num_subcarriers * n_elements))
     total = None
-    for start in range(0, len(sin_diff), chunk):
-        tables = _band_table(n_elements, grid, sin_diff[start : start + chunk])
-        # Scales the chunk in place, in the operand order of coef * table.
-        np.multiply(coef[start : start + chunk, :, None], tables, out=tables)
+    for sin_l, coef_l in zip(sin_diff, coef):
+        table = _band_table(n_elements, grid, sin_l)
+        # Scales the table in place, in the operand order of coef * table.
+        np.multiply(coef_l[:, None], table, out=table)
         if total is None:
-            # The sum's zero start turns -0.0 into 0.0. A one-path chunk is the accumulator itself.
-            total = np.add(tables[0], 0.0, out=tables[0] if len(tables) == 1 else None)
-            tables = tables[1:]
-        for row in range(len(tables)):
-            total += tables[row]
-        # Freed before the next chunk is tabled.
-        del tables
+            # The sum's zero start turns -0.0 into 0.0.
+            total = np.add(table, 0.0, out=table)
+        else:
+            total += table
+        # Freed before the next path is tabled.
+        del table
     return total
 
 

@@ -34,6 +34,9 @@ _CONFIG_FLAGS = (
     ("--snr-db", "snr_db", float, "SNR in dB for non-SNR sweeps"),
 )
 
+#: The flag of every input whose flag is not ``--`` plus its name with dashes.
+_FIELD_FLAGS = {"fig_id": "--id", "sweep_variable": "--var", **{name: flag for flag, name, *_ in _CONFIG_FLAGS}}
+
 #: Exactly the stripped strings float() accepts: decimal digits with single
 #: underscores between them, with an optional point and exponent, or inf,
 #: infinity or nan in any case; each with an optional sign.
@@ -44,8 +47,8 @@ _NUMBER = re.compile(
 )
 
 # glibc mallopt parameters. 32 MiB is glibc's 64-bit ceiling for the mmap
-# threshold, above every preset's largest block: the nlos chunk of five
-# (128, 64) path tables, 640 KiB.
+# threshold, above every preset's largest block: one (K, M) table, 512 KiB at
+# K = 128, M = 256.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _HEAP_THRESHOLD_BYTES = 32 << 20
@@ -66,8 +69,8 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _config_usage_error(exc: ConfigError, ns: argparse.Namespace) -> UsageError:
-    """The error of a bad input, under the flag that set it: the table's flag, else
-    the field's own name as a flag (``--values``, ``--schemes``, ``--trials``).
+    """The error of a bad input, under the flag that set it: its ``_FIELD_FLAGS``
+    flag, else the field's own name as a flag (``--values``, ``--schemes``, ``--trials``).
 
     A value of the built-in grid goes under ``--var``, since no one flag is at
     fault for it: --subcarriers can push a ris_elements value past the size
@@ -75,7 +78,7 @@ def _config_usage_error(exc: ConfigError, ns: argparse.Namespace) -> UsageError:
     """
     if exc.field == "values" and ns.values is None:
         return UsageError(f"argument --var: {exc} (a value of the built-in {ns.var} grid)")
-    flag = next((f for f, name, *_ in _CONFIG_FLAGS if name == exc.field), "--" + exc.field.replace("_", "-"))
+    flag = _FIELD_FLAGS.get(exc.field, "--" + exc.field.replace("_", "-"))
     return UsageError(f"argument {flag}: {exc}")
 
 
@@ -198,9 +201,9 @@ def _reuse_freed_blocks() -> None:
 
     glibc serves a block at or above its mmap threshold with a fresh mapping,
     and its dynamic threshold only rises to the size of the last freed mapped
-    block, so every same-size (K, M) table or chunk of path tables is mapped and
-    faulted in again. Free memory above the trim threshold at the top of the
-    heap goes back to the kernel as well, so both thresholds are raised.
+    block, so every same-size (K, M) table is mapped and faulted in again.
+    Free memory above the trim threshold at the top of the heap goes back to
+    the kernel as well, so both thresholds are raised.
     Library callers keep their allocator as it is. A no-op off Linux and
     where libc has no ``mallopt``.
     """

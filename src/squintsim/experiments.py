@@ -66,13 +66,13 @@ FIGURES = {
 #: Largest num_subcarriers * num_ris_elements a config may ask for: one complex
 #: (K, M) table then takes 256 MiB; steering tables are filled to exactly M
 #: columns, so that holds at any M. A channel point holds one table, ``cascade``,
-#: summed from chunks of path tables of at most 2^20 entries or one path, each
-#: with its factor table of (K/C + C) rows of M per path (C the largest divisor
-#: of K not above sqrt(K), so about half a table at most; at a prime K the
-#: coarse rows are the table), and one path's table is its own sum. So a build
-#: peaks below about 16 * (K*M + 1.5 * max(K*M, 2^20)) bytes whatever L, 2.5
-#: tables or 640 MiB at the cap, plus the (L, K) path coefficients. Traced
-#: peaks at a quarter of the cap, M = 1024, one table of 64 MiB:
+#: summed from one path table at a time, each with its factor table of
+#: (K/C + C) rows of M (C the largest divisor of K not above sqrt(K), so about
+#: half a table at most; at a prime K the coarse rows are the table), and the
+#: first path's table is the sum itself. So a build peaks below about
+#: 16 * 2.5 * K*M bytes whatever L, 2.5 tables or 640 MiB at the cap, plus the
+#: (L, K) path coefficients. Traced peaks at a quarter of the cap, M = 1024,
+#: one table of 64 MiB:
 #:
 #:   K \ L             1      5     20     40
 #:   4096            66.2  130.4  131.4  132.6  MiB
@@ -110,8 +110,8 @@ def _has_linear_snr(snr_db) -> bool:
 
 class ConfigError(ValueError):
     """An input rejected before the first trial; ``field`` names it: a
-    :class:`ScenarioConfig` field, ``values`` (a sweep value), ``schemes``, or
-    ``sweep_variable``."""
+    :class:`ScenarioConfig` field, ``values`` (a sweep value), ``schemes``,
+    ``sweep_variable``, or ``fig_id`` (a preset id of :func:`figure_sweep`)."""
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
@@ -392,9 +392,12 @@ def run_sweep(config: ScenarioConfig, schemes, sweep_variable: str, values) -> t
 
 
 def figure_sweep(fig_id: int, trials: int, seed: int, gain_mode: str = "random") -> tuple:
-    """Arguments of :func:`run_sweep` for the preset comparison ``FIGURES[fig_id]``."""
+    """Arguments of :func:`run_sweep` for the preset comparison ``FIGURES[fig_id]``.
+
+    An id that is no key of ``FIGURES`` raises ConfigError with field ``fig_id``.
+    """
     if fig_id not in FIGURES:
-        raise ValueError(f"unknown figure id {fig_id}; known: {', '.join(map(str, FIGURES))}")
+        raise ConfigError("fig_id", f"unknown figure id {fig_id}; known: {', '.join(map(str, FIGURES))}")
     scenario, variable = FIGURES[fig_id]
     config = ScenarioConfig(scenario=scenario, trials=trials, seed=seed, gain_mode=gain_mode)
     return config, schemes_for(scenario), variable, SWEEP_GRIDS[variable]

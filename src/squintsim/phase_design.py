@@ -16,15 +16,13 @@ that vector.
 
 from __future__ import annotations
 
-import logging
 import numbers
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelRealization, FrequencyGrid, PathSet, _band_table, _is_count, _is_real, rate_bits
-
-logger = logging.getLogger(__name__)
 
 #: Linear SNR (10 dB) used only to rank the two phase-extraction candidates
 #: inside design_mccm; the selection is deterministic and independent of the
@@ -124,7 +122,10 @@ def mean_channel_covariance(h_ris_user) -> np.ndarray:
     h = np.atleast_2d(np.asarray(h_ris_user, dtype=complex))
     if h.shape[0] == 0 or h.shape[1] == 0 or not np.isfinite(h).all():
         raise ValueError(f"need at least one nonempty channel row vector, every entry finite, got {h!r}")
-    return (h.conj().T @ h) / h.shape[0]
+    cov = h.conj().T @ h
+    # Divided in place: the same bits as the quotient, without a second (M, M) matrix.
+    cov /= h.shape[0]
+    return cov
 
 
 def _canonical_phase(vector: np.ndarray) -> np.ndarray:
@@ -167,14 +168,17 @@ def principal_direction(covariance) -> tuple[np.ndarray, bool]:
 def phase_extraction(v) -> np.ndarray:
     """Phases of the entries of ``v``, discarding magnitudes.
 
-    Entries that are exactly zero get phase 0 by convention; every entry must be finite.
+    Entries that are exactly zero get phase 0 by convention, and a call that
+    meets any issues one RuntimeWarning naming their count; every entry must
+    be finite.
     """
     vec = np.asarray(v, dtype=complex)
     if not np.isfinite(vec).all():
         raise ValueError(f"vector must be finite, got {vec!r}")
     zeros = int(np.count_nonzero(vec == 0))
     if zeros:
-        logger.warning("phase extraction hit %d exactly-zero entries; their phase is set to 0", zeros)
+        message = f"phase extraction hit {zeros} exactly-zero entries; their phase is set to 0"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     return np.where(vec == 0, 0.0, np.angle(vec))
 
 

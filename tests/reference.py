@@ -18,8 +18,8 @@ the textbook spatial angle of a path, which the package writes inline.
 The paths hold no BS departure angle or delay, since no rate reads them, so
 ``a_bs`` and ``h_bs_ris`` take both as arguments, and the dense-chain tests
 run at every pair of ``BS_DEPARTURES``. ``summed_cascade`` is
-the cascade as one summed stack of path tables, which the package's chunked
-build matches bit for bit.
+the cascade as one summed stack of path tables, which the package's
+path-by-path build matches bit for bit.
 ``subcarrier_covariance_profile`` is the per-subcarrier covariance designer
 written out as the mean-covariance route: a receive part at f_k and the closed
 form principal direction of the rank-one covariance of the user row k.
@@ -121,7 +121,7 @@ def cascade_direct(channels: ChannelRealization) -> np.ndarray:
 
 def summed_cascade(channels: ChannelRealization) -> np.ndarray:
     """Cascade (K, M) built as one coefficient-scaled (L, K, M) stack of band tables, summed over
-    axis 0 and scaled by ``1/sqrt(L)``: the package's chunked build must give these bits."""
+    axis 0 and scaled by ``1/sqrt(L)``: the package's path-by-path build must give these bits."""
     paths, f = channels.source_paths, channels.grid.frequencies
     sin_diff = np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad)
     tables = _band_table(channels.num_ris_elements, channels.grid, sin_diff)

@@ -458,10 +458,10 @@ class TestGenChannels:
         assert cascade_error <= TABLE_TOL and rows_error <= TABLE_TOL
 
     @pytest.mark.parametrize("num_paths", [1, 1, 5], ids=["los-1", "nlos-1", "nlos-5"])
-    def test_one_steering_table_call_per_build_and_per_design(self, monkeypatch, num_paths):
-        # gen_channels makes one band table, over the L difference angles of the
-        # cascade. The realization keeps no user rows, so each design_mccm call
-        # forms its own with one more, at -sin(theta_bs). Each makes one
+    def test_one_steering_table_call_per_path_and_per_design(self, monkeypatch, num_paths):
+        # gen_channels makes one band table per path, at its difference angle,
+        # in path order. The realization keeps no user rows, so each design_mccm
+        # call forms its own with one more, at -sin(theta_bs). Each makes one
         # steering-table call over K/C + C = 4 + 4 angles, not K = 16.
         band_shapes, angle_shapes = [], []
 
@@ -479,12 +479,12 @@ class TestGenChannels:
         monkeypatch.setattr(phase_design, "_band_table", counting_band)
         monkeypatch.setattr(channel_module, "_steering_table", counting_table)
         channels = gen_channels(paths, grid, 4, 8)
-        assert band_shapes == [(num_paths,)]
-        assert angle_shapes == [(num_paths, 8)]
+        assert band_shapes == [()] * num_paths
+        assert angle_shapes == [(8,)] * num_paths
         design_mccm(channels)
         design_mccm(channels, 3)
-        assert band_shapes == [(num_paths,), (), ()]
-        assert angle_shapes == [(num_paths, 8), (8,), (8,)]
+        assert band_shapes == [()] * (num_paths + 2)
+        assert angle_shapes == [(8,)] * (num_paths + 2)
 
 
 class TestCascade:
@@ -592,16 +592,13 @@ class TestPathSum:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("budget", ["one", "table", "three-tables", "default"])
     @pytest.mark.parametrize("m", [37, 64])
     @pytest.mark.parametrize("k", [7, 128, 131])
     @pytest.mark.parametrize("num_paths", [1, 2, 5, 9])
-    def test_chunked_build_is_the_summed_stack_bit_for_bit(self, monkeypatch, num_paths, k, m, budget):
-        # Whatever the chunk, from one path to all L, the cascade has the bits
-        # of the summed (L, K, M) stack, signed zeros included: zero gains make
-        # scaled tables of signed zeros, which the sum's zero start turns to 0.0.
-        entries = {"one": 1, "table": k * m, "three-tables": 3 * k * m, "default": channel_module._CHUNK_ENTRIES}
-        monkeypatch.setattr(channel_module, "_CHUNK_ENTRIES", entries[budget])
+    def test_path_by_path_build_is_the_summed_stack_bit_for_bit(self, num_paths, k, m):
+        # Tabled one path at a time, the cascade has the bits of the summed
+        # (L, K, M) stack, signed zeros included: zero gains make scaled tables
+        # of signed zeros, which the sum's zero start turns to 0.0.
         grid = FrequencyGrid(28e9, 2e9, k)
         drawn = sample_path_set(np.random.default_rng([num_paths, k, m]), num_paths)
         gains = [drawn.ru_gains, (0j,) * num_paths, (complex(-0.0, -0.0),) + drawn.ru_gains[1:]]
@@ -627,11 +624,15 @@ class TestPathSum:
         assert channels.cascade.flags.c_contiguous
         assert held.nbytes == k * m * 16
 
-    def test_many_paths_peak_within_one_table_of_each_other(self):
-        # The paths are tabled a bounded chunk at a time, so the peak does not grow with L.
+    @pytest.mark.parametrize("num_paths", [5, 20, 40])
+    def test_many_paths_peak_at_two_tables_and_one_paths_factor_rows(self, num_paths):
+        # K = M = 512: the (K, M) sum and one path's table of 4 MiB each, that
+        # path's K/C + C = 32 + 16 factor rows of M entries, and the L
+        # coefficient rows of K entries that every build holds. No second path
+        # table is held while one is added; the slack covers ufunc buffers.
         k = m = 512
-        peaks = [self.build_peak(num_paths, k, m) for num_paths in (5, 20, 40)]
-        assert max(peaks) - min(peaks) < k * m * 16
+        table, factor_rows, coef_rows = k * m * 16, (32 + 16) * m * 16, num_paths * k * 16
+        assert self.build_peak(num_paths, k, m) < 2 * table + factor_rows + coef_rows + table // 16
 
 
 class TestSizes:

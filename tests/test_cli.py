@@ -160,18 +160,25 @@ class TestParseArgs:
             parsed = cli._split_floats(f"1, {token} ,3", "--values")
             assert np.array_equal(parsed, (1.0, expected, 3.0), equal_nan=True)
 
-    @pytest.mark.parametrize("field", [*(f.name for f in fields(ScenarioConfig)), "values", "schemes"])
+    @pytest.mark.parametrize(
+        "field", [*(f.name for f in fields(ScenarioConfig)), "values", "schemes", "sweep_variable", "fig_id"]
+    )
     def test_every_input_maps_to_the_sweep_flag_that_sets_it(self, field):
-        sweep = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        dests = {flag: action.dest for action in sweep.choices["sweep"]._actions for flag in action.option_strings}
-        for argv in (["sweep"], ["sweep", "--values", "1"]):
+        # The preset id is set by figure's --id, stored as id; the sweep variable by --var, stored as var.
+        dest = {"sweep_variable": "var", "fig_id": "id"}.get(field, field)
+        command = "figure" if field == "fig_id" else "sweep"
+        subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = subparsers.choices[command]._actions
+        dests = {flag: action.dest for action in actions for flag in action.option_strings}
+        argvs = [["figure", "--id", "2"]] if command == "figure" else [["sweep"], ["sweep", "--values", "1"]]
+        for argv in argvs:
             ns = cli._build_parser().parse_args(argv)
             message = str(cli._config_usage_error(ConfigError(field, "bad"), ns))
             if field == "values" and ns.values is None:
                 assert message == f"argument --var: bad (a value of the built-in {ns.var} grid)"
                 continue
             flag, text = message.removeprefix("argument ").split(": ")
-            assert (dests[flag], text) == (field, "bad")
+            assert (dests[flag], text) == (dest, "bad")
 
 
 class TestEmitCsv:

@@ -620,8 +620,9 @@ class TestReproduceFigure:
         assert set(r.scheme for r in rows) == set(schemes_for(NLOS))
 
     def test_rejects_unknown_figure(self):
-        with pytest.raises(ValueError):
-            figure_sweep(7, trials=1, seed=0)
+        with pytest.raises(experiments.ConfigError, match="^unknown figure id 9; known: 2, 3, 4, 5, 6$") as info:
+            figure_sweep(9, trials=1, seed=0)
+        assert info.value.field == "fig_id"
 
     def test_presets(self):
         assert FIGURES == {

@@ -2,7 +2,8 @@
 
 The scenario is a sweep-level choice of ``experiments``; these modules may
 mention "los" in docstrings, but no code of theirs defines or uses a
-``LOS``, ``NLOS`` or ``scenario`` name.
+``LOS``, ``NLOS`` or ``scenario`` name. The package as a whole imports only
+an allowlist of top-level modules, so no import grows its memory unseen.
 """
 
 import ast
@@ -14,6 +15,9 @@ import squintsim
 
 PACKAGE = Path(squintsim.__file__).parent
 SCENARIO_NAMES = {"LOS", "NLOS", "scenario"}
+ALLOWED_IMPORTS = {
+    "__future__", "argparse", "ctypes", "dataclasses", "math", "numbers", "numpy", "os", "re", "sys", "warnings"
+}
 
 
 def names_in(tree: ast.AST) -> set[str]:
@@ -44,3 +48,24 @@ def test_no_scenario_name(module):
 def test_check_sees_the_scenario_names():
     source = "from .experiments import LOS\ndef f(paths, scenario):\n    return paths.NLOS\n"
     assert names_in(ast.parse(source)) >= SCENARIO_NAMES
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Top-level names of the modules a module imports; its own package's relative imports are left out."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_exactly_the_allowlist():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    assert set().union(*map(imported_modules, trees)) == ALLOWED_IMPORTS
+
+
+def test_import_scan_sees_nested_and_dotted_imports():
+    source = "import os.path, json\nfrom logging import handlers\nfrom . import channel\ndef f():\n    import csv\n"
+    assert imported_modules(ast.parse(source)) == {"os", "json", "logging", "csv"}

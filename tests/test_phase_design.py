@@ -1,5 +1,5 @@
 import dataclasses
-import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +250,14 @@ class TestMeanChannelCovariance:
         with pytest.raises(ValueError):
             mean_channel_covariance(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("m", [1, 37, 64])
+    @pytest.mark.parametrize("k", [7, 128, 131])
+    def test_is_the_product_over_k_bit_for_bit(self, k, m):
+        # The in-place division gives the bits of the plain quotient.
+        rng = np.random.default_rng([k, m])
+        h = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+        assert bits(mean_channel_covariance(h)) == bits((h.conj().T @ h) / k)
+
 
 class TestPrincipalDirection:
     def test_rank_one_recovers_steering_vector(self):
@@ -369,10 +377,12 @@ class TestPhaseExtraction:
         assert_phases_equal(rotated, base + c, atol=1e-12)
 
     def test_zero_entry_convention(self):
-        phases = phase_extraction(np.array([0.0, 1j]))
+        with pytest.warns(RuntimeWarning, match="hit 1 exactly-zero"):
+            phases = phase_extraction(np.array([0.0, 1j]))
         assert phases[0] == 0.0
         # A zero with a negative real part is still phase 0, not +-pi.
-        signed = phase_extraction(np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]))
+        with pytest.warns(RuntimeWarning, match="hit 3 exactly-zero"):
+            signed = phase_extraction(np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]))
         assert np.array_equal(signed, [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
@@ -380,12 +390,13 @@ class TestPhaseExtraction:
         [([0.0, 1j, 0.0], 2), ([complex(-0.0, 0.0), 1.0], 1), ([1j, -2.0], 0)],
         ids=["two-zeros", "signed-zero", "no-zeros"],
     )
-    def test_zero_entries_log_one_warning_naming_their_count(self, vector, zeros, caplog):
-        with caplog.at_level(logging.WARNING, logger=phase_design.__name__):
+    def test_zero_entries_warn_once_naming_their_count(self, vector, zeros):
+        # The warning points at the caller's line, not at phase_extraction.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             phase_extraction(np.array(vector))
-        records = [record for record in caplog.records if record.name == phase_design.__name__]
-        assert [(record.levelno, record.getMessage()) for record in records] == (
-            [(logging.WARNING, f"phase extraction hit {zeros} exactly-zero entries; their phase is set to 0")]
+        assert [(w.category, str(w.message), w.filename) for w in caught] == (
+            [(RuntimeWarning, f"phase extraction hit {zeros} exactly-zero entries; their phase is set to 0", __file__)]
             if zeros
             else []
         )
@@ -447,7 +458,9 @@ class TestDesignMccm:
         grid = FrequencyGrid(28e9, 2e9, 2)
         paths = sample_path_set(np.random.default_rng(14), 2)
         monkeypatch.setattr(phase_design, "_user_rows", lambda channels, m: np.eye(2, dtype=complex))
-        assert design_mccm(gen_channels(paths, grid, 4, 2)).degenerate
+        # Its eigenvector is a unit vector, so one entry is exactly zero.
+        with pytest.warns(RuntimeWarning, match="hit 1 exactly-zero"):
+            assert design_mccm(gen_channels(paths, grid, 4, 2)).degenerate
 
     @pytest.mark.parametrize(
         "num_subcarriers,num_paths,widest",
@@ -455,7 +468,7 @@ class TestDesignMccm:
     )
     def test_design_at_a_size_is_the_design_of_the_build_at_that_size(self, num_subcarriers, num_paths, widest):
         # The first m phases are the design of a build at m bit for bit, and
-        # the rest is the receive part; M = 512 at L = 20 tables two path chunks.
+        # the rest is the receive part; M = 512 at L = 20 is the widest build.
         grid = FrequencyGrid(28e9, 2e9, num_subcarriers)
         paths = sample_path_set(np.random.default_rng(num_subcarriers * num_paths), num_paths)
         wide = gen_channels(paths, grid, 8, widest)

@@ -9,7 +9,7 @@ fresh process at one BLAS thread with
 where ``<flags>`` is the row's full ``sweep`` argument list. The rows cover
 what the preset goldens do not: surface sizes out of order and not multiples
 of 16, a prime subcarrier count on both scenarios, unit gains, a widest build
-of two path chunks, ``mccm`` at full width on an SNR sweep, and draws whose
+of 20 paths at M = 512, ``mccm`` at full width on an SNR sweep, and draws whose
 mean covariance has a repeated top eigenvalue.
 """
 
@@ -30,7 +30,7 @@ _NLOS_ELEMENTS = "--scenario nlos --var ris_elements"
 SWEEPS = {
     "nlos-elements-unordered": f"{_NLOS_ELEMENTS} --values 16,4,37,8,1,64 --trials 4 --seed 3",
     "nlos-elements-k131": f"{_NLOS_ELEMENTS} --values 37,17,100 --subcarriers 131 --trials 4 --seed 4",
-    # At M = 512 the 20 paths are tabled in two chunks.
+    # 20 paths at M = 512, the widest build; the name is kept so the recorded file keeps its id.
     "nlos-elements-two-chunks": f"{_NLOS_ELEMENTS} --values 512,64,100 --paths 20 --trials 2 --seed 1",
     # Trial 6 has an 8-fold top eigenvalue of the mean covariance at M = 255 and 256.
     "nlos-elements-degenerate": f"{_NLOS_ELEMENTS} --values 255,256 --bandwidth-hz 8e9 --trials 7 --seed 21",
