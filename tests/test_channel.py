@@ -592,19 +592,23 @@ class TestPathSum:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("m", [37, 64])
+    @pytest.mark.parametrize("gain", ["drawn", "zero", "signed-zero-first"])
+    @pytest.mark.parametrize("m", [1, 37, 64])
     @pytest.mark.parametrize("k", [7, 128, 131])
-    @pytest.mark.parametrize("num_paths", [1, 2, 5, 9])
-    def test_path_by_path_build_is_the_summed_stack_bit_for_bit(self, num_paths, k, m):
+    @pytest.mark.parametrize("num_paths", [1, 2, 5, 9, 20])
+    def test_path_by_path_build_is_the_summed_stack_bit_for_bit(self, num_paths, k, m, gain):
         # Tabled one path at a time, the cascade has the bits of the summed
         # (L, K, M) stack, signed zeros included: zero gains make scaled tables
         # of signed zeros, which the sum's zero start turns to 0.0.
         grid = FrequencyGrid(28e9, 2e9, k)
         drawn = sample_path_set(np.random.default_rng([num_paths, k, m]), num_paths)
-        gains = [drawn.ru_gains, (0j,) * num_paths, (complex(-0.0, -0.0),) + drawn.ru_gains[1:]]
-        for ru_gains in gains:
-            channels = gen_channels(dataclasses.replace(drawn, ru_gains=ru_gains), grid, 4, m)
-            assert bits(channels.cascade) == bits(summed_cascade(channels))
+        ru_gains = {
+            "drawn": drawn.ru_gains,
+            "zero": (0j,) * num_paths,
+            "signed-zero-first": (complex(-0.0, -0.0),) + drawn.ru_gains[1:],
+        }[gain]
+        channels = gen_channels(dataclasses.replace(drawn, ru_gains=ru_gains), grid, 4, m)
+        assert bits(channels.cascade) == bits(summed_cascade(channels))
 
     def test_one_path_peaks_at_one_table_and_its_factor_rows(self):
         # K = M = 512: one (K, M) table of 4 MiB, and K/C + C = 32 + 16 factor
