@@ -123,7 +123,8 @@ class ChannelRealization:
     cascade of user path l is one modulus-1 steering vector, at the difference
     angle ``(f_k / 2f_c) * (sin(theta_bs) - sin(theta_l))``, scaled by the
     path's gain, delay phase and ``1/sqrt(L)``: :func:`_path_sum` builds it
-    from :func:`_band_table` calls over the L difference angles. The
+    one path at a time, reading each path's angle, gain and delay from the
+    paths just before that path's :func:`_band_table` call. The
     surface-to-user rows are not kept; ``design_mccm``, their one reader, forms
     the rows of the elements it designs on from the cascade. The cascade is
     read-only, and ``dataclasses.replace`` builds a new realization from its
@@ -144,14 +145,12 @@ class ChannelRealization:
     def __post_init__(self) -> None:
         if not (_is_count(self.num_bs_antennas) and _is_count(self.num_ris_elements)):
             raise ValueError("antenna and element counts must be integers >= 1")
-        paths, f = self.source_paths, self.grid.frequencies
-        sin_diff = np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad)
-        coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
-        cascade = _path_sum(self.num_ris_elements, self.grid, sin_diff, coef)
+        paths = self.source_paths
+        cascade = _path_sum(self.num_ris_elements, self.grid, paths)
         # sqrt(M/L) of the user rows times the 1/sqrt(M) of each unit-norm user response
         # leaves 1/sqrt(L), which is 1 for one path.
-        if len(sin_diff) > 1:
-            cascade *= 1.0 / np.sqrt(len(sin_diff))
+        if len(paths.ru_gains) > 1:
+            cascade *= 1.0 / np.sqrt(len(paths.ru_gains))
         cascade.flags.writeable = False
         object.__setattr__(self, "bs_ris_power_gain", self.num_bs_antennas * abs(paths.bs_ris_gain) ** 2)
         object.__setattr__(self, "cascade", cascade)
@@ -277,18 +276,21 @@ def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
     return product.reshape(sin_theta.shape[:-1] + (k_sub, n_elements))
 
 
-def _path_sum(n_elements: int, grid: FrequencyGrid, sin_diff, coef) -> np.ndarray:
-    """``sum_l coef[l, :, None] * _band_table(n, grid, sin_diff[l])``, shape (K, n).
+def _path_sum(n_elements: int, grid: FrequencyGrid, paths: PathSet) -> np.ndarray:
+    """``sum_l coef_l[:, None] * _band_table(n, grid, sin(theta_bs) - sin(theta_l))``, shape (K, n).
 
-    It equals numpy's axis-0 sum of the coefficient-scaled stack, bit for
-    bit: the paths are added in order onto a zero start. Each path is tabled
-    by its own call, so at most one path table, its factor rows and the
-    (K, n) sum are held at once, however many paths there are; the first
-    path's table is the sum itself.
+    ``coef_l = g_l * exp(-j*2*pi*tau_l*f_k)`` is user path l's coefficient
+    row over the K subcarriers. The sum equals numpy's axis-0 sum of the
+    coefficient-scaled stack, bit for bit: the paths are added in order onto
+    a zero start. Each path forms its difference angle and coefficient row
+    just before its own table call, so at most one path table, its factor
+    rows, one coefficient row and the (K, n) sum are held at once, however
+    many paths there are; the first path's table is the sum itself.
     """
     total = None
-    for sin_l, coef_l in zip(sin_diff, coef):
-        table = _band_table(n_elements, grid, sin_l)
+    for angle, gain, delay in zip(paths.ru_angles_rad, paths.ru_gains, paths.ru_delays_s):
+        table = _band_table(n_elements, grid, np.sin(paths.bs_ris_aoa_rad) - np.sin(angle))
+        coef_l = gain * np.exp(-2j * np.pi * delay * grid.frequencies)
         # Scales the table in place, in the operand order of coef * table.
         np.multiply(coef_l[:, None], table, out=table)
         if total is None:

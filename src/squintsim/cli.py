@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import os
-import re
 import sys
 from dataclasses import fields
 
@@ -36,15 +35,6 @@ _CONFIG_FLAGS = (
 
 #: The flag of every input whose flag is not ``--`` plus its name with dashes.
 _FIELD_FLAGS = {"fig_id": "--id", "sweep_variable": "--var", **{name: flag for flag, name, *_ in _CONFIG_FLAGS}}
-
-#: Exactly the stripped strings float() accepts: decimal digits with single
-#: underscores between them, with an optional point and exponent, or inf,
-#: infinity or nan in any case; each with an optional sign.
-_DIGITS = r"\d(?:_?\d)*"
-_NUMBER = re.compile(
-    rf"[+-]?(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][+-]?{_DIGITS})?"
-    r"|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN])"
-)
 
 # glibc mallopt parameters. 32 MiB is glibc's 64-bit ceiling for the mmap
 # threshold, above every preset's largest block: one (K, M) table, 512 KiB at
@@ -84,12 +74,15 @@ def _config_usage_error(exc: ConfigError, ns: argparse.Namespace) -> UsageError:
 
 def _split_floats(raw: str, flag: str) -> tuple[float, ...]:
     tokens = [token.strip() for token in raw.split(",") if token.strip()]
-    for token in tokens:
-        if not _NUMBER.fullmatch(token):
-            raise UsageError(f"argument {flag}: invalid number {token!r}")
     if not tokens:
         raise UsageError(f"argument {flag}: expected at least one value")
-    return tuple(map(float, tokens))
+    values = []
+    for token in tokens:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid number {token!r}") from None
+    return tuple(values)
 
 
 def _build_parser() -> _Parser:

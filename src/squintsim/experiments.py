@@ -70,14 +70,13 @@ FIGURES = {
 #: (K/C + C) rows of M (C the largest divisor of K not above sqrt(K), so about
 #: half a table at most; at a prime K the coarse rows are the table), and the
 #: first path's table is the sum itself. So a build peaks below about
-#: 16 * 2.5 * K*M bytes whatever L, 2.5 tables or 640 MiB at the cap, plus the
-#: (L, K) path coefficients. Traced peaks at a quarter of the cap, M = 1024,
-#: one table of 64 MiB:
+#: 16 * 2.5 * K*M bytes whatever L, 2.5 tables or 640 MiB at the cap. Traced
+#: peaks at a quarter of the cap, M = 1024, one table of 64 MiB:
 #:
 #:   K \ L             1      5     20     40
-#:   4096            66.2  130.4  131.4  132.6  MiB
-#:   4078 = 2*2039   95.9  159.9  160.8  162.1
-#:   4093, prime     69.3  133.5  134.4  135.7
+#:   4096            66.1  130.2  130.2  130.2  MiB
+#:   4078 = 2*2039   95.9  159.7  159.7  159.7
+#:   4093, prime     69.2  133.2  133.2  133.2
 #:
 #: A surface-size sweep builds once, at its largest M. An ``mccm`` design at
 #: size m adds, only while it runs, the (K, m) user rows it forms from the

@@ -580,6 +580,10 @@ class TestCascade:
 
 
 class TestPathSum:
+    #: Bytes of the two operand buffers, np.getbufsize() complex entries each,
+    #: that numpy allocates for _band_table's broadcast product: 256 KiB.
+    UFUNC_BUFFERS = 2 * np.getbufsize() * 16
+
     @staticmethod
     def build_peak(num_paths, k, m) -> int:
         """Traced peak bytes of one ``gen_channels`` call with L = ``num_paths`` on K = ``k``, M = ``m``."""
@@ -613,10 +617,10 @@ class TestPathSum:
     def test_one_path_peaks_at_one_table_and_its_factor_rows(self):
         # K = M = 512: one (K, M) table of 4 MiB, and K/C + C = 32 + 16 factor
         # rows of M entries. The table is scaled and kept as the cascade, with
-        # no second table for a sum; the slack covers ufunc buffers.
+        # no second table for a sum; the slack is the product's operand buffers.
         k = m = 512
         table, factor_rows = k * m * 16, (32 + 16) * m * 16
-        assert self.build_peak(1, k, m) < table + factor_rows + table // 16
+        assert self.build_peak(1, k, m) < table + factor_rows + self.UFUNC_BUFFERS
 
     @pytest.mark.parametrize("m", [16, 37])
     @pytest.mark.parametrize("k", [128, 131])
@@ -631,12 +635,19 @@ class TestPathSum:
     @pytest.mark.parametrize("num_paths", [5, 20, 40])
     def test_many_paths_peak_at_two_tables_and_one_paths_factor_rows(self, num_paths):
         # K = M = 512: the (K, M) sum and one path's table of 4 MiB each, that
-        # path's K/C + C = 32 + 16 factor rows of M entries, and the L
-        # coefficient rows of K entries that every build holds. No second path
-        # table is held while one is added; the slack covers ufunc buffers.
+        # path's K/C + C = 32 + 16 factor rows of M entries and its one
+        # coefficient row of K entries. No second path table or coefficient
+        # row is held while one is added; the slack is the product's operand buffers.
         k = m = 512
-        table, factor_rows, coef_rows = k * m * 16, (32 + 16) * m * 16, num_paths * k * 16
-        assert self.build_peak(num_paths, k, m) < 2 * table + factor_rows + coef_rows + table // 16
+        table, factor_rows, coef_row = k * m * 16, (32 + 16) * m * 16, k * 16
+        assert self.build_peak(num_paths, k, m) < 2 * table + factor_rows + coef_row + self.UFUNC_BUFFERS
+
+    @pytest.mark.parametrize("num_paths", [20, 40])
+    def test_many_paths_peak_does_not_grow_with_the_path_count(self, num_paths):
+        # K = 4096, M = 16: a coefficient row of K entries is a sizable part
+        # of a table, so rows held for every path would show at once.
+        k, m = 4096, 16
+        assert self.build_peak(num_paths, k, m) <= self.build_peak(5, k, m) + 64 * 1024
 
 
 class TestSizes:

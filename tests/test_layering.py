@@ -16,7 +16,7 @@ import squintsim
 PACKAGE = Path(squintsim.__file__).parent
 SCENARIO_NAMES = {"LOS", "NLOS", "scenario"}
 ALLOWED_IMPORTS = {
-    "__future__", "argparse", "ctypes", "dataclasses", "math", "numbers", "numpy", "os", "re", "sys", "warnings"
+    "__future__", "argparse", "ctypes", "dataclasses", "math", "numbers", "numpy", "os", "sys", "warnings"
 }
 
 
