@@ -125,10 +125,11 @@ class ChannelRealization:
     path's gain, delay phase and ``1/sqrt(L)``: :func:`_path_sum` builds it
     one path at a time, reading each path's angle, gain and delay from the
     paths just before that path's :func:`_band_table` call. The
-    surface-to-user rows are not kept; ``design_mccm``, their one reader, forms
-    the rows of the elements it designs on from the cascade. The cascade is
-    read-only, and ``dataclasses.replace`` builds a new realization from its
-    four arguments, so no value can be stale.
+    surface-to-user rows are not kept: :meth:`user_rows` forms those of the
+    first m elements from the cascade on each call, and ``design_mccm`` is its
+    one caller in the package. The cascade is read-only, and
+    ``dataclasses.replace`` builds a new realization from its four arguments,
+    so no value can be stale.
 
     No entry depends on M: the cascade of the first m elements is the first m
     columns of this one, bit for bit, so both power methods rate any surface
@@ -190,6 +191,21 @@ class ChannelRealization:
         sums = [np.sum(magnitude[:, :m], axis=1) for m in self._check_sizes(sizes)]
         return self.bs_ris_power_gain * (sums[0] if sizes is None else np.stack(sums)) ** 2
 
+    def user_rows(self, m: int) -> np.ndarray:
+        """The surface-to-user rows of the first m elements, a fresh, contiguous (K, m) table.
+
+        They are ``cascade[:, :m]`` times ``conj(sqrt(m) * a_m)``, the
+        modulus-1 conjugate element responses at the arrival angle, from one
+        :func:`_band_table` call: the inverse of the build's element factor,
+        and so bit for bit the rows of ``gen_channels`` at m. The realization
+        keeps no rows; each call forms them anew. Raises ValueError when m is
+        no integer in [1, M].
+        """
+        self._check_sizes((m,))
+        rows = _band_table(m, self.grid, -np.sin(self.source_paths.bs_ris_aoa_rad))
+        rows *= self.cascade[:, :m]
+        return rows
+
     def _check_sizes(self, sizes):
         """``sizes``, ``(M,)`` for None; raises ValueError when it is empty or a count is no integer in [1, M]."""
         if sizes is None:
@@ -248,8 +264,8 @@ def _steering_table(n_elements: int, phi) -> np.ndarray:
     return table
 
 
-def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
-    """``_steering_table(n, (f_k / 2f_c) * sin(theta))`` at every subcarrier, shape ``np.shape(sin_theta) + (K, n)``.
+def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta: float) -> np.ndarray:
+    """``_steering_table(n, (f_k / 2f_c) * sin(theta))`` at every subcarrier, shape (K, n), for one angle theta.
 
     The spatial angle of half-carrier-wavelength spacing is linear in
     frequency, so on the arithmetic grid it is
@@ -257,23 +273,21 @@ def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta) -> np.ndarray:
     spacing. With C the largest divisor of K not above sqrt(K) and
     ``k = p*C + s``, entry (k, m) is ``exp(j*2*pi*m*phi_{pC}) *
     exp(j*2*pi*m*s*delta)``: both factors come from one table call over
-    K/C + C angles, about 2*sqrt(K) * (n/B + B) exponentials per angle
-    theta instead of K * (n/B + B), and meet in one broadcast product. At a
-    prime K, C = 1 and the fine factor is the single row s = 0, exactly one,
-    so the coarse rows are the table. Like the steering table, the table of
-    n elements is the first n columns of any wider one.
+    K/C + C angles, about 2*sqrt(K) * (n/B + B) exponentials instead of
+    K * (n/B + B), and meet in one broadcast product. At a prime K, C = 1
+    and the fine factor is the single row s = 0, exactly one, so the coarse
+    rows are the table. Like the steering table, the table of n elements is
+    the first n columns of any wider one.
     """
     k_sub = grid.num_subcarriers
     step = next(c for c in range(math.isqrt(k_sub), 0, -1) if k_sub % c == 0)
-    sin_theta = np.asarray(sin_theta, dtype=float)[..., None]
     coarse_phi = (grid.frequencies[::step] / (2.0 * grid.carrier_hz)) * sin_theta
     if step == 1:
         return _steering_table(n_elements, coarse_phi)
     fine_phi = (grid.spacing_hz * np.arange(step) / (2.0 * grid.carrier_hz)) * sin_theta
     rows = k_sub // step
-    table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi), axis=-1))
-    product = table[..., :rows, None, :] * table[..., None, rows:, :]
-    return product.reshape(sin_theta.shape[:-1] + (k_sub, n_elements))
+    table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi)))
+    return (table[:rows, None, :] * table[None, rows:, :]).reshape(k_sub, n_elements)
 
 
 def _path_sum(n_elements: int, grid: FrequencyGrid, paths: PathSet) -> np.ndarray:

@@ -85,6 +85,23 @@ def _split_floats(raw: str, flag: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _output_path(path: str) -> str:
+    """``path``, or UsageError when no file can be written there: it is a directory, names no
+    file, or its directory is missing or not writable."""
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        problem = f"{path!r} is a directory"
+    elif not os.path.basename(path):
+        problem = f"{path!r} names no file"
+    elif not os.path.isdir(directory):
+        problem = f"directory {directory!r} does not exist"
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        problem = f"directory {directory!r} is not writable"
+    else:
+        return path
+    raise UsageError(f"argument --out: {problem}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="squintsim",
@@ -137,12 +154,13 @@ def parse_args(argv) -> tuple:
 
     Raises UsageError on any bad flag or input, before a trial runs; an input
     that ``experiments`` rejects raises ConfigError, whose field names the flag.
+    An ``--out`` path no file can be written to is rejected as well.
     """
     ns = _build_parser().parse_args(argv)
     try:
         if ns.subcommand == "figure":
             job = experiments.figure_sweep(ns.id, ns.trials, ns.seed, ns.gain_mode)
-            return job, ns.out if ns.out is not None else f"figure{ns.id}.csv"
+            return job, _output_path(ns.out if ns.out is not None else f"figure{ns.id}.csv")
         schemes = schemes_for(ns.scenario)
         if ns.schemes is not None:
             schemes = tuple(token.strip() for token in ns.schemes.split(",") if token.strip())
@@ -152,7 +170,7 @@ def parse_args(argv) -> tuple:
         experiments.check_schemes(schemes, ns.scenario, max(point.num_ris_elements for point in points))
     except ConfigError as exc:
         raise _config_usage_error(exc, ns) from None
-    return (config, schemes, ns.var, values), ns.out
+    return (config, schemes, ns.var, values), _output_path(ns.out)
 
 
 def _fmt(value: float) -> str:

@@ -185,6 +185,13 @@ class SweepRow:
     seed: int
 
 
+def _sequence(field: str, items) -> tuple:
+    """``items`` as a tuple; a str, which ``tuple`` would split into characters, raises ConfigError naming ``field``."""
+    if isinstance(items, (str, bytes)):
+        raise ConfigError(field, f"{field} must be a sequence, got the string {items!r}")
+    return tuple(items)
+
+
 def _substream(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, int(trial), int(stream)])
 
@@ -221,18 +228,19 @@ def check_schemes(schemes: tuple[str, ...], scenario: str, num_ris_elements: int
 def _trial_draws(config: ScenarioConfig, schemes, trial: int, num_ris_elements: int) -> tuple:
     """The trial's scheme-side draws, made once for all of its sweep points.
 
-    Returns the ``random`` phases at ``num_ris_elements``, the sweep's largest
-    M (a point with fewer elements takes a prefix: ``Generator.uniform`` fills
-    in order, so the prefix is the draw at that size), and the ``random-index``
-    subcarrier, since K is the same at every point. Either is None when its
-    scheme is not asked for, and its substream is not built.
+    Returns the ``random`` profile at ``num_ris_elements``, the sweep's largest
+    M and so the M of every build (a point with fewer elements is rated on a
+    prefix: ``Generator.uniform`` fills in order, so the prefix is the draw at
+    that size), and the ``random-index`` subcarrier, since K is the same at
+    every point. Either is None when its scheme is not asked for, and its
+    substream is not built.
     """
-    phases = index = None
+    profile = index = None
     if "random" in schemes:
-        phases = design_random(_substream(config.seed, trial, _PHASE_STREAM), num_ris_elements).phases_rad
+        profile = design_random(_substream(config.seed, trial, _PHASE_STREAM), num_ris_elements)
     if "random-index" in schemes:
         index = int(_substream(config.seed, trial, _INDEX_STREAM).integers(config.num_subcarriers))
-    return phases, index
+    return profile, index
 
 
 def _common_profile(scenario: str, channels, scheme: str, draws: tuple) -> PhaseProfile:
@@ -243,9 +251,9 @@ def _common_profile(scenario: str, channels, scheme: str, draws: tuple) -> Phase
     is prefix-consistent: its first m phases are the profile on the first m
     elements, bit for bit.
     """
-    random_phases, random_index = draws
+    random_profile, random_index = draws
     if scheme == "random":
-        return PhaseProfile(random_phases[: channels.num_ris_elements])
+        return random_profile
     if scheme == "central" and scenario == LOS:
         return design_central(channels.source_paths, channels.num_ris_elements)
     if scheme == "central":
@@ -296,7 +304,7 @@ def per_trial_rates(config: ScenarioConfig, schemes, sweep_variable: str = "snr_
     and sweep value is evaluated on the same paths, and makes its scheme-side
     draws once for all sweep values.
     """
-    schemes = tuple(schemes)
+    schemes = _sequence("schemes", schemes)
     points = (config,) if values is None else sweep_points(config, sweep_variable, values)
     m_max = max(point.num_ris_elements for point in points)
     check_schemes(schemes, config.scenario, m_max)
@@ -328,8 +336,10 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
 
     Raises ConfigError on any bad value with field ``values``, keeping the
     message of the config field the value breaks, and on an unknown variable
-    with field ``sweep_variable``.
+    with field ``sweep_variable``. ``values`` is a sequence, not a string, of
+    real numbers; a bool or a complex number is no sweep value.
     """
+    values = _sequence("values", values)
     if len(values) == 0:
         raise ConfigError("values", "need at least one sweep value")
     if sweep_variable not in SWEEP_GRIDS:
@@ -337,6 +347,8 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
         raise ConfigError("sweep_variable", f"unknown sweep variable {sweep_variable!r}; known: {known}")
     points = []
     for i, value in enumerate(values):
+        if not _is_real(value):
+            raise ConfigError("values", f"{sweep_variable} value must be a real number, got {value!r}")
         if float(value) in map(float, values[:i]):
             raise ConfigError("values", f"{sweep_variable} value {value:g} is named twice")
         if sweep_variable == "ris_elements" and not float(value).is_integer():
@@ -360,8 +372,7 @@ def run_sweep(config: ScenarioConfig, schemes, sweep_variable: str, values) -> t
     finite; numpy's overflow and invalid-value warnings are silenced, since
     that error names the scheme and value.
     """
-    schemes = tuple(schemes)
-    values = tuple(values)
+    schemes, values = _sequence("schemes", schemes), _sequence("values", values)
     rates = per_trial_rates(config, schemes, sweep_variable, values)
 
     trials = rates.shape[-1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, FrequencyGrid, PathSet, _band_table, _is_count, _is_real, rate_bits
+from .channel import ChannelRealization, FrequencyGrid, PathSet, _is_count, _is_real, rate_bits
 
 #: Linear SNR (10 dB) used only to rank the two phase-extraction candidates
 #: inside design_mccm; the selection is deterministic and independent of the
@@ -188,14 +188,6 @@ def _receive_phases(channels: ChannelRealization) -> np.ndarray:
     return -2.0 * np.pi * np.arange(channels.num_ris_elements) * phi_incident
 
 
-def _user_rows(channels: ChannelRealization, m: int) -> np.ndarray:
-    # The surface-to-user rows of the first m elements, (K, m): the cascade times
-    # conj(sqrt(m) * a_m), whose entries have modulus 1. A fresh, contiguous table.
-    rows = _band_table(m, channels.grid, -np.sin(channels.source_paths.bs_ris_aoa_rad))
-    rows *= channels.cascade[:, :m]
-    return rows
-
-
 def design_mccm(channels: ChannelRealization, num_ris_elements: int | None = None) -> PhaseProfile:
     """Covariance-based common profile for an arbitrary number of user paths.
 
@@ -209,14 +201,14 @@ def design_mccm(channels: ChannelRealization, num_ris_elements: int | None = Non
     unconjugated candidate).
 
     ``num_ris_elements``, m in [1, M] (default M), designs on the first m
-    elements: their rows (K, m), formed from the first m columns of
-    ``cascade`` and held only during the call, their covariance, and
-    candidates scored with ``sizes=(m,)``. So the first m phases are bit for
-    bit ``design_mccm`` of ``gen_channels`` at m; phases m onward are the
-    receive part alone, which no size up to m reads.
+    elements: their rows ``channels.user_rows(m)`` (K, m), held only until
+    their covariance is formed, and candidates scored with ``sizes=(m,)``. So
+    the first m phases are bit for bit ``design_mccm`` of ``gen_channels`` at
+    m; phases m onward are the receive part alone, which no size up to m
+    reads. An m that is no integer in [1, M] raises ValueError.
     """
-    (m,) = channels._check_sizes(None if num_ris_elements is None else (num_ris_elements,))
-    vector, degenerate = principal_direction(mean_channel_covariance(_user_rows(channels, m)))
+    m = channels.num_ris_elements if num_ris_elements is None else num_ris_elements
+    vector, degenerate = principal_direction(mean_channel_covariance(channels.user_rows(m)))
     candidates = np.stack([_receive_phases(channels)] * 2)
     candidates[:, :m] += [phase_extraction(v) for v in (vector, np.conj(vector))]
     rates = np.mean(rate_bits(CANDIDATE_SNR, channels.received_power(unit_diagonal(candidates), (m,))[0]), axis=-1)

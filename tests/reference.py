@@ -41,7 +41,6 @@ from squintsim.channel import (
 from squintsim.phase_design import (
     PhaseProfile,
     _canonical_phase,
-    _user_rows,
     design_central,
     design_mccm,
     design_random,
@@ -110,8 +109,8 @@ def h_ris_user_direct(channels: ChannelRealization) -> np.ndarray:
 
 
 def user_rows(channels: ChannelRealization, m: int | None = None) -> np.ndarray:
-    """Surface-to-user rows (K, m) of the first m elements (default M), formed as ``design_mccm`` forms them."""
-    return _user_rows(channels, channels.num_ris_elements if m is None else m)
+    """``channels.user_rows(m)``, the surface-to-user rows (K, m) that ``design_mccm`` forms, with m defaulting to M."""
+    return channels.user_rows(channels.num_ris_elements if m is None else m)
 
 
 def cascade_direct(channels: ChannelRealization) -> np.ndarray:
@@ -120,11 +119,11 @@ def cascade_direct(channels: ChannelRealization) -> np.ndarray:
 
 
 def summed_cascade(channels: ChannelRealization) -> np.ndarray:
-    """Cascade (K, M) built as one coefficient-scaled (L, K, M) stack of band tables, summed over
-    axis 0 and scaled by ``1/sqrt(L)``: the package's path-by-path build must give these bits."""
+    """Cascade (K, M) built as one coefficient-scaled (L, K, M) stack of band tables, one per path,
+    summed over axis 0 and scaled by ``1/sqrt(L)``: the package's path-by-path build must give these bits."""
     paths, f = channels.source_paths, channels.grid.frequencies
     sin_diff = np.sin(paths.bs_ris_aoa_rad) - np.sin(paths.ru_angles_rad)
-    tables = _band_table(channels.num_ris_elements, channels.grid, sin_diff)
+    tables = np.stack([_band_table(channels.num_ris_elements, channels.grid, s) for s in sin_diff])
     coef = np.array(paths.ru_gains)[:, None] * np.exp(-2j * np.pi * np.array(paths.ru_delays_s)[:, None] * f)
     cascade = np.multiply(coef[..., None], tables, out=tables).sum(axis=0)
     cascade *= 1.0 / np.sqrt(len(paths.ru_angles_rad))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import squintsim.channel as channel_module
-from squintsim import phase_design
 from squintsim.channel import (
     DELAY_MAX_S,
     FrequencyGrid,
@@ -190,16 +189,14 @@ class TestBandTable:
     @pytest.mark.parametrize("num_angles", [1, 5])
     @pytest.mark.parametrize("bandwidth", [0.0, 2e9, 8e9])
     def test_matches_one_exponential_form(self, k, m, num_angles, bandwidth):
-        # One angle as a scalar gives (K, M); a stack of five gives (5, K, M).
+        # One (K, M) table per angle, one call each.
         grid = FrequencyGrid(28e9, bandwidth, k)
-        theta = np.random.default_rng(27).uniform(0, 2 * np.pi, num_angles)
-        sin_theta = np.sin(theta[0]) if num_angles == 1 else np.sin(theta)
-        out = _band_table(m, grid, sin_theta)
-        phi = spatial_angle(grid.frequencies, theta[:, None], grid.carrier_hz)
-        direct = np.moveaxis(array_response_direct(m, phi) * np.sqrt(m), 0, -1).reshape(np.shape(sin_theta) + (k, m))
-        assert out.shape == direct.shape
-        assert np.max(np.abs(out - direct)) <= 2e-12
-        assert np.max(np.abs(np.abs(out) - 1.0)) <= 4e-15
+        for theta in np.random.default_rng(27).uniform(0, 2 * np.pi, num_angles):
+            out = _band_table(m, grid, np.sin(theta))
+            direct = array_response_direct(m, spatial_angle(grid.frequencies, theta, grid.carrier_hz)).T * np.sqrt(m)
+            assert out.shape == direct.shape == (k, m)
+            assert np.max(np.abs(out - direct)) <= 2e-12
+            assert np.max(np.abs(np.abs(out) - 1.0)) <= 4e-15
 
 
     @pytest.mark.parametrize("k", [1, 7, 128, 131])
@@ -209,12 +206,12 @@ class TestBandTable:
         # carries a 1/sqrt(n): the table of n elements is the first n columns
         # of the table of n' > n, bit for bit.
         grid = FrequencyGrid(28e9, 2e9, k)
-        sin_theta = np.sin(np.random.default_rng(k).uniform(0, 2 * np.pi, num_angles))
-        widest = _band_table(300, grid, sin_theta)
-        for n in (1, 2, 15, 16, 17, 31, 32, 33, 64, 100, 256, 299):
-            assert np.array_equal(_band_table(n, grid, sin_theta), widest[..., :n])
-        for n, wider in ((1, 16), (16, 17), (37, 64), (64, 256)):
-            assert np.array_equal(_band_table(n, grid, sin_theta), _band_table(wider, grid, sin_theta)[..., :n])
+        for sin_theta in np.sin(np.random.default_rng(k).uniform(0, 2 * np.pi, num_angles)):
+            widest = _band_table(300, grid, sin_theta)
+            for n in (1, 2, 15, 16, 17, 31, 32, 33, 64, 100, 256, 299):
+                assert np.array_equal(_band_table(n, grid, sin_theta), widest[:, :n])
+            for n, wider in ((1, 16), (16, 17), (37, 64), (64, 256)):
+                assert np.array_equal(_band_table(n, grid, sin_theta), _band_table(wider, grid, sin_theta)[:, :n])
 
     @pytest.mark.parametrize("k", [7, 131])
     @pytest.mark.parametrize("m", [1, 16, 256])
@@ -222,12 +219,51 @@ class TestBandTable:
         # At a prime K the fine factor is the single row s = 0, exactly 1 + 0j,
         # so the coarse rows alone equal the broadcast product.
         grid = FrequencyGrid(28e9, 2e9, k)
-        sin_theta = np.sin(np.random.default_rng(m).uniform(0, 2 * np.pi, 5))
-        coarse_phi = (grid.frequencies / (2.0 * grid.carrier_hz)) * sin_theta[:, None]
-        table = _steering_table(m, np.concatenate((coarse_phi, np.zeros((5, 1))), axis=-1))
-        assert np.array_equal(table[:, k], np.ones((5, m), dtype=complex))
-        product = table[:, :k, None, :] * table[:, None, k:, :]
-        assert np.array_equal(_band_table(m, grid, sin_theta), product.reshape(5, k, m))
+        for sin_theta in np.sin(np.random.default_rng(m).uniform(0, 2 * np.pi, 5)):
+            coarse_phi = (grid.frequencies / (2.0 * grid.carrier_hz)) * sin_theta
+            table = _steering_table(m, np.append(coarse_phi, 0.0))
+            assert np.array_equal(table[k], np.ones(m, dtype=complex))
+            product = table[:k, None, :] * table[None, k:, :]
+            assert np.array_equal(_band_table(m, grid, sin_theta), product.reshape(k, m))
+
+
+class TestUserRows:
+    @staticmethod
+    def channels(k=16, num_paths=5, m=64):
+        paths = sample_path_set(np.random.default_rng([k, num_paths, 31]), num_paths)
+        return gen_channels(paths, FrequencyGrid(28e9, 2e9, k), 4, m)
+
+    @pytest.mark.parametrize("k", [7, 128, 131])
+    @pytest.mark.parametrize("num_paths", [1, 5])
+    def test_is_the_band_table_at_the_arrival_angle_scaled_by_the_cascade(self, k, num_paths):
+        # Bit for bit (signed zeros included) one band table at -sin(theta_bs),
+        # scaled in place by the first m cascade columns.
+        channels = self.channels(k, num_paths)
+        for m in (1, 17, 64):
+            expected = _band_table(m, channels.grid, -np.sin(channels.source_paths.bs_ris_aoa_rad))
+            expected *= channels.cascade[:, :m]
+            assert bits(channels.user_rows(m)) == bits(expected)
+
+    @pytest.mark.parametrize("m", [0, 65, 2.5, True], ids=["zero", "above-M", "fraction", "bool"])
+    def test_rejects_a_size_that_is_no_integer_in_one_to_m(self, m):
+        with pytest.raises(ValueError, match=re.escape("element count must be an integer in [1, 64]")):
+            self.channels().user_rows(m)
+
+    def test_size_is_required(self):
+        with pytest.raises(TypeError):
+            self.channels().user_rows()
+
+    @pytest.mark.parametrize("m", [1, 17, 64])
+    def test_returns_a_fresh_writable_contiguous_table(self, m):
+        channels = self.channels()
+        rows = channels.user_rows(m)
+        assert rows.shape == (16, m) and rows.dtype == complex
+        assert rows.flags.c_contiguous and rows.flags.writeable
+        assert not np.shares_memory(rows, channels.cascade)
+        again = channels.user_rows(m)
+        assert not np.shares_memory(rows, again)
+        rows[:] = 0
+        assert bits(channels.user_rows(m)) == bits(again)
 
 
 class TestPathSet:
@@ -476,7 +512,6 @@ class TestGenChannels:
         paths = sample_path_set(np.random.default_rng(22), num_paths)
         grid = FrequencyGrid(28e9, 2e9, 16)
         monkeypatch.setattr(channel_module, "_band_table", counting_band)
-        monkeypatch.setattr(phase_design, "_band_table", counting_band)
         monkeypatch.setattr(channel_module, "_steering_table", counting_table)
         channels = gen_channels(paths, grid, 4, 8)
         assert band_shapes == [()] * num_paths

@@ -261,24 +261,53 @@ class TestMain:
             ["--scenario", "los", "--paths", "5"],
             ["--values", "5,5"],
             ["--var", "ris_elements", "--values", "16,16.0"],
+            ["--out", ""],
+            ["--out", "{tmp}"],
+            ["--out", "{tmp}/nodir/x.csv"],
+            ["--out", "nodir/"],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
              "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
              "snr-overflows-linear", "fixed-snr-overflows-linear", "snr-underflows-linear",
              "paths-on-single-path-scenario", "working-set-too-large", "unknown-scheme",
              "nlos-only-scheme-on-los", "empty-scheme-list", "repeated-scheme", "nlos-default-paths-on-los",
-             "repeated-value", "repeated-element-count"],
+             "repeated-value", "repeated-element-count", "empty-out", "out-is-a-directory",
+             "out-in-missing-directory", "out-names-no-file"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the input was rejected")
 
         monkeypatch.setattr(cli.experiments, "sample_path_set", no_trials)
-        out = tmp_path / "out.csv"
+        monkeypatch.chdir(tmp_path)
         small = ["--subcarriers", "4", "--bs-antennas", "2", "--ris-elements", "2", "--trials", "1"]
-        assert main(["sweep", *small, *flags, "--out", str(out)]) == 1
+        # A later --out overrides this one, and {tmp} is the test's own directory.
+        argv = ["sweep", *small, "--out", str(tmp_path / "out.csv"), *(f.format(tmp=tmp_path) for f in flags)]
+        assert main(argv) == 1
         assert "error" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "target,message",
+        [
+            ("", "'' names no file"),
+            ("{tmp}", "'{tmp}' is a directory"),
+            ("{tmp}/nodir/x.csv", "directory '{tmp}/nodir' does not exist"),
+        ],
+        ids=["empty", "directory", "missing-directory"],
+    )
+    def test_bad_out_target_is_named_on_both_subcommands(self, target, message, tmp_path, capsys):
+        for subcommand in (["figure", "--id", "2"], ["sweep"]):
+            assert main([*subcommand, "--trials", "1", "--out", target.format(tmp=tmp_path)]) == 1
+            assert capsys.readouterr().err == f"squintsim: error: argument --out: {message.format(tmp=tmp_path)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_a_directory_that_cannot_be_written_exits_1(self, tmp_path, capsys, monkeypatch):
+        # os.access stands in for a read-only directory, which a root user could still write to.
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(["figure", "--id", "2", "--trials", "1", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"squintsim: error: argument --out: directory '{tmp_path}' is not writable\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -379,11 +408,22 @@ class TestMain:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("squintsim: failure: scheme 'ideal' at snr_db=3082")
 
-    def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        missing_dir = tmp_path / "no_such_dir" / "out.csv"
-        code = main(["figure", "--id", "2", "--trials", "1", "--seed", "0", "--out", str(missing_dir)])
+    def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The output directory exists when the flags are read and is gone when the rows are written.
+        directory = tmp_path / "gone"
+        directory.mkdir()
+        run_sweep = cli.experiments.run_sweep
+
+        def run_then_remove_the_directory(*job):
+            rows = run_sweep(*job)
+            directory.rmdir()
+            return rows
+
+        monkeypatch.setattr(cli.experiments, "run_sweep", run_then_remove_the_directory)
+        code = main(["figure", "--id", "2", "--trials", "1", "--seed", "0", "--out", str(directory / "out.csv")])
         assert code == 2
         assert "failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_path_on_los_runs(self, tmp_path):
         out = tmp_path / "los.csv"

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from squintsim import experiments, phase_design
+from squintsim import experiments
 from squintsim.channel import ChannelRealization, FrequencyGrid, gen_channels, sample_path_set
 from squintsim.experiments import (
     FIGURES,
@@ -22,6 +22,7 @@ from squintsim.experiments import (
     run_sweep,
     schemes_for,
 )
+from squintsim.phase_design import PhaseProfile
 
 from reference import reference_profile
 
@@ -447,12 +448,22 @@ def test_elements_sweep_builds_each_substream_once_per_trial(monkeypatch, scheme
     assert counts["design_random"] == ("random" in schemes) * SMALL_LOS.trials
 
 
+@pytest.mark.parametrize("variable,values", [("bandwidth_hz", (0.5e9, 1e9, 4e9)), ("ris_elements", (4, 16, 8))])
+def test_random_profile_is_rated_as_design_random_made_it(monkeypatch, variable, values):
+    # Every build is at the sweep's largest M, so the trial's one random profile
+    # is rated as it is: no profile is made from a copy or a prefix of its phases.
+    counts = Counter()
+    counting(monkeypatch, counts, "__post_init__", PhaseProfile)
+    per_trial_rates(SMALL_LOS, ("random",), variable, values)
+    assert counts["__post_init__"] == SMALL_LOS.trials
+
+
 def user_row_derivations(monkeypatch, *sweep) -> int:
     """How many times ``run_sweep(*sweep)`` forms surface-to-user rows."""
     counts = Counter()
-    counting(monkeypatch, counts, "_user_rows", phase_design)
+    counting(monkeypatch, counts, "user_rows", ChannelRealization)
     run_sweep(*sweep)
-    return counts["_user_rows"]
+    return counts["user_rows"]
 
 
 @pytest.mark.parametrize("fig_id,calls", [(2, 0), (4, 0), (5, 2)])
@@ -577,6 +588,11 @@ class TestRunSweep:
             (("waterfilling",), "snr_db", (0.0,), "schemes", "unknown scheme 'waterfilling'; known schemes: "),
             (("mccm",), "snr_db", (0.0,), "schemes", "scheme 'mccm' is not available in the 'los' scenario"),
             (("central", "central"), "snr_db", (0.0,), "schemes", "scheme 'central' is named twice"),
+            (("central",), "snr_db", "10", "values", "values must be a sequence, got the string '10'"),
+            (("central",), "snr_db", (True,), "values", "snr_db value must be a real number, got True"),
+            (("central",), "snr_db", (1j,), "values", "snr_db value must be a real number, got 1j"),
+            (("central",), "snr_db", (0.0, "5"), "values", "snr_db value must be a real number, got '5'"),
+            ("mccm", "snr_db", (0.0,), "schemes", "schemes must be a sequence, got the string 'mccm'"),
         ],
     )
     def test_rejection_is_a_config_error_naming_the_input(self, schemes, variable, values, field, message, monkeypatch):
@@ -588,6 +604,20 @@ class TestRunSweep:
             run_sweep(SMALL_LOS, schemes, variable, values)
         assert info.value.field == field
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "schemes,values,field",
+        [(("central",), "10", "values"), (("central",), b"10", "values"), ("central", (0.0,), "schemes")],
+        ids=["str-values", "bytes-values", "str-schemes"],
+    )
+    def test_library_entry_points_reject_a_string_for_a_sequence(self, schemes, values, field):
+        calls = [lambda: per_trial_rates(SMALL_LOS, schemes, "snr_db", values)]
+        if field == "values":
+            calls.append(lambda: experiments.sweep_points(SMALL_LOS, "snr_db", values))
+        for call in calls:
+            with pytest.raises(experiments.ConfigError, match="must be a sequence, got the string") as info:
+                call()
+            assert info.value.field == field
 
     def test_rejects_non_finite_row(self):
         # Unit gains give the ideal scheme a power of N*M^2 = 256 on SMALL_LOS,

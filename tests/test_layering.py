@@ -2,8 +2,10 @@
 
 The scenario is a sweep-level choice of ``experiments``; these modules may
 mention "los" in docstrings, but no code of theirs defines or uses a
-``LOS``, ``NLOS`` or ``scenario`` name. The package as a whole imports only
-an allowlist of top-level modules, so no import grows its memory unseen.
+``LOS``, ``NLOS`` or ``scenario`` name. Only ``channel`` knows how the
+cascade is tabled: no other module names its band-table builder or its size
+check. The package as a whole imports only an allowlist of top-level
+modules, so no import grows its memory unseen.
 """
 
 import ast
@@ -15,6 +17,7 @@ import squintsim
 
 PACKAGE = Path(squintsim.__file__).parent
 SCENARIO_NAMES = {"LOS", "NLOS", "scenario"}
+CHANNEL_PRIVATES = {"_band_table", "_check_sizes"}
 ALLOWED_IMPORTS = {
     "__future__", "argparse", "ctypes", "dataclasses", "math", "numbers", "numpy", "os", "sys", "warnings"
 }
@@ -48,6 +51,21 @@ def test_no_scenario_name(module):
 def test_check_sees_the_scenario_names():
     source = "from .experiments import LOS\ndef f(paths, scenario):\n    return paths.NLOS\n"
     assert names_in(ast.parse(source)) >= SCENARIO_NAMES
+
+
+def test_channel_defines_the_names_it_keeps_to_itself():
+    assert names_in(ast.parse((PACKAGE / "channel.py").read_text(encoding="utf-8"))) >= CHANNEL_PRIVATES
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "channel.py"))
+def test_only_channel_names_its_table_builder_and_size_check(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert names_in(tree) & CHANNEL_PRIVATES == set()
+
+
+def test_check_sees_the_channel_private_names():
+    source = "from .channel import _band_table\ndef f(channels):\n    return channels._check_sizes((1,))\n"
+    assert names_in(ast.parse(source)) >= CHANNEL_PRIVATES
 
 
 def imported_modules(tree: ast.AST) -> set[str]:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squintsim import phase_design
 from squintsim.channel import (
+    ChannelRealization,
     FrequencyGrid,
     PathSet,
     gen_channels,
@@ -457,7 +457,7 @@ class TestDesignMccm:
         # Orthonormal rows give the covariance I/2, whose top eigenvalue is double.
         grid = FrequencyGrid(28e9, 2e9, 2)
         paths = sample_path_set(np.random.default_rng(14), 2)
-        monkeypatch.setattr(phase_design, "_user_rows", lambda channels, m: np.eye(2, dtype=complex))
+        monkeypatch.setattr(ChannelRealization, "user_rows", lambda channels, m: np.eye(2, dtype=complex))
         # Its eigenvector is a unit vector, so one entry is exactly zero.
         with pytest.warns(RuntimeWarning, match="hit 1 exactly-zero"):
             assert design_mccm(gen_channels(paths, grid, 4, 2)).degenerate
