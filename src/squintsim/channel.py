@@ -40,12 +40,18 @@ class FrequencyGrid:
     carrier frequency. ``frequencies`` is derived from the three fields at
     construction and is read-only; it is no argument, so no grid, not even one
     made by ``dataclasses.replace``, holds frequencies that disagree with them.
+    So is ``_band_factor``, the ``(rows, ratios)`` every :func:`_band_table`
+    call on the grid reads: with C the largest divisor of K not above
+    sqrt(K), ``rows = K/C`` and ``ratios`` is ``f_k / 2f_c`` at the K/C
+    coarse subcarriers k = 0, C, 2C, ..., then, when C > 1, the C fine
+    offsets ``s * spacing_hz / 2f_c``, s = 0 .. C-1.
     """
 
     carrier_hz: float
     bandwidth_hz: float
     num_subcarriers: int
     frequencies: np.ndarray = field(init=False, repr=False, compare=False)
+    _band_factor: tuple[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _is_count(self.num_subcarriers):
@@ -64,8 +70,12 @@ class FrequencyGrid:
             )
         k = np.arange(self.num_subcarriers, dtype=float)
         frequencies = self.carrier_hz + self.spacing_hz * (k - (self.num_subcarriers - 1) / 2)
-        frequencies.flags.writeable = False
+        step = next(c for c in range(math.isqrt(self.num_subcarriers), 0, -1) if self.num_subcarriers % c == 0)
+        parts = (frequencies[::step], self.spacing_hz * np.arange(step)) if step > 1 else (frequencies,)
+        ratios = np.concatenate(parts) / (2.0 * self.carrier_hz)
+        frequencies.flags.writeable = ratios.flags.writeable = False
         object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "_band_factor", (self.num_subcarriers // step, ratios))
 
     @property
     def spacing_hz(self) -> float:
@@ -108,14 +118,17 @@ class PathSet:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-subcarrier channels for one realization.
+    """Per-subcarrier channels for one path realization; ``gen_channels`` is this class.
 
-    It is built from the N BS antennas, the M surface elements, the grid and
-    the paths, checks the two counts and derives the rest. The BS-to-surface
-    hop is one path, ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k) *
-    outer(a_M[k], conj(a_N[k]))`` at f_k, with unit-norm responses; its delay
-    phase is common to all M elements and ``||a_N[k]|| = 1``, so after MRT only
-    the power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the element responses
+    It is built from the paths, the grid, the N BS antennas and the M surface
+    elements, in that order, checks the two counts and derives the rest, a
+    pure function of the four. The BS-to-surface hop is one path,
+    ``sqrt(M*N) * g_bs * exp(-j*2*pi*tau*f_k) * outer(a_M[k], conj(a_N[k]))``
+    at f_k, and the surface-to-user row ``sqrt(M/L)`` times the sum of each
+    path's gain, delay phase and conjugate response, every spatial angle
+    evaluated at f_k, with unit-norm responses. The BS hop's delay phase is
+    common to all M elements and ``||a_N[k]|| = 1``, so after MRT only the
+    power gain ``bs_ris_power_gain = N*|g_bs|^2`` and the element responses
     ``sqrt(M) * a_M[k]``, of modulus 1, are left in any rate, and the paths
     hold neither tau nor the departure angle. Besides that gain it stores one
     table, the cascaded channel ``cascade`` (K, M): the surface-to-user rows
@@ -136,10 +149,10 @@ class ChannelRealization:
     size m <= M from it (their ``sizes``).
     """
 
+    source_paths: PathSet
+    grid: FrequencyGrid
     num_bs_antennas: int
     num_ris_elements: int
-    grid: FrequencyGrid
-    source_paths: PathSet
     bs_ris_power_gain: float = field(init=False, repr=False, compare=False)
     cascade: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -218,6 +231,10 @@ class ChannelRealization:
         return sizes
 
 
+#: Another name for the class, kept public: ``experiments`` builds every channel through it.
+gen_channels = ChannelRealization
+
+
 def rate_bits(snr, power) -> np.ndarray:
     """Rate ``log2(1 + snr * power)`` in bits/s/Hz of every SNR at every power.
 
@@ -272,22 +289,18 @@ def _band_table(n_elements: int, grid: FrequencyGrid, sin_theta: float) -> np.nd
     ``phi_k = phi_0 + k*delta``, with delta the angle of one subcarrier
     spacing. With C the largest divisor of K not above sqrt(K) and
     ``k = p*C + s``, entry (k, m) is ``exp(j*2*pi*m*phi_{pC}) *
-    exp(j*2*pi*m*s*delta)``: both factors come from one table call over
-    K/C + C angles, about 2*sqrt(K) * (n/B + B) exponentials instead of
-    K * (n/B + B), and meet in one broadcast product. At a prime K, C = 1
-    and the fine factor is the single row s = 0, exactly one, so the coarse
-    rows are the table. Like the steering table, the table of n elements is
-    the first n columns of any wider one.
+    exp(j*2*pi*m*s*delta)``: both factors come from one table call over the
+    K/C + C angles ``ratios * sin(theta)`` of the grid's ``_band_factor``,
+    about 2*sqrt(K) * (n/B + B) exponentials instead of K * (n/B + B), and
+    meet in one broadcast product. At a prime K, C = 1: the ratios are the
+    K coarse ones alone, and their rows are the table. Like the steering
+    table, the table of n elements is the first n columns of any wider one.
     """
-    k_sub = grid.num_subcarriers
-    step = next(c for c in range(math.isqrt(k_sub), 0, -1) if k_sub % c == 0)
-    coarse_phi = (grid.frequencies[::step] / (2.0 * grid.carrier_hz)) * sin_theta
-    if step == 1:
-        return _steering_table(n_elements, coarse_phi)
-    fine_phi = (grid.spacing_hz * np.arange(step) / (2.0 * grid.carrier_hz)) * sin_theta
-    rows = k_sub // step
-    table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi)))
-    return (table[:rows, None, :] * table[None, rows:, :]).reshape(k_sub, n_elements)
+    rows, ratios = grid._band_factor
+    table = _steering_table(n_elements, ratios * sin_theta)
+    if rows == grid.num_subcarriers:
+        return table
+    return (table[:rows, None, :] * table[None, rows:, :]).reshape(grid.num_subcarriers, n_elements)
 
 
 def _path_sum(n_elements: int, grid: FrequencyGrid, paths: PathSet) -> np.ndarray:
@@ -361,23 +374,3 @@ def sample_path_set(
         for _ in range(num_paths)
     ]
     return PathSet(aoa, gain, *zip(*draws))
-
-
-def gen_channels(
-    paths: PathSet,
-    grid: FrequencyGrid,
-    num_bs_antennas: int,
-    num_ris_elements: int,
-) -> ChannelRealization:
-    """Generate the per-subcarrier channels for one path realization.
-
-    The BS-to-surface hop is ``sqrt(M*N) * gain * exp(-j*2*pi*tau*f_k) *
-    a_M(phi_in) * a_N(phi_out)^H`` and the surface-to-user row ``sqrt(M/L)``
-    times the sum of each path's gain, delay phase and conjugate response,
-    every spatial angle evaluated at f_k. The :class:`ChannelRealization`
-    checks the counts and stores the cascade of the two hops, with element
-    responses of modulus 1, and the power gain ``N*|gain|^2``, which is all
-    MRT leaves of the BS hop: neither tau nor phi_out enters a rate.
-    Pure function of its inputs.
-    """
-    return ChannelRealization(num_bs_antennas, num_ris_elements, grid, paths)

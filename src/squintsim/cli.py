@@ -11,7 +11,7 @@ import argparse
 import ctypes
 import os
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 from . import experiments
 from .channel import GAIN_MODES
@@ -178,7 +178,8 @@ def _fmt(value: float) -> str:
 
 
 def emit_csv(rows: tuple[SweepRow, ...], path: str) -> None:
-    """Write the sweep rows as UTF-8 CSV with 10-significant-digit numbers.
+    """Write the sweep rows as UTF-8 CSV, each in ``SweepRow``'s field order, as ``CSV_HEADER``
+    names them, with floats to 10 significant digits.
 
     The rows go to a temporary file in the target directory, which then
     replaces ``path``; a failed write leaves no file under either name.
@@ -189,9 +190,7 @@ def emit_csv(rows: tuple[SweepRow, ...], path: str) -> None:
         with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for row in rows:
-                numbers = map(_fmt, (row.sweep_value, row.mean_rate_bits, row.std_error_bits))
-                fields = (row.scenario, row.scheme, row.sweep_variable, *numbers, str(row.trials), str(row.seed))
-                fh.write(",".join(fields) + "\n")
+                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in astuple(row)) + "\n")
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):

@@ -337,7 +337,10 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
     Raises ConfigError on any bad value with field ``values``, keeping the
     message of the config field the value breaks, and on an unknown variable
     with field ``sweep_variable``. ``values`` is a sequence, not a string, of
-    real numbers; a bool or a complex number is no sweep value.
+    real numbers; a bool or a complex number is no sweep value, nor is one
+    too large for a float. Each value is converted to a float once, and the
+    duplicate and integer checks read that float; a surface size is
+    ``int`` of the value as given.
     """
     values = _sequence("values", values)
     if len(values) == 0:
@@ -345,18 +348,20 @@ def sweep_points(config: ScenarioConfig, sweep_variable: str, values) -> tuple[S
     if sweep_variable not in SWEEP_GRIDS:
         known = ", ".join(SWEEP_GRIDS)
         raise ConfigError("sweep_variable", f"unknown sweep variable {sweep_variable!r}; known: {known}")
-    points = []
-    for i, value in enumerate(values):
+    points, seen = [], set()
+    for value in values:
         if not _is_real(value):
             raise ConfigError("values", f"{sweep_variable} value must be a real number, got {value!r}")
-        if float(value) in map(float, values[:i]):
-            raise ConfigError("values", f"{sweep_variable} value {value:g} is named twice")
-        if sweep_variable == "ris_elements" and not float(value).is_integer():
-            raise ConfigError("values", f"ris_elements must be an integer, got {value}")
-        field, kind = ("num_ris_elements", int) if sweep_variable == "ris_elements" else (sweep_variable, float)
         try:
-            points.append(replace(config, **{field: kind(value)}))
-        except ConfigError as exc:
+            number = float(value)
+            if number in seen:
+                raise ConfigError("values", f"{sweep_variable} value {value:g} is named twice")
+            if sweep_variable == "ris_elements" and not number.is_integer():
+                raise ConfigError("values", f"ris_elements must be an integer, got {value}")
+            seen.add(number)
+            point = {"num_ris_elements": int(value)} if sweep_variable == "ris_elements" else {sweep_variable: number}
+            points.append(replace(config, **point))
+        except (ConfigError, OverflowError) as exc:
             raise ConfigError("values", str(exc)) from exc
     return tuple(points)
 

@@ -20,12 +20,17 @@ The paths hold no BS departure angle or delay, since no rate reads them, so
 run at every pair of ``BS_DEPARTURES``. ``summed_cascade`` is
 the cascade as one summed stack of path tables, which the package's
 path-by-path build matches bit for bit.
+``band_table`` is the band table with its divisor C and factor angles
+worked out on every call from the grid's frequencies; the package's table,
+which reads them from the grid's ``_band_factor``, must give its bits.
 ``subcarrier_covariance_profile`` is the per-subcarrier covariance designer
 written out as the mean-covariance route: a receive part at f_k and the closed
 form principal direction of the rank-one covariance of the user row k.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -116,6 +121,19 @@ def user_rows(channels: ChannelRealization, m: int | None = None) -> np.ndarray:
 def cascade_direct(channels: ChannelRealization) -> np.ndarray:
     """Cascaded channel ``h_ris_user_direct * sqrt(M) * a_ris`` (K, M), element responses of modulus 1."""
     return h_ris_user_direct(channels) * (a_ris(channels) * np.sqrt(channels.num_ris_elements))
+
+
+def band_table(n_elements: int, grid: FrequencyGrid, sin_theta: float) -> np.ndarray:
+    """``_band_table`` with its grid factor worked out on every call, from ``frequencies`` and ``spacing_hz``."""
+    k_sub = grid.num_subcarriers
+    step = next(c for c in range(math.isqrt(k_sub), 0, -1) if k_sub % c == 0)
+    coarse_phi = (grid.frequencies[::step] / (2.0 * grid.carrier_hz)) * sin_theta
+    if step == 1:
+        return _steering_table(n_elements, coarse_phi)
+    fine_phi = (grid.spacing_hz * np.arange(step) / (2.0 * grid.carrier_hz)) * sin_theta
+    rows = k_sub // step
+    table = _steering_table(n_elements, np.concatenate((coarse_phi, fine_phi)))
+    return (table[:rows, None, :] * table[None, rows:, :]).reshape(k_sub, n_elements)
 
 
 def summed_cascade(channels: ChannelRealization) -> np.ndarray:

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import squintsim
 import squintsim.channel as channel_module
 from squintsim.channel import (
     DELAY_MAX_S,
+    ChannelRealization,
     FrequencyGrid,
     PathSet,
     _band_table,
@@ -19,6 +21,7 @@ from squintsim.channel import (
 from squintsim.phase_design import design_mccm
 from squintsim.rate_eval import ideal_rate, sum_rate
 
+import reference
 from reference import (
     BS_DEPARTURES,
     TABLE_TOL,
@@ -26,6 +29,7 @@ from reference import (
     a_ris,
     array_response,
     array_response_direct,
+    band_table,
     bits,
     h_bs_ris,
     spatial_angle,
@@ -119,6 +123,44 @@ class TestFrequencyGrid:
         wider = dataclasses.replace(grid, bandwidth_hz=4e9)
         assert np.array_equal(wider.frequencies, FrequencyGrid(28e9, 4e9, 128).frequencies)
         assert wider == FrequencyGrid(28e9, 4e9, 128) != grid
+
+    @pytest.mark.parametrize("k,rows,step", [(1, 1, 1), (7, 7, 1), (12, 4, 3), (128, 16, 8), (131, 131, 1)])
+    def test_band_factor_is_derived_from_the_fields(self, k, rows, step):
+        # C is the largest divisor of K not above sqrt(K): K/C coarse ratios,
+        # then C fine ones when C > 1.
+        grid = FrequencyGrid(28e9, 2e9, k)
+        coarse = grid.frequencies[::step] / (2.0 * 28e9)
+        fine = grid.spacing_hz * np.arange(step) / (2.0 * 28e9) if step > 1 else np.empty(0)
+        assert grid._band_factor[0] == rows
+        assert bits(grid._band_factor[1]) == bits(np.concatenate((coarse, fine)))
+
+    def test_band_factor_is_read_only_and_no_part_of_the_record(self):
+        grid = FrequencyGrid(28e9, 2e9, 128)
+        with pytest.raises(ValueError, match="read-only"):
+            grid._band_factor[1][0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid._band_factor = (1, np.zeros(1))
+        with pytest.raises(TypeError, match="_band_factor"):
+            FrequencyGrid(28e9, 2e9, 128, _band_factor=grid._band_factor)
+        assert [f.name for f in dataclasses.fields(grid) if f.compare] == ["carrier_hz", "bandwidth_hz", "num_subcarriers"]
+        twin = FrequencyGrid(28e9, 2e9, 128)
+        assert twin == grid and hash(twin) == hash(grid)
+        assert repr(grid) == "FrequencyGrid(carrier_hz=28000000000.0, bandwidth_hz=2000000000.0, num_subcarriers=128)"
+
+    @pytest.mark.parametrize(
+        "change,fresh",
+        [
+            ({"bandwidth_hz": 4e9}, FrequencyGrid(28e9, 4e9, 128)),
+            ({"carrier_hz": 30e9}, FrequencyGrid(30e9, 2e9, 128)),
+            ({"num_subcarriers": 131}, FrequencyGrid(28e9, 2e9, 131)),
+        ],
+    )
+    def test_replace_recomputes_the_band_factor(self, change, fresh):
+        grid = FrequencyGrid(28e9, 2e9, 128)
+        changed = dataclasses.replace(grid, **change)
+        assert changed._band_factor[0] == fresh._band_factor[0]
+        assert bits(changed._band_factor[1]) == bits(fresh._band_factor[1])
+        assert not np.array_equal(changed._band_factor[1][:16], grid._band_factor[1][:16])
 
 
 class TestSpatialAngle:
@@ -225,6 +267,16 @@ class TestBandTable:
             assert np.array_equal(table[k], np.ones(m, dtype=complex))
             product = table[:k, None, :] * table[None, k:, :]
             assert np.array_equal(_band_table(m, grid, sin_theta), product.reshape(k, m))
+
+    @pytest.mark.parametrize("k", [*range(1, 41), 64, 127, 128, 131, 256, 4093])
+    def test_reads_the_grid_factor_with_the_bits_of_a_factor_worked_out_per_call(self, k):
+        # Signed zeros included: the angles +0.0 and -0.0 give tables of exact
+        # ones and zeros, whose signs the products must keep.
+        grid = FrequencyGrid(28e9, 2e9, k)
+        drawn = np.sin(np.random.default_rng(k).uniform(0, 2 * np.pi, 3))
+        for sin_theta in (0.0, -0.0, *drawn):
+            for n in (1, 5, 16, 17, 64, 100):
+                assert bits(_band_table(n, grid, sin_theta)) == bits(band_table(n, grid, sin_theta))
 
 
 class TestUserRows:
@@ -339,6 +391,25 @@ class TestSamplePathSet:
 
 
 class TestGenChannels:
+    def test_is_the_realization_class(self):
+        assert squintsim.gen_channels is squintsim.ChannelRealization is ChannelRealization is gen_channels
+
+    @pytest.mark.parametrize("k", [7, 128, 131])
+    @pytest.mark.parametrize("num_paths", [1, 5])
+    def test_positional_order_is_paths_grid_antennas_elements(self, monkeypatch, k, num_paths):
+        # N = 3 and M = 37 differ, so swapped counts would show in the shape and
+        # the power gain. The cascade has the bits of the summed stack of band
+        # tables whose grid factor is worked out on every call.
+        paths = sample_path_set(np.random.default_rng([k, num_paths]), num_paths)
+        grid = FrequencyGrid(28e9, 2e9, k)
+        channels = ChannelRealization(paths, grid, 3, 37)
+        assert channels == ChannelRealization(source_paths=paths, grid=grid, num_bs_antennas=3, num_ris_elements=37)
+        assert (channels.source_paths, channels.grid, channels.num_bs_antennas) == (paths, grid, 3)
+        assert channels.cascade.shape == (k, 37)
+        assert channels.bs_ris_power_gain == 3 * abs(paths.bs_ris_gain) ** 2
+        monkeypatch.setattr(reference, "_band_table", band_table)
+        assert bits(channels.cascade) == bits(summed_cascade(channels))
+
     def test_bs_ris_slices_are_rank_one(self):
         grid = FrequencyGrid(28e9, 2e9, 8)
         channels = gen_channels(los_paths(), grid, 6, 5)

@@ -23,8 +23,8 @@ CHANNELS = gen_channels(PATHS, GRID, 4, 6)
 #: Each entry called with one count n in the place of a count.
 ENTRIES = {
     "FrequencyGrid": lambda n: FrequencyGrid(28e9, 2e9, n),
-    "ChannelRealization-antennas": lambda n: ChannelRealization(n, 6, GRID, PATHS),
-    "ChannelRealization-elements": lambda n: ChannelRealization(4, n, GRID, PATHS),
+    "ChannelRealization-antennas": lambda n: ChannelRealization(PATHS, GRID, n, 6),
+    "ChannelRealization-elements": lambda n: ChannelRealization(PATHS, GRID, 4, n),
     "replace-antennas": lambda n: dataclasses.replace(CHANNELS, num_bs_antennas=n),
     "replace-elements": lambda n: dataclasses.replace(CHANNELS, num_ris_elements=n),
     "gen_channels-antennas": lambda n: gen_channels(PATHS, GRID, n, 6),

@@ -592,6 +592,9 @@ class TestRunSweep:
             (("central",), "snr_db", (True,), "values", "snr_db value must be a real number, got True"),
             (("central",), "snr_db", (1j,), "values", "snr_db value must be a real number, got 1j"),
             (("central",), "snr_db", (0.0, "5"), "values", "snr_db value must be a real number, got '5'"),
+            (("central",), "snr_db", (0.0, 10**400), "values", "int too large to convert to float"),
+            (("central",), "bandwidth_hz", (10**400,), "values", "int too large to convert to float"),
+            (("central",), "ris_elements", (16, 10**400), "values", "int too large to convert to float"),
             ("mccm", "snr_db", (0.0,), "schemes", "schemes must be a sequence, got the string 'mccm'"),
         ],
     )
