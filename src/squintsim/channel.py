@@ -22,13 +22,53 @@ DELAY_MAX_S = 20e-9
 GAIN_MODES = ("unit", "random")
 
 
+class ConfigError(ValueError):
+    """An input rejected before the first trial; ``field`` names it: a
+    :class:`FrequencyGrid` or ``ScenarioConfig`` field, ``values`` (a sweep
+    value), ``schemes``, ``sweep_variable``, or ``fig_id`` (a preset id of
+    ``figure_sweep``). Defined with the grid's rules, which raise it, and
+    re-exported by ``experiments``."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 def _is_real(value) -> bool:
     # bool is a numbers.Integral, but True is no count, seed or frequency.
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _real(value) -> float:
+    """``float(value)``, or NaN when value is no real number or too large for a float.
+
+    Comparisons with NaN are false, so such a value fails every range rule.
+    """
+    try:
+        return float(value) if _is_real(value) else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def _is_count(value) -> bool:
-    return _is_real(value) and isinstance(value, numbers.Integral) and value >= 1
+    """Whether value is an integer >= 1, no bool, that fits a float."""
+    return isinstance(value, numbers.Integral) and 1 <= _real(value) < math.inf
+
+
+def _grid_rules(record) -> dict:
+    """The rules of the grid fields of ``record``, ``{field: (holds, what it must be)}``, in checking order."""
+    return {
+        "carrier_hz": (0 < (carrier := _real(record.carrier_hz)) < math.inf, "finite and positive"),
+        "bandwidth_hz": (0 <= _real(record.bandwidth_hz) < 2 * carrier, "in [0, 2*carrier_hz)"),
+        "num_subcarriers": (_is_count(record.num_subcarriers), "an integer >= 1"),
+    }
+
+
+def _check_rules(record, rules: dict) -> None:
+    """Raise ConfigError naming the first field of ``rules`` that does not hold, with the value ``record`` holds."""
+    for name, (holds, expected) in rules.items():
+        if not holds:
+            raise ConfigError(name, f"{name} must be {expected}, got {getattr(record, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +77,14 @@ class FrequencyGrid:
 
     Subcarrier k (0-based) sits at ``carrier + spacing * (k - (K-1)/2)``, with
     ``spacing_hz = bandwidth/K``, so the grid is arithmetic and its mean is the
-    carrier frequency. ``frequencies`` is derived from the three fields at
-    construction and is read-only; it is no argument, so no grid, not even one
+    carrier frequency. The constructor checks the three fields against the
+    rules ``ScenarioConfig`` shares, and raises :class:`ConfigError` naming
+    the first that fails: a carrier finite and positive, a bandwidth in
+    ``[0, 2*carrier_hz)`` and K an integer >= 1, where a value too large for
+    a float fails like one that is no real number. Each real number is read
+    through ``float()``, so a ``Fraction`` or a numpy scalar gives the
+    frequencies of the equal float. ``frequencies`` is derived from the three
+    fields at construction and is read-only; it is no argument, so no grid, not even one
     made by ``dataclasses.replace``, holds frequencies that disagree with them.
     So is ``_band_factor``, the ``(rows, ratios)`` every :func:`_band_table`
     call on the grid reads: with C the largest divisor of K not above
@@ -54,32 +100,19 @@ class FrequencyGrid:
     _band_factor: tuple[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _is_count(self.num_subcarriers):
-            raise ValueError(f"num_subcarriers must be an integer >= 1, got {self.num_subcarriers!r}")
-        # Comparisons with NaN are false, so a value that is no real number is
-        # checked as NaN and fails every range.
-        carrier, bandwidth = (v if _is_real(v) else math.nan for v in (self.carrier_hz, self.bandwidth_hz))
-        if not 0 < carrier < math.inf:
-            raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz!r}")
-        if not 0 <= bandwidth:
-            raise ValueError(f"bandwidth_hz must be a nonnegative number, got {self.bandwidth_hz!r}")
-        if not bandwidth < 2 * carrier:
-            raise ValueError(
-                f"bandwidth_hz={self.bandwidth_hz} >= 2*carrier_hz={2 * self.carrier_hz} would "
-                "produce nonpositive subcarrier frequencies"
-            )
+        _check_rules(self, _grid_rules(self))
         k = np.arange(self.num_subcarriers, dtype=float)
-        frequencies = self.carrier_hz + self.spacing_hz * (k - (self.num_subcarriers - 1) / 2)
+        frequencies = float(self.carrier_hz) + self.spacing_hz * (k - (self.num_subcarriers - 1) / 2)
         step = next(c for c in range(math.isqrt(self.num_subcarriers), 0, -1) if self.num_subcarriers % c == 0)
         parts = (frequencies[::step], self.spacing_hz * np.arange(step)) if step > 1 else (frequencies,)
-        ratios = np.concatenate(parts) / (2.0 * self.carrier_hz)
+        ratios = np.concatenate(parts) / (2.0 * float(self.carrier_hz))
         frequencies.flags.writeable = ratios.flags.writeable = False
         object.__setattr__(self, "frequencies", frequencies)
         object.__setattr__(self, "_band_factor", (self.num_subcarriers // step, ratios))
 
     @property
     def spacing_hz(self) -> float:
-        return self.bandwidth_hz / self.num_subcarriers
+        return float(self.bandwidth_hz) / self.num_subcarriers
 
 
 @dataclass(frozen=True)

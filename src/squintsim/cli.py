@@ -11,13 +11,14 @@ import argparse
 import ctypes
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import fields
 
 from . import experiments
 from .channel import GAIN_MODES
 from .experiments import FIGURES, LOS, NLOS, SCHEMES, SWEEP_GRIDS, ConfigError, ScenarioConfig, SweepRow, schemes_for
 
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
 
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
@@ -179,7 +180,8 @@ def _fmt(value: float) -> str:
 
 def emit_csv(rows: tuple[SweepRow, ...], path: str) -> None:
     """Write the sweep rows as UTF-8 CSV, each in ``SweepRow``'s field order, as ``CSV_HEADER``
-    names them, with floats to 10 significant digits.
+    names them, with floats to 10 significant digits. Each field is read as the row holds it;
+    nothing is copied.
 
     The rows go to a temporary file in the target directory, which then
     replaces ``path``; a failed write leaves no file under either name.
@@ -190,7 +192,8 @@ def emit_csv(rows: tuple[SweepRow, ...], path: str) -> None:
         with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in astuple(row)) + "\n")
+                values = (getattr(row, column) for column in _COLUMNS)
+                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values) + "\n")
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):

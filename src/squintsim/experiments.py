@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import GAIN_MODES, FrequencyGrid, _is_count, _is_real, gen_channels, sample_path_set
+from .channel import GAIN_MODES, ConfigError, FrequencyGrid, _check_rules, _grid_rules, _is_count, _is_real, _real
+from .channel import gen_channels, sample_path_set
 from .phase_design import PhaseProfile, design_central, design_mccm, design_random, design_subcarrier_covariance
 # Unused here; benchmarks/child.py traces it under this module.
 from .phase_design import design_ideal as design_indexed  # noqa: F401
@@ -94,8 +95,8 @@ _INDEX_STREAM = 2
 
 
 def _snr_linear(snr_db):
-    """Linear SNR of a dB value, with unit noise power."""
-    return 10.0 ** (snr_db / 10.0)
+    """Linear SNR of a dB value, with unit noise power, worked out in Python floats."""
+    return 10.0 ** (float(snr_db) / 10.0)
 
 
 def _has_linear_snr(snr_db) -> bool:
@@ -107,23 +108,20 @@ def _has_linear_snr(snr_db) -> bool:
     return 0 < snr < math.inf
 
 
-class ConfigError(ValueError):
-    """An input rejected before the first trial; ``field`` names it: a
-    :class:`ScenarioConfig` field, ``values`` (a sweep value), ``schemes``,
-    ``sweep_variable``, or ``fig_id`` (a preset id of :func:`figure_sweep`)."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(message)
-        self.field = field
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Simulation parameters; the defaults are the standard operating point
     (28 GHz carrier, 2 GHz bandwidth, 128 subcarriers, 64 BS antennas, 64
     surface elements). Los takes exactly one user-side path; ``num_paths=None``
     sets the count at construction, to 1 on los and ``NLOS_PATHS`` on nlos, so
-    ``dataclasses.replace(cfg, scenario=...)`` keeps it."""
+    ``dataclasses.replace(cfg, scenario=...)`` keeps it.
+
+    The constructor checks one rule table and raises ConfigError naming the
+    first field that fails; the carrier, bandwidth and subcarrier rules are
+    the grid's own, from ``channel``, so a config and a ``FrequencyGrid``
+    reject a bad grid with one message. A number too large for a float fails
+    like one that is no real number, and the K*M and (in ``check_schemes``)
+    M**2 caps are formed in Python integers, so numpy counts cannot wrap."""
 
     scenario: str = LOS
     carrier_hz: float = 28e9
@@ -138,39 +136,30 @@ class ScenarioConfig:
     gain_mode: str = "random"
 
     def __post_init__(self) -> None:
-        # Comparisons with NaN are false, so NaN fails every numeric rule, and a
-        # float field that is no number is checked as NaN.
-        carrier, bandwidth, snr_db = (
-            v if _is_real(v) else math.nan for v in (self.carrier_hz, self.bandwidth_hz, self.snr_db)
-        )
         if self.num_paths is None:
             object.__setattr__(self, "num_paths", 1 if self.scenario == LOS else NLOS_PATHS)
-        rules = {
+        # The grid's own rules sit after the scenario's, in FrequencyGrid's order.
+        _check_rules(self, {
             "scenario": (self.scenario in (LOS, NLOS), f"{LOS!r} or {NLOS!r}"),
-            "carrier_hz": (0 < carrier < math.inf, "finite and positive"),
-            "bandwidth_hz": (0 <= bandwidth < 2 * carrier, "in [0, 2*carrier_hz)"),
-            "num_subcarriers": (_is_count(self.num_subcarriers), "an integer >= 1"),
+            **_grid_rules(self),
             "num_bs_antennas": (_is_count(self.num_bs_antennas), "an integer >= 1"),
             "num_ris_elements": (
                 _is_count(self.num_ris_elements) and _is_count(self.num_subcarriers)
-                and self.num_subcarriers * self.num_ris_elements <= MAX_TABLE_ENTRIES,
+                and int(self.num_subcarriers) * int(self.num_ris_elements) <= MAX_TABLE_ENTRIES,
                 f"an integer >= 1 with num_subcarriers * num_ris_elements <= {MAX_TABLE_ENTRIES}",
             ),
             "num_paths": (
                 _is_count(self.num_paths) and (self.scenario != LOS or self.num_paths == 1),
                 "an integer >= 1, and 1 on los",
             ),
-            "snr_db": (_has_linear_snr(snr_db), "a dB value with a finite positive linear SNR"),
+            "snr_db": (_has_linear_snr(_real(self.snr_db)), "a dB value with a finite positive linear SNR"),
             "trials": (_is_count(self.trials), "an integer >= 1"),
             "seed": (
                 _is_real(self.seed) and isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64,
                 "an integer in [0, 2**64)",
             ),
             "gain_mode": (self.gain_mode in GAIN_MODES, " or ".join(map(repr, GAIN_MODES))),
-        }
-        for name, (ok, expected) in rules.items():
-            if not ok:
-                raise ConfigError(name, f"{name} must be {expected}, got {getattr(self, name)!r}")
+        })
 
 
 @dataclass(frozen=True)
@@ -219,7 +208,7 @@ def check_schemes(schemes: tuple[str, ...], scenario: str, num_ris_elements: int
             raise ConfigError("schemes", f"scheme {scheme!r} is not available in the {scenario!r} scenario")
         if scheme in schemes[:i]:
             raise ConfigError("schemes", f"scheme {scheme!r} is named twice")
-        if scheme == "mccm" and num_ris_elements**2 > MAX_TABLE_ENTRIES:
+        if scheme == "mccm" and int(num_ris_elements) ** 2 > MAX_TABLE_ENTRIES:
             bound = f"M**2 <= MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
             message = f"scheme 'mccm' forms an (M, M) covariance and needs {bound}, got M = {num_ris_elements}"
             raise ConfigError("schemes", message)

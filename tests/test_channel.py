@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import squintsim.channel as channel_module
 from squintsim.channel import (
     DELAY_MAX_S,
     ChannelRealization,
+    ConfigError,
     FrequencyGrid,
     PathSet,
     _band_table,
@@ -18,6 +20,7 @@ from squintsim.channel import (
     gen_channels,
     sample_path_set,
 )
+from squintsim.experiments import ScenarioConfig
 from squintsim.phase_design import design_mccm
 from squintsim.rate_eval import ideal_rate, sum_rate
 
@@ -39,6 +42,22 @@ from reference import (
 )
 
 ORACLE_SIZES = (1, 2, 3, 5, 16, 17, 63, 64, 255, 256, 257, 1000, 1023, 1024)
+
+#: (carrier, bandwidth, K) triples no grid may hold.
+BAD_GRIDS = [
+    (28e9, 2e9, 0), (0.0, 2e9, 8), (-1e9, 2e9, 8), (28e9, -1e9, 8), (28e9, 56e9, 8), (28e9, 60e9, 8),
+    (28e9, 2e9, 2.5), (28e9, 2e9, 4.0), (28e9, 2e9, True),
+    (math.nan, 2e9, 4), (28e9, math.nan, 4), (math.inf, 2e9, 4), (28e9, math.inf, 4), ("x", 2e9, 4),
+    (28e9, None, 4), (True, 2e9, 4),
+]
+
+#: Real numbers that float() cannot hold, as a carrier and as a bandwidth.
+TOO_LARGE_FOR_A_FLOAT = [
+    pytest.param(10**400, 2e9, 4, id="int-carrier-too-large"),
+    pytest.param(Fraction(10**400), 2e9, 4, id="fraction-carrier-too-large"),
+    pytest.param(28e9, 10**400, 4, id="int-bandwidth-too-large"),
+    pytest.param(28e9, Fraction(10**400), 4, id="fraction-bandwidth-too-large"),
+]
 
 
 def los_paths(aoa=0.4, ru_angle=2.0, gain=1.0 + 0j, ru_delay=3e-9):
@@ -81,18 +100,38 @@ class TestFrequencyGrid:
         grid = FrequencyGrid(28e9, 0.5e9, 64)
         assert np.all(np.diff(grid.frequencies) > 0)
 
-    @pytest.mark.parametrize(
-        "carrier,bandwidth,k",
-        [
-            (28e9, 2e9, 0), (0.0, 2e9, 8), (-1e9, 2e9, 8), (28e9, -1e9, 8), (28e9, 56e9, 8), (28e9, 60e9, 8),
-            (28e9, 2e9, 2.5), (28e9, 2e9, 4.0), (28e9, 2e9, True),
-            (math.nan, 2e9, 4), (28e9, math.nan, 4), (math.inf, 2e9, 4), (28e9, math.inf, 4), ("x", 2e9, 4),
-            (28e9, None, 4), (True, 2e9, 4),
-        ],
-    )
+    @pytest.mark.parametrize("carrier,bandwidth,k", BAD_GRIDS)
     def test_rejects_bad_parameters(self, carrier, bandwidth, k):
         with pytest.raises(ValueError):
             FrequencyGrid(carrier, bandwidth, k)
+
+    @pytest.mark.parametrize("carrier,bandwidth,k", BAD_GRIDS + TOO_LARGE_FOR_A_FLOAT)
+    def test_grid_and_config_reject_a_bad_grid_alike(self, carrier, bandwidth, k):
+        # One rule table: the same field fails first, with the same message.
+        with pytest.raises(ConfigError) as grid_error:
+            FrequencyGrid(carrier, bandwidth, k)
+        with pytest.raises(ConfigError) as config_error:
+            ScenarioConfig(carrier_hz=carrier, bandwidth_hz=bandwidth, num_subcarriers=k)
+        assert grid_error.value.field == config_error.value.field
+        assert str(grid_error.value) == str(config_error.value)
+        assert str(grid_error.value).startswith(f"{grid_error.value.field} must be ")
+
+    @pytest.mark.parametrize(
+        "carrier,bandwidth,k",
+        [
+            (Fraction(28 * 10**9), Fraction(2 * 10**9), 128),
+            (np.float32(28e9), np.float32(0.25e9), 131),
+        ],
+        ids=["fractions", "float32"],
+    )
+    def test_a_real_number_gives_the_grid_of_the_equal_float(self, carrier, bandwidth, k):
+        # Every field meets numpy as a Python float, so the bits are those of the float grid.
+        grid, twin = FrequencyGrid(carrier, bandwidth, k), FrequencyGrid(float(carrier), float(bandwidth), int(k))
+        assert grid.frequencies.dtype == grid._band_factor[1].dtype == np.float64
+        assert bits(grid.frequencies) == bits(twin.frequencies)
+        assert grid._band_factor[0] == twin._band_factor[0]
+        assert bits(grid._band_factor[1]) == bits(twin._band_factor[1])
+        assert grid.spacing_hz == twin.spacing_hz
 
     @pytest.mark.parametrize(
         "carrier,bandwidth,k,message",
@@ -101,10 +140,16 @@ class TestFrequencyGrid:
             (28e9, 2e9, True, "num_subcarriers must be an integer >= 1, got True"),
             (math.nan, 2e9, 4, "carrier_hz must be finite and positive, got nan"),
             ("x", 2e9, 4, "carrier_hz must be finite and positive, got 'x'"),
-            (28e9, None, 4, "bandwidth_hz must be a nonnegative number, got None"),
-            (28e9, 56e9, 8, "bandwidth_hz=56000000000.0 >= 2*carrier_hz=56000000000.0 would produce nonpositive"),
+            (28e9, None, 4, "bandwidth_hz must be in [0, 2*carrier_hz), got None"),
+            (28e9, 56e9, 8, "bandwidth_hz must be in [0, 2*carrier_hz), got 56000000000.0"),
+            (10**400, 2e9, 4, "carrier_hz must be finite and positive, got 1000"),
+            (Fraction(10**400), 2e9, 4, "carrier_hz must be finite and positive, got Fraction(1000"),
+            (28e9, 10**400, 4, "bandwidth_hz must be in [0, 2*carrier_hz), got 1000"),
+            (28e9, Fraction(10**400), 4, "bandwidth_hz must be in [0, 2*carrier_hz), got Fraction(1000"),
         ],
-        ids=["zero-subcarriers", "bool-subcarriers", "nan-carrier", "text-carrier", "no-bandwidth", "wide-band"],
+        ids=["zero-subcarriers", "bool-subcarriers", "nan-carrier", "text-carrier", "no-bandwidth", "wide-band",
+             "int-carrier-too-large", "fraction-carrier-too-large", "int-bandwidth-too-large",
+             "fraction-bandwidth-too-large"],
     )
     def test_constructor_rejects_bad_parameters(self, carrier, bandwidth, k, message):
         # The grid checks itself: the constructor is the one place a grid is validated.

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import ctypes
 import os
 import subprocess
@@ -224,6 +225,16 @@ class TestEmitCsv:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text(encoding="utf-8") == "previous\n"
 
+    def test_reads_the_fields_without_copying_them(self, tmp_path, monkeypatch):
+        # dataclasses.astuple would deep-copy every field of every row.
+        def no_copies(*args, **kwargs):
+            raise AssertionError("a field was deep-copied")
+
+        monkeypatch.setattr(copy, "deepcopy", no_copies)
+        path = tmp_path / "one.csv"
+        emit_csv(sample_result(), str(path))
+        assert path.read_bytes() == (CSV_HEADER + "\nlos,central,snr_db,10,21.12345679,0.0123456789,7,3\n").encode()
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         path = tmp_path / "twice.csv"
         emit_csv(sample_result(), str(path))
@@ -265,6 +276,7 @@ class TestMain:
             ["--out", "{tmp}"],
             ["--out", "{tmp}/nodir/x.csv"],
             ["--out", "nodir/"],
+            ["--bs-antennas", "1" + "0" * 400],
         ],
         ids=["two-snr-values", "nan-value", "zero-subcarriers", "zero-paths", "negative-antennas",
              "late-bad-bandwidth", "infinite-elements", "negative-seed", "seed-past-64-bits",
@@ -272,7 +284,7 @@ class TestMain:
              "paths-on-single-path-scenario", "working-set-too-large", "unknown-scheme",
              "nlos-only-scheme-on-los", "empty-scheme-list", "repeated-scheme", "nlos-default-paths-on-los",
              "repeated-value", "repeated-element-count", "empty-out", "out-is-a-directory",
-             "out-in-missing-directory", "out-names-no-file"],
+             "out-in-missing-directory", "out-names-no-file", "antennas-too-large-for-a-float"],
     )
     def test_bad_sweep_input_exits_1_before_any_trial(self, flags, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -320,8 +332,10 @@ class TestMain:
              "argument --trials: trials must be an integer >= 1, got 0"),
             (["figure", "--id", "2", "--seed", "-1"],
              "argument --seed: seed must be an integer in [0, 2**64), got -1"),
+            (["sweep", "--bs-antennas", "1" + "0" * 400],
+             "argument --bs-antennas: num_bs_antennas must be an integer >= 1, got 1" + "0" * 400),
         ],
-        ids=["paths", "subcarriers", "sweep-trials", "figure-seed"],
+        ids=["paths", "subcarriers", "sweep-trials", "figure-seed", "antennas-too-large-for-a-float"],
     )
     def test_config_error_names_the_flag(self, argv, message, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1

@@ -2,6 +2,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,10 @@ class TestScenarioConfig:
             ("seed", -1),
             ("seed", 2**64),
             ("seed", 1.5),
+            pytest.param("carrier_hz", 10**400, id="carrier_hz-int-too-large-for-a-float"),
+            pytest.param("carrier_hz", Fraction(10**400), id="carrier_hz-fraction-too-large-for-a-float"),
+            pytest.param("num_bs_antennas", 10**400, id="num_bs_antennas-too-large-for-a-float"),
+            pytest.param("trials", 10**400, id="trials-too-large-for-a-float"),
         ],
     )
     def test_rejects_out_of_range_field(self, field, value):
@@ -139,6 +144,17 @@ class TestScenarioConfig:
         assert info.value.field == "num_subcarriers"
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize(
+        "k,m",
+        [(np.int32(65536), np.int32(65536)), (np.int16(4096), np.int16(4097))],
+        ids=["int32-wraps-to-zero", "int16-wraps-to-4096"],
+    )
+    def test_working_set_bound_reads_the_true_product_of_fixed_width_integers(self, k, m):
+        # K*M formed in the counts' own integer type would wrap below the cap.
+        with pytest.raises(experiments.ConfigError, match="num_subcarriers \\* num_ris_elements <= 16777216, got") as info:
+            ScenarioConfig(num_subcarriers=k, num_ris_elements=m)
+        assert info.value.field == "num_ris_elements"
+
     def test_scenario_sets_the_default_path_count(self):
         assert ScenarioConfig(scenario=LOS).num_paths == 1
         assert ScenarioConfig(scenario=NLOS).num_paths == NLOS_PATHS == 5
@@ -183,6 +199,14 @@ def test_mccm_covariance_bound_is_checked_before_any_allocation(monkeypatch, var
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [np.int16(4097), np.int32(65536)], ids=["int16", "int32-wraps-to-zero"])
+def test_mccm_covariance_bound_reads_the_true_square_of_fixed_width_integers(m):
+    # M**2 formed in the count's own integer type would wrap below the cap, without a warning.
+    with pytest.raises(experiments.ConfigError, match=r"M\*\*2 <= MAX_TABLE_ENTRIES = 16777216, got M = ") as info:
+        experiments.check_schemes(("mccm",), NLOS, m)
+    assert info.value.field == "schemes"
 
 
 def point_stats(config, scheme):
@@ -621,6 +645,20 @@ class TestRunSweep:
             with pytest.raises(experiments.ConfigError, match="must be a sequence, got the string") as info:
                 call()
             assert info.value.field == field
+
+    @pytest.mark.parametrize(
+        "field,value,variable,values",
+        [
+            ("snr_db", np.float32(3.0), "bandwidth_hz", (1e9,)),
+            ("carrier_hz", Fraction(28 * 10**9), "snr_db", (3.0,)),
+            ("bandwidth_hz", Fraction(10**9), "snr_db", (3.0,)),
+        ],
+        ids=["float32-snr", "fraction-carrier", "fraction-bandwidth"],
+    )
+    def test_a_real_number_gives_the_rows_of_the_equal_float(self, field, value, variable, values):
+        base = ScenarioConfig(num_subcarriers=8, num_ris_elements=4, num_bs_antennas=2, trials=3)
+        rows = run_sweep(replace(base, **{field: value}), ("central",), variable, values)
+        assert rows == run_sweep(replace(base, **{field: float(value)}), ("central",), variable, values)
 
     def test_rejects_non_finite_row(self):
         # Unit gains give the ideal scheme a power of N*M^2 = 256 on SMALL_LOS,
